@@ -52,8 +52,10 @@ import numpy as np
 
 from ..ir.stencil import Stencil
 from ..schedule.schedule import Schedule
+from ..schedule.timewindow import SlidingTimeWindow
 from .c_codegen import CCodeGenerator, GeneratedCode
 from .makefile import toolchain_cflags
+from .numpy_backend import seed_window, static_planes
 
 __all__ = [
     "NativeUnavailable",
@@ -503,8 +505,6 @@ class NativeExecutor:
                  scalars: Optional[Mapping[str, float]] = None,
                  cache: Optional[ArtifactCache] = None,
                  cc: Optional[str] = None):
-        from .numpy_backend import _static_planes
-
         gen = SharedLibGenerator(
             stencil, schedules, boundary=boundary, scalars=scalars
         )
@@ -512,25 +512,14 @@ class NativeExecutor:
         self.boundary = boundary
         self._gen = gen
         out = stencil.output
-        self._halo = out.halo
-        self._padded = tuple(
-            s + 2 * h for s, h in zip(out.shape, out.halo)
-        )
-        self._interior = tuple(
-            slice(h, h + s) for h, s in zip(out.halo, out.shape)
-        )
         self._twin = out.time_window
         self._hist = stencil.required_time_window - 1
-        self._np_dtype = out.dtype.np_dtype
         self._c_real = (
-            ctypes.c_float if np.dtype(self._np_dtype).itemsize == 4
-            else ctypes.c_double
+            ctypes.c_float if out.dtype.nbytes == 4 else ctypes.c_double
         )
-        planes, _halos = _static_planes(stencil, inputs, boundary)
-        self._aux_arrays = [
-            np.ascontiguousarray(planes[(aux.name, 0)])
-            for aux in gen.aux_tensors
-        ]
+        self._aux_arrays = list(static_planes(
+            {aux.name: aux for aux in gen.aux_tensors}, inputs, boundary
+        ).values())
         self._cache = cache or ArtifactCache()
         self._cc = cc
         self._sources = gen.generate("msc_native").files
@@ -543,7 +532,7 @@ class NativeExecutor:
         }
         self.artifact = self._build()
         self._lib = self._load()
-        self._win: Optional[np.ndarray] = None
+        self._win: Optional[SlidingTimeWindow] = None
         self._t: Optional[int] = None
 
     @staticmethod
@@ -577,7 +566,7 @@ class NativeExecutor:
         lib.msc_plane_elems.restype = ctypes.c_long
         lib.msc_time_window.restype = ctypes.c_long
         lib.msc_history.restype = ctypes.c_long
-        expect = int(np.prod(self._padded))
+        expect = int(np.prod(self.stencil.output.padded_shape))
         got = int(lib.msc_plane_elems())
         if got != expect or int(lib.msc_time_window()) != self._twin:
             raise NativeBuildError(
@@ -587,22 +576,10 @@ class NativeExecutor:
         return lib
 
     def initialize(self, init: Sequence[np.ndarray]) -> None:
-        from .numpy_backend import fill_halo
-
-        if len(init) != self._hist:
-            raise ValueError(
-                f"stencil needs {self._hist} initial plane(s) "
-                f"(for t=0..{self._hist - 1}), got {len(init)}"
-            )
-        self._win = np.zeros(
-            (self._twin,) + self._padded, dtype=self._np_dtype
+        # msc_run steps the window's storage in place
+        self._win = seed_window(
+            self.stencil.output, self._hist, init, self.boundary
         )
-        for t, data in enumerate(init):
-            plane = self._win[t % self._twin]
-            plane[self._interior] = np.asarray(
-                data, dtype=self._np_dtype
-            )
-            fill_halo(plane, self._halo, self.boundary)
         self._t = self._hist
 
     def advance(self, steps: int) -> None:
@@ -614,7 +591,7 @@ class NativeExecutor:
         if steps <= 0:
             return
         realp = ctypes.POINTER(self._c_real)
-        win_ptr = self._win.ctypes.data_as(realp)
+        win_ptr = self._win.data.ctypes.data_as(realp)
         n_aux = len(self._aux_arrays)
         aux_arr = (realp * max(n_aux, 1))(
             *[a.ctypes.data_as(realp) for a in self._aux_arrays]
@@ -641,8 +618,8 @@ class NativeExecutor:
     def result(self) -> np.ndarray:
         if self._win is None or self._t is None:
             raise RuntimeError("executor has not run yet")
-        newest = self._win[(self._t - 1) % self._twin]
-        return newest[self._interior].copy()
+        newest = self._win.data[(self._t - 1) % self._twin]
+        return self._win.interior_view(newest).copy()
 
 
 def select_backend(requested: str = "auto",

@@ -2,100 +2,22 @@
 
 Per timestep, stages run in order; each stage's freshly produced plane
 is halo-filled (serial: boundary condition; distributed: exchange +
-boundary) before later stages — or the next timestep — read it.
-
-Plane binding implements the stage-reference semantics documented in
-:mod:`repro.ir.pipeline`:
-
-- accesses to the stage's *own* output map through the application
-  offset: ``(name, o) -> plane(t + app_offset + o)``;
-- accesses to *other stages'* outputs are relative to the current step:
-  ``(name, o) -> plane(t + o)``;
-- auxiliary (read-only) tensors always bind their static plane.
+boundary) before later stages — or the next timestep — read it.  Both
+entry points drive :class:`~repro.backend.numpy_backend.BlockEngine`,
+whose plane binding implements the stage-reference semantics documented
+in :mod:`repro.ir.pipeline`; a lone stencil is the one-stage case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..comm.decomposition import decompose
-from ..comm.halo import HaloSpec
 from ..ir.pipeline import StagePipeline
-from ..ir.stencil import Stencil
-from ..runtime.simmpi import CartComm, run_ranks
-from .numpy_backend import evaluate_kernel, fill_halo
+from .numpy_backend import BlockEngine
 
 __all__ = ["PipelineExecutor", "distributed_pipeline_run"]
-
-
-class _TensorStore:
-    """Rotating padded planes for every pipeline tensor (one rank)."""
-
-    def __init__(self, pipeline: StagePipeline,
-                 sub_shape: Optional[Tuple[int, ...]] = None):
-        self.pipeline = pipeline
-        self.planes: Dict[str, np.ndarray] = {}
-        self.held: Dict[str, List[int]] = {}
-        self.halos: Dict[str, Tuple[int, ...]] = {}
-        shape = sub_shape or pipeline.shape
-        self.shape = shape
-        for tensor in pipeline.outputs:
-            w = tensor.time_window
-            padded = tuple(
-                s + 2 * h for s, h in zip(shape, tensor.halo)
-            )
-            self.planes[tensor.name] = np.zeros(
-                (w, *padded), dtype=tensor.dtype.np_dtype
-            )
-            self.held[tensor.name] = [-(10 ** 9)] * w
-            self.halos[tensor.name] = tensor.halo
-
-    def window(self, name: str) -> int:
-        return self.planes[name].shape[0]
-
-    def plane(self, name: str, t: int) -> np.ndarray:
-        w = self.window(name)
-        slot = t % w
-        if self.held[name][slot] != t:
-            raise KeyError(f"{name!r} has no live plane for step {t}")
-        return self.planes[name][slot]
-
-    def has_plane(self, name: str, t: int) -> bool:
-        return t >= 0 and self.held[name][t % self.window(name)] == t
-
-    def claim(self, name: str, t: int) -> np.ndarray:
-        slot = t % self.window(name)
-        self.held[name][slot] = t
-        return self.planes[name][slot]
-
-    def interior(self, name: str, padded: np.ndarray) -> np.ndarray:
-        halo = self.halos[name]
-        return padded[tuple(
-            slice(h, h + s) for h, s in zip(halo, self.shape)
-        )]
-
-
-def _bind_planes(store: _TensorStore, stage: Stencil, app, t: int,
-                 static_planes: Mapping) -> Dict:
-    """Plane bindings for one kernel application of one stage."""
-    own = stage.output.name
-    planes = dict(static_planes)
-    outputs = {tensor.name for tensor in store.pipeline.outputs}
-    for acc in app.kernel.accesses:
-        name = acc.tensor.name
-        key = (name, acc.time_offset)
-        if key in planes:
-            continue
-        if name == own:
-            step = t + app.time_offset + acc.time_offset
-        elif name in outputs:
-            step = t + acc.time_offset  # stage reference
-        else:
-            continue  # auxiliary: already in static_planes
-        planes[key] = store.plane(name, step)
-    return planes
 
 
 class PipelineExecutor:
@@ -109,74 +31,14 @@ class PipelineExecutor:
             )
         self.pipeline = pipeline
         self.boundary = boundary
-        self.store = _TensorStore(pipeline)
-        self.static_planes: Dict = {}
-        for name, tensor in pipeline.aux_tensors().items():
-            if inputs is None or name not in inputs:
-                raise ValueError(
-                    f"pipeline reads auxiliary tensor {name!r} but no "
-                    "data was provided"
-                )
-            halo = getattr(tensor, "halo", (0,) * tensor.ndim)
-            padded = np.zeros(
-                tuple(s + 2 * h for s, h in zip(tensor.shape, halo)),
-                dtype=tensor.dtype.np_dtype,
-            )
-            padded[tuple(
-                slice(h, h + s) for h, s in zip(halo, tensor.shape)
-            )] = np.asarray(inputs[name], dtype=tensor.dtype.np_dtype)
-            fill_halo(padded, halo, boundary)
-            for off in (0, -1, -2, -3, -4):
-                self.static_planes[(name, off)] = padded
-            self.store.halos[name] = tuple(halo)
-        self.t = -1
+        self.engine = BlockEngine.serial(pipeline, boundary, inputs)
 
     def initialize(self, seeds: Mapping[str, Sequence[np.ndarray]]) -> None:
-        """Seed history planes: ``{tensor: [plane(t=-k) ... plane(t=-1)]}``.
-
-        The first computed step is t=0; a tensor needing ``k`` history
-        planes gets them at steps -k .. -1 (oldest first).  Seeds are
-        stored at those negative steps internally by shifting: we seed
-        at steps ``0..k-1`` and start computing at ``t=k_max``.
-        """
-        need = self.pipeline.required_history()
-        k_max = max(need.values(), default=0)
-        for name, k in need.items():
-            given = list(seeds.get(name, []))
-            if len(given) != k:
-                raise ValueError(
-                    f"tensor {name!r} needs {k} seed plane(s), got "
-                    f"{len(given)}"
-                )
-            # align so the newest seed sits at step k_max - 1
-            start = k_max - k
-            for idx, data in enumerate(given):
-                plane = self.store.claim(name, start + idx)
-                plane.fill(0)
-                self.store.interior(name, plane)[...] = np.asarray(
-                    data, dtype=plane.dtype
-                )
-                fill_halo(plane, self.store.halos[name], self.boundary)
-        self.t = k_max - 1
+        """Seed history planes: ``{tensor: [oldest ... newest]}``."""
+        self.engine.seed(seeds)
 
     def step(self) -> None:
-        t = self.t + 1
-        for stage in self.pipeline.stages:
-            out = stage.output
-            acc = np.zeros(self.store.shape, dtype=out.dtype.np_dtype)
-            region = [(0, s) for s in self.store.shape]
-            for scale, app in stage.combination_terms():
-                planes = _bind_planes(
-                    self.store, stage, app, t, self.static_planes
-                )
-                val = evaluate_kernel(
-                    app.kernel, planes, self.store.halos, region
-                )
-                acc += np.asarray(scale * val, dtype=acc.dtype)
-            plane = self.store.claim(out.name, t)
-            self.store.interior(out.name, plane)[...] = acc
-            fill_halo(plane, self.store.halos[out.name], self.boundary)
-        self.t = t
+        self.engine.step()
 
     def run(self, seeds: Mapping[str, Sequence[np.ndarray]],
             timesteps: int) -> Dict[str, np.ndarray]:
@@ -187,13 +49,7 @@ class PipelineExecutor:
         return self.results()
 
     def results(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for tensor in self.pipeline.outputs:
-            plane = self.store.plane(tensor.name, self.t)
-            out[tensor.name] = self.store.interior(
-                tensor.name, plane
-            ).copy()
-        return out
+        return self.engine.results()
 
 
 def distributed_pipeline_run(
@@ -211,106 +67,8 @@ def distributed_pipeline_run(
     exchange per stage per timestep, exactly what generated multi-stage
     code does.
     """
-    from ..comm.library import create_exchanger
-    from ..runtime.executor import _zero_unowned_edges
+    from ..runtime.executor import _run_distributed  # an import cycle
 
-    grid = tuple(int(g) for g in grid)
-    if len(grid) != pipeline.ndim:
-        raise ValueError(
-            f"MPI grid is {len(grid)}-D for a {pipeline.ndim}-D pipeline"
-        )
-    nprocs = 1
-    for g in grid:
-        nprocs *= g
-    subdomains = decompose(pipeline.shape, grid)
-    periods = tuple(boundary == "periodic" for _ in grid)
-    aux = pipeline.aux_tensors()
-    for name in aux:
-        if inputs is None or name not in inputs:
-            raise ValueError(f"missing data for auxiliary tensor {name!r}")
-
-    def rank_main(comm: CartComm):
-        sd = subdomains[comm.rank]
-        store = _TensorStore(pipeline, sub_shape=sd.shape)
-        specs = {
-            tensor.name: HaloSpec(sd.shape, tensor.halo)
-            for tensor in pipeline.outputs
-        }
-        exchangers = {
-            name: create_exchanger("async", comm, spec)
-            for name, spec in specs.items()
-        }
-
-        def refresh(name: str, plane: np.ndarray) -> None:
-            _zero_unowned_edges(plane, specs[name], comm)
-            exchangers[name].exchange(plane)
-
-        static_planes: Dict = {}
-        for name, tensor in aux.items():
-            halo = getattr(tensor, "halo", (0,) * tensor.ndim)
-            spec = HaloSpec(sd.shape, tuple(halo))
-            padded = np.zeros(spec.padded_shape,
-                              dtype=tensor.dtype.np_dtype)
-            padded[spec.interior()] = np.asarray(
-                inputs[name]
-            )[sd.slices()]
-            if any(h > 0 for h in halo):
-                ex = create_exchanger("async", comm, spec)
-                _zero_unowned_edges(padded, spec, comm)
-                ex.exchange(padded)
-            for off in (0, -1, -2, -3, -4):
-                static_planes[(name, off)] = padded
-            store.halos[name] = tuple(halo)
-
-        need = pipeline.required_history()
-        k_max = max(need.values(), default=0)
-        for name, k in need.items():
-            given = list(seeds.get(name, []))
-            start = k_max - k
-            for idx, data in enumerate(given):
-                plane = store.claim(name, start + idx)
-                plane.fill(0)
-                store.interior(name, plane)[...] = np.asarray(
-                    data
-                )[sd.slices()]
-                refresh(name, plane)
-        t = k_max - 1
-        for _ in range(timesteps):
-            t += 1
-            for stage in pipeline.stages:
-                out = stage.output
-                acc = np.zeros(sd.shape, dtype=out.dtype.np_dtype)
-                region = [(0, s) for s in sd.shape]
-                for scale, app in stage.combination_terms():
-                    planes = _bind_planes(store, stage, app, t,
-                                          static_planes)
-                    val = evaluate_kernel(
-                        app.kernel, planes, store.halos, region
-                    )
-                    acc += np.asarray(scale * val, dtype=acc.dtype)
-                plane = store.claim(out.name, t)
-                store.interior(out.name, plane)[...] = acc
-                refresh(out.name, plane)
-        local = {
-            tensor.name: store.interior(
-                tensor.name, store.plane(tensor.name, t)
-            ).copy()
-            for tensor in pipeline.outputs
-        }
-        pieces = comm.gather((comm.rank, local), root=0)
-        if comm.rank != 0:
-            return None
-        result = {
-            tensor.name: np.zeros(pipeline.shape,
-                                  dtype=tensor.dtype.np_dtype)
-            for tensor in pipeline.outputs
-        }
-        for rank, data in pieces:
-            sub = subdomains[int(rank)]
-            for name, arr in data.items():
-                result[name][sub.slices()] = arr
-        return result
-
-    results = run_ranks(nprocs, rank_main, cart_dims=grid,
-                        periods=periods)
-    return results[0]
+    return _run_distributed(
+        pipeline, seeds, timesteps, grid, boundary, inputs
+    )

@@ -374,20 +374,16 @@ class StencilProgram:
         from ..backend.numpy_backend import ScheduledExecutor, reference_run
         from ..obs import counter, span
 
-        out_name = self.ir.output.name
+        inputs = self._inputs or None
+        scalars = self._scalars or None
+        # pick the engine as (backend label, zero-argument runner) ...
+        engine = None
         if not scheduled:
-            with span("runtime.run", stencil=out_name,
-                      timesteps=timesteps, backend="reference",
-                      exchange_mode="none"):
-                result = reference_run(
-                    self.ir, init, timesteps, self.boundary,
-                    inputs=self._inputs or None,
-                    scalars=self._scalars or None,
-                )
-            counter("runtime.runs", backend="reference",
-                    exchange_mode="none")
-            return result
-        if backend in ("native", "auto"):
+            engine = "reference", lambda: reference_run(
+                self.ir, init, timesteps, self.boundary,
+                inputs=inputs, scalars=scalars,
+            )
+        elif backend in ("native", "auto"):
             if check:
                 self._gate("cpu", "run")
             from ..backend.native import (
@@ -397,18 +393,11 @@ class StencilProgram:
             )
 
             try:
-                ex = NativeExecutor(
+                native = NativeExecutor(
                     self.ir, self.schedules(), self.boundary,
-                    inputs=self._inputs or None,
-                    scalars=self._scalars or None,
+                    inputs=inputs, scalars=scalars,
                 )
-                with span("runtime.run", stencil=out_name,
-                          timesteps=timesteps, backend="native",
-                          exchange_mode="none"):
-                    result = ex.run(init, timesteps)
-                counter("runtime.runs", backend="native",
-                        exchange_mode="none")
-                return result
+                engine = "native", lambda: native.run(init, timesteps)
             except (NativeUnavailable, NativeBuildError):
                 if backend == "native":
                     raise
@@ -418,16 +407,19 @@ class StencilProgram:
                 f"unknown backend {backend!r}; choose "
                 "auto/native/numpy"
             )
-        ex = ScheduledExecutor(
-            self.ir, self.schedules(), self.boundary,
-            inputs=self._inputs or None,
-            scalars=self._scalars or None,
-        )
-        with span("runtime.run", stencil=out_name,
-                  timesteps=timesteps, backend="numpy",
+        if engine is None:
+            numpy_ex = ScheduledExecutor(
+                self.ir, self.schedules(), self.boundary,
+                inputs=inputs, scalars=scalars,
+            )
+            engine = "numpy", lambda: numpy_ex.run(init, timesteps)
+        # ... then run it under the one root span and run counter
+        label, sweep = engine
+        with span("runtime.run", stencil=self.ir.output.name,
+                  timesteps=timesteps, backend=label,
                   exchange_mode="none"):
-            result = ex.run(init, timesteps)
-        counter("runtime.runs", backend="numpy", exchange_mode="none")
+            result = sweep()
+        counter("runtime.runs", backend=label, exchange_mode="none")
         return result
 
     # -- code generation ------------------------------------------------------

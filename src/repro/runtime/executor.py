@@ -1,24 +1,29 @@
 """Distributed stencil execution over the simulated MPI runtime.
 
 ``distributed_run`` executes a stencil across an MPI process grid with
-real data: every rank owns a sub-domain (Fig. 6a), keeps a local
-sliding time window, exchanges halos through the communication library
-after producing each plane, and rank 0 gathers the global result.  The
-output must match the single-node serial reference exactly — that
-equivalence is the core integration test of the communication library.
+real data: every rank owns a sub-domain (Fig. 6a), steps it with the
+same :class:`~repro.backend.numpy_backend.BlockEngine` a single node
+uses, exchanges halos through the communication library after producing
+each plane, and rank 0 gathers the global result.  The output must
+match the single-node serial reference exactly — that equivalence is
+the core integration test of the communication library.  Pipelines
+(``distributed_pipeline_run``) go through the same driver.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..backend.numpy_backend import evaluate_kernel
+from ..backend.numpy_backend import (
+    BlockEngine, as_pipeline, checked_inputs, checked_seeds,
+)
 from ..comm.decomposition import SubDomain, decompose
 from ..comm.halo import HaloSpec, core_owned_regions
+from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil
-from ..ir.validate import validate_stencil
 from ..obs import counter, span
 from ..obs.events import emit
 from .simmpi import CartComm, run_ranks
@@ -26,184 +31,209 @@ from .simmpi import CartComm, run_ranks
 __all__ = ["distributed_run", "DistributedStencil"]
 
 
-def _zero_unowned_edges(plane: np.ndarray, spec: HaloSpec,
-                        comm: CartComm) -> None:
-    """Zero the ghost strips on global (neighbour-less) boundaries.
+def _refresh_ghosts(comm: CartComm, sub_shape: Sequence[int], exchangers,
+                    name: str, halo: Sequence[int],
+                    plane: np.ndarray) -> None:
+    """Exchange the ghosts of one rank's freshly written ``plane``."""
+    from ..comm.library import create_exchanger  # breaks an import cycle
 
-    Window planes are recycled, so stale ghosts must be cleared wherever
-    the exchange will not overwrite them.
-    """
-    ndim = len(spec.sub_shape)
-    for d in range(ndim):
-        h = spec.halo[d]
-        if h == 0:
-            continue
-        src, dst = comm.Shift(d, 1)
-        if src < 0:
-            sl = [slice(None)] * ndim
-            sl[d] = slice(0, h)
-            plane[tuple(sl)] = 0
-        if dst < 0:
-            sl = [slice(None)] * ndim
-            sl[d] = slice(spec.padded_shape[d] - h, spec.padded_shape[d])
-            plane[tuple(sl)] = 0
+    ex = exchangers.get(name)
+    scattered_once = ex is None  # an auxiliary tensor
+    if scattered_once:
+        ex = create_exchanger("async", comm, HaloSpec(sub_shape, halo))
+    # an overlap-mode exchanger allows one in-flight exchange;
+    # drain it before starting the next (no-op otherwise)
+    ex.finish_exchange()
+    # window planes are recycled: clear stale ghosts on global
+    # (neighbour-less) edges, which the exchange will not overwrite
+    for region in ex.regions:
+        src, dst = comm.Shift(region.dim, 1)
+        if (dst if region.direction > 0 else src) < 0:
+            plane[region.recv] = 0
+    ex.begin_exchange(plane)
+    if scattered_once:
+        ex.finish_exchange()
 
 
 class DistributedStencil:
-    """Per-rank state and stepping logic for one distributed stencil."""
+    """One rank's block of a distributed stencil (or pipeline).
 
-    def __init__(self, stencil: Stencil, comm: CartComm,
-                 subdomains: Sequence[SubDomain],
-                 boundary: str = "zero",
-                 exchanger: str = "async",
-                 scalars=None,
+    A :class:`BlockEngine` whose ghost refresh is the halo exchange;
+    what remains here is distributed *policy*: which exchanger serves
+    which tensor, and the CORE/OWNED split of the ``overlap`` mode.
+    """
+
+    def __init__(self, stencil: Union[Stencil, StagePipeline],
+                 comm: CartComm, subdomains: Sequence[SubDomain],
+                 exchanger: str = "async", scalars=None,
                  exchange_mode: Optional[str] = None):
-        if boundary not in ("zero", "periodic"):
-            raise ValueError(
-                "distributed runs support zero/periodic boundaries, got "
-                f"{boundary!r}"
-            )
-        validate_stencil(stencil)
-        self.stencil = stencil
-        self.comm = comm
-        self.boundary = boundary
-        self.sub = subdomains[comm.rank]
-        out = stencil.output
-        self.spec = HaloSpec(self.sub.shape, out.halo)
         from ..comm.library import create_exchanger  # breaks an import cycle
 
-        options = {}
-        if exchange_mode is not None:
-            # only the async exchanger family understands modes; other
-            # strategies reject the option in their constructor
-            options["mode"] = exchange_mode
-        self.exchanger = create_exchanger(
-            exchanger, comm, self.spec, **options
+        self.comm = comm
+        self.sub = subdomains[comm.rank]
+        # only the async exchanger family understands modes; other
+        # strategies reject the option in their constructor
+        options = {} if exchange_mode is None else {"mode": exchange_mode}
+        #: one exchanger per stage output; in overlap mode the newest
+        #: plane's exchange stays in flight during the next CORE compute
+        self.exchangers: Dict[str, object] = {}
+        # not a bound method: an engine pointing back at this object
+        # would leave every run's planes to the cycle collector
+        self.engine = BlockEngine(
+            stencil,
+            partial(_refresh_ghosts, comm, self.sub.shape, self.exchangers),
+            self.sub.shape, scalars,
         )
-        #: overlap mode: the step loop computes the CORE block while
-        #: the newest plane's exchange is still in flight
-        self._overlap = (
-            getattr(self.exchanger, "mode", "basic") == "overlap"
-        )
-        w = out.time_window
-        self._planes = np.zeros(
-            (w, *self.spec.padded_shape), dtype=out.dtype.np_dtype
-        )
-        self._held = [-(10 ** 9)] * w
-        self.newest = -1
-        self._static: Dict[Tuple[str, int], np.ndarray] = {}
-        self._halos: Dict[str, Tuple[int, ...]] = {out.name: out.halo}
-        self._scalars = dict(scalars) if scalars else {}
+        for out in self.engine.pipeline.outputs:
+            self.exchangers[out.name] = create_exchanger(
+                exchanger, comm, HaloSpec(self.sub.shape, out.halo),
+                **options
+            )
 
-    # -- plane management -----------------------------------------------------
-    def plane(self, t: int) -> np.ndarray:
-        w = self.stencil.output.time_window
-        slot = t % w
-        if self._held[slot] != t:
-            raise KeyError(f"timestep {t} not live in the window")
-        return self._planes[slot]
+    def scatter(self, seeds: Mapping[str, Sequence[np.ndarray]],
+                inputs: Mapping[str, np.ndarray]) -> None:
+        """Install this rank's part of the global auxiliary and seed data."""
+        own = self.sub.slices()
+        aux = self.engine.pipeline.aux_tensors()
+        for name, data in inputs.items():
+            self.engine.set_aux(aux[name], data[own])
+        with span("runtime.seed", rank=self.comm.rank):
+            self.engine.seed({
+                name: [plane[own] for plane in planes]
+                for name, planes in seeds.items()
+            })
 
-    def _interior(self, padded: np.ndarray) -> np.ndarray:
-        return padded[self.spec.interior()]
-
-    def _refresh_ghosts(self, plane: np.ndarray) -> None:
-        # an overlap-mode exchanger allows one in-flight exchange;
-        # drain it before starting the next (no-op otherwise)
-        self.exchanger.finish_exchange()
-        _zero_unowned_edges(plane, self.spec, self.comm)
-        self.exchanger.begin_exchange(plane)
-
-    def seed(self, t: int, global_plane: np.ndarray) -> None:
-        """Install one initial history plane from the global array."""
-        w = self.stencil.output.time_window
-        slot = t % w
-        self._planes[slot].fill(0)
-        self._interior(self._planes[slot])[...] = (
-            global_plane[self.sub.slices()]
-        )
-        self._held[slot] = t
-        self.newest = max(self.newest, t)
-        self._refresh_ghosts(self._planes[slot])
-
-    def set_static_input(self, name: str, tensor,
-                         global_data: np.ndarray) -> None:
-        """Scatter an auxiliary (time-invariant) tensor with its halo."""
-        halo = getattr(tensor, "halo", (0,) * tensor.ndim)
-        spec = HaloSpec(self.sub.shape, tuple(halo))
-        padded = np.zeros(spec.padded_shape, dtype=tensor.dtype.np_dtype)
-        padded[spec.interior()] = global_data[self.sub.slices()]
-        if any(h > 0 for h in halo):
-            from ..comm.library import create_exchanger
-
-            ex = create_exchanger("async", self.comm, spec)
-            _zero_unowned_edges(padded, spec, self.comm)
-            ex.exchange(padded)
-        for off in (0, -1, -2, -3, -4):
-            self._static[(name, off)] = padded
-        self._halos[name] = tuple(halo)
-
-    # -- stepping ---------------------------------------------------------------
-    def _accumulate(self, acc: np.ndarray, t: int,
-                    region: Sequence[Tuple[int, int]]) -> None:
-        """Evaluate all combination terms over ``region`` into ``acc``."""
-        out = self.stencil.output
-        sl = tuple(slice(lo, hi) for lo, hi in region)
-        for scale, app in self.stencil.combination_terms():
-            planes = dict(self._static)
-            planes[(out.name, 0)] = self.plane(t + app.time_offset)
-            for extra in range(1, out.time_window):
-                held = t + app.time_offset - extra
-                if held >= 0:
-                    try:
-                        planes[(out.name, -extra)] = self.plane(held)
-                    except KeyError:
-                        pass
-            with span("runtime.kernel_eval", kernel=app.kernel.name):
-                val = evaluate_kernel(
-                    app.kernel, planes, self._halos, list(region),
-                    scalars=self._scalars,
-                )
-            acc[sl] += np.asarray(scale * val, dtype=out.dtype.np_dtype)
+    def _compute(self, stage: Stencil, t: int, acc: np.ndarray) -> None:
+        pending = [ex for ex in self.exchangers.values() if ex.pending]
+        if not pending:
+            self.engine.accumulate(stage, t, acc)
+            return
+        # compute/communication overlap: the CORE block only reads
+        # interior cells of the history planes, so it is computed while
+        # the newest plane's ghost blocks are still in flight; the
+        # OWNED shell waits for them
+        rank = self.comm.rank
+        core, owned = core_owned_regions(self.sub.shape, stage.radius)
+        if core is not None:
+            with span("runtime.core_compute", rank=rank, t=t):
+                self.engine.accumulate(stage, t, acc, lambda _k: [core])
+        for ex in pending:
+            ex.finish_exchange()
+        with span("runtime.owned_compute", rank=rank, t=t,
+                  slabs=len(owned)):
+            self.engine.accumulate(stage, t, acc, lambda _k: owned)
 
     def step(self) -> None:
-        out = self.stencil.output
-        t = self.newest + 1
-        with span("runtime.step", rank=self.comm.rank, t=t):
-            acc = np.zeros(self.sub.shape, dtype=out.dtype.np_dtype)
-            if self._overlap and self.exchanger.pending:
-                # compute/communication overlap: the CORE block only
-                # reads interior cells of the history planes, so it is
-                # computed while the newest plane's ghost blocks are
-                # still in flight; the OWNED shell waits for them
-                core, owned = core_owned_regions(
-                    self.sub.shape, self.stencil.radius
-                )
-                if core is not None:
-                    with span("runtime.core_compute",
-                              rank=self.comm.rank, t=t):
-                        self._accumulate(acc, t, core)
-                self.exchanger.finish_exchange()
-                with span("runtime.owned_compute", rank=self.comm.rank,
-                          t=t, slabs=len(owned)):
-                    for box in owned:
-                        self._accumulate(acc, t, box)
-            else:
-                region = [(0, s) for s in self.sub.shape]
-                self._accumulate(acc, t, region)
-            w = out.time_window
-            slot = t % w
-            self._held[slot] = t
-            self.newest = t
-            self._interior(self._planes[slot])[...] = acc
-            self._refresh_ghosts(self._planes[slot])
+        with span("runtime.step", rank=self.comm.rank,
+                  t=self.engine.t + 1):
+            self.engine.step(self._compute)
         counter("runtime.steps", rank=self.comm.rank)
 
-    def finalize(self) -> None:
-        """Drain any in-flight overlap exchange (end of the run)."""
-        self.exchanger.finish_exchange()
 
-    def local_result(self) -> np.ndarray:
-        return self._interior(self.plane(self.newest)).copy()
+def _run_distributed(program: Union[Stencil, StagePipeline],
+                     seeds: Mapping[str, Sequence[np.ndarray]],
+                     timesteps: int, grid: Sequence[int],
+                     boundary: str = "zero", inputs=None,
+                     exchanger: str = "async", subdomains=None,
+                     scalars=None, faults=None, exchange_mode=None
+                     ) -> Dict[str, np.ndarray]:
+    """The driver behind :func:`distributed_run` and
+    ``distributed_pipeline_run``: validate once, before any rank starts;
+    then each rank scatters, steps and gathers.  Returns the global
+    newest plane of every stage output.
+    """
+    pipeline, history = as_pipeline(program)
+    outputs = pipeline.outputs
+    grid = tuple(int(g) for g in grid)
+    if len(grid) != pipeline.ndim:
+        raise ValueError(
+            f"MPI grid is {len(grid)}-D for a {pipeline.ndim}-D stencil"
+        )
+    if boundary not in ("zero", "periodic"):
+        raise ValueError(
+            "distributed runs support zero/periodic boundaries, got "
+            f"{boundary!r}"
+        )
+    # run-ledger fingerprint plumbing: a no-op unless a CLI command is
+    # collecting a record (see repro.obs.ledger)
+    from ..obs import ledger as obs_ledger
+
+    mode = exchange_mode or "default"
+    obs_ledger.note(config={
+        "mpi_grid": list(grid),
+        "exchanger": exchanger,
+        "exchange_mode": mode,
+        "boundary": boundary,
+        "dist_timesteps": int(timesteps),
+    })
+    nprocs = int(np.prod(grid))
+    if subdomains is None:
+        subdomains = decompose(pipeline.shape, grid)
+    else:
+        subdomains = list(subdomains)
+        if len(subdomains) != nprocs:
+            raise ValueError(
+                f"custom decomposition has {len(subdomains)} sub-domains "
+                f"for {nprocs} ranks"
+            )
+    # every sub-domain must be at least as wide as the halo so the
+    # inner-halo strips do not overlap
+    for sd in subdomains:
+        for out in outputs:
+            if any(s < h for s, h in zip(sd.shape, out.halo)):
+                raise ValueError(
+                    f"sub-domain {sd.shape} narrower than halo {out.halo}; "
+                    "use a smaller MPI grid"
+                )
+    seeds = checked_seeds(outputs, history, seeds, pipeline.shape)
+    inputs = checked_inputs(pipeline.aux_tensors(), inputs)
+
+    def rank_main(comm: CartComm):
+        dist = DistributedStencil(
+            program, comm, subdomains, exchanger, scalars, exchange_mode
+        )
+        dist.scatter(seeds, inputs)
+        for _ in range(timesteps):
+            dist.step()
+        # the last plane's overlap exchange (if any) must drain before
+        # the gather so the trace DAG stays well-formed
+        for ex in dist.exchangers.values():
+            ex.finish_exchange()
+        with span("runtime.gather", rank=comm.rank):
+            pieces = comm.gather(
+                (dist.sub.rank, dist.engine.results()), root=0
+            )
+        if comm.rank != 0:
+            return None
+        result = {
+            out.name: np.zeros(pipeline.shape, dtype=out.dtype.np_dtype)
+            for out in outputs
+        }
+        for rank, local in pieces:
+            own = subdomains[int(rank)].slices()
+            for name, data in local.items():
+                result[name][own] = data
+        return result
+
+    label = "+".join(out.name for out in outputs)
+    counter("runtime.runs", backend="numpy", exchange_mode=mode)
+    with span("runtime.distributed_run", stencil=label,
+              nprocs=nprocs, grid=str(grid), timesteps=timesteps,
+              exchanger=exchanger, backend="numpy",
+              exchange_mode=mode,
+              faulty=faults is not None):
+        emit("phase.enter", phase="distributed_run", stencil=label,
+             nprocs=nprocs, exchange_mode=mode)
+        try:
+            results = run_ranks(
+                nprocs, rank_main, cart_dims=grid,
+                periods=tuple(boundary == "periodic" for _ in grid),
+                faults=faults,
+                scope_attrs={"backend": "numpy", "exchange_mode": mode},
+            )
+        finally:
+            emit("phase.exit", phase="distributed_run", stencil=label)
+    return results[0]
 
 
 def distributed_run(stencil: Stencil, init: Sequence[np.ndarray],
@@ -231,102 +261,8 @@ def distributed_run(stencil: Stencil, init: Sequence[np.ndarray],
     (``"basic"``/``"diag"``/``"overlap"``); results are bit-identical
     across modes.  Leave ``None`` to use the strategy's default.
     """
-    grid = tuple(int(g) for g in grid)
-    out = stencil.output
-    if len(grid) != out.ndim:
-        raise ValueError(
-            f"MPI grid is {len(grid)}-D for a {out.ndim}-D stencil"
-        )
-    # run-ledger fingerprint plumbing: a no-op unless a CLI command is
-    # collecting a record (see repro.obs.ledger)
-    from ..obs import ledger as obs_ledger
-
-    obs_ledger.note(config={
-        "mpi_grid": list(grid),
-        "exchanger": exchanger,
-        "exchange_mode": exchange_mode or "default",
-        "boundary": boundary,
-        "dist_timesteps": int(timesteps),
-    })
-    nprocs = 1
-    for g in grid:
-        nprocs *= g
-    if subdomains is None:
-        subdomains = decompose(out.shape, grid)
-    else:
-        subdomains = list(subdomains)
-        if len(subdomains) != nprocs:
-            raise ValueError(
-                f"custom decomposition has {len(subdomains)} sub-domains "
-                f"for {nprocs} ranks"
-            )
-    # every sub-domain must be at least as wide as the halo so the
-    # inner-halo strips do not overlap
-    for sd in subdomains:
-        for s, h in zip(sd.shape, out.halo):
-            if s < h:
-                raise ValueError(
-                    f"sub-domain {sd.shape} narrower than halo {out.halo}; "
-                    "use a smaller MPI grid"
-                )
-    need = stencil.required_time_window - 1
-    if len(init) != need:
-        raise ValueError(f"need {need} initial planes, got {len(init)}")
-    init = [np.asarray(p, dtype=out.dtype.np_dtype) for p in init]
-    aux_tensors = {}
-    for kern in stencil.kernels:
-        for tensor in kern.input_tensors:
-            if tensor.name != out.name:
-                aux_tensors[tensor.name] = tensor
-    for name in aux_tensors:
-        if inputs is None or name not in inputs:
-            raise ValueError(f"missing data for auxiliary tensor {name!r}")
-
-    periods = tuple(boundary == "periodic" for _ in grid)
-
-    def rank_main(comm: CartComm):
-        dist = DistributedStencil(
-            stencil, comm, subdomains, boundary, exchanger,
-            scalars=scalars, exchange_mode=exchange_mode,
-        )
-        for name, tensor in aux_tensors.items():
-            dist.set_static_input(name, tensor, np.asarray(inputs[name]))
-        with span("runtime.seed", rank=comm.rank):
-            for t, plane in enumerate(init):
-                dist.seed(t, plane)
-        for _ in range(timesteps):
-            dist.step()
-        # the last plane's overlap exchange (if any) must drain before
-        # the gather so the trace DAG stays well-formed
-        dist.finalize()
-        with span("runtime.gather", rank=comm.rank):
-            pieces = comm.gather(
-                (dist.sub.rank, dist.local_result()), root=0
-            )
-        if comm.rank != 0:
-            return None
-        result = np.zeros(out.shape, dtype=out.dtype.np_dtype)
-        for item in pieces:
-            rank, data = item
-            sd = subdomains[int(rank)]
-            result[sd.slices()] = data
-        return result
-
-    mode = exchange_mode or "default"
-    counter("runtime.runs", backend="numpy", exchange_mode=mode)
-    with span("runtime.distributed_run", stencil=out.name,
-              nprocs=nprocs, grid=str(grid), timesteps=timesteps,
-              exchanger=exchanger, backend="numpy",
-              exchange_mode=mode,
-              faulty=faults is not None):
-        emit("phase.enter", phase="distributed_run", stencil=out.name,
-             nprocs=nprocs, exchange_mode=mode)
-        try:
-            results = run_ranks(
-                nprocs, rank_main, cart_dims=grid, periods=periods,
-                faults=faults,
-                scope_attrs={"backend": "numpy", "exchange_mode": mode},
-            )
-        finally:
-            emit("phase.exit", phase="distributed_run", stencil=out.name)
-    return results[0]
+    name = stencil.output.name
+    return _run_distributed(
+        stencil, {name: init}, timesteps, grid, boundary, inputs,
+        exchanger, subdomains, scalars, faults, exchange_mode,
+    )[name]

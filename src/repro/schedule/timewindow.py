@@ -6,9 +6,10 @@ timestep's output (memory grows linearly with T, Fig. 5(b)), the window
 keeps ``W = deepest-dependency + 1`` planes and recycles the oldest
 (Fig. 5(c)).
 
-:class:`SlidingTimeWindow` owns the actual numpy storage used by the
+:class:`SlidingTimeWindow` owns the actual numpy storage used by every
 executable backend: a ``(W, *padded_shape)`` array whose planes are
-addressed modulo W.
+addressed modulo W.  It is allocated for one *block* of the domain —
+the whole domain on one node, a rank's sub-domain when distributed.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ class SlidingTimeWindow:
 
     Planes include the halo region.  ``plane(t)`` returns the padded
     plane holding timestep ``t``; ``valid(t)`` returns the halo-free
-    interior view of the same plane (a view, not a copy).
+    interior view of the same plane (a view, not a copy).  ``shape`` is
+    the block the planes cover (default: the tensor's whole domain).
     """
 
-    def __init__(self, tensor: SpNode, window: Optional[int] = None):
+    def __init__(self, tensor: SpNode, window: Optional[int] = None,
+                 shape: Optional[Sequence[int]] = None):
         self.tensor = tensor
+        self.shape = tuple(shape) if shape is not None else tensor.shape
         self.window = int(window) if window is not None else tensor.time_window
         if self.window < 2:
             raise ValueError("time window must hold at least 2 planes")
@@ -40,8 +44,11 @@ class SlidingTimeWindow:
                 f"requested window {self.window} exceeds the tensor's "
                 f"declared time_window {tensor.time_window}"
             )
-        self._data = np.zeros(
-            (self.window, *tensor.padded_shape), dtype=tensor.dtype.np_dtype
+        padded = tuple(s + 2 * h for s, h in zip(self.shape, tensor.halo))
+        #: the ``(W, *padded)`` storage, timestep ``t`` in slot ``t % W``
+        #: — the layout the generated C's ``msc_run`` steps in place
+        self.data = np.zeros(
+            (self.window, *padded), dtype=tensor.dtype.np_dtype
         )
         #: timestep currently held by each slot; -1 = uninitialised
         self._held: list = [-(10 ** 9)] * self.window
@@ -60,7 +67,7 @@ class SlidingTimeWindow:
                 f"{self._held[slot]}); deepest live step is "
                 f"{self.newest - self.window + 1}"
             )
-        return self._data[slot]
+        return self.data[slot]
 
     def valid(self, t: int) -> np.ndarray:
         """Halo-free interior view of timestep ``t``."""
@@ -69,7 +76,7 @@ class SlidingTimeWindow:
     def interior_view(self, padded: np.ndarray) -> np.ndarray:
         sl = tuple(
             slice(h, h + s)
-            for h, s in zip(self.tensor.halo, self.tensor.shape)
+            for h, s in zip(self.tensor.halo, self.shape)
         )
         return padded[sl]
 
@@ -82,14 +89,14 @@ class SlidingTimeWindow:
 
         Halo cells are zero until a halo exchange or boundary fill runs.
         """
-        if valid_data.shape != self.tensor.shape:
+        if valid_data.shape != self.shape:
             raise ValueError(
                 f"seed data shape {valid_data.shape} != domain shape "
-                f"{self.tensor.shape}"
+                f"{self.shape}"
             )
         slot = self._slot(t)
-        self._data[slot].fill(0)
-        self.interior_view(self._data[slot])[...] = valid_data
+        self.data[slot].fill(0)
+        self.interior_view(self.data[slot])[...] = valid_data
         self._held[slot] = t
         self.newest = max(self.newest, t)
 
@@ -107,12 +114,12 @@ class SlidingTimeWindow:
         slot = self._slot(t)
         self._held[slot] = t
         self.newest = t
-        return self._data[slot]
+        return self.data[slot]
 
     # -- memory accounting (Fig. 5) -------------------------------------------------
     @property
     def nbytes(self) -> int:
-        return self._data.nbytes
+        return self.data.nbytes
 
 
 def window_memory_bytes(tensor: SpNode, window: Optional[int] = None) -> int:

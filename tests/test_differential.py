@@ -289,3 +289,124 @@ def test_differential_smoke_all_backends():
         got_c = run_compiled_c(stencil, kern, sched, init, steps,
                                (12, 16), np.float64)
         assert rel_err(got_c, ref) < REL_TOL["f64"]
+
+
+# ---------------------------------------------------------------------------
+# a stencil is a one-stage pipeline: four entry points, one engine
+# ---------------------------------------------------------------------------
+
+def _aux_offset_stencil(depth=0):
+    """``B[t] << k[t-1]`` with a coefficient tensor read ``depth`` back."""
+    from repro.ir import Kernel, SpNode, Stencil, VarExpr
+
+    shape = (12, 16)
+    B = SpNode("B", shape, f64, halo=(1, 1), time_window=2)
+    C = SpNode("C", shape, f64, halo=(1, 1), time_window=depth + 2)
+    j, i = VarExpr("j"), VarExpr("i")
+    coeff = C.at(-depth) if depth else C
+    kern = Kernel(
+        "k", (j, i),
+        coeff[j, i] * B[j, i]
+        + 0.125 * (B[j, i - 1] + B[j, i + 1] + B[j - 1, i] + B[j + 1, i])
+        + 0.01 * coeff[j, i + 1],
+    )
+    return Stencil(B, kern[Stencil.t - 1])
+
+
+def _two_kernel_stencil():
+    """Two different kernels at t-1 and t-2, one reading ``B.at(-1)``."""
+    from repro.ir import Kernel, SpNode, Stencil, VarExpr
+
+    B = SpNode("B", (12, 16), f64, halo=(1, 1), time_window=4)
+    j, i = VarExpr("j"), VarExpr("i")
+    near = Kernel("near", (j, i), 0.5 * B[j, i] + 0.25 * B[j, i - 1])
+    far = Kernel("far", (j, i),
+                 0.3 * B[j + 1, i] - 0.1 * B.at(-1)[j - 1, i + 1])
+    t = Stencil.t
+    return Stencil(B, near[t - 1] + 0.7 * far[t - 2])
+
+
+def _one_stage_cases():
+    from repro.frontend.stencils import ALL_BENCHMARKS
+
+    for bench in ALL_BENCHMARKS:
+        base = (24, 20) if bench.ndim == 2 else (12, 12, 12)
+        shape = tuple(max(s, 4 * bench.radius) for s in base)
+        yield pytest.param(
+            lambda bench=bench, shape=shape:
+                bench.build(grid=shape)[0].ir,
+            id=bench.name,
+        )
+    yield pytest.param(_aux_offset_stencil, id="aux-input")
+    yield pytest.param(_two_kernel_stencil, id="two-kernels")
+
+
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("make", _one_stage_cases())
+def test_stencil_is_a_one_stage_pipeline(make, boundary):
+    """A ``Stencil`` and its one-stage ``StagePipeline`` agree bitwise
+    with the reference through every numpy entry point."""
+    from repro.backend.pipeline_exec import (
+        PipelineExecutor,
+        distributed_pipeline_run,
+    )
+    from repro.ir import StagePipeline
+
+    stencil = make()
+    out = stencil.output
+    rng = np.random.default_rng(13)
+    init = [rng.random(out.shape)
+            for _ in range(stencil.required_time_window - 1)]
+    inputs = {
+        tensor.name: rng.random(tensor.shape)
+        for kern in stencil.kernels for tensor in kern.input_tensors
+        if tensor.name != out.name
+    } or None
+    steps = 3
+    grid = (2, 2) if out.ndim == 2 else (2, 1, 2)
+    pipe = StagePipeline((stencil,))
+    ref = reference_run(stencil, init, steps, boundary=boundary,
+                        inputs=inputs)
+
+    got = {
+        "scheduled": ScheduledExecutor(
+            stencil, {}, boundary=boundary, inputs=inputs
+        ).run(init, steps),
+        "pipeline": PipelineExecutor(
+            pipe, boundary=boundary, inputs=inputs
+        ).run({out.name: init}, steps)[out.name],
+        "distributed pipeline": distributed_pipeline_run(
+            pipe, {out.name: init}, steps, grid, boundary=boundary,
+            inputs=inputs,
+        )[out.name],
+    }
+    for mode in ("basic", "diag", "overlap"):
+        got[f"distributed {mode}"] = distributed_run(
+            stencil, init, steps, grid, boundary=boundary, inputs=inputs,
+            exchange_mode=mode,
+        )
+    for path, result in got.items():
+        assert np.array_equal(result, ref), path
+
+
+def test_aux_read_deeper_than_four_steps():
+    """``C.at(-5)`` binds the one static plane of ``C`` on every path."""
+    stencil = _aux_offset_stencil(depth=5)
+    rng = np.random.default_rng(5)
+    init = [rng.random((12, 16))]
+    inputs = {"C": rng.random((12, 16))}
+    ref = reference_run(stencil, init, 3, inputs=inputs)
+    assert np.array_equal(
+        ref, reference_run(_aux_offset_stencil(), init, 3, inputs=inputs)
+    )
+    assert np.array_equal(
+        ScheduledExecutor(stencil, {}, inputs=inputs).run(init, 3), ref
+    )
+    assert np.array_equal(
+        distributed_run(stencil, init, 3, (2, 2), inputs=inputs), ref
+    )
+    if GCC is not None:
+        from repro.backend.native import NativeExecutor
+
+        native = NativeExecutor(stencil, {}, inputs=inputs).run(init, 3)
+        assert np.array_equal(native, ref)

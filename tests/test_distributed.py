@@ -11,7 +11,8 @@ import pytest
 
 from repro.backend.numpy_backend import reference_run
 from repro.frontend import build_benchmark
-from repro.ir import Kernel, SpNode, Stencil, VarExpr
+from repro.backend.pipeline_exec import distributed_pipeline_run
+from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr
 from repro.runtime.executor import distributed_run
 
 
@@ -120,6 +121,50 @@ def test_wrong_init_plane_count():
     prog, _ = build_benchmark("3d7pt_star", grid=(8, 8, 8))
     with pytest.raises(ValueError, match="initial planes"):
         distributed_run(prog.ir, [np.zeros((8, 8, 8))], 1, (2, 1, 1))
+
+
+@pytest.mark.parametrize("entry", ["stencil", "pipeline"])
+def test_inputs_validated_before_any_rank_starts(entry, rng):
+    """Both distributed entry points share one up-front validation."""
+    B = SpNode("B", (8, 8), halo=(1, 1), time_window=3)
+    C = SpNode("C", (8, 8), halo=(1, 1), time_window=2)
+    j, i = VarExpr("j"), VarExpr("i")
+    kern = Kernel("k", (j, i), 0.5 * B[j, i] * C[j, i] + B[j, i - 1])
+    t = Stencil.t
+    st = Stencil(B, 0.5 * kern[t - 1] + 0.5 * kern[t - 2])
+    good = [rng.random((8, 8)) for _ in range(2)]
+    coef = {"C": rng.random((8, 8))}
+
+    def run(init, grid=(2, 2), inputs=coef):
+        if entry == "stencil":
+            return distributed_run(st, init, 1, grid, inputs=inputs)
+        return distributed_pipeline_run(
+            StagePipeline((st,)), {"B": init} if init else {}, 1, grid,
+            inputs=inputs,
+        )["B"]
+
+    assert run(good).shape == (8, 8)
+    with pytest.raises(ValueError, match="'B' needs 2 initial planes.*got 0"):
+        run([])
+    with pytest.raises(ValueError, match="'B' needs 2 initial planes.*got 1"):
+        run(good[:1])
+    with pytest.raises(ValueError, match=r"seed plane of 'B' has shape \(8, 7\)"):
+        run([good[0], rng.random((8, 7))])
+    with pytest.raises(ValueError, match="missing data for auxiliary"):
+        run(good, inputs=None)
+    with pytest.raises(ValueError, match=r"input 'C' has shape \(4, 4\)"):
+        run(good, inputs={"C": np.zeros((4, 4))})
+    with pytest.raises(ValueError, match="-D"):
+        run(good, grid=(2, 2, 1))
+
+
+def test_subdomain_narrower_than_halo_rejected_for_pipelines():
+    prog, _ = build_benchmark("3d25pt_star", grid=(12, 12, 12))
+    with pytest.raises(ValueError, match="narrower than halo"):
+        distributed_pipeline_run(
+            StagePipeline((prog.ir,)), {"B": [np.zeros((12, 12, 12))] * 2},
+            1, (4, 1, 1),
+        )
 
 
 def test_many_timesteps_window_recycling(rng):

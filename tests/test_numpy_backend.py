@@ -186,37 +186,3 @@ class TestScheduledExecutor:
         out = ex.run(init, 2)
         ref = reference_run(stencil_3d7pt_2dep, init, 2)
         np.testing.assert_array_equal(out, ref)
-
-
-class TestThreadedExecutor:
-    def test_threads_bit_identical(self, rng, stencil_3d7pt_2dep):
-        st = stencil_3d7pt_2dep
-        kern = st.kernels[0]
-        sched = Schedule(kern).tile(
-            4, 16, 16, "xo", "xi", "yo", "yi", "zo", "zi"
-        )
-        init = [rng.random((16, 16, 16)) for _ in range(2)]
-        serial = ScheduledExecutor(
-            st, {kern.name: sched}, boundary="periodic", threads=1
-        ).run(init, 4)
-        threaded = ScheduledExecutor(
-            st, {kern.name: sched}, boundary="periodic", threads=4
-        ).run(init, 4)
-        np.testing.assert_array_equal(threaded, serial)
-
-    def test_more_workers_than_tiles(self, rng, stencil_3d7pt_2dep):
-        st = stencil_3d7pt_2dep
-        kern = st.kernels[0]
-        sched = Schedule(kern).tile(
-            16, 16, 16, "xo", "xi", "yo", "yi", "zo", "zi"
-        )  # a single tile
-        init = [rng.random((16, 16, 16)) for _ in range(2)]
-        got = ScheduledExecutor(
-            st, {kern.name: sched}, boundary="zero", threads=8
-        ).run(init, 2)
-        ref = reference_run(st, init, 2, boundary="zero")
-        np.testing.assert_array_equal(got, ref)
-
-    def test_invalid_thread_count(self, stencil_3d7pt_2dep):
-        with pytest.raises(ValueError):
-            ScheduledExecutor(stencil_3d7pt_2dep, {}, threads=0)

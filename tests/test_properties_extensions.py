@@ -1,5 +1,8 @@
 """Property-based tests for the extension subsystems."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -77,11 +80,7 @@ def test_weighted_decomposition_partitions_domain(shape, grid, seed):
     assert (seen == 1).all()
 
 
-@given(seed=seeds(), stages=st.integers(1, 3))
-@settings(max_examples=15, **COMMON)
-def test_pipeline_stage_chain_linear(seed, stages):
-    """A chain of averaging stages stays linear: P(a·x) == a·P(x)."""
-    shape = (10, 10)
+def _averaging_chain(stages, shape):
     j, i = VarExpr("j"), VarExpr("i")
     tensors = [
         SpNode(f"T{s}", shape, f64, halo=(1, 1), time_window=2)
@@ -96,18 +95,44 @@ def test_pipeline_stage_chain_linear(seed, stages):
             0.5 * src[j, i] + 0.25 * (src[j, i - 1] + src[j, i + 1]),
         )
         stencils.append(Stencil(tensor, kern[t - 1]))
-    pipe = StagePipeline(tuple(stencils))
+    return StagePipeline(tuple(stencils))
+
+
+#: the smoother + residual pipeline of examples/multigrid_smoother.py
+_multigrid = runpy.run_path(str(
+    Path(__file__).parent.parent / "examples" / "multigrid_smoother.py"
+))["build_pipeline"]
+
+
+@given(seed=seeds(), stages=st.integers(1, 3) | st.just("multigrid"))
+@settings(max_examples=15, **COMMON)
+def test_pipeline_stage_chain_linear(seed, stages):
+    """A chain of averaging stages — or the multigrid smoother and
+    residual — stays linear in its data: P(a·x) == a·P(x)."""
+    shape = (10, 10)
+    if stages == "multigrid":
+        pipe = _multigrid(shape[0])
+    else:
+        pipe = _averaging_chain(stages, shape)
     rng = np.random.default_rng(seed)
-    x = rng.random(shape)
-    seeds = {"T0": [x]}
-    out1 = PipelineExecutor(pipe, boundary="periodic").run(seeds, 2)
-    out2 = PipelineExecutor(pipe, boundary="periodic").run(
-        {"T0": [2.5 * x]}, 2
-    )
-    last = tensors[-1].name
-    np.testing.assert_allclose(
-        out2[last], 2.5 * out1[last], rtol=1e-12, atol=1e-12
-    )
+    seeds = {
+        name: [rng.random(shape) for _ in range(k)]
+        for name, k in pipe.required_history().items()
+    }
+    inputs = {name: rng.random(shape) for name in pipe.aux_tensors()}
+
+    def run(a):
+        return PipelineExecutor(
+            pipe, boundary="periodic",
+            inputs={name: a * x for name, x in inputs.items()},
+        ).run({name: [a * x for x in planes]
+               for name, planes in seeds.items()}, 2)
+
+    out1, out2 = run(1.0), run(2.5)
+    for name in out1:
+        np.testing.assert_allclose(
+            out2[name], 2.5 * out1[name], rtol=1e-12, atol=1e-12
+        )
 
 
 @given(
