@@ -4,8 +4,10 @@ corresponding building scripts").
 The generator lowers a validated :class:`~repro.ir.stencil.Stencil` plus
 its kernels' schedules into a self-contained C program:
 
-- one *sweep* function per kernel, with the scheduled loop nest (tiled,
-  reordered, optionally OpenMP-parallel),
+- one *sweep* function per run of consecutive combination terms that
+  share a kernel, with the scheduled loop nest (tiled, reordered,
+  optionally OpenMP-parallel) around a body that writes the finished
+  value straight into the plane of step ``t``,
 - a time loop driving the sliding window (planes addressed modulo W),
 - halo fill for the configured boundary condition,
 - a small binary I/O ``main`` so generated programs can be executed and
@@ -26,7 +28,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import groupby
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..ir.expr import (
     CallFuncExpr,
@@ -38,11 +44,11 @@ from ..ir.expr import (
 )
 from ..ir.kernel import Kernel, KernelApply
 from ..ir.stencil import Stencil
-from ..ir.validate import validate_stencil
+from ..ir.validate import ValidationError, validate_stencil
 from ..schedule.loopnest import LoopNest
 from ..schedule.schedule import Schedule
 
-__all__ = ["GeneratedCode", "CCodeGenerator", "render_expr_c"]
+__all__ = ["GeneratedCode", "SweepRun", "CCodeGenerator", "render_expr_c"]
 
 
 @dataclass
@@ -90,6 +96,16 @@ class GeneratedCode:
                 else:
                     total += 1
         return total
+
+
+class SweepRun(NamedTuple):
+    """Consecutive combination terms sharing a kernel: one emitted sweep."""
+
+    name: str
+    kernel: Kernel
+    terms: Tuple[Tuple[float, KernelApply], ...]
+    depths: List[int]  #: steps back from t of the output planes it reads
+    aux: List[int]  #: positions in ``aux_tensors`` of the inputs it reads
 
 
 def render_expr_c(expr: Expr,
@@ -191,6 +207,7 @@ class CCodeGenerator:
         self.real = out.dtype.c_name
         self.ndim = out.ndim
         self.aux_tensors = self._aux_tensors()
+        self._rendered: Dict[str, str] = {}  # kernel name -> C template
 
     # -- helpers -----------------------------------------------------------------
     def _aux_tensors(self) -> List:
@@ -233,13 +250,7 @@ class CCodeGenerator:
         lines = [
             f"/* generated by MSC: stencil over {out.name}"
             f" {out.shape}, window {w} */",
-            "#include <stdio.h>",
-            "#include <stdlib.h>",
-            "#include <string.h>",
-            "#include <math.h>",
-        ]
-        if self.use_openmp:
-            lines += ["#ifdef _OPENMP", "#include <omp.h>", "#endif"]
+        ] + [f"#include <{h}>" for h in self.includes]
         lines.append(f"typedef {self.real} real;")
         names = ["NZ", "NY", "NX"][-self.ndim:]
         pnames = ["PZ", "PY", "PX"][-self.ndim:]
@@ -253,17 +264,12 @@ class CCodeGenerator:
         lines.append(f"#define TWIN {w}")
         plane = " * ".join(pnames)
         lines.append(f"#define PLANE_ELEMS ((long)({plane}))")
-        lines.append(f"static real *{out.name}_win; /* TWIN planes */")
         lines.append(
-            f"#define PLANE_{out.name}(t) "
-            f"({out.name}_win + (((t) % TWIN + TWIN) % TWIN) * PLANE_ELEMS)"
+            f"#define PLANE_{out.name}(win, t) "
+            f"((win) + (((t) % TWIN + TWIN) % TWIN) * PLANE_ELEMS)"
         )
         lines.append(self._at_macro(out))
         for aux in self.aux_tensors:
-            lines.append(
-                f"static real *{aux.name}_buf; "
-                f"/* static input, {self._plane_elems(aux)} elems */"
-            )
             lines.append(self._at_macro(aux))
         valid = " * ".join(f"(long){n}" for n in names)
         lines.append(f"#define VALID_ELEMS ({valid})")
@@ -341,60 +347,82 @@ class CCodeGenerator:
             + "\n}"
         )
 
-    def _valid_region_loops(
-        self, indent: int = 2
-    ) -> Tuple[List[str], List[str], str, str]:
-        """Loop scaffolding over the valid (unpadded) region.
-
-        Returns ``(loop_open, loop_close, flat, shifted)``: opening and
-        closing brace lines indented starting at ``indent`` levels,
-        ``flat`` — the dense index into a valid-region buffer, and
-        ``shifted`` — the halo-shifted index list into a padded plane.
-        Shared by the file-I/O ``main`` and the shared-library entry.
+    def _copy_loops(self, tensor, stmt: str, indent: int) -> List[str]:
+        """Loops of ``main`` over ``tensor``'s valid region around
+        ``stmt``, in which ``{flat}`` is the dense index into a
+        valid-region buffer and ``{shifted}`` the halo-shifted index
+        list into the padded plane.
         """
-        names = ["NZ", "NY", "NX"][-self.ndim:]
-        hnames = ["HZ", "HY", "HX"][-self.ndim:]
-        dims = ["k", "j", "i"][-self.ndim:]
-        loop_open = []
-        loop_close = []
-        for d, v in enumerate(dims):
-            loop_open.append(
-                "  " * (d + indent)
-                + f"for (long {v} = 0; {v} < {names[d]}; {v}++) {{"
-            )
-            loop_close.append("  " * (d + indent) + "}")
+        dims = ["k", "j", "i"][-tensor.ndim:]
         flat = dims[0]
-        for d in range(1, self.ndim):
-            flat = f"({flat}) * (long){names[d]} + ({dims[d]})"
-        shifted = ", ".join(f"{v} + {h}" for v, h in zip(dims, hnames))
-        return loop_open, loop_close, flat, shifted
-
-    def _timestep_body(self) -> List[str]:
-        """Statements inside the time loop: sweeps, writeback, halo.
-
-        Assumes ``long t`` (the plane being written) and a zeroable
-        ``real *acc`` scratch buffer are in scope.
-        """
-        out = self.stencil.output
-        loop_open, loop_close, flat, shifted = self._valid_region_loops(3)
-        lines = ["    memset(acc, 0, sizeof(real) * VALID_ELEMS);"]
-        for scale, app in self.stencil.combination_terms():
-            lines.append(
-                f"    sweep_{app.kernel.name}(t - {-app.time_offset}, acc, "
-                f"(real){scale!r});"
-            )
-        lines.append(f"    real *p = PLANE_{out.name}(t);")
-        lines += loop_open
-        lines.append(
-            "  " * (self.ndim + 3)
-            + f"AT_{out.name}(p, {shifted}) = acc[{flat}];"
+        for d in range(1, tensor.ndim):
+            flat = f"({flat}) * {tensor.shape[d]}L + ({dims[d]})"
+        shifted = ", ".join(
+            f"{v} + {h}" for v, h in zip(dims, self._dims(tensor)[1])
         )
-        lines += loop_close[::-1]
-        lines.append("    fill_halo(p);")
+        lines = [
+            "  " * (d + indent)
+            + f"for (long {v} = 0; {v} < {tensor.shape[d]}; {v}++) {{"
+            for d, v in enumerate(dims)
+        ]
+        lines.append("  " * (tensor.ndim + indent)
+                     + stmt.format(flat=flat, shifted=shifted))
+        lines += ["  " * (d + indent) + "}"
+                  for d in reversed(range(tensor.ndim))]
         return lines
 
-    def _loop_nest_code(self, kern: Kernel, nest: LoopNest,
-                        body: str, parallel_pragma: bool) -> str:
+    @cached_property
+    def sweep_runs(self) -> List["SweepRun"]:
+        """``combination_terms()`` split, in order, into maximal runs of
+        consecutive terms that share a kernel (hence a loop nest).
+
+        Raises :class:`ValidationError` when a read of the output tensor
+        would land on the window slot being written.
+        """
+        out = self.stencil.output
+        aux_index = {a.name: i for i, a in enumerate(self.aux_tensors)}
+        runs: List[SweepRun] = []
+        aliased: List[str] = []
+        for _, group in groupby(self.stencil.combination_terms(),
+                                key=lambda term: term[1].kernel.name):
+            terms = tuple(group)
+            kern = terms[0][1].kernel
+            inner = {a.time_offset for a in kern.accesses
+                     if a.tensor.name == out.name}
+            depths = sorted({-(app.time_offset + off)
+                             for _, app in terms for off in inner})
+            # the write slot is t % TWIN: a read `depth` steps back is
+            # a different slot only while 0 < depth < TWIN
+            aliased += [
+                f"kernel {kern.name!r} reads {out.name!r} {d} step(s) back:"
+                f" the slot step t writes in a window of {out.time_window}"
+                for d in depths if not 0 < d < out.time_window
+            ]
+            runs.append(SweepRun(
+                f"sweep_{len(runs)}_{kern.name}", kern, terms, depths,
+                [aux_index[t.name] for t in kern.input_tensors
+                 if t.name != out.name],
+            ))
+        if aliased:
+            raise ValidationError(aliased)
+        return runs
+
+    def _timestep_body(self) -> List[str]:
+        """Statements inside the time loop: one sweep per run, then the
+        halo fill.  Assumes ``real *win``, ``real **aux`` (if any sweep
+        reads a static input) and ``long t``, the step being written.
+        """
+        plane = f"PLANE_{self.stencil.output.name}"
+        lines = [f"    real *dst = {plane}(win, t);"]
+        for run in self.sweep_runs:
+            args = ["dst"]
+            args += [f"{plane}(win, t - {d})" for d in run.depths]
+            args += [f"aux[{i}]" for i in run.aux]
+            lines.append(f"    {run.name}({', '.join(args)});")
+        lines.append("    fill_halo(dst);")
+        return lines
+
+    def _loop_nest_code(self, nest: LoopNest, body: str) -> str:
         """Emit the scheduled loop nest around ``body``.
 
         Tiled variables are recovered inside the nest via
@@ -406,15 +434,9 @@ class CCodeGenerator:
         def emit(s: str) -> None:
             lines.append("  " * indent + s)
 
-        names = {lv.name for lv in kern.loop_vars}
         factors = nest.tile_factors
         for ax in nest.axes:
-            pragma = (
-                parallel_pragma
-                and self.use_openmp
-                and ax.name == nest.parallel_axis
-            )
-            if pragma:
+            if self.use_openmp and ax.name == nest.parallel_axis:
                 emit(
                     f"#ifdef _OPENMP\n"
                     + "  " * indent
@@ -448,46 +470,58 @@ class CCodeGenerator:
                     f"long {var} = {outer} * {factors[var]}L + {ax.name};"
                 )
                 emit(f"if ({var} >= {hi}) continue;")
-            elif ax.role is None and ax.name in names:
-                pass  # untiled axis: the loop var IS the domain var
         emit(body)
         for _ in nest.axes:
             indent -= 1
             emit("}")
         return "\n".join(lines)
 
-    def sweep_function(self, app: KernelApply) -> str:
-        """Sweep for one kernel application: acc += scale * kernel(t_read)."""
-        kern = app.kernel
-        nest = self.nests[kern.name]
+    def sweep_function(self, run: SweepRun) -> str:
+        """Sweep for one run, written straight into the plane of step t:
+        ``dst = ((0 + s1 * K(t-k1)) + s2 * K(t-k2)) ...`` for the first
+        run of the step, ``dst = (dst + s * K(t-k)) ...`` for later ones
+        — the left-to-right order ``reference_run`` accumulates in.
+        """
+        kern = run.kernel
         out = self.stencil.output
-        _, halos_out = self._dims(out)
-        halos = {out.name: halos_out}
-        for aux in self.aux_tensors:
-            halos[aux.name] = self._dims(aux)[1]
-
-        def plane_of(tensor: str, time_offset: int) -> str:
-            if tensor == out.name:
-                return f"PLANE_{out.name}(t_read - {-time_offset})" \
-                    if time_offset else f"PLANE_{out.name}(t_read)"
-            return f"{tensor}_buf"
-
-        dims = [lv.name for lv in kern.loop_vars]
-        rendered = render_expr_c(kern.expr, plane_of, halos, dims)
-        names = ["NZ", "NY", "NX"][-self.ndim:]
-        acc_idx = dims[0]
-        for d in range(1, self.ndim):
-            acc_idx = f"({acc_idx}) * (long){names[d]} + ({dims[d]})"
-        body = f"acc[{acc_idx}] += scale * {rendered};"
-        nest_code = self._loop_nest_code(kern, nest, body, parallel_pragma=True)
+        halos = {t.name: self._dims(t)[1]
+                 for t in [out] + self.aux_tensors}
+        # rendered once per kernel with `{depth}` plane slots, then
+        # instantiated per term; the halo shift is folded into offsets
+        if kern.name not in self._rendered:
+            self._rendered[kern.name] = render_expr_c(
+                kern.expr,
+                lambda tensor, time_offset: (
+                    f"{{{-time_offset}}}" if tensor == out.name
+                    else f"{tensor}_buf"
+                ),
+                halos, [lv.name for lv in kern.loop_vars],
+            )
+        rendered = self._rendered[kern.name]
+        planes = [f"{out.name}_m{d}" for d in range(out.time_window)]
+        dst = f"AT_{out.name}(dst, " + ", ".join(
+            f"{lv.name} + {h}" if h else lv.name
+            for lv, h in zip(kern.loop_vars, halos[out.name])
+        ) + ")"
+        value = "(real)0" if run is self.sweep_runs[0] else dst
+        for scale, app in run.terms:
+            term = rendered.format(*planes[-app.time_offset:])
+            value = f"({value} + (real){scale!r} * {term})"
+        params = ["real *restrict dst"]
+        params += [f"const real *restrict {planes[d]}" for d in run.depths]
+        params += [f"const real *restrict {self.aux_tensors[i].name}_buf"
+                   for i in run.aux]
+        nest_code = self._loop_nest_code(
+            self.nests[kern.name], f"{dst} = {value};"
+        )
         return (
-            f"static void sweep_{kern.name}(long t_read, real *acc, "
-            f"real scale) {{\n{nest_code}\n}}"
+            f"static void {run.name}({', '.join(params)}) {{\n"
+            f"{nest_code}\n}}"
         )
 
     def main_function(self) -> str:
         out = self.stencil.output
-        dims = ["k", "j", "i"][-self.ndim:]
+        hist = self.stencil.required_time_window - 1
         lines: List[str] = [
             "int main(int argc, char **argv) {",
             "  if (argc != 4) {",
@@ -495,16 +529,8 @@ class CCodeGenerator:
             " argv[0]);",
             "    return 2;",
             "  }",
-            f"  {out.name}_win = (real *)calloc((size_t)TWIN * PLANE_ELEMS,"
+            "  real *win = (real *)calloc((size_t)TWIN * PLANE_ELEMS,"
             " sizeof(real));",
-        ]
-        for aux in self.aux_tensors:
-            lines.append(
-                f"  {aux.name}_buf = (real *)calloc({self._plane_elems(aux)},"
-                " sizeof(real));"
-            )
-        hist = self.stencil.required_time_window - 1
-        lines += [
             '  FILE *fi = fopen(argv[1], "rb");',
             '  if (!fi) { perror("init"); return 1; }',
             "  real *tmp = (real *)malloc(sizeof(real) * VALID_ELEMS);",
@@ -512,86 +538,75 @@ class CCodeGenerator:
             "    if (fread(tmp, sizeof(real), VALID_ELEMS, fi) != "
             "(size_t)VALID_ELEMS) { fprintf(stderr, \"short init\\n\");"
             " return 1; }",
-            f"    real *p = PLANE_{out.name}(t);",
+            f"    real *p = PLANE_{out.name}(win, t);",
         ]
-        loop_open, loop_close, flat, shifted = self._valid_region_loops(2)
-        lines += loop_open
-        lines.append(
-            "  " * (self.ndim + 2)
-            + f"AT_{out.name}(p, {shifted}) = tmp[{flat}];"
+        lines += self._copy_loops(
+            out, f"AT_{out.name}(p, {{shifted}}) = tmp[{{flat}}];", 2
         )
-        lines += loop_close[::-1]
         lines += ["    fill_halo(p);", "  }"]
-        for aux in self.aux_tensors:
-            ahalo = self._dims(aux)[1]
+        if self.aux_tensors:
+            lines.append(f"  real *aux[{len(self.aux_tensors)}];")
+        for n, aux in enumerate(self.aux_tensors):
             avalid = " * ".join(f"(long){s}" for s in aux.shape)
             lines += [
+                f"  aux[{n}] = (real *)calloc({self._plane_elems(aux)},"
+                " sizeof(real));",
                 f"  if (fread(tmp, sizeof(real), {avalid}, fi) != "
                 f"(size_t)({avalid})) {{ fprintf(stderr, \"short aux\\n\");"
                 " return 1; }",
             ]
-            ashift = ", ".join(
-                f"{v} + {h}" for v, h in zip(dims, ahalo)
+            lines += self._copy_loops(
+                aux, f"AT_{aux.name}(aux[{n}], {{shifted}}) = tmp[{{flat}}];",
+                1,
             )
-            aflat = dims[0]
-            for d in range(1, aux.ndim):
-                aflat = f"({aflat}) * {aux.shape[d]}L + ({dims[d]})"
-            aopen = [
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {aux.shape[d]}; {v}++) {{"
-                for d, v in enumerate(dims)
-            ]
-            aclose = ["  " * (d + 1) + "}" for d in range(self.ndim)][::-1]
-            lines += aopen
-            lines.append(
-                "  " * (self.ndim + 1)
-                + f"AT_{aux.name}({aux.name}_buf, {ashift}) = tmp[{aflat}];"
-            )
-            lines += aclose
+            # fill_halo is laid out for the output tensor's planes
+            if self._dims(aux) == self._dims(out):
+                lines.append(f"  fill_halo(aux[{n}]);")
         lines += [
             "  fclose(fi);",
             "  long steps = strtol(argv[2], NULL, 10);",
-            "  real *acc = (real *)malloc(sizeof(real) * VALID_ELEMS);",
             f"  for (long t = {hist}; t < {hist} + steps; t++) {{",
         ]
         lines += self._timestep_body()
         lines += [
             "  }",
-            f"  real *newest = PLANE_{out.name}({hist} + steps - 1);",
-            "  if (steps == 0) newest = PLANE_" + out.name + f"({hist} - 1);",
+            f"  real *newest = PLANE_{out.name}(win, {hist} + steps - 1);",
         ]
-        lines += loop_open
-        lines.append(
-            "  " * (self.ndim + 2)
-            + f"tmp[{flat}] = AT_{out.name}(newest, {shifted});"
+        lines += self._copy_loops(
+            out, f"tmp[{{flat}}] = AT_{out.name}(newest, {{shifted}});", 1
         )
-        lines += loop_close[::-1]
         lines += [
             '  FILE *fo = fopen(argv[3], "wb");',
             '  if (!fo) { perror("out"); return 1; }',
             "  fwrite(tmp, sizeof(real), VALID_ELEMS, fo);",
             "  fclose(fo);",
-            "  free(tmp); free(acc);",
+            "  free(tmp);",
             "  return 0;",
             "}",
         ]
         return "\n".join(lines)
 
+    #: bundle flavour, what it includes (the OpenMP pragmas need no
+    #: header) and the function emitted after the sweeps
+    target = "c"
+    includes = ("stdio.h", "stdlib.h", "math.h")
+
+    def entry_point(self) -> str:
+        """What follows the sweeps: here the file-I/O ``main``."""
+        return self.main_function()
+
     def generate(self, name: str) -> GeneratedCode:
         """Produce the complete single-file C program."""
         from ..obs import span
 
-        with span("codegen.c", bundle=name):
+        with span("codegen.c", bundle=name, target=self.target):
             with span("codegen.c.header"):
                 parts = [self.header(), self.halo_fill()]
-            seen = set()
-            for _, app in self.stencil.combination_terms():
-                if app.kernel.name not in seen:
-                    seen.add(app.kernel.name)
-                    with span("codegen.c.sweep", kernel=app.kernel.name):
-                        parts.append(self.sweep_function(app))
+            for run in self.sweep_runs:
+                with span("codegen.c.sweep", kernel=run.kernel.name):
+                    parts.append(self.sweep_function(run))
             with span("codegen.c.main"):
-                parts.append(self.main_function())
-            code = GeneratedCode(name=name, target="c")
+                parts.append(self.entry_point())
+            code = GeneratedCode(name=name, target=self.target)
             code.files[f"{name}.c"] = "\n\n".join(parts) + "\n"
         return code

@@ -53,7 +53,7 @@ import numpy as np
 from ..ir.stencil import Stencil
 from ..schedule.schedule import Schedule
 from ..schedule.timewindow import SlidingTimeWindow
-from .c_codegen import CCodeGenerator, GeneratedCode
+from .c_codegen import CCodeGenerator
 from .makefile import toolchain_cflags
 from .numpy_backend import seed_window, static_planes
 
@@ -438,51 +438,34 @@ class SharedLibGenerator(CCodeGenerator):
     ``win`` is the caller-owned TWIN-plane window (contiguous,
     ``TWIN * PLANE_ELEMS`` reals, plane ``t`` at slot ``t % TWIN``)
     with the initial halos already filled; ``aux`` the padded static
-    input planes in :meth:`_aux_tensors` order.
+    input planes in :meth:`_aux_tensors` order.  The library has no
+    file-scope state: any number of threads may call ``msc_run`` at
+    once, each on its own window.
     """
 
-    def shared_entry(self) -> str:
-        out = self.stencil.output
+    target = "c-shared"
+    includes = ("math.h",)  # no I/O, no allocation: each costs gcc time
+
+    def entry_point(self) -> str:
+        """The exports; everything they touch arrives as an argument, so
+        the library keeps no mutable state and ``msc_run`` is re-entrant.
+        """
         hist = self.stencil.required_time_window - 1
         lines = [
             "long msc_plane_elems(void) { return PLANE_ELEMS; }",
             "long msc_time_window(void) { return TWIN; }",
             f"long msc_history(void) {{ return {hist}; }}",
             "int msc_run(real *win, real **aux, long t0, long steps) {",
-            f"  {out.name}_win = win;",
             "  (void)aux;",
-        ]
-        for i, aux in enumerate(self.aux_tensors):
-            lines.append(f"  {aux.name}_buf = aux[{i}];")
-        lines += [
-            "  real *acc = (real *)malloc(sizeof(real) * VALID_ELEMS);",
-            "  if (!acc) return 1;",
             "  for (long t = t0; t < t0 + steps; t++) {",
         ]
         lines += self._timestep_body()
         lines += [
             "  }",
-            "  free(acc);",
             "  return 0;",
             "}",
         ]
         return "\n".join(lines)
-
-    def generate(self, name: str) -> GeneratedCode:
-        from ..obs import span
-
-        with span("codegen.c", bundle=name, flavor="shared"):
-            parts = [self.header(), self.halo_fill()]
-            seen = set()
-            for _, app in self.stencil.combination_terms():
-                if app.kernel.name not in seen:
-                    seen.add(app.kernel.name)
-                    with span("codegen.c.sweep", kernel=app.kernel.name):
-                        parts.append(self.sweep_function(app))
-            parts.append(self.shared_entry())
-            code = GeneratedCode(name=name, target="c-shared")
-            code.files[f"{name}.c"] = "\n\n".join(parts) + "\n"
-        return code
 
 
 # -- the executor ----------------------------------------------------------

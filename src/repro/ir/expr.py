@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 __all__ = [
     "Expr",
@@ -111,9 +111,13 @@ class Expr:
 
     def walk(self) -> Iterator["Expr"]:
         """Pre-order traversal of the expression tree (self included)."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        # an explicit stack: nested ``yield from`` costs O(depth) per
+        # node, quadratic on the left-deep sums of 100+ point kernels
+        stack: List[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     # -- pretty printing ---------------------------------------------------------
     def c_source(self) -> str:

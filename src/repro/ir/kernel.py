@@ -11,6 +11,7 @@ kernel applications from different timesteps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .axis import Axis
@@ -83,9 +84,10 @@ class Kernel:
     def ndim(self) -> int:
         return len(self.loop_vars)
 
-    @property
+    @cached_property
     def accesses(self) -> Tuple[TensorAccess, ...]:
-        """All tensor reads in the update expression, in syntax order."""
+        """All tensor reads in the update expression, in syntax order
+        (walked once: the kernel is immutable and every layer asks)."""
         return tuple(
             n for n in self.expr.walk() if isinstance(n, TensorAccess)
         )

@@ -5,6 +5,7 @@ must match the numpy reference bit-for-bit (both evaluate the same IEEE
 expressions in the same order per point).
 """
 
+import re
 import shutil
 import subprocess
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.backend import CCodeGenerator, generate, generate_makefile
+from repro.backend.native import SharedLibGenerator
 from repro.backend.numpy_backend import reference_run
-from repro.ir import Stencil, f32, f64
+from repro.ir import Stencil, ValidationError, f32, f64
 from repro.schedule import Schedule
 from tests.conftest import make_2d5pt, make_3d7pt
 
@@ -144,6 +146,94 @@ class TestGeneratedStructure:
         assert code.loc() == sum(
             1 for line in code.main_source.splitlines() if line.strip()
         )
+
+
+def time_loop(src: str) -> str:
+    """The body of the generated time loop (either flavour)."""
+    lines = src.splitlines()
+    start = max(n for n, line in enumerate(lines)
+                if line.startswith("  for (long t = "))
+    return "\n".join(lines[start + 1:lines.index("  }", start)])
+
+
+class TestDirectWriteSweep:
+    """Each step is written straight into its plane: no accumulator."""
+
+    FLAVOURS = pytest.mark.parametrize(
+        "flavour", [CCodeGenerator, SharedLibGenerator],
+        ids=["main", "shared"],
+    )
+
+    @FLAVOURS
+    def test_no_accumulator_plane(self, stencil_3d7pt_2dep, flavour):
+        src = flavour(stencil_3d7pt_2dep, {}).generate("a").main_source
+        assert not re.search(r"\bacc\b|memset", src)
+        assert not re.search(r"malloc|calloc|VALID_ELEMS", time_loop(src))
+
+    @FLAVOURS
+    def test_one_sweep_call_per_run_per_step(self, flavour):
+        from tests.test_differential import (
+            _three_run_stencil,
+            _two_kernel_stencil,
+        )
+
+        for make, runs in [(_two_kernel_stencil, 2),
+                           (_three_run_stencil, 3)]:
+            gen = flavour(make(), {})
+            assert len(gen.sweep_runs) == runs
+            src = gen.generate("r").main_source
+            calls = re.findall(r"^    (sweep_\w+)\(dst, ", time_loop(src),
+                               re.M)
+            assert calls == [run.name for run in gen.sweep_runs]
+            assert len(set(calls)) == runs
+            assert time_loop(src).splitlines()[-1] == "    fill_halo(dst);"
+
+    def test_fused_terms_in_combination_order(self, stencil_3d7pt_2dep):
+        """One run, one statement: ``((0 + 0.6*K(t-1)) + 0.4*K(t-2))``."""
+        gen = CCodeGenerator(stencil_3d7pt_2dep, {})
+        (run,) = gen.sweep_runs
+        assert run.depths == [1, 2]
+        body = gen.sweep_function(run)
+        assert body.count("AT_B(dst, ") == 1
+        assert "= (((real)0 + (real)0.6 * (" in body
+        assert body.index("(real)0.6 * ") < body.index("(real)0.4 * ")
+        assert "const real *restrict B_m1, const real *restrict B_m2" in body
+
+    def test_later_runs_accumulate_into_dst(self):
+        from tests.test_differential import _two_kernel_stencil
+
+        gen = CCodeGenerator(_two_kernel_stencil(), {})
+        first, second = (gen.sweep_function(r) for r in gen.sweep_runs)
+        assert "AT_B(dst, j + 1, i + 1) = ((real)0 + " in first
+        assert ("AT_B(dst, j + 1, i + 1) = (AT_B(dst, j + 1, i + 1) + "
+                "(real)0.7 * ") in second
+        # far[t-2] reads B and B.at(-1): two and three steps back
+        assert gen.sweep_runs[1].depths == [2, 3]
+
+    def test_shared_flavour_has_no_file_scope_state(self):
+        from tests.test_differential import _aux_offset_stencil
+
+        src = SharedLibGenerator(_aux_offset_stencil(), {}).generate(
+            "s").main_source
+        file_scope = [line for line in src.splitlines()
+                      if line.endswith(";") and not line.startswith(" ")]
+        assert file_scope == ["typedef double real;"]
+        assert "msc_run(real *win, real **aux, long t0, long steps)" in src
+
+    def test_read_slot_aliasing_write_slot_rejected(self):
+        """``t % TWIN`` keeps reads and the write apart only while every
+        read is fewer than TWIN steps back."""
+        from tests.conftest import make_3d7pt
+
+        tensor, kern = make_3d7pt()
+        t = Stencil.t
+        gen = CCodeGenerator(
+            Stencil(tensor, 0.6 * kern[t - 1] + 0.4 * kern[t - 2]), {}
+        )
+        # shrink the window behind the validated IR's back
+        object.__setattr__(tensor, "time_window", 2)
+        with pytest.raises(ValidationError, match="2 step.s. back"):
+            gen.generate("shallow")
 
 
 class TestTargetsAndMakefiles:

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis import check_program
 from repro.backend import CCodeGenerator
 from repro.backend.numpy_backend import ScheduledExecutor, reference_run
+from repro.frontend.stencils import BENCHMARK_NAMES
 from repro.ir import f32, f64
 from repro.runtime.executor import distributed_run
 from repro.schedule import Schedule
@@ -326,15 +327,34 @@ def _two_kernel_stencil():
     return Stencil(B, near[t - 1] + 0.7 * far[t - 2])
 
 
+def _small_grid(bench):
+    """A test-sized grid that still fits the benchmark's radius."""
+    base = (24, 20) if bench.ndim == 2 else (12, 12, 12)
+    return tuple(max(s, 4 * bench.radius) for s in base)
+
+
+def _seeded(stencil, seed=21):
+    """(init planes, aux inputs or None) in the stencil's dtype."""
+    out = stencil.output
+    rng = np.random.default_rng(seed)
+    np_dtype = out.dtype.np_dtype
+    init = [rng.random(out.shape).astype(np_dtype)
+            for _ in range(stencil.required_time_window - 1)]
+    inputs = {
+        tensor.name: rng.random(tensor.shape).astype(np_dtype)
+        for kern in stencil.kernels for tensor in kern.input_tensors
+        if tensor.name != out.name
+    } or None
+    return init, inputs
+
+
 def _one_stage_cases():
     from repro.frontend.stencils import ALL_BENCHMARKS
 
     for bench in ALL_BENCHMARKS:
-        base = (24, 20) if bench.ndim == 2 else (12, 12, 12)
-        shape = tuple(max(s, 4 * bench.radius) for s in base)
         yield pytest.param(
-            lambda bench=bench, shape=shape:
-                bench.build(grid=shape)[0].ir,
+            lambda bench=bench:
+                bench.build(grid=_small_grid(bench))[0].ir,
             id=bench.name,
         )
     yield pytest.param(_aux_offset_stencil, id="aux-input")
@@ -354,14 +374,7 @@ def test_stencil_is_a_one_stage_pipeline(make, boundary):
 
     stencil = make()
     out = stencil.output
-    rng = np.random.default_rng(13)
-    init = [rng.random(out.shape)
-            for _ in range(stencil.required_time_window - 1)]
-    inputs = {
-        tensor.name: rng.random(tensor.shape)
-        for kern in stencil.kernels for tensor in kern.input_tensors
-        if tensor.name != out.name
-    } or None
+    init, inputs = _seeded(stencil, seed=13)
     steps = 3
     grid = (2, 2) if out.ndim == 2 else (2, 1, 2)
     pipe = StagePipeline((stencil,))
@@ -410,3 +423,144 @@ def test_aux_read_deeper_than_four_steps():
 
         native = NativeExecutor(stencil, {}, inputs=inputs).run(init, 3)
         assert np.array_equal(native, ref)
+
+
+# ---------------------------------------------------------------------------
+# the generated direct-write sweep: native == reference_run, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got: np.ndarray, ref: np.ndarray) -> None:
+    """Stricter than ``array_equal``: ``-0.0`` and ``+0.0`` differ."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _table4_program(name, dtype, scheduled):
+    """(stencil, schedules) at a small grid; ``scheduled`` applies the
+    Table-5 tile (clamped to the grid), its reorder and ``parallel``."""
+    from repro.evalsuite.harness import build_with_schedule
+    from repro.frontend.stencils import benchmark_by_name
+
+    bench = benchmark_by_name(name)
+    shape = _small_grid(bench)
+    if scheduled:
+        prog, _ = build_with_schedule(name, "cpu", dtype=dtype, grid=shape)
+    else:
+        prog, _ = bench.build(grid=shape, dtype=dtype)
+    return prog.ir, prog.schedules()
+
+
+def _native_vs_reference(stencil, schedules, boundary, steps=3):
+    from repro.backend.native import NativeExecutor
+
+    init, inputs = _seeded(stencil)
+    ref = reference_run(stencil, init, steps, boundary=boundary,
+                        inputs=inputs)
+    got = NativeExecutor(stencil, schedules, boundary=boundary,
+                         inputs=inputs).run(init, steps)
+    assert_same_bits(got, ref)
+
+
+def _main_vs_reference(stencil, schedules, boundary, steps=3):
+    """The file-I/O ``main`` flavour, built and run the way ``repro
+    verify`` does it (artifact cache, run timeout)."""
+    from repro.evalsuite.verify import _compile_and_run
+
+    out = stencil.output
+    init, inputs = _seeded(stencil)
+    gen = CCodeGenerator(stencil, schedules, boundary=boundary)
+    # init.bin: the history planes, then each static input once
+    planes = init + [inputs[aux.name] for aux in gen.aux_tensors]
+    got, note = _compile_and_run(
+        gen.generate("fused").files, "fused",
+        np.concatenate([p.ravel() for p in planes]), steps,
+        out.dtype.np_dtype, out.shape, flags=None,
+    )
+    assert not note, note
+    assert_same_bits(got, reference_run(stencil, init, steps,
+                                        boundary=boundary, inputs=inputs))
+
+
+_BOUNDARIES = ["zero", "periodic", "reflect"]
+_DTYPES = pytest.mark.parametrize("dtype", [f64, f32], ids=["f64", "f32"])
+_SCHEDULED = pytest.mark.parametrize(
+    "scheduled", [False, True], ids=["default", "table5"]
+)
+
+
+@needs_gcc
+@_SCHEDULED
+@_DTYPES
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_native_bitwise_table4(name, boundary, dtype, scheduled):
+    stencil, schedules = _table4_program(name, dtype, scheduled)
+    _native_vs_reference(stencil, schedules, boundary)
+
+
+@needs_gcc
+@_SCHEDULED
+@_DTYPES
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("name", ["2d9pt_star", "3d7pt_star"])
+def test_generated_main_bitwise(name, boundary, dtype, scheduled):
+    stencil, schedules = _table4_program(name, dtype, scheduled)
+    _main_vs_reference(stencil, schedules, boundary)
+
+
+def _three_run_stencil():
+    """``near, far, near``: the shared kernel is not consecutive, so the
+    generator emits three sweeps, two of them accumulating."""
+    two = _two_kernel_stencil()
+    near, far = two.kernels
+    t = two.t
+    return type(two)(two.output,
+                     near[t - 1] + 0.7 * far[t - 2] - 0.2 * near[t - 3])
+
+
+def _different_schedules(stencil):
+    """Every kernel gets its own tile shape; the first runs parallel."""
+    schedules = {}
+    for n, kern in enumerate(stencil.kernels):
+        sched = Schedule(kern).tile(4 + n, 5 - n, "xo", "xi", "yo", "yi")
+        if n == 0:
+            sched.parallel("xo", 2)
+        else:
+            sched.reorder("yo", "xo", "yi", "xi")
+        schedules[kern.name] = sched
+    return schedules
+
+
+@needs_gcc
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("make, runs", [
+    (_two_kernel_stencil, 2),
+    (_three_run_stencil, 3),
+    (_aux_offset_stencil, 1),
+], ids=["two-kernels", "near-far-near", "aux-input"])
+def test_native_bitwise_multi_run(make, runs, boundary):
+    stencil = make()
+    schedules = _different_schedules(stencil)
+    assert len(CCodeGenerator(stencil, schedules).sweep_runs) == runs
+    _native_vs_reference(stencil, schedules, boundary)
+    _native_vs_reference(stencil, {}, boundary)
+    _main_vs_reference(stencil, schedules, boundary)
+
+
+@needs_gcc
+@pytest.mark.parametrize("dtype", [f64, f32], ids=["f64", "f32"])
+def test_negative_zero_terms_sum_to_positive_zero(dtype):
+    """``reference_run`` accumulates into zeros, so an all ``-0.0`` term
+    yields ``+0.0``: the ``(real)0 +`` seed of the first sweep."""
+    from repro.backend.native import NativeExecutor
+    from repro.ir import Stencil
+    from tests.conftest import make_2d5pt
+
+    tensor, kern = make_2d5pt(shape=(8, 8), dtype=dtype)
+    stencil = Stencil(tensor, kern[Stencil.t - 1])
+    init = [np.full((8, 8), -0.0, dtype=dtype.np_dtype)]
+    assert np.signbit(init[0]).all()
+    ref = reference_run(stencil, init, 1, boundary="periodic")
+    assert not np.signbit(ref).any()
+    got = NativeExecutor(stencil, {}, boundary="periodic").run(init, 1)
+    assert_same_bits(got, ref)

@@ -178,6 +178,27 @@ class TestWalk:
         e = B[j, i] + 1.0
         assert next(iter(e.walk())) is e
 
+    def test_walk_is_preorder_left_to_right(self, B, ji):
+        j, i = ji
+        e = 0.5 * B[j, i] + (B[j, i - 1] - 2.0)
+
+        def recursive(node):
+            yield node
+            for child in node.children():
+                yield from recursive(child)
+
+        assert [id(n) for n in e.walk()] == [id(n) for n in recursive(e)]
+
+    def test_walk_survives_a_sum_deeper_than_the_recursion_limit(self, B, ji):
+        import sys
+
+        j, i = ji
+        e = B[j, i]
+        terms = sys.getrecursionlimit() + 50
+        for _ in range(terms):
+            e = e + 1.0
+        assert sum(isinstance(n, ConstExpr) for n in e.walk()) == terms
+
     def test_const_nonfinite_c_source_raises(self):
         with pytest.raises(ValueError):
             ConstExpr(float("inf")).c_source()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -106,6 +108,53 @@ class TestDifferential:
         via_native = prog.run(3, backend="native")
         via_numpy = prog.run(3, backend="numpy")
         np.testing.assert_array_equal(via_native, via_numpy)
+
+
+@needs_cc
+class TestReentrancy:
+    def test_two_executors_two_threads(self):
+        """Executors of one program share one ``dlopen`` handle and
+        ctypes drops the GIL inside ``msc_run``: the library may keep
+        no state of its own between calls."""
+        st, _ = _program_3d(shape=(64, 64, 64))
+        rounds, steps = 6, 4
+        seeds = [
+            [np.random.default_rng([seed, n]).random((64, 64, 64))
+             for n in range(2)]
+            for seed in (1, 2)
+        ]
+        serial = []
+        for init in seeds:
+            ex = NativeExecutor(st, {}, boundary="periodic")
+            ex.initialize(init)
+            snaps = []
+            for _ in range(rounds):
+                ex.advance(steps)
+                snaps.append(ex.result())
+            serial.append(snaps)
+        assert not np.array_equal(serial[0][-1], serial[1][-1])
+
+        pair = [NativeExecutor(st, {}, boundary="periodic") for _ in seeds]
+        assert pair[0].artifact.key == pair[1].artifact.key
+        for ex, init in zip(pair, seeds):
+            ex.initialize(init)
+        gate = threading.Barrier(2)
+        got = [[], []]
+
+        def drive(who):
+            for _ in range(rounds):
+                gate.wait()
+                pair[who].advance(steps)
+                got[who].append(pair[who].result())
+
+        threads = [threading.Thread(target=drive, args=(n,)) for n in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        for who in (0, 1):
+            for snap, want in zip(got[who], serial[who]):
+                np.testing.assert_array_equal(snap, want)
 
 
 @needs_cc
@@ -281,6 +330,32 @@ class TestSharedLibGenerator:
         assert "msc_run(real *win, real **aux" in src
         assert "msc_plane_elems" in src
         assert "int main(" not in src
+
+    def test_object_defines_no_writable_data(self, tmp_path):
+        """What CI checks for all Table-4 programs: warning-clean, and
+        ``nm`` shows no data/bss symbol a second caller could trample."""
+        import shutil
+        import subprocess
+
+        if shutil.which("nm") is None:
+            pytest.skip("nm not available")
+        st, kern = _program_3d()
+        sched = Schedule(kern).tile(5, 4, 4, "xo", "xi", "yo", "yi",
+                                    "zo", "zi")
+        sched.parallel("xo", 2)
+        SharedLibGenerator(st, {kern.name: sched}).generate("s").write_to(
+            str(tmp_path))
+        subprocess.run(
+            [native.which_cc(), "-c", "-fPIC", "-O3", "-fopenmp", "-Wall",
+             "-Wextra", "-Werror", "-ffp-contract=off", "s.c", "-o", "s.o"],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        )
+        symbols = subprocess.run(
+            ["nm", "s.o"], cwd=tmp_path, check=True, capture_output=True,
+            text=True,
+        ).stdout
+        assert " T msc_run" in symbols
+        assert not re.findall(r"^.* [bBdD] .*$", symbols, re.M)
 
     def test_timeouts_read_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "7.5")
