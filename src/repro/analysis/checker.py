@@ -405,9 +405,11 @@ def check_program(stencil, schedules: Optional[Dict[str, object]] = None,
 
     schedules = dict(schedules or {})
     shape = tuple(shape) if shape is not None else stencil.output.shape
+    # memo="miss": an analysis ran (StencilProgram.check emits the
+    # same span with memo="hit" when it reuses a report)
     with span("analysis.check", stencil=stencil.output.name,
               machine=getattr(machine, "name", None) or "-",
-              kernels=len(stencil.kernels)) as sp:
+              kernels=len(stencil.kernels), memo="miss") as sp:
         report = check_stencil_ir(stencil)
         if mpi_grid is not None:
             report.extend(check_decomposition(stencil, shape, mpi_grid))

@@ -9,6 +9,13 @@ This module closes that gap the way Devito does (Luporini et al.): the
 into a shared library and driven through ``ctypes`` on the same padded
 numpy planes, so results are bit-comparable with the numpy backend.
 
+MSC is an AOT system, so compilation is paid once: everything that
+depends only on *what is compiled* — generated sources, fingerprints,
+the built artifact, the loaded and bound library — is a
+:class:`NativePlan`, memoised per process by :func:`native_plan` on the
+program's content.  A :class:`NativeExecutor` is a plan plus the data
+being stepped, so a warm ``run`` costs its ``msc_run``.
+
 Two pieces are reusable beyond the executor:
 
 - :func:`build_artifact` / :class:`ArtifactCache` — a content-addressed
@@ -31,8 +38,10 @@ Cache layout (``REPRO_CACHE_DIR``, default ``~/.cache/repro/artifacts``)::
 keying, so a cache directory copied between hosts misses (and
 recompiles) instead of silently running foreign code.
 
-Observability: ``native.compile`` / ``native.run`` / ``native.exec``
-spans, ``native.cache.hit`` / ``native.cache.miss`` counters.
+Observability: ``native.plan`` (``outcome=hit|miss``) /
+``native.compile`` / ``native.run`` / ``native.exec`` spans,
+``native.plan.hit`` / ``native.plan.miss`` and ``native.cache.hit`` /
+``native.cache.miss`` counters.
 """
 
 from __future__ import annotations
@@ -44,14 +53,17 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.stencil import Stencil
-from ..schedule.schedule import Schedule
+from ..ir.tensor import SpNode
+from ..schedule.schedule import Schedule, schedule_key
 from ..schedule.timewindow import SlidingTimeWindow
 from .c_codegen import CCodeGenerator
 from .makefile import toolchain_cflags
@@ -75,6 +87,9 @@ __all__ = [
     "ir_fingerprint",
     "schedule_fingerprint",
     "SharedLibGenerator",
+    "NativePlan",
+    "native_plan",
+    "clear_plans",
     "NativeExecutor",
     "select_backend",
 ]
@@ -269,22 +284,41 @@ class ArtifactCache:
     def store(self, key: str, binary_path: str,
               sources: Mapping[str, str],
               meta: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+        """Publish one built entry; safe against concurrent writers of
+        the same key (threads or processes): each stages into a
+        directory of its own and renames it into place, and a writer
+        that finds a valid entry already there adopts it.
+        """
         entry = self._entry(key)
-        tmp = entry + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
         binary_name = os.path.basename(binary_path)
-        shutil.copy2(binary_path, os.path.join(tmp, binary_name))
-        for name, text in sources.items():
-            with open(os.path.join(tmp, name), "w") as fh:
-                fh.write(text)
-        meta = dict(meta)
-        meta["size"] = os.path.getsize(binary_path)
-        meta["key"] = key
-        with open(os.path.join(tmp, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-        shutil.rmtree(entry, ignore_errors=True)
-        os.replace(tmp, entry)
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=key + ".tmp",
+                               dir=os.path.dirname(entry))
+        try:
+            shutil.copy2(binary_path, os.path.join(tmp, binary_name))
+            for name, text in sources.items():
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(text)
+            meta = dict(meta)
+            meta["size"] = os.path.getsize(binary_path)
+            meta["key"] = key
+            with open(os.path.join(tmp, "meta.json"), "w") as fh:
+                json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+            for _ in range(3):
+                try:
+                    os.replace(tmp, entry)
+                    break
+                except OSError:
+                    # a non-empty entry is in the way: another writer's
+                    # (same key, same content) or left-over junk
+                    won = self.lookup(key, binary_name)
+                    if won is not None:
+                        return won
+                    self.invalidate(key)
+            else:
+                raise OSError(f"cannot publish cache entry {entry}")
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
         return os.path.join(entry, binary_name), meta
 
     def invalidate(self, key: str) -> None:
@@ -405,21 +439,21 @@ def run_binary(path: str, args: Sequence[str],
 # -- program fingerprints --------------------------------------------------
 
 
-def ir_fingerprint(stencil: Stencil) -> str:
-    """Stable hash of the stencil IR (via the MSC pretty-printer)."""
-    from ..frontend.printer import render_program
+def _digest(key: Tuple) -> str:
+    return hashlib.sha256(repr(key).encode()).hexdigest()
 
-    return hashlib.sha256(render_program(stencil).encode()).hexdigest()
+
+def ir_fingerprint(stencil: Stencil) -> str:
+    """Stable hash of the stencil IR's *structure* (see
+    :attr:`Stencil.fingerprint`): total over everything
+    ``validate_stencil`` accepts, equal only for equal trees."""
+    return stencil.fingerprint
 
 
 def schedule_fingerprint(schedules: Mapping[str, Schedule]) -> str:
-    """Stable hash of every kernel's schedule primitives."""
-    from ..frontend.printer import _render_schedule
-
-    lines: List[str] = []
-    for name in sorted(schedules):
-        lines.extend(_render_schedule(name, schedules[name]))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    """Stable hash of every kernel's schedule primitives, field for
+    field (:func:`~repro.schedule.schedule.schedule_key`)."""
+    return _digest(schedule_key(schedules))
 
 
 # -- shared-library flavour of the C generator -----------------------------
@@ -468,6 +502,184 @@ class SharedLibGenerator(CCodeGenerator):
         return "\n".join(lines)
 
 
+# -- compile once: the plan and its per-process memo ------------------------
+
+#: plans one process keeps; the least recently used goes first
+PLAN_CAPACITY = 64
+
+
+@dataclass(frozen=True)
+class NativePlan:
+    """What compiling one program produced — everything an executor
+    needs that does not depend on the data being stepped.
+
+    Holds no plane (no ndarray), so any number of executors share one
+    plan.  ``lib`` is loaded *and bound*; the mapping it holds keeps a
+    live plan working after its on-disk entry is deleted or replaced.
+    """
+
+    sources: Mapping[str, str]
+    key_extra: Mapping[str, Any]
+    artifact: BuiltArtifact
+    lib: ctypes.CDLL
+    c_real: type  #: ctypes scalar of the working precision
+    twin: int
+    history: int  #: initial planes ``msc_run`` expects
+    aux_tensors: Tuple[SpNode, ...]  #: static inputs, in ``aux`` order
+
+
+class _PlanSlot:
+    """One table entry; ``lock`` makes the build single-flight."""
+
+    __slots__ = ("lock", "plan")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.plan: Optional[NativePlan] = None
+
+
+_plans: "OrderedDict[Tuple, _PlanSlot]" = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def clear_plans() -> None:
+    """Forget every memoised plan (test hook: the next construction
+    goes through the generator and the on-disk cache again)."""
+    with _plans_lock:
+        _plans.clear()
+
+
+def native_plan(stencil: Stencil, schedules: Mapping[str, Schedule],
+                boundary: str = "zero",
+                scalars: Optional[Mapping[str, float]] = None,
+                cache: Optional[ArtifactCache] = None,
+                cc: Optional[str] = None,
+                sched_key: Optional[Tuple] = None
+                ) -> Tuple[NativePlan, bool]:
+    """The compiled plan of a program and whether it was memoised.
+
+    Keyed on content, not identity: the IR's structural fingerprint,
+    the schedules field for field (defaults filled in; pass
+    ``sched_key`` when ``schedule_key(schedules, stencil.kernels)`` is
+    already at hand), boundary, scalar bindings, the artifact-cache
+    root and the compiler request — so two structurally equal programs
+    share a plan and any change of the above gets a new one.  A miss
+    generates, fingerprints, builds through the on-disk cache, loads
+    and binds; a hit does none of that.  Concurrent requests for one
+    missing plan build it once.
+    """
+    from ..obs import counter, span
+
+    cache = cache or ArtifactCache()
+    if sched_key is None:
+        sched_key = schedule_key(schedules, stencil.kernels)
+    key = _plan_key(stencil, sched_key, boundary, scalars, cache, cc)
+    with span("native.plan") as sp:
+        with _plans_lock:
+            slot = _plans.get(key)
+            if slot is None:
+                slot = _plans[key] = _PlanSlot()
+                if len(_plans) > PLAN_CAPACITY:
+                    _plans.popitem(last=False)
+            else:
+                _plans.move_to_end(key)
+        with slot.lock:
+            hit = slot.plan is not None
+            if not hit:
+                # a failed build leaves the slot empty: the next
+                # request (or waiter) tries again
+                slot.plan = _compile_plan(
+                    stencil, schedules, boundary, scalars, cache, cc,
+                    sched_key,
+                )
+        outcome = "hit" if hit else "miss"
+        sp.set(outcome=outcome, key=slot.plan.artifact.key[:12])
+    counter("native.plan." + outcome)
+    return slot.plan, hit
+
+
+def _plan_key(stencil: Stencil, sched_key: Tuple, boundary: str,
+              scalars: Optional[Mapping[str, float]],
+              cache: ArtifactCache, cc: Optional[str]) -> Tuple:
+    """Everything the generated sources, the build and the cache entry
+    depend on.  Must stay at least as fine as the sources: a hit skips
+    generating them, so nothing downstream can catch a collision."""
+    return (
+        stencil.fingerprint, sched_key, boundary,
+        # repr: 0.0 == -0.0 and 1 == 1.0, yet each prints its own C
+        tuple(sorted((n, repr(v)) for n, v in (scalars or {}).items())),
+        cache.root, cc or os.environ.get("REPRO_CC"),
+    )
+
+
+def _compile_plan(stencil: Stencil, schedules: Mapping[str, Schedule],
+                  boundary: str, scalars: Optional[Mapping[str, float]],
+                  cache: ArtifactCache, cc: Optional[str],
+                  sched_key: Tuple) -> NativePlan:
+    from ..machine.spec import machine_by_name
+
+    gen = SharedLibGenerator(
+        stencil, schedules, boundary=boundary, scalars=scalars
+    )
+    sources = gen.generate("msc_native").files
+    key_extra = {
+        "ir": ir_fingerprint(stencil),
+        "schedule": _digest(sched_key),
+        "boundary": boundary,
+        "machine": machine_by_name("cpu").name,
+        "scalars": sorted(gen.scalars.items()),
+    }
+
+    def build() -> BuiltArtifact:
+        return build_artifact(
+            sources, "msc_native.so", kind="shared", cc=cc,
+            cache=cache, key_extra=key_extra,
+        )
+
+    out = stencil.output
+    c_real = ctypes.c_float if out.dtype.nbytes == 4 else ctypes.c_double
+    plane_elems = int(np.prod(out.padded_shape))
+
+    def load(path: str) -> ctypes.CDLL:
+        return _bind(ctypes.CDLL(path), c_real, plane_elems,
+                     out.time_window)
+
+    artifact = build()
+    try:
+        lib = load(artifact.path)
+    except (OSError, AttributeError):
+        # a same-size-corrupt cached .so (dlopen fails), or one
+        # that loads but lacks our symbols: purge, rebuild once
+        cache.invalidate(artifact.key)
+        artifact = build()
+        lib = load(artifact.path)
+    return NativePlan(
+        sources=sources, key_extra=key_extra, artifact=artifact, lib=lib,
+        c_real=c_real, twin=out.time_window,
+        history=stencil.required_time_window - 1,
+        aux_tensors=tuple(gen.aux_tensors),
+    )
+
+
+def _bind(lib: ctypes.CDLL, c_real: type, plane_elems: int,
+          twin: int) -> ctypes.CDLL:
+    realp = ctypes.POINTER(c_real)
+    lib.msc_run.restype = ctypes.c_int
+    lib.msc_run.argtypes = [
+        realp, ctypes.POINTER(realp), ctypes.c_long, ctypes.c_long
+    ]
+    lib.msc_plane_elems.restype = ctypes.c_long
+    lib.msc_time_window.restype = ctypes.c_long
+    lib.msc_history.restype = ctypes.c_long
+    got = int(lib.msc_plane_elems())
+    if got != plane_elems or int(lib.msc_time_window()) != twin:
+        raise NativeBuildError(
+            f"shared library layout mismatch: plane_elems={got} "
+            f"(want {plane_elems})"
+        )
+    return lib
+
+
 # -- the executor ----------------------------------------------------------
 
 
@@ -479,6 +691,10 @@ class NativeExecutor:
     swap backends; results are bit-comparable because the generated C
     is built with ``-ffp-contract=off`` and evaluates in the working
     precision.
+
+    Construction is :func:`native_plan` plus this run's data (static
+    input planes, the window, ``t``); ``artifact.cached`` says no
+    compiler ran for *this* construction, so it is True on a plan hit.
     """
 
     def __init__(self, stencil: Stencil,
@@ -487,83 +703,30 @@ class NativeExecutor:
                  inputs: Optional[Mapping[str, np.ndarray]] = None,
                  scalars: Optional[Mapping[str, float]] = None,
                  cache: Optional[ArtifactCache] = None,
-                 cc: Optional[str] = None):
-        gen = SharedLibGenerator(
-            stencil, schedules, boundary=boundary, scalars=scalars
+                 cc: Optional[str] = None,
+                 sched_key: Optional[Tuple] = None):
+        plan, self.plan_hit = native_plan(
+            stencil, schedules, boundary, scalars, cache, cc, sched_key
         )
         self.stencil = stencil
         self.boundary = boundary
-        self._gen = gen
-        out = stencil.output
-        self._twin = out.time_window
-        self._hist = stencil.required_time_window - 1
-        self._c_real = (
-            ctypes.c_float if out.dtype.nbytes == 4 else ctypes.c_double
+        self._plan = plan
+        self.artifact = (
+            replace(plan.artifact, cached=True) if self.plan_hit
+            else plan.artifact
         )
         self._aux_arrays = list(static_planes(
-            {aux.name: aux for aux in gen.aux_tensors}, inputs, boundary
+            {aux.name: aux for aux in plan.aux_tensors}, inputs, boundary
         ).values())
-        self._cache = cache or ArtifactCache()
-        self._cc = cc
-        self._sources = gen.generate("msc_native").files
-        self._key_extra = {
-            "ir": ir_fingerprint(stencil),
-            "schedule": schedule_fingerprint(gen.schedules),
-            "boundary": boundary,
-            "machine": self._machine_name(),
-            "scalars": sorted((gen.scalars or {}).items()),
-        }
-        self.artifact = self._build()
-        self._lib = self._load()
         self._win: Optional[SlidingTimeWindow] = None
         self._t: Optional[int] = None
-
-    @staticmethod
-    def _machine_name() -> str:
-        from ..machine.spec import machine_by_name
-
-        return machine_by_name("cpu").name
-
-    def _build(self) -> BuiltArtifact:
-        return build_artifact(
-            self._sources, "msc_native.so", kind="shared", cc=self._cc,
-            cache=self._cache, key_extra=self._key_extra,
-        )
-
-    def _load(self) -> ctypes.CDLL:
-        try:
-            return self._bind(ctypes.CDLL(self.artifact.path))
-        except (OSError, AttributeError):
-            # a same-size-corrupt cached .so (dlopen fails), or one
-            # that loads but lacks our symbols: purge, rebuild once
-            self._cache.invalidate(self.artifact.key)
-            self.artifact = self._build()
-            return self._bind(ctypes.CDLL(self.artifact.path))
-
-    def _bind(self, lib: ctypes.CDLL) -> ctypes.CDLL:
-        realp = ctypes.POINTER(self._c_real)
-        lib.msc_run.restype = ctypes.c_int
-        lib.msc_run.argtypes = [
-            realp, ctypes.POINTER(realp), ctypes.c_long, ctypes.c_long
-        ]
-        lib.msc_plane_elems.restype = ctypes.c_long
-        lib.msc_time_window.restype = ctypes.c_long
-        lib.msc_history.restype = ctypes.c_long
-        expect = int(np.prod(self.stencil.output.padded_shape))
-        got = int(lib.msc_plane_elems())
-        if got != expect or int(lib.msc_time_window()) != self._twin:
-            raise NativeBuildError(
-                f"shared library layout mismatch: plane_elems={got} "
-                f"(want {expect})"
-            )
-        return lib
 
     def initialize(self, init: Sequence[np.ndarray]) -> None:
         # msc_run steps the window's storage in place
         self._win = seed_window(
-            self.stencil.output, self._hist, init, self.boundary
+            self.stencil.output, self._plan.history, init, self.boundary
         )
-        self._t = self._hist
+        self._t = self._plan.history
 
     def advance(self, steps: int) -> None:
         """Run ``steps`` sweeps inside the shared library."""
@@ -573,7 +736,7 @@ class NativeExecutor:
             raise RuntimeError("call initialize() before advance()")
         if steps <= 0:
             return
-        realp = ctypes.POINTER(self._c_real)
+        realp = ctypes.POINTER(self._plan.c_real)
         win_ptr = self._win.data.ctypes.data_as(realp)
         n_aux = len(self._aux_arrays)
         aux_arr = (realp * max(n_aux, 1))(
@@ -581,8 +744,8 @@ class NativeExecutor:
         )
         with span("native.exec", steps=steps,
                   key=self.artifact.key[:12]):
-            rc = int(self._lib.msc_run(win_ptr, aux_arr,
-                                       self._t, steps))
+            rc = int(self._plan.lib.msc_run(win_ptr, aux_arr,
+                                            self._t, steps))
         if rc != 0:
             raise NativeRunError(f"msc_run returned {rc}")
         self._t += steps
@@ -601,7 +764,7 @@ class NativeExecutor:
     def result(self) -> np.ndarray:
         if self._win is None or self._t is None:
             raise RuntimeError("executor has not run yet")
-        newest = self._win.data[(self._t - 1) % self._twin]
+        newest = self._win.data[(self._t - 1) % self._plan.twin]
         return self._win.interior_view(newest).copy()
 
 

@@ -456,6 +456,11 @@ def _cmd_run(args) -> int:
     obs_ledger.note(config=cfg)
     result = program.run(timesteps=args.steps, check=not args.no_check,
                          backend=backend, exchange_mode=exchange_mode)
+    if program.last_run.get("backend") == "native":
+        artifact = program.last_run["artifact"]
+        print(f"native: plan {program.last_run['plan']}, artifact "
+              f"{'cached' if artifact.cached else 'compiled'} "
+              f"(key {artifact.key[:12]})")
     print(f"result: mean={result.mean():.6e} "
           f"l2={np.linalg.norm(result):.6e}")
     obs_ledger.note(metrics={

@@ -33,8 +33,10 @@ from ..ir.expr import Expr, VarExpr
 from ..ir.kernel import Kernel as IRKernel, KernelApply
 from ..ir.stencil import Stencil as IRStencil, TIME_VAR
 from ..ir.tensor import SpNode
+from ..analysis.diagnostics import CheckReport
 from ..ir.validate import validate_stencil
-from ..schedule.schedule import Schedule
+from ..obs import span
+from ..schedule.schedule import Schedule, schedule_key
 
 __all__ = [
     "DefVar",
@@ -230,6 +232,11 @@ class StencilProgram:
         self._initial: Optional[List[np.ndarray]] = None
         self._inputs: Dict[str, np.ndarray] = {}
         self._scalars: Dict[str, float] = {}
+        #: last ``check`` as (everything it read, report)
+        self._checked: Optional[Tuple[Tuple, CheckReport]] = None
+        #: how the last single-node ``run`` executed: ``backend`` and,
+        #: for native, ``plan`` (hit/miss) and the ``artifact``
+        self.last_run: Dict[str, object] = {}
 
     # -- wiring -----------------------------------------------------------------
     def attach(self, *handles: KernelHandle) -> "StencilProgram":
@@ -249,21 +256,40 @@ class StencilProgram:
         return scheds
 
     # -- static analysis ---------------------------------------------------------
-    def check(self, machine=None):
+    def check(self, machine=None, sched_key: Optional[Tuple] = None):
         """Statically analyze the program's schedules.
 
         ``machine`` is a MachineSpec, a machine name (``sunway`` /
         ``matrix`` / ``cpu``), or None for the machine-independent
         checks only.  Returns a
         :class:`~repro.analysis.diagnostics.CheckReport`.
-        """
-        from ..analysis import check_program
 
+        The report is memoised on everything the analysis reads (IR,
+        schedules field for field, machine, MPI grid): re-checking an
+        unchanged program returns a copy of the stored report.
+        ``sched_key`` is ``schedule_key(self.schedules())`` when the
+        caller already has it.
+        """
         spec = self._machine_spec(machine)
-        return check_program(
-            self.ir, self.schedules(), machine=spec,
-            mpi_grid=self.mpi_grid,
-        )
+        if sched_key is None:
+            sched_key = schedule_key(self.schedules())
+        key = (self.ir.fingerprint, sched_key, spec, self.mpi_grid)
+        memo = self._checked
+        if memo is not None and memo[0] == key:
+            report = memo[1]
+            with span("analysis.check", stencil=self.ir.output.name,
+                      machine=getattr(spec, "name", None) or "-",
+                      memo="hit"):
+                pass
+        else:
+            from ..analysis import check_program
+
+            report = check_program(
+                self.ir, self.schedules(), machine=spec,
+                mpi_grid=self.mpi_grid,
+            )
+            self._checked = (key, report)
+        return CheckReport(list(report.diagnostics))
 
     @staticmethod
     def _machine_spec(machine):
@@ -273,11 +299,13 @@ class StencilProgram:
 
         return machine_by_name(machine)
 
-    def _gate(self, machine, where: str) -> None:
-        """Pre-codegen/pre-run gate: log warnings, raise on errors."""
+    def _gate(self, machine, where: str,
+              sched_key: Optional[Tuple] = None) -> None:
+        """Pre-codegen/pre-run gate: log warnings, raise on errors —
+        on every call; only the analysis behind it is memoised."""
         from ..analysis import enforce
 
-        enforce(self.check(machine), where=where)
+        enforce(self.check(machine, sched_key), where=where)
 
     # -- configuration -----------------------------------------------------------
     def set_mpi_grid(self, shape: Sequence[int]) -> "StencilProgram":
@@ -355,6 +383,16 @@ class StencilProgram:
         and transparently falls back to numpy, ``"numpy"`` is explicit.
         Distributed and unscheduled runs always use numpy.
 
+        Native runs compile once and step many: the legality report and
+        the compiled plan (sources, artifact, loaded library) are
+        memoised on the program's content, so repeating ``run`` on an
+        unchanged program costs the gate's ``enforce`` (warnings are
+        logged and errors raised every time), seeding the window and
+        ``msc_run``.  Any change the generated code can see — a
+        scheduling primitive, ``set_scalar``, the boundary,
+        ``REPRO_CACHE_DIR``, ``REPRO_CC`` — compiles (or looks up) a
+        new plan.  :attr:`last_run` records which happened.
+
         ``exchange_mode`` (``basic``/``diag``/``overlap``) selects the
         halo-exchange wire protocol of distributed runs; ignored for
         single-node execution.
@@ -372,20 +410,24 @@ class StencilProgram:
                 exchange_mode=exchange_mode,
             )
         from ..backend.numpy_backend import ScheduledExecutor, reference_run
-        from ..obs import counter, span
+        from ..obs import counter
 
         inputs = self._inputs or None
         scalars = self._scalars or None
         # pick the engine as (backend label, zero-argument runner) ...
         engine = None
+        run_info: Dict[str, object] = {}
         if not scheduled:
             engine = "reference", lambda: reference_run(
                 self.ir, init, timesteps, self.boundary,
                 inputs=inputs, scalars=scalars,
             )
         elif backend in ("native", "auto"):
+            scheds = self.schedules()
+            # one key for both memos: the report's and the plan's
+            sched_key = schedule_key(scheds)
             if check:
-                self._gate("cpu", "run")
+                self._gate("cpu", "run", sched_key)
             from ..backend.native import (
                 NativeBuildError,
                 NativeExecutor,
@@ -394,10 +436,14 @@ class StencilProgram:
 
             try:
                 native = NativeExecutor(
-                    self.ir, self.schedules(), self.boundary,
-                    inputs=inputs, scalars=scalars,
+                    self.ir, scheds, self.boundary,
+                    inputs=inputs, scalars=scalars, sched_key=sched_key,
                 )
                 engine = "native", lambda: native.run(init, timesteps)
+                run_info = {
+                    "plan": "hit" if native.plan_hit else "miss",
+                    "artifact": native.artifact,
+                }
             except (NativeUnavailable, NativeBuildError):
                 if backend == "native":
                     raise
@@ -415,9 +461,11 @@ class StencilProgram:
             engine = "numpy", lambda: numpy_ex.run(init, timesteps)
         # ... then run it under the one root span and run counter
         label, sweep = engine
+        self.last_run = {"backend": label, **run_info}
         with span("runtime.run", stencil=self.ir.output.name,
                   timesteps=timesteps, backend=label,
-                  exchange_mode="none"):
+                  exchange_mode="none",
+                  plan=run_info.get("plan", "-")):
             result = sweep()
         counter("runtime.runs", backend=label, exchange_mode="none")
         return result

@@ -24,8 +24,10 @@ authors can write ``c0 * B[k, j, i] + c1 * B[k, j, i - 1]`` directly.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Tuple, Union
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "CallFuncExpr",
     "AssignExpr",
     "as_expr",
+    "structural_digest",
     "UNARY_OPS",
     "BINARY_OPS",
     "KNOWN_FUNCS",
@@ -124,6 +127,24 @@ class Expr:
         """A C-syntax rendering of the expression (used by the backends)."""
         raise NotImplementedError
 
+    # -- structural identity -----------------------------------------------------
+    def _token(self) -> Tuple:
+        """Everything this node holds besides its children, plus enough
+        to fix how many children follow (see :func:`structural_digest`).
+        """
+        raise NotImplementedError
+
+
+def structural_digest(head, expr: Expr) -> str:
+    """sha256 over ``head`` and the pre-order token stream of ``expr``.
+
+    Every token fixes its node's arity, so the prefix order decodes to
+    one tree only: equal digests mean structurally equal expressions
+    (up to sha256), whatever surface syntax they were written in.
+    """
+    tokens = [node._token() for node in expr.walk()]
+    return hashlib.sha256(repr((head, tokens)).encode()).hexdigest()
+
 
 def as_expr(value) -> Expr:
     """Coerce a Python number (or Expr) into an :class:`Expr`."""
@@ -149,6 +170,10 @@ class ConstExpr(Expr):
             return repr(self.value)
         return str(self.value)
 
+    def _token(self) -> Tuple:
+        # 1 and 1.0 compare equal but render to different C
+        return ("c", type(self.value).__name__, repr(self.value))
+
 
 @dataclass(frozen=True)
 class VarExpr(Expr):
@@ -166,6 +191,9 @@ class VarExpr(Expr):
 
     def c_source(self) -> str:
         return self.name
+
+    def _token(self) -> Tuple:
+        return ("v", self.name, self.dtype_name)
 
     # Loop-index arithmetic: ``i - 1`` inside a subscript must stay an
     # IndexExpr so the halo analysis can read the constant offset.
@@ -199,6 +227,9 @@ class IndexExpr(Expr):
             return self.var.name
         sign = "+" if self.offset > 0 else "-"
         return f"{self.var.name} {sign} {abs(self.offset)}"
+
+    def _token(self) -> Tuple:
+        return ("i", self.offset)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -241,7 +272,7 @@ class TensorAccess(Expr):
                 "a stencil cannot read from the future: time_offset must be <= 0"
             )
 
-    @property
+    @cached_property
     def offsets(self) -> Tuple[int, ...]:
         """The constant spatial offset vector of this access."""
         return tuple(ix.offset for ix in self.indices)
@@ -255,6 +286,10 @@ class TensorAccess(Expr):
         if self.time_offset != 0:
             return f"{name}_t{abs(self.time_offset)}[{subs}]"
         return f"{name}[{subs}]"
+
+    def _token(self) -> Tuple:
+        return ("a", self.tensor.signature, self.time_offset,
+                len(self.indices))
 
 
 @dataclass(frozen=True)
@@ -285,6 +320,9 @@ class OperatorExpr(Expr):
         lhs, rhs = self.operands
         return f"({lhs.c_source()} {spell} {rhs.c_source()})"
 
+    def _token(self) -> Tuple:
+        return ("o", self.op)  # the operator fixes the arity
+
 
 @dataclass(frozen=True)
 class CallFuncExpr(Expr):
@@ -308,6 +346,9 @@ class CallFuncExpr(Expr):
         args = ", ".join(a.c_source() for a in self.args)
         return f"{self.func}({args})"
 
+    def _token(self) -> Tuple:
+        return ("f", self.func, len(self.args))
+
 
 @dataclass(frozen=True)
 class AssignExpr(Expr):
@@ -330,3 +371,6 @@ class AssignExpr(Expr):
 
     def c_source(self) -> str:
         return f"{self.target.c_source()} = {self.value.c_source()};"
+
+    def _token(self) -> Tuple:
+        return ("=",)

@@ -22,6 +22,7 @@ from .expr import (
     TensorAccess,
     VarExpr,
     as_expr,
+    structural_digest,
 )
 from .tensor import SpNode
 
@@ -92,7 +93,7 @@ class Kernel:
             n for n in self.expr.walk() if isinstance(n, TensorAccess)
         )
 
-    @property
+    @cached_property
     def input_tensors(self) -> Tuple[SpNode, ...]:
         """Distinct tensors read by this kernel (first-seen order)."""
         seen: Dict[str, SpNode] = {}
@@ -100,7 +101,7 @@ class Kernel:
             seen.setdefault(acc.tensor.name, acc.tensor)
         return tuple(seen.values())
 
-    @property
+    @cached_property
     def footprint(self) -> Tuple[Tuple[int, ...], ...]:
         """Distinct spatial offset vectors read (the stencil's shape)."""
         seen = []
@@ -114,7 +115,7 @@ class Kernel:
         """Number of distinct points in the stencil (e.g. 7 for 3d7pt)."""
         return len(self.footprint)
 
-    @property
+    @cached_property
     def radius(self) -> Tuple[int, ...]:
         """Per-dimension stencil radius (max |offset|); the halo demand."""
         rad = [0] * self.ndim
@@ -123,10 +124,18 @@ class Kernel:
                 rad[d] = max(rad[d], abs(o))
         return tuple(rad)
 
-    @property
+    @cached_property
     def time_offsets(self) -> Tuple[int, ...]:
         """Sorted distinct time offsets read by the expression."""
         return tuple(sorted({a.time_offset for a in self.accesses}))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Structural identity: equal for two kernels exactly when
+        name, loop variables and expression tree are (not when they
+        merely print alike)."""
+        head = (self.name, [v._token() for v in self.loop_vars])
+        return structural_digest(head, self.expr)
 
     def default_axes(self, shape: Sequence[int]) -> List[Axis]:
         """The untransformed loop nest over a domain of ``shape``."""
@@ -139,18 +148,19 @@ class Kernel:
             for i, (v, s) in enumerate(zip(self.loop_vars, shape))
         ]
 
+    @cached_property
+    def _flops(self) -> int:
+        return sum(
+            isinstance(node, (OperatorExpr, CallFuncExpr))
+            for node in self.expr.walk()
+        )
+
     def flops(self) -> int:
         """Arithmetic operations (+, -, ×, ÷ and calls) per grid point.
 
         Matches the paper's ``Ops(+-×)`` column of Table 4.
         """
-        n = 0
-        for node in self.expr.walk():
-            if isinstance(node, OperatorExpr):
-                n += 1
-            elif isinstance(node, CallFuncExpr):
-                n += 1
-        return n
+        return self._flops
 
     # -- time application --------------------------------------------------------
     def __getitem__(self, time_ref) -> "KernelApply":
@@ -193,6 +203,9 @@ class KernelApply(Expr):
 
     def c_source(self) -> str:
         return f"{self.kernel.name}[t{self.time_offset:+d}]"
+
+    def _token(self) -> Tuple:
+        return ("k", self.kernel.fingerprint, self.time_offset)
 
     def children(self) -> Tuple[Expr, ...]:
         return ()

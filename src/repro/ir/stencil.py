@@ -15,9 +15,18 @@ execution therefore:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .expr import ConstExpr, Expr, IndexExpr, OperatorExpr, VarExpr, as_expr
+from .expr import (
+    ConstExpr,
+    Expr,
+    IndexExpr,
+    OperatorExpr,
+    VarExpr,
+    as_expr,
+    structural_digest,
+)
 from .kernel import Kernel, KernelApply
 from .tensor import SpNode
 
@@ -83,13 +92,13 @@ class Stencil:
             )
 
     # -- derived properties -------------------------------------------------------
-    @property
+    @cached_property
     def applications(self) -> Tuple[KernelApply, ...]:
         return tuple(
             n for n in self.expr.walk() if isinstance(n, KernelApply)
         )
 
-    @property
+    @cached_property
     def kernels(self) -> Tuple[Kernel, ...]:
         """Distinct kernels used, in first-seen order."""
         seen: Dict[str, Kernel] = {}
@@ -97,7 +106,7 @@ class Stencil:
             seen.setdefault(app.kernel.name, app.kernel)
         return tuple(seen.values())
 
-    @property
+    @cached_property
     def time_offsets(self) -> Tuple[int, ...]:
         """Sorted distinct past timesteps read (e.g. ``(-2, -1)``)."""
         return tuple(sorted({a.time_offset for a in self.applications}))
@@ -107,7 +116,7 @@ class Stencil:
         """Number of distinct past timesteps read (Table 4 'Time Dep.')."""
         return len(self.time_offsets)
 
-    @property
+    @cached_property
     def deepest_read(self) -> int:
         """The most negative *effective* step read, application offset
         plus any kernel-internal ``tensor.at(-k)`` offset on the output
@@ -123,7 +132,7 @@ class Stencil:
             deepest = min(deepest, app.time_offset + inner)
         return deepest
 
-    @property
+    @cached_property
     def required_time_window(self) -> int:
         """Planes that must be live at once (Fig. 5): deepest read + 1."""
         return -self.deepest_read + 1
@@ -132,7 +141,7 @@ class Stencil:
     def ndim(self) -> int:
         return self.output.ndim
 
-    @property
+    @cached_property
     def radius(self) -> Tuple[int, ...]:
         """Per-dimension halo demand: the max radius over all kernels."""
         rad = [0] * self.ndim
@@ -140,6 +149,14 @@ class Stencil:
             for d, r in enumerate(k.radius):
                 rad[d] = max(rad[d], r)
         return tuple(rad)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Structural identity of the whole program: output tensor,
+        combination tree and, through its leaves, every kernel and
+        tensor read.  Total over everything the IR can express — it
+        never goes through the surface-syntax printer."""
+        return structural_digest(self.output.signature, self.expr)
 
     def validate_halo(self) -> None:
         """Check the output tensor's halo covers the stencil radius."""
@@ -158,6 +175,10 @@ class Stencil:
         anything non-linear (e.g. a product of two applications), which
         the executable backend evaluates generically instead.
         """
+        return list(self._terms)
+
+    @cached_property
+    def _terms(self) -> Tuple[Tuple[float, KernelApply], ...]:
         terms: List[Tuple[float, KernelApply]] = []
 
         def visit(e: Expr, scale: float) -> None:
@@ -195,7 +216,7 @@ class Stencil:
                 )
 
         visit(self.expr, 1.0)
-        return terms
+        return tuple(terms)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ks = "+".join(

@@ -68,6 +68,15 @@ class TensorNode:
         """Bytes of one (halo-free) timestep plane of this tensor."""
         return self.npoints * self.dtype.nbytes
 
+    @property
+    def signature(self) -> Tuple:
+        """What distinguishes this tensor from every other in generated
+        code and at run time (consumed by the structural fingerprints).
+        """
+        d = self.dtype
+        return (type(self).__name__, self.name, self.shape,
+                (d.name, d.c_name, d.nbytes))
+
     def _subscript(self, key, time_offset: int = 0) -> TensorAccess:
         if not isinstance(key, tuple):
             key = (key,)
@@ -113,6 +122,11 @@ class SpNode(TensorNode):
             raise ValueError(
                 "time_window must be >= 2 (one plane read, one written)"
             )
+
+    @property
+    def signature(self) -> Tuple:
+        """:attr:`TensorNode.signature` plus halo widths and window."""
+        return super().signature + (self.halo, self.time_window)
 
     @property
     def padded_shape(self) -> Tuple[int, ...]:

@@ -29,12 +29,27 @@ class ValidationError(ValueError):
         )
 
 
+#: where a Stencil node keeps its collected issues (it is frozen, so
+#: they cannot change: the functools.cached_property storage scheme)
+_ISSUES_SLOT = "_validation_issues"
+
+
 def stencil_issues(stencil: Stencil) -> List[Tuple[str, str]]:
     """Collect every IR-level problem as ``(category, message)`` pairs.
 
     Categories: ``halo`` (radius exceeds a halo width), ``time_window``,
     ``dimension``, ``offset``, ``future``, ``dtype``, ``degenerate``.
+    Collected once per node; later calls return the stored list.
     """
+    found = stencil.__dict__.get(_ISSUES_SLOT)
+    if found is None:
+        found = stencil.__dict__[_ISSUES_SLOT] = tuple(
+            _collect_issues(stencil)
+        )
+    return list(found)
+
+
+def _collect_issues(stencil: Stencil) -> List[Tuple[str, str]]:
     issues: List[Tuple[str, str]] = []
     out = stencil.output
 

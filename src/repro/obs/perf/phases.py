@@ -10,8 +10,10 @@ frontend    MSC source parsing (``frontend.*``)
 lower       schedule lowering (``schedule.*``,
             ``machine.lower_schedule``)
 analysis    static legality checks (``analysis.*``)
-codegen     AOT code generation (``codegen.*``) and native-backend
-            compilation (``native.compile``)
+codegen     AOT code generation (``codegen.*``), native-backend
+            compilation (``native.compile``) and the plan memo
+            around both (``native.plan``: a few µs on a hit, the
+            generator set-up and library load on a miss)
 compute     arithmetic: the simulators' compute model, the
             runtime's kernel evaluation and the native backend's
             in-process execution (``native.exec`` / ``native.run``)
@@ -61,6 +63,7 @@ _EXACT = {
     "native.exec": "compute",
     "native.run": "compute",
     "native.compile": "codegen",
+    "native.plan": "codegen",
     "comm.pack": "halo-pack",
     "comm.unpack": "unpack",
 }

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..comm.decomposition import decompose
 from ..ir.stencil import Stencil
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx (~290 modules, ~16 MiB resident) is imported by the three
+# functions that build or route on a graph, not with the package:
+# `import repro.runtime` / `repro.evalsuite` must not charge every
+# process that never asks for a topology
 
 __all__ = [
     "Topology",
@@ -67,6 +73,8 @@ def fat_tree(nhosts: int, radix: int = 8,
     """
     if nhosts < 1:
         raise ValueError("nhosts must be >= 1")
+    import networkx as nx
+
     graph = nx.Graph()
     hosts: List[str] = []
     nleaf = -(-nhosts // radix)
@@ -95,6 +103,8 @@ def torus(dims: Sequence[int], link_bw_GBs: float = 8.0) -> Topology:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"invalid torus dims {dims}")
+    import networkx as nx
+
     graph = nx.Graph()
     hosts: List[str] = []
     coords = list(itertools.product(*(range(d) for d in dims)))
@@ -151,6 +161,8 @@ def route_exchange(stencil: Stencil, grid: Sequence[int],
     are split evenly over all shortest paths (ECMP routing).  Returns
     the per-link byte loads.
     """
+    import networkx as nx
+
     grid = tuple(int(g) for g in grid)
     nprocs = 1
     for g in grid:

@@ -14,7 +14,7 @@ from .primitives import (
     TilePrim,
     BUFFER_SCOPES,
 )
-from .schedule import CacheBinding, Schedule, ScheduleError
+from .schedule import CacheBinding, Schedule, ScheduleError, schedule_key
 from .loopnest import LoopNest, Tile
 from .timewindow import (
     SlidingTimeWindow,
@@ -27,7 +27,7 @@ from .temporal import TemporalTilePlan, plan_temporal_tiles
 __all__ = [
     "TilePrim", "ReorderPrim", "ParallelPrim", "CacheReadPrim",
     "CacheWritePrim", "ComputeAtPrim", "BUFFER_SCOPES",
-    "Schedule", "ScheduleError", "CacheBinding",
+    "Schedule", "ScheduleError", "CacheBinding", "schedule_key",
     "LoopNest", "Tile",
     "SlidingTimeWindow", "window_memory_bytes", "full_history_bytes",
     "LegalityError", "check_schedule", "spm_tile_bytes",

@@ -20,7 +20,7 @@ bindings the backends consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.diagnostics import Diagnostic
 from ..ir.axis import Axis
@@ -38,7 +38,7 @@ from .primitives import (
     VectorizePrim,
 )
 
-__all__ = ["Schedule", "CacheBinding", "ScheduleError"]
+__all__ = ["Schedule", "CacheBinding", "ScheduleError", "schedule_key"]
 
 
 class ScheduleError(ValueError):
@@ -195,6 +195,20 @@ class Schedule:
         return self
 
     # -- introspection -------------------------------------------------------
+    def key(self) -> Tuple:
+        """Hashable structural identity: the kernel's name and loop
+        variables plus every recorded primitive, field for field.
+        Schedules with equal keys lower to equal nests over any shape.
+        """
+        return (
+            self.kernel.name,
+            tuple(v.name for v in self.kernel.loop_vars),
+            tuple(self._tiles), self._reorder, self._parallel,
+            tuple(self._cache_reads), self._cache_write,
+            tuple(self._compute_ats), self._vectorize,
+            tuple(self._unrolls),
+        )
+
     @property
     def tile_factors(self) -> Dict[str, int]:
         return {t.var: t.factor for t in self._tiles}
@@ -332,3 +346,16 @@ class Schedule:
         if self.uses_spm:
             parts.append(" spm")
         return "".join(parts) + ")"
+
+
+def schedule_key(schedules: Mapping[str, Schedule],
+                 kernels: Iterable[Kernel] = ()) -> Tuple:
+    """Hashable key of the schedules a program runs under: every entry
+    of ``schedules`` and, for each of ``kernels`` without one, the
+    default schedule — so ``{}`` and an explicit ``Schedule(kernel)``
+    key alike, as they lower alike."""
+    keys = {name: sched.key() for name, sched in schedules.items()}
+    for kern in kernels:
+        if kern.name not in keys:
+            keys[kern.name] = Schedule(kern).key()
+    return tuple(sorted(keys.items()))

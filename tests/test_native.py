@@ -49,6 +49,16 @@ def _program_3d(shape=(10, 12, 8)):
     return Stencil(tensor, 0.6 * kern[t - 1] + 0.4 * kern[t - 2]), kern
 
 
+def _store_repeatedly(root, key, binary_path, go, rounds=10):
+    """One concurrent writer (module level: spawned processes import it)."""
+    cache = ArtifactCache(root)
+    assert go.wait(timeout=60)
+    for _ in range(rounds):
+        path, meta = cache.store(key, binary_path, {"m.c": "/* src */"},
+                                 {"kind": "exe"})
+        assert meta["key"] == key and os.path.basename(path) == "m"
+
+
 @needs_cc
 class TestDifferential:
     @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
@@ -177,6 +187,7 @@ class TestArtifactCache:
             raise AssertionError("compiler spawned on a cache hit")
 
         monkeypatch.setattr(native.subprocess, "run", boom)
+        native.clear_plans()  # else the plan memo answers, not the cache
         with obs.capture() as (_tr, reg):
             ex = NativeExecutor(st, {}, cache=cache)
         assert reg.counter_total("native.cache.hit") == 1
@@ -257,6 +268,54 @@ class TestArtifactCache:
         init = [rng.random((16, 16))]
         ref = reference_run(st, init, 2, "zero")
         np.testing.assert_array_equal(ex2.run(init, 2), ref)
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        """8 threads and 2 processes publish one key at once: nobody
+        fails, the entry is valid, no staging directory is left."""
+        import multiprocessing
+        import sys
+
+        root = str(tmp_path / "cache")
+        cache = ArtifactCache(root)
+        src = {"m.c": "int main(void) { return 3; }\n"}
+        built = build_artifact(src, "m", kind="exe", flags=["-O2"],
+                               cache=cache)
+        key = "ab" + "0" * 62  # a key nobody has stored yet
+        ctx = multiprocessing.get_context("spawn")
+        go = ctx.Event()
+        procs = [ctx.Process(target=_store_repeatedly,
+                             args=(root, key, built.path, go))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        errors = []
+
+        def writer():
+            try:
+                _store_repeatedly(root, key, built.path, go)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            go.set()
+            for th in threads:
+                th.join(timeout=60)
+            for proc in procs:
+                proc.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert errors == []
+        hit = cache.lookup(key, "m")
+        assert hit is not None
+        assert native.run_binary(hit[0], []).returncode == 3
+        assert os.listdir(os.path.join(root, key[:2])) == [key]
 
     def test_compile_error_reports_stderr(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
