@@ -16,14 +16,23 @@ Sec. 5.1 methodology: generated codes must match the serial codes to
 
 Expression evaluation is fully vectorized: each
 :class:`~repro.ir.expr.TensorAccess` becomes a shifted *view* of the
-padded plane (no copies), and operator nodes map to numpy ufuncs.
+padded plane (no copies), and operator nodes map to numpy ufuncs.  The
+oracle walks the expression tree on every call; the engine lowers each
+kernel once to a flat ufunc program (:class:`KernelProgram`), binds it
+per region to views and scratch registers, and writes every timestep
+straight into its window plane — the same ufuncs on the same operands
+in the same order, so the two stay bit-identical by construction.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import threading
 from functools import partial
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -42,13 +51,16 @@ from ..ir.kernel import Kernel
 from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil
 from ..ir.tensor import SpNode
-from ..obs import span
+from ..obs import counter, span
 from ..schedule.schedule import Schedule
 from ..schedule.timewindow import SlidingTimeWindow
 
 __all__ = [
     "evaluate_kernel",
     "reference_run",
+    "KernelProgram",
+    "TermProgram",
+    "kernel_program",
     "BlockEngine",
     "ScheduledExecutor",
     "fill_halo",
@@ -324,6 +336,265 @@ def as_pipeline(program: Union[Stencil, StagePipeline]
     }
 
 
+# -- the kernel program --------------------------------------------------------
+#
+# What the engine runs instead of walking the tree, in three stages each
+# done as rarely as its inputs change:
+#
+#   lower  Kernel -> KernelProgram              once per kernel node
+#   type   + scalars, scale, dtype -> TermProgram   once per engine term
+#   bind   + region, planes -> [(ufunc, args, out)]   once per region
+#                                                     and window rotation
+#
+# ``reference_run`` above keeps the tree walk: it is the oracle and must
+# not share the engine's lowering.
+
+#: operand kinds: a tensor-access slot, the result of an earlier
+#: instruction, a free scalar's name, a python/numpy scalar, a scratch
+#: register, a scalar broadcast to the region
+_SLOT, _TEMP, _VAR, _VALUE, _REG, _SPLAT = range(6)
+
+#: per operator: what ``_eval`` computes on plain scalars and the ufunc
+#: the same python operator dispatches to when an operand is an array
+_OPERATORS = {
+    "neg": (operator.neg, np.negative),
+    "add": (operator.add, np.add),
+    "sub": (operator.sub, np.subtract),
+    "mul": (operator.mul, np.multiply),
+    "div": (operator.truediv, np.true_divide),
+}
+
+Operand = Tuple[int, Any]
+
+
+class KernelProgram:
+    """A kernel's update expression as a flat post-order program.
+
+    ``accesses`` are the distinct tensor reads (the *slots*).  Each
+    instruction of ``code`` is ``(fold, ufunc, operands)``: an operand
+    references a slot, a literal, a free scalar by name or the result
+    of an earlier instruction; ``ufunc`` is what ``_eval`` applies when
+    an operand is an array, ``fold`` what it applies to plain scalars.
+    ``result`` references the kernel's value.  Holds no data and no
+    scalar values: one program serves every engine and every run.
+    """
+
+    __slots__ = ("accesses", "code", "result")
+
+    def __init__(self, kernel: Kernel):
+        slots: Dict[Tuple, int] = {}
+        accesses: List[TensorAccess] = []
+        code: List[Tuple[Callable, Callable, Tuple[Operand, ...]]] = []
+        done: List[Operand] = []  # values of the finished sub-trees
+        todo = [(kernel.expr, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if isinstance(node, ConstExpr):
+                done.append((_VALUE, node.value))
+            elif isinstance(node, TensorAccess):
+                key = (node.tensor.name, node.time_offset, node.offsets)
+                if key not in slots:
+                    slots[key] = len(accesses)
+                    accesses.append(node)
+                done.append((_SLOT, slots[key]))
+            elif isinstance(node, VarExpr):
+                done.append((_VAR, node.name))
+            elif isinstance(node, (OperatorExpr, CallFuncExpr)):
+                children = node.children()
+                if not expanded:
+                    todo.append((node, True))
+                    todo.extend((c, False) for c in reversed(children))
+                    continue
+                split = len(done) - len(children)
+                if isinstance(node, OperatorExpr):
+                    fold, ufunc = _OPERATORS[node.op]
+                else:
+                    fold = ufunc = _NUMPY_FUNCS[node.func]
+                code.append((fold, ufunc, tuple(done[split:])))
+                del done[split:]
+                done.append((_TEMP, len(code) - 1))
+            elif isinstance(node, IndexExpr):
+                raise TypeError(
+                    "bare index expressions outside tensor subscripts are "
+                    "not valid stencil values"
+                )
+            else:
+                raise TypeError(
+                    f"cannot evaluate IR node {type(node).__name__}"
+                )
+        self.accesses = tuple(accesses)
+        self.code = tuple(code)
+        (self.result,) = done
+
+
+#: where a Kernel node keeps its program (the node is frozen, so the
+#: program cannot go stale: the functools.cached_property storage
+#: scheme, as ``ir.validate`` keeps a stencil's issues)
+_PROGRAM_SLOT = "_numpy_program"
+_LOWER_LOCK = threading.Lock()  # rank threads share kernel nodes
+
+
+def kernel_program(kernel: Kernel) -> Tuple[KernelProgram, bool]:
+    """``kernel``'s program and whether this call lowered it (it is
+    lowered once per node, whichever engine or rank asks first)."""
+    program = kernel.__dict__.get(_PROGRAM_SLOT)
+    if program is not None:
+        return program, False
+    with _LOWER_LOCK:
+        program = kernel.__dict__.get(_PROGRAM_SLOT)
+        if program is not None:
+            return program, False
+        program = kernel.__dict__[_PROGRAM_SLOT] = KernelProgram(kernel)
+    counter("numpy.plan.lower", kernel=kernel.name)
+    return program, True
+
+
+def _cast(src: np.ndarray, out: np.ndarray) -> None:
+    """``np.asarray(src, dtype=out.dtype)``, written into ``out``."""
+    np.copyto(out, src, casting="unsafe")
+
+
+class TermProgram:
+    """One combination term ``scale * kernel``, typed for one engine.
+
+    Scalar-only sub-expressions are folded with the engine's bound
+    scalars exactly as ``_eval`` folds them (python arithmetic, so a
+    python float stays a weak scalar).  Every array instruction gets
+    the dtype its sub-expression has under the interpreter — found by
+    applying the same ufunc to empty operands of the same dtypes — and
+    a scratch register of that dtype, handed on as soon as its value is
+    consumed (a left-deep 9-point sum needs two).  ``code`` ends with
+    the term's ``scale *`` and, when the dtypes differ, the cast to the
+    output dtype as its own instruction; its last register holds the
+    term's contribution.  Unbound free scalars are reported here.
+    """
+
+    __slots__ = ("accesses", "code", "reg_dtypes", "_calls", "_scalars",
+                 "_splats")
+
+    def __init__(self, program: KernelProgram,
+                 scalars: Mapping[str, float], scale: float,
+                 out_dtype: np.dtype):
+        self.accesses = program.accesses
+        #: ``(ufunc, operands, destination register)``
+        self.code: List[Tuple[Callable, Tuple[Operand, ...], int]] = []
+        self.reg_dtypes: List[np.dtype] = []
+        free: Dict[np.dtype, List[int]] = {}
+        values: List[Operand] = []  # per lowered instruction
+
+        def typed(ref: Operand) -> Operand:
+            kind, payload = ref
+            if kind == _TEMP:
+                return values[payload]
+            if kind == _VAR:
+                try:
+                    return _VALUE, scalars[payload]
+                except KeyError:
+                    raise KeyError(
+                        f"free scalar {payload!r} has no bound value"
+                    ) from None
+            return ref
+
+        for fold, ufunc, refs in program.code:
+            operands = tuple(typed(ref) for ref in refs)
+            if all(kind == _VALUE for kind, _ in operands):
+                values.append((_VALUE, fold(*(p for _, p in operands))))
+            else:
+                values.append(self._emit(free, ufunc, operands))
+        value = typed(program.result)
+        if value[0] == _VALUE:
+            # a constants-only kernel: ``evaluate_kernel`` broadcasts it
+            value = (_SPLAT, np.asarray(value[1]))
+        value = self._emit(free, np.multiply, ((_VALUE, scale), value))
+        if self.reg_dtypes[value[1]] != out_dtype:
+            self._emit(free, _cast, (value,), out_dtype)
+
+        # :meth:`bind` lays views, registers and the scalar operands (in
+        # order of use) out in one list and picks each call's arguments
+        # and then its destination from it by position
+        first_reg = len(self.accesses)
+        first_scalar = first_reg + len(self.reg_dtypes)
+        self._scalars: List[Any] = []
+        self._splats: List[int] = []  # positions broadcast per bind
+        self._calls = []
+        for fn, operands, reg in self.code:
+            picks = []
+            for kind, payload in operands:
+                if kind == _SLOT:
+                    picks.append(payload)
+                elif kind == _REG:
+                    picks.append(first_reg + payload)
+                else:
+                    picks.append(first_scalar + len(self._scalars))
+                    if kind == _SPLAT:
+                        self._splats.append(picks[-1])
+                    self._scalars.append(payload)
+            picks.append(first_reg + reg)
+            self._calls.append((fn, operator.itemgetter(*picks)))
+
+    def _probe(self, operand: Operand):
+        """A stand-in with the operand's type-resolution behaviour."""
+        kind, payload = operand
+        if kind == _VALUE:
+            return payload
+        if kind == _SLOT:
+            return np.empty(0, self.accesses[payload].tensor.dtype.np_dtype)
+        return np.empty(
+            0, self.reg_dtypes[payload] if kind == _REG else payload.dtype
+        )
+
+    def _emit(self, free: Dict[np.dtype, List[int]], fn: Callable,
+              operands: Tuple[Operand, ...],
+              dtype: Optional[np.dtype] = None) -> Operand:
+        if dtype is None:
+            dtype = fn(*(self._probe(o) for o in operands)).dtype
+        # operand registers are dead once this instruction ran, so it
+        # may write over one of them (ufuncs allow ``out`` = an input)
+        for kind, payload in operands:
+            if kind == _REG:
+                free.setdefault(self.reg_dtypes[payload], []).append(payload)
+        spare = free.get(dtype)
+        if spare:
+            reg = spare.pop()
+        else:
+            reg = len(self.reg_dtypes)
+            self.reg_dtypes.append(dtype)
+        self.code.append((fn, operands, reg))
+        return _REG, reg
+
+    def bind(self, views: List[np.ndarray], registers: List[np.ndarray],
+             shape: Tuple[int, ...]
+             ) -> List[Tuple[Callable, tuple, np.ndarray]]:
+        """The program over concrete operands, to be run as ``for fn,
+        args, out in calls: fn(*args, out=out)``; the term's
+        contribution is the last call's ``out``."""
+        env = views + registers + self._scalars
+        for position in self._splats:
+            env[position] = np.broadcast_to(env[position], shape)
+        return [(fn, (picked := pick(env))[:-1], picked[-1])
+                for fn, pick in self._calls]
+
+
+#: bound plans one engine keeps.  A rank needs regions x terms x window
+#: rotations (tens) and re-uses them from step W on.  A tiled
+#: ScheduledExecutor has hundreds of tiles per rotation: keeping a plan
+#: per tile makes memory grow with the tile count (+5 MiB at 256 tiles
+#: of a 512^2 grid), so past the bound plans are bound on the fly
+_MAX_BOUND_PLANS = 256
+
+
+class _Term:
+    """One combination term of a stage as the engine keeps it."""
+
+    __slots__ = ("scale", "app", "lowered", "typed")
+
+    def __init__(self, scale: float, app, lowered: KernelProgram):
+        self.scale = scale
+        self.app = app
+        self.lowered = lowered
+        self.typed: Optional[TermProgram] = None  # at the first bind
+
+
 class BlockEngine:
     """One block of the domain stepping a pipeline through time.
 
@@ -334,6 +605,18 @@ class BlockEngine:
     ghosts of a plane of tensor ``name``: the boundary condition on one
     node, zeroed outer edges plus the halo exchange on a rank.  ``shape``
     is the block: a rank's sub-domain, by default the whole domain.
+
+    Kernels are not interpreted per step.  Each is lowered once to a
+    :class:`KernelProgram`; :meth:`compute` binds it per (term, region,
+    window rotation) to views of the planes and per-shape scratch
+    registers — a *bound plan*, a flat list of ufunc calls kept for the
+    next time the window is in that rotation — and the plan writes the
+    step straight into the interior of plane ``t``: the first term as
+    ``0 + scale*K``, later terms added in place.  There is no
+    accumulator plane.  Plans hold views and scratch only, never the
+    engine, so dropping an engine frees its planes without the cycle
+    collector.  :attr:`plan_stats` counts what this engine lowered,
+    bound and re-used.
     """
 
     def __init__(self, program: Union[Stencil, StagePipeline],
@@ -347,15 +630,26 @@ class BlockEngine:
         self.windows: Dict[str, SlidingTimeWindow] = {}
         self.aux: Dict[str, np.ndarray] = {}
         self.halos = {o.name: o.halo for o in self.pipeline.outputs}
-        # per stage: (scale, application, distinct (tensor, offset) reads)
-        self._terms = {
-            stage.output.name: [
-                (scale, app, sorted({(a.tensor.name, a.time_offset)
-                                     for a in app.kernel.accesses}))
-                for scale, app in stage.combination_terms()
-            ]
-            for stage in self.pipeline.stages
+        self.plan_stats = {"lower": 0, "bind": 0, "reuse": 0}
+        self._terms: Dict[str, List[_Term]] = {}
+        for stage in self.pipeline.stages:
+            terms = self._terms[stage.output.name] = []
+            for scale, app in stage.combination_terms():
+                lowered, fresh = kernel_program(app.kernel)
+                self.plan_stats["lower"] += fresh
+                terms.append(_Term(scale, app, lowered))
+        self._whole = (tuple((0, s) for s in self.shape),)
+        self._cells = math.prod(self.shape)
+        #: cells each term of a stage has written in the current step
+        self._written = {
+            name: [0] * len(terms) for name, terms in self._terms.items()
         }
+        #: bound plans by (stage, term, window rotation, region)
+        self._plans: Dict[Tuple, Tuple[list, int]] = {}
+        #: scratch registers by (region shape, dtype, register number),
+        #: shared by every plan of that shape: plans run one at a time
+        self._scratch: Dict[Tuple, np.ndarray] = {}
+        self._period = 1  # steps after which every window slot repeats
         #: newest completed step; ``None`` until :meth:`seed` ran
         self.t: Optional[int] = None
 
@@ -379,6 +673,7 @@ class BlockEngine:
         self.halos[tensor.name] = _halo_of(tensor)
         self.refresh(tensor.name, self.halos[tensor.name], plane)
         self.aux[tensor.name] = plane
+        self._plans.clear()  # they view the planes they were bound to
 
     def seed(self, seeds: Mapping[str, Sequence[np.ndarray]]) -> None:
         """Install this block's initial planes, oldest first per tensor;
@@ -396,6 +691,8 @@ class BlockEngine:
             for t, data in enumerate(given, start=k_max - len(given)):
                 window.seed(t, data)
                 self.refresh(tensor.name, tensor.halo, window.plane(t))
+        self._plans.clear()
+        self._period = math.lcm(*(w.window for w in self.windows.values()))
         self.t = k_max - 1
 
     def results(self) -> Dict[str, np.ndarray]:
@@ -408,62 +705,147 @@ class BlockEngine:
         }
 
     # -- stepping ---------------------------------------------------------
-    def _bind_planes(self, own: str, app_offset: int, reads,
-                     t: int) -> Dict[Tuple[str, int], np.ndarray]:
-        """Planes one kernel application reads while computing step ``t``:
-        the stage's *own* output at application + access offset, another
-        stage's output relative to ``t`` (a stage reference), an
-        auxiliary tensor's one static plane whatever the offset.
+    def _planes(self, stage: Stencil, term: _Term, t: int
+                ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """What ``term`` of ``stage`` touches at step ``t``: the plane
+        behind each of its access slots, and plane ``t`` it writes.  A
+        term reads the stage's *own* output at application + access
+        offset, another stage's output relative to ``t`` (a stage
+        reference), an auxiliary tensor's one static plane whatever the
+        offset.  Types the term first; a free scalar with no value, a
+        plane that left the window (or is the one being written) or was
+        never installed is reported here.
         """
-        planes = {}
-        for name, off in reads:
+        out = stage.output
+        if term.typed is None:
+            term.typed = TermProgram(term.lowered, self.scalars, term.scale,
+                                     out.dtype.np_dtype)
+        found: Dict[Tuple[str, int], np.ndarray] = {}
+        for access in term.typed.accesses:
+            read = name, off = access.tensor.name, access.time_offset
+            if read in found:
+                continue
             if name in self.windows:
-                step = t + off + (app_offset if name == own else 0)
-                planes[name, off] = self.windows[name].plane(step)
+                step = t + off + (term.app.time_offset if name == out.name
+                                  else 0)
+                found[read] = self.windows[name].plane(step)
+            elif name in self.aux:
+                found[read] = self.aux[name]
             else:
-                planes[name, off] = self.aux[name]
-        return planes
-
-    def accumulate(self, stage: Stencil, t: int, acc: np.ndarray,
-                   regions: Optional[Callable[[Kernel], Iterable]] = None
-                   ) -> None:
-        """Add ``stage``'s combination terms for step ``t`` into ``acc``
-        over ``regions(kernel)`` — that kernel's tiles, a CORE or OWNED
-        box — by default the whole block.  The engine computes only here.
-        """
-        out = stage.output
-        whole = [[(0, s) for s in self.shape]]
-        with span("runtime.kernel_eval", stage=out.name, t=t):
-            for scale, app, reads in self._terms[out.name]:
-                planes = self._bind_planes(
-                    out.name, app.time_offset, reads, t
+                raise KeyError(
+                    f"no plane bound for tensor {name!r} at time offset "
+                    f"{off}"
                 )
-                for region in regions(app.kernel) if regions else whole:
-                    val = evaluate_kernel(
-                        app.kernel, planes, self.halos, region,
-                        scalars=self.scalars,
-                    )
-                    sl = tuple(slice(lo, hi) for lo, hi in region)
-                    acc[sl] += np.asarray(scale * val, dtype=acc.dtype)
+        return (
+            [found[a.tensor.name, a.time_offset]
+             for a in term.typed.accesses],
+            self.windows[out.name].plane(t),
+        )
 
-    def commit(self, stage: Stencil, t: int, acc: np.ndarray) -> None:
-        """Rotate ``stage``'s window to step ``t``, store, refresh ghosts."""
-        out = stage.output
-        window = self.windows[out.name]
-        plane = window.advance(t)
-        window.interior_view(plane)[...] = acc
-        self.refresh(out.name, out.halo, plane)
+    def _bind(self, stage: Stencil, first: bool, typed: TermProgram,
+              planes: Sequence[np.ndarray], target: np.ndarray,
+              region: Tuple[Tuple[int, int], ...]) -> Tuple[list, int]:
+        """Bound plan of one term over ``region``: ``(calls, cells
+        written)``.  An access that leaves the padded buffer is
+        reported here."""
+        views = [
+            _access_view(access, plane, self.halos[access.tensor.name],
+                         region)
+            for access, plane in zip(typed.accesses, planes)
+        ]
+        shape = tuple(hi - lo for lo, hi in region)
+        registers = []
+        for number, dtype in enumerate(typed.reg_dtypes):
+            key = (shape, dtype, number)
+            register = self._scratch.get(key)
+            if register is None:
+                register = self._scratch[key] = np.empty(shape, dtype)
+            registers.append(register)
+        calls = typed.bind(views, registers, shape)
+        dst = target[tuple(
+            slice(h + lo, h + hi)
+            for h, (lo, hi) in zip(stage.output.halo, region)
+        )]
+        contribution = calls[-1][2]
+        if first:
+            # ``0 + x`` as the accumulator-into-zeros oracle computes
+            # it: an all ``-0.0`` term stays ``+0.0``
+            calls.append((np.add, (contribution, dst.dtype.type(0)), dst))
+        else:
+            calls.append((np.add, (dst, contribution), dst))
+        return calls, math.prod(shape)
+
+    def compute(self, stage: Stencil, t: int,
+                regions: Optional[Callable[[Kernel], Iterable]] = None
+                ) -> None:
+        """Write ``stage``'s combination terms for step ``t`` into the
+        interior of plane ``t`` over ``regions(kernel)`` — that kernel's
+        tiles, a CORE or OWNED box, each a tuple of per-dimension
+        ``(lo, hi)`` — by default the whole block.  Plane ``t`` must be
+        claimed already (:meth:`step` does); calls for one step may
+        split the block between them, but together every term must
+        cover it exactly once.  The engine computes only here.
+        """
+        name = stage.output.name
+        rotation = t % self._period
+        plans = self._plans
+        written = self._written[name]
+        binds = ops = count = 0
+        with span("runtime.kernel_eval", stage=name, t=t) as sp:
+            for index, term in enumerate(self._terms[name]):
+                bound_to = None  # this term's planes, at the first miss
+                boxes = regions(term.app.kernel) if regions else self._whole
+                for region in boxes:
+                    key = (name, index, rotation, region)
+                    plan = plans.get(key)
+                    if plan is None:
+                        if bound_to is None:
+                            bound_to = self._planes(stage, term, t)
+                        plan = self._bind(stage, index == 0, term.typed,
+                                          *bound_to, region)
+                        if len(plans) < _MAX_BOUND_PLANS:
+                            plans[key] = plan
+                        binds += 1
+                    calls, cells = plan
+                    for fn, args, out in calls:
+                        fn(*args, out=out)
+                    written[index] += cells
+                    ops += len(calls)
+                    count += 1
+            sp.set(ops=ops, regions=count)
+        stats = self.plan_stats
+        stats["bind"] += binds
+        stats["reuse"] += count - binds
+        if binds:
+            counter("numpy.plan.bind", binds)
+        if count > binds:
+            counter("numpy.plan.reuse", count - binds)
 
     def step(self, compute=None) -> None:
-        """One timestep: per stage, ``compute(stage, t, acc)`` (default:
-        :meth:`accumulate` over the whole block), then :meth:`commit`."""
+        """One timestep: per stage, claim plane ``t`` of its window,
+        ``compute(stage, t)`` (default: :meth:`compute` over the whole
+        block) writes its interior, then the ghost refresh.  The slot
+        is claimed *first*, so a read of the plane being overwritten
+        fails (``SlidingTimeWindow.plane``), and a ``compute`` whose
+        regions leave part of the block unwritten — it would keep the
+        recycled plane's old values — is rejected.
+        """
         if self.t is None:
             raise RuntimeError("call initialize() before step()")
         t = self.t + 1
         for stage in self.pipeline.stages:
-            acc = np.zeros(self.shape, dtype=stage.output.dtype.np_dtype)
-            (compute or self.accumulate)(stage, t, acc)
-            self.commit(stage, t, acc)
+            out = stage.output
+            plane = self.windows[out.name].advance(t)
+            written = self._written[out.name]
+            written[:] = [0] * len(written)
+            (compute or self.compute)(stage, t)
+            if any(cells != self._cells for cells in written):
+                raise ValueError(
+                    f"step {t} of {out.name!r}: regions wrote {written} "
+                    f"cells per term of a block of {self._cells}; they "
+                    "must cover it exactly once"
+                )
+            self.refresh(out.name, out.halo, plane)
         self.t = t
 
 
@@ -496,11 +878,11 @@ class ScheduledExecutor:
 
     def _tiles(self, kernel: Kernel) -> Iterable:
         for tile in self._nests[kernel.name].iter_tiles():
-            yield [tile.extent(v.name) for v in kernel.loop_vars]
+            yield tuple(tile.extent(v.name) for v in kernel.loop_vars)
 
     def step(self) -> None:
         """Advance the window by one timestep."""
-        self.engine.step(partial(self.engine.accumulate, regions=self._tiles))
+        self.engine.step(partial(self.engine.compute, regions=self._tiles))
 
     def run(self, init: Sequence[np.ndarray], timesteps: int) -> np.ndarray:
         """Initialize, run ``timesteps`` sweeps, return the newest plane."""

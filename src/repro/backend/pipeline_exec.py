@@ -71,4 +71,4 @@ def distributed_pipeline_run(
 
     return _run_distributed(
         pipeline, seeds, timesteps, grid, boundary, inputs
-    )
+    )[0]

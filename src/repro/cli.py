@@ -461,6 +461,13 @@ def _cmd_run(args) -> int:
         print(f"native: plan {program.last_run['plan']}, artifact "
               f"{'cached' if artifact.cached else 'compiled'} "
               f"(key {artifact.key[:12]})")
+    plans = program.last_run.get("numpy_plans")
+    if plans:
+        # stderr: stdout is the result report, identical across
+        # exchange modes, and the bind count is not (CORE + OWNED)
+        print(f"numpy: lowered {plans['lower']} kernel(s), "
+              f"{plans['bind']} binds, {plans['reuse']} reuses",
+              file=sys.stderr)
     print(f"result: mean={result.mean():.6e} "
           f"l2={np.linalg.norm(result):.6e}")
     obs_ledger.note(metrics={
@@ -702,6 +709,10 @@ def _cmd_bench(args) -> int:
             return 2
         perturb[key] = float(factor)
 
+    # the baseline is read before anything is written: the default
+    # --out of `bench --compare BENCH_<name>.json` is that very file
+    baseline = perf.load_bench(args.compare) if args.compare else None
+
     workloads, default_name = perf.resolve_workloads(
         args.workloads, perturb=perturb or None,
         backend=getattr(args, "backend", None),
@@ -729,20 +740,25 @@ def _cmd_bench(args) -> int:
         )
 
     out = args.out or perf.bench_filename(name)
-    perf.write_bench(out, doc)
-    written = [out]
+    targets = [out]
     results_dir = os.path.join("benchmarks", "results")
     if args.out is None and os.path.isdir(results_dir):
-        mirror = os.path.join(results_dir, f"{name}.json")
-        perf.write_bench(mirror, doc)
-        written.append(mirror)
+        targets.append(os.path.join(results_dir, f"{name}.json"))
     print()
-    for path in written:
-        print(f"bench document written to {path}")
+    kept = [path for path in targets if baseline is not None
+            and os.path.realpath(path) == os.path.realpath(args.compare)]
+    if kept:
+        # never write over the baseline (nor its mirror: the two stay a
+        # pair); pass --out to keep this document
+        print(f"bench document not written: {kept[0]} is the --compare "
+              "baseline")
+    else:
+        for path in targets:
+            perf.write_bench(path, doc)
+            print(f"bench document written to {path}")
 
-    if not args.compare:
+    if baseline is None:
         return 0
-    baseline = perf.load_bench(args.compare)
     cmp = perf.compare(doc, baseline, threshold=args.threshold)
     print()
     print(cmp.format())

@@ -107,6 +107,8 @@ class _Transfer:
     dim: int  # span/counter label; -1 for coalesced messages
     dir: int  # ±1 for face strips, 0 for coalesced messages
     key: str  # stable id for pool tags / error messages
+    send_count: int  # elements in the outgoing / incoming message
+    recv_count: int
 
 
 class HaloExchanger:
@@ -121,6 +123,11 @@ class HaloExchanger:
         self.comm = comm
         self.spec = spec
         self.regions = halo_regions(spec)
+        #: ghost strips on neighbour-less (global) edges: no exchange
+        #: writes them, so a recycled plane's must be cleared by hand
+        self.edge_ghosts = [
+            r.recv for r in self.regions if self._neighbour(r) < 0
+        ]
         self.pool = BufferPool()
         #: messages sent / bytes moved by this process (for the tuner)
         self.messages = 0
@@ -209,6 +216,8 @@ class AsyncHaloExchanger(HaloExchanger):
         self.retries = 0
         self._seq = 0
         self._pending = None
+        # the transfers depend on geometry and topology only
+        self._phase_transfer_cache: Dict[int, List[_Transfer]] = {}
         self._diag_transfer_cache: Optional[List[_Transfer]] = None
 
     def reset_counters(self) -> None:
@@ -266,6 +275,9 @@ class AsyncHaloExchanger(HaloExchanger):
     # -- transfer construction --------------------------------------------
     def _phase_transfers(self, d: int) -> List[_Transfer]:
         """The two face transfers of one basic-mode dimension phase."""
+        cached = self._phase_transfer_cache.get(d)
+        if cached is not None:
+            return cached
         out: List[_Transfer] = []
         for region in (r for r in self.regions if r.dim == d):
             peer = self._neighbour(region)
@@ -280,7 +292,10 @@ class AsyncHaloExchanger(HaloExchanger):
                 dim=d,
                 dir=region.direction,
                 key=f"{d}{'m' if region.direction < 0 else 'p'}",
+                send_count=self._strips_count((region.send,)),
+                recv_count=self._strips_count((region.recv,)),
             ))
+        self._phase_transfer_cache[d] = out
         return out
 
     def _offset_neighbour(self, offset: Sequence[int]) -> int:
@@ -321,15 +336,19 @@ class AsyncHaloExchanger(HaloExchanger):
                 recvs[peer],
                 key=lambda r: tuple(-c for c in r.offset),
             )
+            send_strips = tuple(r.send for r in out_blocks)
+            recv_strips = tuple(r.recv for r in in_blocks)
             transfers.append(_Transfer(
                 peer=peer,
-                send_strips=tuple(r.send for r in out_blocks),
-                recv_strips=tuple(r.recv for r in in_blocks),
+                send_strips=send_strips,
+                recv_strips=recv_strips,
                 send_sub=_DIAG_SUB,
                 recv_sub=_DIAG_SUB,
                 dim=-1,
                 dir=0,
                 key=f"n{peer}",
+                send_count=self._strips_count(send_strips),
+                recv_count=self._strips_count(recv_strips),
             ))
         self._diag_transfer_cache = transfers
         return transfers
@@ -443,8 +462,7 @@ class AsyncHaloExchanger(HaloExchanger):
                 req = self.comm.Irecv(plane[tr.recv_strips[0]],
                                       source=tr.peer, tag=tag)
             else:
-                buf = np.empty(self._strips_count(tr.recv_strips),
-                               dtype=plane.dtype)
+                buf = np.empty(tr.recv_count, dtype=plane.dtype)
                 req = self.comm.Irecv(buf, source=tr.peer, tag=tag)
             recvs.append((tr, req, buf))
         for tr in transfers:
@@ -490,8 +508,8 @@ class AsyncHaloExchanger(HaloExchanger):
         rank = comm.rank
         recv_pending = {}
         for i, tr in enumerate(transfers):
-            n = self._strips_count(tr.recv_strips)
-            buf = self.pool.get(n, plane.dtype, tag=f"recv-{tr.key}")
+            buf = self.pool.get(tr.recv_count, plane.dtype,
+                                tag=f"recv-{tr.key}")
             # data receives complete inside req.Test() below, under the
             # outer comm.exchange span; defer the flow so it can be
             # re-homed onto the unpack span that consumes the strip
@@ -503,8 +521,8 @@ class AsyncHaloExchanger(HaloExchanger):
             recv_pending[i] = (tr, req, buf)
         ack_pending = {}
         for i, tr in enumerate(transfers):
-            n = self._strips_count(tr.send_strips)
-            sbuf = self.pool.get(n, plane.dtype, tag=f"send-{tr.key}")
+            sbuf = self.pool.get(tr.send_count, plane.dtype,
+                                 tag=f"send-{tr.key}")
             with span("comm.pack", rank=rank, dim=tr.dim, dir=tr.dir):
                 pack_many(plane, tr.send_strips, sbuf)
             send_tag = self._data_tag(seq, tr.send_sub)

@@ -234,8 +234,10 @@ class StencilProgram:
         self._scalars: Dict[str, float] = {}
         #: last ``check`` as (everything it read, report)
         self._checked: Optional[Tuple[Tuple, CheckReport]] = None
-        #: how the last single-node ``run`` executed: ``backend`` and,
-        #: for native, ``plan`` (hit/miss) and the ``artifact``
+        #: how the last ``run`` executed: ``backend`` and, for native,
+        #: ``plan`` (hit/miss) and the ``artifact``; for numpy (single
+        #: node or distributed) ``numpy_plans``, the kernels lowered and
+        #: the plans bound and re-used (``BlockEngine.plan_stats``)
         self.last_run: Dict[str, object] = {}
 
     # -- wiring -----------------------------------------------------------------
@@ -401,14 +403,17 @@ class StencilProgram:
         if self.mpi_grid is not None and int(np.prod(self.mpi_grid)) > 1:
             if check:
                 self._gate(None, "run")
-            from ..runtime.executor import distributed_run
+            from ..runtime.executor import _run_distributed
 
-            return distributed_run(
-                self.ir, init, timesteps, self.mpi_grid,
+            name = self.ir.output.name
+            results, plans = _run_distributed(
+                self.ir, {name: init}, timesteps, self.mpi_grid,
                 boundary=self.boundary, inputs=self._inputs or None,
                 scalars=self._scalars or None,
                 exchange_mode=exchange_mode,
             )
+            self.last_run = {"backend": "numpy", "numpy_plans": plans}
+            return results[name]
         from ..backend.numpy_backend import ScheduledExecutor, reference_run
         from ..obs import counter
 
@@ -459,6 +464,8 @@ class StencilProgram:
                 inputs=inputs, scalars=scalars,
             )
             engine = "numpy", lambda: numpy_ex.run(init, timesteps)
+            # the engine's live tally: final once the run returned
+            run_info = {"numpy_plans": numpy_ex.engine.plan_stats}
         # ... then run it under the one root span and run counter
         label, sweep = engine
         self.last_run = {"backend": label, **run_info}

@@ -12,8 +12,9 @@ the core integration test of the communication library.  Pipelines
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,21 +36,19 @@ def _refresh_ghosts(comm: CartComm, sub_shape: Sequence[int], exchangers,
                     name: str, halo: Sequence[int],
                     plane: np.ndarray) -> None:
     """Exchange the ghosts of one rank's freshly written ``plane``."""
-    from ..comm.library import create_exchanger  # breaks an import cycle
-
     ex = exchangers.get(name)
     scattered_once = ex is None  # an auxiliary tensor
     if scattered_once:
+        from ..comm.library import create_exchanger  # an import cycle
+
         ex = create_exchanger("async", comm, HaloSpec(sub_shape, halo))
     # an overlap-mode exchanger allows one in-flight exchange;
     # drain it before starting the next (no-op otherwise)
     ex.finish_exchange()
     # window planes are recycled: clear stale ghosts on global
     # (neighbour-less) edges, which the exchange will not overwrite
-    for region in ex.regions:
-        src, dst = comm.Shift(region.dim, 1)
-        if (dst if region.direction > 0 else src) < 0:
-            plane[region.recv] = 0
+    for strip in ex.edge_ghosts:
+        plane[strip] = 0
     ex.begin_exchange(plane)
     if scattered_once:
         ex.finish_exchange()
@@ -89,6 +88,15 @@ class DistributedStencil:
                 exchanger, comm, HaloSpec(self.sub.shape, out.halo),
                 **options
             )
+        #: per stage output, the overlap split of this rank's block:
+        #: (CORE box or None, OWNED slabs), as ``compute`` regions
+        self._split = {}
+        for stage in self.engine.pipeline.stages:
+            core, owned = core_owned_regions(self.sub.shape, stage.radius)
+            self._split[stage.output.name] = (
+                None if core is None else (tuple(core),),
+                tuple(tuple(slab) for slab in owned),
+            )
 
     def scatter(self, seeds: Mapping[str, Sequence[np.ndarray]],
                 inputs: Mapping[str, np.ndarray]) -> None:
@@ -103,25 +111,25 @@ class DistributedStencil:
                 for name, planes in seeds.items()
             })
 
-    def _compute(self, stage: Stencil, t: int, acc: np.ndarray) -> None:
+    def _compute(self, stage: Stencil, t: int) -> None:
         pending = [ex for ex in self.exchangers.values() if ex.pending]
         if not pending:
-            self.engine.accumulate(stage, t, acc)
+            self.engine.compute(stage, t)
             return
         # compute/communication overlap: the CORE block only reads
         # interior cells of the history planes, so it is computed while
         # the newest plane's ghost blocks are still in flight; the
         # OWNED shell waits for them
         rank = self.comm.rank
-        core, owned = core_owned_regions(self.sub.shape, stage.radius)
+        core, owned = self._split[stage.output.name]
         if core is not None:
             with span("runtime.core_compute", rank=rank, t=t):
-                self.engine.accumulate(stage, t, acc, lambda _k: [core])
+                self.engine.compute(stage, t, lambda _k: core)
         for ex in pending:
             ex.finish_exchange()
         with span("runtime.owned_compute", rank=rank, t=t,
                   slabs=len(owned)):
-            self.engine.accumulate(stage, t, acc, lambda _k: owned)
+            self.engine.compute(stage, t, lambda _k: owned)
 
     def step(self) -> None:
         with span("runtime.step", rank=self.comm.rank,
@@ -136,11 +144,12 @@ def _run_distributed(program: Union[Stencil, StagePipeline],
                      boundary: str = "zero", inputs=None,
                      exchanger: str = "async", subdomains=None,
                      scalars=None, faults=None, exchange_mode=None
-                     ) -> Dict[str, np.ndarray]:
+                     ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
     """The driver behind :func:`distributed_run` and
     ``distributed_pipeline_run``: validate once, before any rank starts;
     then each rank scatters, steps and gathers.  Returns the global
-    newest plane of every stage output.
+    newest plane of every stage output and the ranks' summed
+    ``BlockEngine.plan_stats``.
     """
     pipeline, history = as_pipeline(program)
     outputs = pipeline.outputs
@@ -201,7 +210,8 @@ def _run_distributed(program: Union[Stencil, StagePipeline],
             ex.finish_exchange()
         with span("runtime.gather", rank=comm.rank):
             pieces = comm.gather(
-                (dist.sub.rank, dist.engine.results()), root=0
+                (dist.sub.rank, dist.engine.results(),
+                 dist.engine.plan_stats), root=0
             )
         if comm.rank != 0:
             return None
@@ -209,11 +219,13 @@ def _run_distributed(program: Union[Stencil, StagePipeline],
             out.name: np.zeros(pipeline.shape, dtype=out.dtype.np_dtype)
             for out in outputs
         }
-        for rank, local in pieces:
+        plans: Counter = Counter()
+        for rank, local, stats in pieces:
             own = subdomains[int(rank)].slices()
             for name, data in local.items():
                 result[name][own] = data
-        return result
+            plans.update(stats)
+        return result, dict(plans)
 
     label = "+".join(out.name for out in outputs)
     counter("runtime.runs", backend="numpy", exchange_mode=mode)
@@ -265,4 +277,4 @@ def distributed_run(stencil: Stencil, init: Sequence[np.ndarray],
     return _run_distributed(
         stencil, {name: init}, timesteps, grid, boundary, inputs,
         exchanger, subdomains, scalars, faults, exchange_mode,
-    )[name]
+    )[0][name]

@@ -12,7 +12,10 @@ from __future__ import annotations
 from hypothesis import HealthCheck
 from hypothesis import strategies as st
 
-from repro.ir import Kernel, SpNode, Stencil, VarExpr, f64
+from repro.ir import Kernel, SpNode, Stencil, VarExpr, f32, f64, i32
+from repro.ir.expr import (
+    KNOWN_FUNCS, CallFuncExpr, ConstExpr, OperatorExpr,
+)
 from repro.schedule import Schedule
 
 __all__ = [
@@ -20,6 +23,7 @@ __all__ = [
     "boundaries",
     "box_stencil_cases",
     "coefficients",
+    "expression_kernel_cases",
     "legal_schedules",
     "process_grids",
     "seeds",
@@ -151,6 +155,72 @@ def box_stencil_cases(draw, ndim: int = 2, dtype=f64, max_radius: int = 2,
         expr = term if expr is None else expr + term
     kern = Kernel("B_rand", ivars, expr)
     return Stencil(tensor, kern[Stencil.t - 1]), kern, shape
+
+
+#: arity of every external function the IR knows
+FUNC_ARITY = {name: 2 if name in ("pow", "fmin", "fmax") else 1
+              for name in KNOWN_FUNCS}
+
+#: runtime scalars the generated kernels may read
+SCALAR_NAMES = ("w0", "w1")
+
+
+@st.composite
+def expression_kernel_cases(draw, out_dtype=None, max_leaves: int = 10):
+    """A random 2-D kernel over *every* expression node kind.
+
+    Leaves are reads of the output tensor ``A`` (window 3), reads of an
+    auxiliary tensor ``C`` — whose dtype may differ from ``A``'s — at any
+    time depth, int and float literals and the free scalars
+    :data:`SCALAR_NAMES`; inner nodes are ``neg``/``add``/``sub``/
+    ``mul``/``div`` and every ``KNOWN_FUNCS`` call.  Nothing is drawn
+    towards being an array: constants-only kernels and bare accesses
+    occur.  Returns ``(kernel, A, C, scalars)``; nodes are built
+    explicitly (``VarExpr + int`` would become an ``IndexExpr``).
+    """
+    radius = draw(st.integers(1, 2))
+    shape = draw(shapes(2, min_side=4 * radius + 2, max_side=12))
+    if out_dtype is None:
+        out_dtype = draw(st.sampled_from([f32, f64]))
+    aux_dtype = draw(st.sampled_from([f32, f64, i32]))
+    j, i = (VarExpr(n) for n in AXIS_VARS[2])
+    A = SpNode("A", shape, out_dtype, halo=(radius,) * 2, time_window=3)
+    C = SpNode("C", shape, aux_dtype, halo=(radius,) * 2, time_window=8)
+
+    offset = st.integers(-radius, radius)
+    reads_a = st.builds(lambda dj, di: A[j + dj, i + di], offset, offset)
+    reads_c = st.builds(
+        lambda depth, dj, di: C.at(-depth)[j + dj, i + di],
+        st.integers(0, 7), offset, offset,
+    )
+    literals = st.one_of(
+        st.integers(-3, 3),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    ).map(ConstExpr)
+    scalars = st.sampled_from(SCALAR_NAMES).map(
+        lambda name: VarExpr(name, "f64"))
+    leaves = st.one_of(reads_a, reads_a, reads_c, literals, scalars)
+
+    def grow(children):
+        calls = [
+            st.builds(lambda *args, name=name: CallFuncExpr(name, args),
+                      *[children] * arity)
+            for name, arity in FUNC_ARITY.items()
+        ]
+        return st.one_of(
+            st.builds(lambda a: OperatorExpr("neg", (a,)), children),
+            *[st.builds(lambda a, b, op=op: OperatorExpr(op, (a, b)),
+                        children, children)
+              for op in ("add", "sub", "mul", "div")],
+            st.one_of(*calls),
+        )
+
+    expr = draw(st.recursive(leaves, grow, max_leaves=max_leaves))
+    values = {
+        name: draw(st.floats(-1.5, 1.5, allow_nan=False))
+        for name in SCALAR_NAMES
+    }
+    return Kernel("K_rand", (j, i), expr), A, C, values
 
 
 @st.composite

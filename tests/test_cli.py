@@ -88,6 +88,21 @@ class TestRun:
         # the printed norms are identical: the mode never changes numerics
         assert outputs["basic"] == outputs["diag"] == outputs["overlap"]
 
+    def test_run_reports_numpy_plans(self, msc_file, capsys):
+        """The numpy counterpart of the ``native: plan ...`` line — on
+        stderr, because it differs by exchange mode and stdout is the
+        mode-independent result report."""
+        assert main(["run", msc_file, "--steps", "4",
+                     "--exchange-mode", "basic"]) == 0
+        # 4 ranks x (whole block x 2 terms x 3 window rotations), then
+        # the fourth step re-uses the first step's plans
+        assert ("numpy: lowered 1 kernel(s), 24 binds, 8 reuses\n"
+                in capsys.readouterr().err)
+        assert main(["run", msc_file, "--steps", "4", "--serial",
+                     "--backend", "numpy"]) == 0
+        assert ("numpy: lowered 1 kernel(s), 6 binds, 2 reuses\n"
+                in capsys.readouterr().err)
+
     def test_run_exchange_mode_rejected_by_parser(self, msc_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

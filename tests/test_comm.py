@@ -559,3 +559,64 @@ class TestExchangeModeContracts:
             ex.reset_counters()
             assert ex.messages == 0 and ex.bytes_sent == 0
             assert ex.retries == 0
+
+
+class TestPerExchangeInvariants:
+    """What depends on geometry and topology only is worked out once
+    per exchanger, not per exchange."""
+
+    def test_transfers_are_built_once_and_carry_their_counts(self):
+        def main(comm):
+            spec = HaloSpec((4, 6), (1, 2))
+            plane = np.empty(spec.padded_shape)
+            ex = AsyncHaloExchanger(comm, spec)
+            phases = [ex._phase_transfers(d) for d in range(2)]
+            again = [ex._phase_transfers(d) for d in range(2)]
+            diag = ex._diag_transfers()
+            counts = [
+                (tr.send_count, tr.recv_count,
+                 sum(plane[s].size for s in tr.send_strips),
+                 sum(plane[s].size for s in tr.recv_strips))
+                for tr in phases[0] + phases[1] + diag
+            ]
+            return (all(a is b for a, b in zip(phases, again)),
+                    diag is ex._diag_transfers(), counts)
+
+        for same_phases, same_diag, counts in run_ranks(
+                4, main, cart_dims=(2, 2), periods=(True, True)):
+            assert same_phases and same_diag
+            assert counts
+            for send_count, recv_count, sent, received in counts:
+                assert (send_count, recv_count) == (sent, received)
+
+    @pytest.mark.parametrize("periods,expected", [
+        ((True, True), 0), ((False, False), 2), ((False, True), 1)])
+    def test_edge_ghosts_are_the_neighbourless_strips(self, periods,
+                                                      expected):
+        def main(comm):
+            spec = HaloSpec((4, 4), (1, 1))
+            ex = AsyncHaloExchanger(comm, spec)
+            want = [r.recv for r in ex.regions if ex._neighbour(r) < 0]
+            return ex.edge_ghosts == want, len(ex.edge_ghosts)
+
+        for matches, count in run_ranks(4, main, cart_dims=(2, 2),
+                                        periods=periods):
+            # on a 2x2 grid every rank sits on one edge per open dim
+            assert matches and count == expected
+
+    def test_recycled_plane_ghosts_cleared_on_open_edges(self):
+        """A zero-boundary distributed run over more steps than the
+        window holds planes: stale ghosts on the global edge would
+        leak into the result."""
+        from repro.backend.numpy_backend import reference_run
+        from repro.frontend.stencils import build_benchmark
+        from repro.runtime.executor import distributed_run
+
+        prog, _ = build_benchmark("2d9pt_box", grid=(16, 16))
+        rng = np.random.default_rng(8)
+        init = [rng.random((16, 16)) for _ in range(2)]
+        ref = reference_run(prog.ir, init, 7, "zero")
+        for mode in EXCHANGE_MODES:
+            got = distributed_run(prog.ir, init, 7, (2, 2),
+                                  exchange_mode=mode)
+            assert got.tobytes() == ref.tobytes(), mode

@@ -452,6 +452,37 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "spm-dma" in out
 
+    def test_bench_compare_never_rewrites_its_baseline(
+            self, tmp_path, monkeypatch, capsys):
+        """``--compare FILE`` with the default ``--out`` (= FILE) used
+        to overwrite FILE first and then compare it with itself."""
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("benchmarks/results")
+        assert main(["bench", "3d7pt_star@sunway",
+                     "--repeats", "2", "--warmup", "0"]) == 0
+        base = tmp_path / "BENCH_3d7pt_star_sunway.json"
+        mirror = tmp_path / "benchmarks/results/3d7pt_star_sunway.json"
+        before = base.read_bytes(), mirror.read_bytes()
+        capsys.readouterr()
+        # same name, so the default --out is the baseline itself
+        rc = main([
+            "bench", "3d7pt_star@sunway", "--repeats", "2",
+            "--warmup", "0", "--perturb", "dma_startup_us=10",
+            "--compare", "BENCH_3d7pt_star_sunway.json",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1 and "REGRESSION" in out
+        assert "not written" in out and "--compare baseline" in out
+        assert (base.read_bytes(), mirror.read_bytes()) == before
+        # report-only keeps its exit code semantics, and the file
+        assert main([
+            "bench", "3d7pt_star@sunway", "--repeats", "2",
+            "--warmup", "0", "--perturb", "dma_startup_us=10",
+            "--report-only", "--compare",
+            str(tmp_path / "benchmarks/results/3d7pt_star_sunway.json"),
+        ]) == 0
+        assert (base.read_bytes(), mirror.read_bytes()) == before
+
     def test_bench_report_only_exits_zero(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "3d7pt_star@sunway",
