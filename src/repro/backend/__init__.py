@@ -5,7 +5,7 @@ AOT generation of standard C plus Makefiles for the ``cpu``, ``matrix``
 executable numpy backend used to run and verify schedules in-process.
 """
 
-from .c_codegen import CCodeGenerator, GeneratedCode, render_expr_c
+from .c_codegen import CCodeGenerator, GeneratedCode, render_kernel_c
 from .sunway import SunwayCodeGenerator, generate_sunway
 from .makefile import generate_makefile, toolchain_cflags, TOOLCHAINS
 from .native import (
@@ -34,7 +34,7 @@ from .numpy_backend import (
 )
 
 __all__ = [
-    "CCodeGenerator", "GeneratedCode", "render_expr_c",
+    "CCodeGenerator", "GeneratedCode", "render_kernel_c",
     "SunwayCodeGenerator", "generate_sunway",
     "generate_makefile", "toolchain_cflags", "TOOLCHAINS",
     "ArtifactCache", "NativeBuildError", "NativeExecutor",

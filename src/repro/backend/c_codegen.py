@@ -26,6 +26,7 @@ the newest valid plane after ``timesteps`` sweeps.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,21 +35,16 @@ from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from ..ir.expr import (
-    CallFuncExpr,
-    ConstExpr,
-    Expr,
-    OperatorExpr,
-    TensorAccess,
-    VarExpr,
-)
+from ..ir.analysis import free_scalars
 from ..ir.kernel import Kernel, KernelApply
+from ..ir.program import TEMP, VALUE, Operand
 from ..ir.stencil import Stencil
 from ..ir.validate import ValidationError, validate_stencil
 from ..schedule.loopnest import LoopNest
 from ..schedule.schedule import Schedule
 
-__all__ = ["GeneratedCode", "SweepRun", "CCodeGenerator", "render_expr_c"]
+__all__ = ["GeneratedCode", "SweepRun", "CCodeGenerator", "bound_scalars",
+           "c_literal", "render_kernel_c"]
 
 
 @dataclass
@@ -108,56 +104,89 @@ class SweepRun(NamedTuple):
     aux: List[int]  #: positions in ``aux_tensors`` of the inputs it reads
 
 
-def render_expr_c(expr: Expr,
-                  plane_of: Callable[[str, int], str],
-                  halos: Mapping[str, Sequence[int]],
-                  var_names: Sequence[str]) -> str:
-    """Render an expression to C.
+def bound_scalars(stencils: Sequence[Stencil],
+                  scalars: Optional[Mapping[str, float]]
+                  ) -> Dict[str, float]:
+    """``scalars`` as a dict, once it is known to give every runtime
+    scalar the kernels of ``stencils`` read a value."""
+    scalars = dict(scalars) if scalars else {}
+    missing = sorted({
+        name for stencil in stencils for name in free_scalars(stencil)
+        if name not in scalars
+    })
+    if missing:
+        raise ValueError(
+            f"kernel(s) read runtime scalars {missing} with no bound "
+            "values; pass scalars={...} (or set_scalar on the program)"
+        )
+    return scalars
 
-    ``plane_of(tensor, time_offset)`` returns the C expression for the
-    plane base pointer; accesses become ``AT_<T>(plane, k + <h+off>, ...)``
-    macro calls where the loop variables are the *valid-domain*
-    coordinates and the macro adds nothing (the halo shift is folded
-    into the rendered offset).
+
+def c_literal(value) -> str:
+    """A folded constant as a C real of the working precision.
+
+    Always a cast double literal, whatever python type the fold left:
+    a bare ``1`` would make C do ``1 / 2`` in ``int``, and a double
+    literal would promote an fp32 expression.  ``repr`` round-trips, so
+    C rounds the same double to ``real`` that numpy rounds.
     """
-    if isinstance(expr, ConstExpr):
-        if isinstance(expr.value, float):
-            # cast to the working precision so fp32 programs do their
-            # arithmetic in float (C would otherwise promote every
-            # double literal and drift bitwise from the numpy backend)
-            return f"((real){expr.value!r})"
-        return str(expr.value)
-    if isinstance(expr, VarExpr):
-        return expr.name
-    if isinstance(expr, TensorAccess):
-        name = expr.tensor.name
-        halo = halos[name]
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"constant {value!r} has no C literal")
+    return f"((real){value!r})"
+
+
+_C_OPERATORS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def render_kernel_c(kernel: Kernel, scalars: Mapping[str, float],
+                    plane_of: Callable[[str, int], str],
+                    halos: Mapping[str, Sequence[int]]) -> str:
+    """``kernel``'s update expression as a C expression.
+
+    Printed from ``kernel.program`` folded with ``scalars`` — the
+    instruction list the numpy engine runs, in its order, one
+    parenthesised C operation per instruction, so association is the
+    same on both sides and constants (literals and scalars alike) reach
+    C as the values the fold decided.  ``plane_of(tensor,
+    time_offset)`` returns the C expression for the plane base pointer;
+    a read becomes ``AT_<T>(plane, k + <h+off>, ...)`` where the loop
+    variables are *valid-domain* coordinates (the halo shift is folded
+    into the printed offset).
+    """
+    program = kernel.program
+    code, result = program.fold(scalars)
+    texts: List[str] = []  # per instruction of ``code``
+
+    def text(operand: Operand) -> str:
+        kind, payload = operand
+        if kind == TEMP:
+            return texts[payload]
+        if kind == VALUE:
+            return c_literal(payload)
+        access = program.accesses[payload]
+        name = access.tensor.name
         parts = []
-        for d, ix in enumerate(expr.indices):
-            total = halo[d] + ix.offset
+        for ix, h in zip(access.indices, halos[name]):
+            total = h + ix.offset
             if total == 0:
                 parts.append(ix.var.name)
             elif total > 0:
                 parts.append(f"{ix.var.name} + {total}")
             else:
                 parts.append(f"{ix.var.name} - {-total}")
-        plane = plane_of(name, expr.time_offset)
+        plane = plane_of(name, access.time_offset)
         return f"AT_{name}({plane}, {', '.join(parts)})"
-    if isinstance(expr, OperatorExpr):
-        rendered = [
-            render_expr_c(o, plane_of, halos, var_names)
-            for o in expr.operands
-        ]
-        if expr.op == "neg":
-            return f"(-{rendered[0]})"
-        spell = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[expr.op]
-        return f"({rendered[0]} {spell} {rendered[1]})"
-    if isinstance(expr, CallFuncExpr):
-        args = ", ".join(
-            render_expr_c(a, plane_of, halos, var_names) for a in expr.args
-        )
-        return f"{expr.func}({args})"
-    raise TypeError(f"cannot render {type(expr).__name__} to C")
+
+    for name, operands in code:
+        args = [text(operand) for operand in operands]
+        if name == "neg":
+            texts.append(f"(-{args[0]})")
+        elif name in _C_OPERATORS:
+            texts.append(f"({args[0]} {_C_OPERATORS[name]} {args[1]})")
+        else:  # a KNOWN_FUNCS name is its libm name
+            texts.append(f"{name}({', '.join(args)})")
+    return text(result)
 
 
 class CCodeGenerator:
@@ -174,17 +203,7 @@ class CCodeGenerator:
                  nthreads: Optional[int] = None,
                  scalars: Optional[Mapping[str, float]] = None):
         validate_stencil(stencil)
-        from ..ir.analysis import free_scalars
-
-        self.scalars = dict(scalars) if scalars else {}
-        missing = [
-            n for n in free_scalars(stencil) if n not in self.scalars
-        ]
-        if missing:
-            raise ValueError(
-                f"kernel(s) read runtime scalars {missing} with no bound "
-                "values; pass scalars={...} (or set_scalar on the program)"
-            )
+        self.scalars = bound_scalars([stencil], scalars)
         if boundary not in ("zero", "periodic", "reflect"):
             raise ValueError(
                 f"C backend supports zero/periodic/reflect boundaries, "
@@ -273,8 +292,6 @@ class CCodeGenerator:
             lines.append(self._at_macro(aux))
         valid = " * ".join(f"(long){n}" for n in names)
         lines.append(f"#define VALID_ELEMS ({valid})")
-        for sname, sval in sorted(self.scalars.items()):
-            lines.append(f"static const real {sname} = {sval!r};")
         return "\n".join(lines)
 
     def halo_fill(self) -> str:
@@ -489,13 +506,13 @@ class CCodeGenerator:
         # rendered once per kernel with `{depth}` plane slots, then
         # instantiated per term; the halo shift is folded into offsets
         if kern.name not in self._rendered:
-            self._rendered[kern.name] = render_expr_c(
-                kern.expr,
+            self._rendered[kern.name] = render_kernel_c(
+                kern, self.scalars,
                 lambda tensor, time_offset: (
                     f"{{{-time_offset}}}" if tensor == out.name
                     else f"{tensor}_buf"
                 ),
-                halos, [lv.name for lv in kern.loop_vars],
+                halos,
             )
         rendered = self._rendered[kern.name]
         planes = [f"{out.name}_m{d}" for d in range(out.time_window)]

@@ -22,12 +22,12 @@ library implements the same protocol and *is* executed in the tests).
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List, Mapping, Optional
 
 from ..ir.stencil import Stencil
 from ..ir.validate import validate_stencil
 from ..schedule.schedule import Schedule
-from .c_codegen import GeneratedCode, render_expr_c
+from .c_codegen import GeneratedCode, bound_scalars, render_kernel_c
 
 __all__ = ["MPICodeGenerator", "generate_mpi", "COMM_HEADER", "COMM_SOURCE"]
 
@@ -355,8 +355,10 @@ class MPICodeGenerator:
     """Emit the distributed stencil program + the comm library in C."""
 
     def __init__(self, stencil: Stencil, schedules: Mapping[str, Schedule],
-                 mpi_grid, boundary: str = "zero"):
+                 mpi_grid, boundary: str = "zero",
+                 scalars: Optional[Mapping[str, float]] = None):
         validate_stencil(stencil)
+        self.scalars = bound_scalars([stencil], scalars)
         if boundary not in ("zero", "periodic"):
             raise ValueError(
                 f"MPI codegen supports zero/periodic, got {boundary!r}"
@@ -416,14 +418,14 @@ class MPICodeGenerator:
         ]
         # one sweep per kernel over the local sub-domain; the declared
         # halo equals the runtime ctx.halo, so the halo-folded subscripts
-        # rendered by render_expr_c index the padded local planes
+        # rendered by render_kernel_c index the padded local planes
         seen = set()
         for _, app in st.combination_terms():
             kern = app.kernel
             if kern.name in seen:
                 continue
             seen.add(kern.name)
-            body = render_expr_c(kern.expr, plane_of, halos, dims)
+            body = render_kernel_c(kern, self.scalars, plane_of, halos)
             acc_idx = dims[0]
             for d in range(1, self.ndim):
                 acc_idx = f"({acc_idx}) * nloc[{d}] + ({dims[d]})"
@@ -569,9 +571,10 @@ class MPICodeGenerator:
 
 
 def generate_mpi(stencil: Stencil, schedules: Mapping[str, Schedule],
-                 name: str, mpi_grid,
-                 boundary: str = "zero") -> GeneratedCode:
+                 name: str, mpi_grid, boundary: str = "zero",
+                 scalars: Optional[Mapping[str, float]] = None
+                 ) -> GeneratedCode:
     """Generate the distributed C bundle (program + comm library)."""
     return MPICodeGenerator(
-        stencil, schedules, mpi_grid, boundary
+        stencil, schedules, mpi_grid, boundary, scalars
     ).generate(name)

@@ -17,11 +17,13 @@ Sec. 5.1 methodology: generated codes must match the serial codes to
 Expression evaluation is fully vectorized: each
 :class:`~repro.ir.expr.TensorAccess` becomes a shifted *view* of the
 padded plane (no copies), and operator nodes map to numpy ufuncs.  The
-oracle walks the expression tree on every call; the engine lowers each
-kernel once to a flat ufunc program (:class:`KernelProgram`), binds it
-per region to views and scratch registers, and writes every timestep
-straight into its window plane — the same ufuncs on the same operands
-in the same order, so the two stay bit-identical by construction.
+oracle walks the expression tree on every call; the engine takes each
+kernel's lowered program (:attr:`Kernel.program
+<repro.ir.kernel.Kernel.program>`, the form the C emitters print),
+types it once per term (:class:`TermProgram`), binds it per region to
+views and scratch registers, and writes every timestep straight into
+its window plane — the same ufuncs on the same operands in the same
+order, so the two stay bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from ..ir.expr import (
 )
 from ..ir.kernel import Kernel
 from ..ir.pipeline import StagePipeline
+from ..ir.program import SLOT, TEMP, VALUE, KernelProgram, Operand
 from ..ir.stencil import Stencil
 from ..ir.tensor import SpNode
 from ..obs import counter, span
@@ -58,9 +61,7 @@ from ..schedule.timewindow import SlidingTimeWindow
 __all__ = [
     "evaluate_kernel",
     "reference_run",
-    "KernelProgram",
     "TermProgram",
-    "kernel_program",
     "BlockEngine",
     "ScheduledExecutor",
     "fill_halo",
@@ -341,112 +342,26 @@ def as_pipeline(program: Union[Stencil, StagePipeline]
 # What the engine runs instead of walking the tree, in three stages each
 # done as rarely as its inputs change:
 #
-#   lower  Kernel -> KernelProgram              once per kernel node
-#   type   + scalars, scale, dtype -> TermProgram   once per engine term
-#   bind   + region, planes -> [(ufunc, args, out)]   once per region
-#                                                     and window rotation
+#   lower  Kernel -> KernelProgram (repro.ir.program)   once per kernel node
+#   type   + scalars, scale, dtype -> TermProgram       once per engine term
+#   bind   + region, planes -> [(ufunc, args, out)]     once per region
+#                                                       and window rotation
 #
 # ``reference_run`` above keeps the tree walk: it is the oracle and must
 # not share the engine's lowering.
 
-#: operand kinds: a tensor-access slot, the result of an earlier
-#: instruction, a free scalar's name, a python/numpy scalar, a scratch
-#: register, a scalar broadcast to the region
-_SLOT, _TEMP, _VAR, _VALUE, _REG, _SPLAT = range(6)
+#: operand kinds of a typed program, beside the lowered program's slot
+#: and value: a scratch register, a scalar broadcast to the region
+_REG, _SPLAT = "reg", "splat"
 
-#: per operator: what ``_eval`` computes on plain scalars and the ufunc
-#: the same python operator dispatches to when an operand is an array
-_OPERATORS = {
-    "neg": (operator.neg, np.negative),
-    "add": (operator.add, np.add),
-    "sub": (operator.sub, np.subtract),
-    "mul": (operator.mul, np.multiply),
-    "div": (operator.truediv, np.true_divide),
+#: per instruction name, the ufunc the python operator (or call) of
+#: ``_eval`` dispatches to when an operand is an array
+_UFUNCS = {
+    "neg": np.negative, "add": np.add, "sub": np.subtract,
+    "mul": np.multiply, "div": np.true_divide, **_NUMPY_FUNCS,
 }
 
-Operand = Tuple[int, Any]
-
-
-class KernelProgram:
-    """A kernel's update expression as a flat post-order program.
-
-    ``accesses`` are the distinct tensor reads (the *slots*).  Each
-    instruction of ``code`` is ``(fold, ufunc, operands)``: an operand
-    references a slot, a literal, a free scalar by name or the result
-    of an earlier instruction; ``ufunc`` is what ``_eval`` applies when
-    an operand is an array, ``fold`` what it applies to plain scalars.
-    ``result`` references the kernel's value.  Holds no data and no
-    scalar values: one program serves every engine and every run.
-    """
-
-    __slots__ = ("accesses", "code", "result")
-
-    def __init__(self, kernel: Kernel):
-        slots: Dict[Tuple, int] = {}
-        accesses: List[TensorAccess] = []
-        code: List[Tuple[Callable, Callable, Tuple[Operand, ...]]] = []
-        done: List[Operand] = []  # values of the finished sub-trees
-        todo = [(kernel.expr, False)]
-        while todo:
-            node, expanded = todo.pop()
-            if isinstance(node, ConstExpr):
-                done.append((_VALUE, node.value))
-            elif isinstance(node, TensorAccess):
-                key = (node.tensor.name, node.time_offset, node.offsets)
-                if key not in slots:
-                    slots[key] = len(accesses)
-                    accesses.append(node)
-                done.append((_SLOT, slots[key]))
-            elif isinstance(node, VarExpr):
-                done.append((_VAR, node.name))
-            elif isinstance(node, (OperatorExpr, CallFuncExpr)):
-                children = node.children()
-                if not expanded:
-                    todo.append((node, True))
-                    todo.extend((c, False) for c in reversed(children))
-                    continue
-                split = len(done) - len(children)
-                if isinstance(node, OperatorExpr):
-                    fold, ufunc = _OPERATORS[node.op]
-                else:
-                    fold = ufunc = _NUMPY_FUNCS[node.func]
-                code.append((fold, ufunc, tuple(done[split:])))
-                del done[split:]
-                done.append((_TEMP, len(code) - 1))
-            elif isinstance(node, IndexExpr):
-                raise TypeError(
-                    "bare index expressions outside tensor subscripts are "
-                    "not valid stencil values"
-                )
-            else:
-                raise TypeError(
-                    f"cannot evaluate IR node {type(node).__name__}"
-                )
-        self.accesses = tuple(accesses)
-        self.code = tuple(code)
-        (self.result,) = done
-
-
-#: where a Kernel node keeps its program (the node is frozen, so the
-#: program cannot go stale: the functools.cached_property storage
-#: scheme, as ``ir.validate`` keeps a stencil's issues)
-_PROGRAM_SLOT = "_numpy_program"
 _LOWER_LOCK = threading.Lock()  # rank threads share kernel nodes
-
-
-def kernel_program(kernel: Kernel) -> Tuple[KernelProgram, bool]:
-    """``kernel``'s program and whether this call lowered it (it is
-    lowered once per node, whichever engine or rank asks first)."""
-    program = kernel.__dict__.get(_PROGRAM_SLOT)
-    if program is not None:
-        return program, False
-    with _LOWER_LOCK:
-        program = kernel.__dict__.get(_PROGRAM_SLOT)
-        if program is not None:
-            return program, False
-        program = kernel.__dict__[_PROGRAM_SLOT] = KernelProgram(kernel)
-    counter("numpy.plan.lower", kernel=kernel.name)
-    return program, True
 
 
 def _cast(src: np.ndarray, out: np.ndarray) -> None:
@@ -457,16 +372,17 @@ def _cast(src: np.ndarray, out: np.ndarray) -> None:
 class TermProgram:
     """One combination term ``scale * kernel``, typed for one engine.
 
-    Scalar-only sub-expressions are folded with the engine's bound
-    scalars exactly as ``_eval`` folds them (python arithmetic, so a
-    python float stays a weak scalar).  Every array instruction gets
-    the dtype its sub-expression has under the interpreter — found by
-    applying the same ufunc to empty operands of the same dtypes — and
-    a scratch register of that dtype, handed on as soon as its value is
-    consumed (a left-deep 9-point sum needs two).  ``code`` ends with
-    the term's ``scale *`` and, when the dtypes differ, the cast to the
-    output dtype as its own instruction; its last register holds the
-    term's contribution.  Unbound free scalars are reported here.
+    Takes the kernel's program folded with the engine's bound scalars
+    (:meth:`KernelProgram.fold`: constants are values by now, decided
+    as ``_eval`` decides them, so a python float stays a weak scalar).
+    Every instruction gets the dtype its sub-expression has under the
+    interpreter — found by applying the same ufunc to empty operands of
+    the same dtypes — and a scratch register of that dtype, handed on
+    as soon as its value is consumed (a left-deep 9-point sum needs
+    two).  ``code`` ends with the term's ``scale *`` and, when the
+    dtypes differ, the cast to the output dtype as its own instruction;
+    its last register holds the term's contribution.  Unbound free
+    scalars are reported here.
     """
 
     __slots__ = ("accesses", "code", "reg_dtypes", "_calls", "_scalars",
@@ -480,32 +396,20 @@ class TermProgram:
         self.code: List[Tuple[Callable, Tuple[Operand, ...], int]] = []
         self.reg_dtypes: List[np.dtype] = []
         free: Dict[np.dtype, List[int]] = {}
-        values: List[Operand] = []  # per lowered instruction
+        placed: List[Operand] = []  # per folded instruction: its register
 
         def typed(ref: Operand) -> Operand:
-            kind, payload = ref
-            if kind == _TEMP:
-                return values[payload]
-            if kind == _VAR:
-                try:
-                    return _VALUE, scalars[payload]
-                except KeyError:
-                    raise KeyError(
-                        f"free scalar {payload!r} has no bound value"
-                    ) from None
-            return ref
+            return placed[ref[1]] if ref[0] == TEMP else ref
 
-        for fold, ufunc, refs in program.code:
-            operands = tuple(typed(ref) for ref in refs)
-            if all(kind == _VALUE for kind, _ in operands):
-                values.append((_VALUE, fold(*(p for _, p in operands))))
-            else:
-                values.append(self._emit(free, ufunc, operands))
-        value = typed(program.result)
-        if value[0] == _VALUE:
+        folded, value = program.fold(scalars)
+        for name, refs in folded:
+            placed.append(self._emit(
+                free, _UFUNCS[name], tuple(typed(ref) for ref in refs)))
+        value = typed(value)
+        if value[0] == VALUE:
             # a constants-only kernel: ``evaluate_kernel`` broadcasts it
             value = (_SPLAT, np.asarray(value[1]))
-        value = self._emit(free, np.multiply, ((_VALUE, scale), value))
+        value = self._emit(free, np.multiply, ((VALUE, scale), value))
         if self.reg_dtypes[value[1]] != out_dtype:
             self._emit(free, _cast, (value,), out_dtype)
 
@@ -520,7 +424,7 @@ class TermProgram:
         for fn, operands, reg in self.code:
             picks = []
             for kind, payload in operands:
-                if kind == _SLOT:
+                if kind == SLOT:
                     picks.append(payload)
                 elif kind == _REG:
                     picks.append(first_reg + payload)
@@ -535,9 +439,9 @@ class TermProgram:
     def _probe(self, operand: Operand):
         """A stand-in with the operand's type-resolution behaviour."""
         kind, payload = operand
-        if kind == _VALUE:
+        if kind == VALUE:
             return payload
-        if kind == _SLOT:
+        if kind == SLOT:
             return np.empty(0, self.accesses[payload].tensor.dtype.np_dtype)
         return np.empty(
             0, self.reg_dtypes[payload] if kind == _REG else payload.dtype
@@ -635,8 +539,13 @@ class BlockEngine:
         for stage in self.pipeline.stages:
             terms = self._terms[stage.output.name] = []
             for scale, app in stage.combination_terms():
-                lowered, fresh = kernel_program(app.kernel)
-                self.plan_stats["lower"] += fresh
+                kernel = app.kernel
+                with _LOWER_LOCK:
+                    fresh = "program" not in vars(kernel)
+                    lowered = kernel.program
+                if fresh:
+                    counter("numpy.plan.lower", kernel=kernel.name)
+                    self.plan_stats["lower"] += 1
                 terms.append(_Term(scale, app, lowered))
         self._whole = (tuple((0, s) for s in self.shape),)
         self._cells = math.prod(self.shape)

@@ -23,14 +23,14 @@ every input staged, round-robin tile→CPE mapping, DMA placement).
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List, Mapping, Optional
 
 from ..ir.kernel import Kernel
 from ..ir.stencil import Stencil
 from ..machine.spec import SUNWAY_CG, MachineSpec
 from ..schedule.legality import check_schedule
 from ..schedule.schedule import Schedule
-from .c_codegen import CCodeGenerator, GeneratedCode, render_expr_c
+from .c_codegen import CCodeGenerator, GeneratedCode, render_kernel_c
 
 __all__ = ["SunwayCodeGenerator", "generate_sunway"]
 
@@ -40,8 +40,10 @@ class SunwayCodeGenerator(CCodeGenerator):
 
     def __init__(self, stencil: Stencil, schedules: Mapping[str, Schedule],
                  boundary: str = "zero",
-                 machine: MachineSpec = SUNWAY_CG):
-        super().__init__(stencil, schedules, boundary, use_openmp=False)
+                 machine: MachineSpec = SUNWAY_CG,
+                 scalars: Optional[Mapping[str, float]] = None):
+        super().__init__(stencil, schedules, boundary, use_openmp=False,
+                         scalars=scalars)
         self.machine = machine
         for name, sched in self.schedules.items():
             check_schedule(sched, self.nests[name], machine)
@@ -167,7 +169,8 @@ class SunwayCodeGenerator(CCodeGenerator):
                     f"#define AT_{aux.name}(p, {', '.join(dims)}) "
                     f"((p)[{idx}])"
                 )
-            rendered = render_expr_c(kern.expr, plane_of, halos_local, dims)
+            rendered = render_kernel_c(kern, self.scalars, plane_of,
+                                       halos_local)
             planes_read = len({a.time_offset for a in kern.accesses})
             w_idx = dims[0]
             for d in range(1, len(dims)):
@@ -605,6 +608,10 @@ class SunwayCodeGenerator(CCodeGenerator):
 
 
 def generate_sunway(stencil: Stencil, schedules: Mapping[str, Schedule],
-                    name: str, boundary: str = "zero") -> GeneratedCode:
+                    name: str, boundary: str = "zero",
+                    scalars: Optional[Mapping[str, float]] = None
+                    ) -> GeneratedCode:
     """Generate the athread master/slave bundle for a stencil."""
-    return SunwayCodeGenerator(stencil, schedules, boundary).generate(name)
+    return SunwayCodeGenerator(
+        stencil, schedules, boundary, scalars=scalars
+    ).generate(name)

@@ -48,9 +48,10 @@ def generate(stencil: Stencil, schedules: Mapping[str, Schedule],
                     "program or pass mpi_grid=...)"
                 )
             code = generate_mpi(stencil, schedules, name, mpi_grid,
-                                boundary)
+                                boundary, scalars)
         elif target == "sunway":
-            gen = SunwayCodeGenerator(stencil, schedules, boundary)
+            gen = SunwayCodeGenerator(stencil, schedules, boundary,
+                                      scalars=scalars)
             code = gen.generate(name)
         else:
             gen = CCodeGenerator(

@@ -25,7 +25,6 @@ authors can write ``c0 * B[k, j, i] + c1 * B[k, j, i - 1]`` directly.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, List, Tuple, Union
@@ -72,8 +71,6 @@ KNOWN_FUNCS = {
     "fmin": "minimum",
     "fmax": "maximum",
 }
-
-_C_OP_SPELLING = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 class Expr:
@@ -122,11 +119,6 @@ class Expr:
             yield node
             stack.extend(reversed(node.children()))
 
-    # -- pretty printing ---------------------------------------------------------
-    def c_source(self) -> str:
-        """A C-syntax rendering of the expression (used by the backends)."""
-        raise NotImplementedError
-
     # -- structural identity -----------------------------------------------------
     def _token(self) -> Tuple:
         """Everything this node holds besides its children, plus enough
@@ -163,13 +155,6 @@ class ConstExpr(Expr):
 
     value: Number
 
-    def c_source(self) -> str:
-        if isinstance(self.value, float):
-            if math.isinf(self.value) or math.isnan(self.value):
-                raise ValueError(f"non-finite constant {self.value!r} in IR")
-            return repr(self.value)
-        return str(self.value)
-
     def _token(self) -> Tuple:
         # 1 and 1.0 compare equal but render to different C
         return ("c", type(self.value).__name__, repr(self.value))
@@ -188,9 +173,6 @@ class VarExpr(Expr):
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise ValueError(f"invalid variable name {self.name!r}")
-
-    def c_source(self) -> str:
-        return self.name
 
     def _token(self) -> Tuple:
         return ("v", self.name, self.dtype_name)
@@ -221,12 +203,6 @@ class IndexExpr(Expr):
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.var,)
-
-    def c_source(self) -> str:
-        if self.offset == 0:
-            return self.var.name
-        sign = "+" if self.offset > 0 else "-"
-        return f"{self.var.name} {sign} {abs(self.offset)}"
 
     def _token(self) -> Tuple:
         return ("i", self.offset)
@@ -280,13 +256,6 @@ class TensorAccess(Expr):
     def children(self) -> Tuple[Expr, ...]:
         return self.indices
 
-    def c_source(self) -> str:
-        subs = "][".join(ix.c_source() for ix in self.indices)
-        name = getattr(self.tensor, "name", str(self.tensor))
-        if self.time_offset != 0:
-            return f"{name}_t{abs(self.time_offset)}[{subs}]"
-        return f"{name}[{subs}]"
-
     def _token(self) -> Tuple:
         return ("a", self.tensor.signature, self.time_offset,
                 len(self.indices))
@@ -313,13 +282,6 @@ class OperatorExpr(Expr):
     def children(self) -> Tuple[Expr, ...]:
         return self.operands
 
-    def c_source(self) -> str:
-        if self.op == "neg":
-            return f"(-{self.operands[0].c_source()})"
-        spell = _C_OP_SPELLING[self.op]
-        lhs, rhs = self.operands
-        return f"({lhs.c_source()} {spell} {rhs.c_source()})"
-
     def _token(self) -> Tuple:
         return ("o", self.op)  # the operator fixes the arity
 
@@ -341,10 +303,6 @@ class CallFuncExpr(Expr):
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args
-
-    def c_source(self) -> str:
-        args = ", ".join(a.c_source() for a in self.args)
-        return f"{self.func}({args})"
 
     def _token(self) -> Tuple:
         return ("f", self.func, len(self.args))
@@ -368,9 +326,6 @@ class AssignExpr(Expr):
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.target, self.value)
-
-    def c_source(self) -> str:
-        return f"{self.target.c_source()} = {self.value.c_source()};"
 
     def _token(self) -> Tuple:
         return ("=",)

@@ -24,6 +24,7 @@ from .expr import (
     as_expr,
     structural_digest,
 )
+from .program import KernelProgram
 from .tensor import SpNode
 
 __all__ = ["Kernel", "KernelApply"]
@@ -130,6 +131,13 @@ class Kernel:
         return tuple(sorted({a.time_offset for a in self.accesses}))
 
     @cached_property
+    def program(self) -> KernelProgram:
+        """The update expression lowered to the flat program every
+        backend consumes, constants folded (lowered once: the kernel is
+        immutable)."""
+        return KernelProgram(self)
+
+    @cached_property
     def fingerprint(self) -> str:
         """Structural identity: equal for two kernels exactly when
         name, loop variables and expression tree are (not when they
@@ -200,9 +208,6 @@ class KernelApply(Expr):
                 "a stencil may only combine kernels from past timesteps "
                 f"(got offset {self.time_offset})"
             )
-
-    def c_source(self) -> str:
-        return f"{self.kernel.name}[t{self.time_offset:+d}]"
 
     def _token(self) -> Tuple:
         return ("k", self.kernel.fingerprint, self.time_offset)

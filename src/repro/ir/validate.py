@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .expr import ConstExpr
+from .program import KernelProgram
 from .stencil import Stencil
 
 __all__ = ["ValidationError", "stencil_issues", "validate_stencil"]
@@ -38,7 +39,9 @@ def stencil_issues(stencil: Stencil) -> List[Tuple[str, str]]:
     """Collect every IR-level problem as ``(category, message)`` pairs.
 
     Categories: ``halo`` (radius exceeds a halo width), ``time_window``,
-    ``dimension``, ``offset``, ``future``, ``dtype``, ``degenerate``.
+    ``dimension``, ``offset``, ``future``, ``dtype``, ``degenerate``,
+    ``expression`` (a node that is no stencil value), ``constant`` (a
+    literal-only sub-expression that raises or is not finite).
     Collected once per node; later calls return the stored list.
     """
     found = stencil.__dict__.get(_ISSUES_SLOT)
@@ -119,6 +122,17 @@ def _collect_issues(stencil: Stencil) -> List[Tuple[str, str]]:
             issues.append((
                 "degenerate", f"kernel {kern.name!r} is a constant expression"
             ))
+        # a lowering of its own: ``kern.program`` is filled by the first
+        # backend to use the kernel (``numpy.plan.lower`` counts that)
+        try:
+            unfoldable = KernelProgram(kern).unfoldable
+        except TypeError as err:
+            issues.append(("expression", f"kernel {kern.name!r}: {err}"))
+        else:
+            issues += [
+                ("constant", f"kernel {kern.name!r}: constant {what}")
+                for what in unfoldable
+            ]
 
     return issues
 
@@ -133,7 +147,9 @@ def validate_stencil(stencil: Stencil) -> None:
     - offsets stay within the declared halo,
     - kernels do not read the plane currently being written (offset 0
       inside a multi-time-dependency stencil would be a race),
-    - dtype consistency across the tensors of one stencil.
+    - dtype consistency across the tensors of one stencil,
+    - every constant sub-expression folds to a finite value (``1/0``
+      or ``exp(1000.0)`` has no C literal).
     """
     issues = [msg for _, msg in stencil_issues(stencil)]
     if issues:

@@ -6,9 +6,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.ir import SpNode, Kernel, Stencil, VarExpr, f64
 from repro.schedule import Schedule
+
+# Tier-1 draws no random seed: two runs of the suite test the same
+# examples.  ``--hypothesis-profile=random`` (the hypothesis plugin's
+# flag, applied after this file is imported) searches afresh.
+_EVERY_PROFILE = dict(deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile("tier1", derandomize=True, **_EVERY_PROFILE)
+settings.register_profile("random", **_EVERY_PROFILE)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session", autouse=True)

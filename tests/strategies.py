@@ -9,7 +9,6 @@ generators for whole random star stencils plus checker-legal schedules.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck
 from hypothesis import strategies as st
 
 from repro.ir import Kernel, SpNode, Stencil, VarExpr, f32, f64, i32
@@ -19,7 +18,6 @@ from repro.ir.expr import (
 from repro.schedule import Schedule
 
 __all__ = [
-    "COMMON",
     "boundaries",
     "box_stencil_cases",
     "coefficients",
@@ -31,12 +29,6 @@ __all__ = [
     "star_stencil_cases",
     "tile_factors",
 ]
-
-#: keep hypothesis fast and deterministic for CI-style runs
-COMMON = dict(
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 #: boundary handling modes shared by every backend
 boundaries = st.sampled_from(["zero", "periodic"])
@@ -166,7 +158,8 @@ SCALAR_NAMES = ("w0", "w1")
 
 
 @st.composite
-def expression_kernel_cases(draw, out_dtype=None, max_leaves: int = 10):
+def expression_kernel_cases(draw, out_dtype=None, max_leaves: int = 10,
+                            operators_only: bool = False):
     """A random 2-D kernel over *every* expression node kind.
 
     Leaves are reads of the output tensor ``A`` (window 3), reads of an
@@ -175,14 +168,18 @@ def expression_kernel_cases(draw, out_dtype=None, max_leaves: int = 10):
     :data:`SCALAR_NAMES`; inner nodes are ``neg``/``add``/``sub``/
     ``mul``/``div`` and every ``KNOWN_FUNCS`` call.  Nothing is drawn
     towards being an array: constants-only kernels and bare accesses
-    occur.  Returns ``(kernel, A, C, scalars)``; nodes are built
-    explicitly (``VarExpr + int`` would become an ``IndexExpr``).
+    occur.  ``operators_only`` restricts the draw to what generated C
+    must reproduce bit for bit: no ``KNOWN_FUNCS`` call, and ``C`` in
+    ``A``'s dtype (one stencil, one dtype).  Returns ``(kernel, A, C,
+    scalars)``; nodes are built explicitly (``VarExpr + int`` would
+    become an ``IndexExpr``).
     """
     radius = draw(st.integers(1, 2))
     shape = draw(shapes(2, min_side=4 * radius + 2, max_side=12))
     if out_dtype is None:
         out_dtype = draw(st.sampled_from([f32, f64]))
-    aux_dtype = draw(st.sampled_from([f32, f64, i32]))
+    aux_dtype = (out_dtype if operators_only
+                 else draw(st.sampled_from([f32, f64, i32])))
     j, i = (VarExpr(n) for n in AXIS_VARS[2])
     A = SpNode("A", shape, out_dtype, halo=(radius,) * 2, time_window=3)
     C = SpNode("C", shape, aux_dtype, halo=(radius,) * 2, time_window=8)
@@ -206,6 +203,7 @@ def expression_kernel_cases(draw, out_dtype=None, max_leaves: int = 10):
             st.builds(lambda *args, name=name: CallFuncExpr(name, args),
                       *[children] * arity)
             for name, arity in FUNC_ARITY.items()
+            if not operators_only
         ]
         return st.one_of(
             st.builds(lambda a: OperatorExpr("neg", (a,)), children),

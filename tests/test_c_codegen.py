@@ -148,6 +148,49 @@ class TestGeneratedStructure:
         )
 
 
+class TestKernelPrinter:
+    """``render_kernel_c``: the one function that turns a kernel into C,
+    printing the lowered program the numpy engine runs."""
+
+    def test_prints_the_program_in_its_order_and_association(self):
+        from repro.backend.c_codegen import render_kernel_c
+        from repro.ir import Kernel, SpNode, VarExpr
+        from repro.ir.expr import CallFuncExpr, ConstExpr
+
+        j, i = VarExpr("j"), VarExpr("i")
+        A = SpNode("A", (8, 8), f64, halo=(1, 1), time_window=3)
+        c0 = VarExpr("c0", "f64")
+        kern = Kernel(
+            "K", (j, i),
+            (ConstExpr(1) / 2) * A[j, i] - (c0 * 3) * (A[j, i - 1] + A[j, i])
+            + CallFuncExpr("fmax", (A.at(-1)[j + 1, i], -ConstExpr(0.25))),
+        )
+        got = render_kernel_c(
+            kern, {"c0": 0.5},
+            lambda tensor, off: f"{tensor}_m{-off}", {"A": (1, 1)})
+        centre, left = "AT_A(A_m0, j + 1, i + 1)", "AT_A(A_m0, j + 1, i)"
+        assert got == (
+            f"(((((real)0.5) * {centre}) - (((real)1.5) * ({left} + {centre})))"
+            " + fmax(AT_A(A_m1, j + 2, i + 1), ((real)-0.25)))"
+        )
+
+    def test_a_sum_deeper_than_the_recursion_limit_prints(self):
+        import sys
+
+        from repro.backend.c_codegen import render_kernel_c
+        from repro.ir import Kernel, SpNode, VarExpr
+
+        j, i = VarExpr("j"), VarExpr("i")
+        A = SpNode("A", (8, 8), f64, halo=(1, 1), time_window=2)
+        expr = A[j, i]
+        terms = sys.getrecursionlimit() + 50
+        for _ in range(terms):
+            expr = expr + A[j, i - 1]
+        got = render_kernel_c(Kernel("K", (j, i), expr), {},
+                              lambda tensor, off: "p", {"A": (1, 1)})
+        assert got.count(" + AT_A(p, j + 1, i)") == terms
+
+
 def time_loop(src: str) -> str:
     """The body of the generated time loop (either flavour)."""
     lines = src.splitlines()

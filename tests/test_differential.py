@@ -27,14 +27,15 @@ from repro.analysis import check_program
 from repro.backend import CCodeGenerator
 from repro.backend.numpy_backend import ScheduledExecutor, reference_run
 from repro.frontend.stencils import BENCHMARK_NAMES
-from repro.ir import f32, f64
+from repro.ir import VarExpr, f32, f64
+from repro.ir.expr import CallFuncExpr, ConstExpr
 from repro.runtime.executor import distributed_run
 from repro.schedule import Schedule
 from repro.schedule.schedule import ScheduleError
 from tests.strategies import (
-    COMMON,
     boundaries,
     box_stencil_cases,
+    expression_kernel_cases,
     legal_schedules,
     process_grids,
     seeds,
@@ -100,7 +101,7 @@ def run_compiled_c(stencil, kern, sched, init, steps, shape, np_dtype):
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=2), seed=seeds(),
        boundary=boundaries, data=st.data())
-@settings(max_examples=40, **COMMON)
+@settings(max_examples=40)
 def test_scheduled_executor_matches_reference_fp64(case, seed, boundary,
                                                    data):
     stencil, kern, shape = case
@@ -118,7 +119,7 @@ def test_scheduled_executor_matches_reference_fp64(case, seed, boundary,
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=3, max_radius=1, max_side=10),
        seed=seeds(), data=st.data())
-@settings(max_examples=15, **COMMON)
+@settings(max_examples=15)
 def test_scheduled_executor_matches_reference_3d(case, seed, data):
     stencil, kern, shape = case
     sched = data.draw(legal_schedules(kern, shape))
@@ -132,7 +133,7 @@ def test_scheduled_executor_matches_reference_3d(case, seed, data):
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=2, dtype=f32), seed=seeds(),
        data=st.data())
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_scheduled_executor_matches_reference_fp32(case, seed, data):
     stencil, kern, shape = case
     sched = data.draw(legal_schedules(kern, shape))
@@ -146,7 +147,7 @@ def test_scheduled_executor_matches_reference_fp32(case, seed, data):
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=2), grid=process_grids(2, 3),
        seed=seeds(), boundary=boundaries)
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_distributed_run_matches_reference(case, grid, seed, boundary):
     stencil, kern, shape = case
     halo = stencil.output.halo
@@ -164,7 +165,7 @@ def test_distributed_run_matches_reference(case, grid, seed, boundary):
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=2), grid=process_grids(2, 3),
        seed=seeds(), boundary=boundaries)
-@settings(max_examples=20, **COMMON)
+@settings(max_examples=20)
 def test_exchange_modes_bitwise_identical_star(case, grid, seed,
                                                boundary):
     """Every exchange mode must produce the *bit-identical* result: the
@@ -186,7 +187,7 @@ def test_exchange_modes_bitwise_identical_star(case, grid, seed,
 @pytest.mark.slow
 @given(case=box_stencil_cases(ndim=2), grid=process_grids(2, 3),
        seed=seeds(), boundary=boundaries)
-@settings(max_examples=20, **COMMON)
+@settings(max_examples=20)
 def test_exchange_modes_bitwise_identical_box(case, grid, seed,
                                               boundary):
     """Box stencils read the diagonal ghosts directly — the corner
@@ -208,7 +209,7 @@ def test_exchange_modes_bitwise_identical_box(case, grid, seed,
 @pytest.mark.slow
 @given(case=box_stencil_cases(ndim=3, max_radius=1, max_side=8),
        seed=seeds(), boundary=boundaries)
-@settings(max_examples=10, **COMMON)
+@settings(max_examples=10)
 def test_exchange_modes_bitwise_identical_box_3d(case, seed, boundary):
     stencil, kern, shape = case
     grid = (2, 1, 2)
@@ -225,7 +226,7 @@ def test_exchange_modes_bitwise_identical_box_3d(case, seed, boundary):
 @needs_gcc
 @given(case=star_stencil_cases(ndim=2, max_radius=1, max_side=12),
        seed=seeds(), data=st.data())
-@settings(max_examples=10, **COMMON)
+@settings(max_examples=10)
 def test_compiled_c_matches_reference(case, seed, data):
     stencil, kern, shape = case
     sched = data.draw(legal_schedules(kern, shape))
@@ -240,7 +241,7 @@ def test_compiled_c_matches_reference(case, seed, data):
 
 @pytest.mark.slow
 @given(case=star_stencil_cases(ndim=2), data=st.data())
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_rejected_schedules_have_witnesses(case, data):
     """Whatever the checker rejects must actually fail to lower/run."""
     stencil, kern, shape = case
@@ -450,25 +451,27 @@ def _table4_program(name, dtype, scheduled):
     return prog.ir, prog.schedules()
 
 
-def _native_vs_reference(stencil, schedules, boundary, steps=3):
+def _native_vs_reference(stencil, schedules, boundary, steps=3,
+                         scalars=None):
     from repro.backend.native import NativeExecutor
 
     init, inputs = _seeded(stencil)
     ref = reference_run(stencil, init, steps, boundary=boundary,
-                        inputs=inputs)
+                        inputs=inputs, scalars=scalars)
     got = NativeExecutor(stencil, schedules, boundary=boundary,
-                         inputs=inputs).run(init, steps)
+                         inputs=inputs, scalars=scalars).run(init, steps)
     assert_same_bits(got, ref)
 
 
-def _main_vs_reference(stencil, schedules, boundary, steps=3):
+def _main_vs_reference(stencil, schedules, boundary, steps=3, scalars=None):
     """The file-I/O ``main`` flavour, built and run the way ``repro
     verify`` does it (artifact cache, run timeout)."""
     from repro.evalsuite.verify import _compile_and_run
 
     out = stencil.output
     init, inputs = _seeded(stencil)
-    gen = CCodeGenerator(stencil, schedules, boundary=boundary)
+    gen = CCodeGenerator(stencil, schedules, boundary=boundary,
+                         scalars=scalars)
     # init.bin: the history planes, then each static input once
     planes = init + [inputs[aux.name] for aux in gen.aux_tensors]
     got, note = _compile_and_run(
@@ -478,7 +481,8 @@ def _main_vs_reference(stencil, schedules, boundary, steps=3):
     )
     assert not note, note
     assert_same_bits(got, reference_run(stencil, init, steps,
-                                        boundary=boundary, inputs=inputs))
+                                        boundary=boundary, inputs=inputs,
+                                        scalars=scalars))
 
 
 _BOUNDARIES = ["zero", "periodic", "reflect"]
@@ -563,4 +567,101 @@ def test_negative_zero_terms_sum_to_positive_zero(dtype):
     ref = reference_run(stencil, init, 1, boundary="periodic")
     assert not np.signbit(ref).any()
     got = NativeExecutor(stencil, {}, boundary="periodic").run(init, 1)
+    assert_same_bits(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# constants: where no Table-4 program looks.  Every sub-tree without a
+# tensor read is folded once in ``ir.program``, so numpy and C are handed
+# the same value — an int ``1 / 2`` is 0.5 in both, ``0.01 + 0.04`` is
+# rounded to fp32 once in both
+# ---------------------------------------------------------------------------
+
+#: name -> (the centre point's term given its read, fp32 too?); libm on
+#: constants is fp64 only: in fp32 a folded ``sqrt`` is a float64 numpy
+#: scalar that promotes the oracle's whole expression (docs/NATIVE.md)
+_CONSTANT_TERMS = {
+    "(1/2)*A": (lambda a: (ConstExpr(1) / 2) * a, True),
+    "(3*2)*A": (lambda a: (ConstExpr(3) * 2) * a, True),
+    "A/3": (lambda a: a / 3, True),
+    "-(1/4)*A": (lambda a: -(ConstExpr(1) / 4) * a, True),
+    "(0.01+0.04)*A": (lambda a: (ConstExpr(0.01) + 0.04) * a, True),
+    "(c0*c1)*A": (
+        lambda a: (VarExpr("c0", "f64") * VarExpr("c1", "f64")) * a, True),
+    "((1/3)/7)*A": (lambda a: ((ConstExpr(1) / 3) / 7) * a, True),
+    "sqrt(4)*A": (lambda a: CallFuncExpr("sqrt", (4,)) * a, False),
+    "pow(2.0,-1)*A": (lambda a: CallFuncExpr("pow", (2.0, -1)) * a, False),
+}
+_CONSTANT_SCALARS = {"c0": 0.01, "c1": 0.03}
+
+
+def _constant_stencil(term, dtype, shape=(32, 32)):
+    from repro.ir import Kernel, SpNode, Stencil
+
+    A = SpNode("A", shape, dtype, halo=(1, 1), time_window=2)
+    j, i = VarExpr("j"), VarExpr("i")
+    kern = Kernel("S", (j, i), term(A[j, i]) + 0.25 * A[j, i - 1]
+                  + 0.2 * A[j + 1, i])
+    return Stencil(A, kern[Stencil.t - 1])
+
+
+@needs_gcc
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("term, dtype", [
+    pytest.param(term, dtype, id=f"{name}-{dtype.name}")
+    for name, (term, fp32_too) in _CONSTANT_TERMS.items()
+    for dtype in ([f64, f32] if fp32_too else [f64])
+])
+def test_native_bitwise_constants(term, dtype, boundary):
+    stencil = _constant_stencil(term, dtype)
+    scalars = _CONSTANT_SCALARS
+    init, _ = _seeded(stencil)
+    assert_same_bits(
+        ScheduledExecutor(stencil, {}, boundary, scalars=scalars).run(init, 3),
+        reference_run(stencil, init, 3, boundary, scalars=scalars))
+    _native_vs_reference(stencil, {}, boundary, scalars=scalars)
+    _main_vs_reference(stencil, {}, boundary, scalars=scalars)
+
+
+@needs_gcc
+@settings(max_examples=100)
+@given(case=expression_kernel_cases(operators_only=True),
+       boundary=boundaries, seed=seeds())
+def test_native_bitwise_random_operator_kernels(case, boundary, seed):
+    """The strategy that proved the numpy engine, restricted to what C
+    must reproduce, through the shared library."""
+    from repro.backend.native import NativeExecutor
+    from repro.ir import Stencil
+
+    kernel, A, C, scalars = case
+    t = Stencil.t
+    stencil = Stencil(A, 0.5 * kernel[t - 1] + 0.5 * kernel[t - 2])
+    rng = np.random.default_rng(seed)
+    init = [rng.uniform(-1, 1, A.shape).astype(A.dtype.np_dtype)
+            for _ in range(2)]
+    inputs = None
+    if any(tensor.name == "C" for tensor in kernel.input_tensors):
+        inputs = {"C": rng.uniform(-2, 2, C.shape).astype(C.dtype.np_dtype)}
+
+    def native():
+        return NativeExecutor(stencil, {}, boundary=boundary, inputs=inputs,
+                              scalars=scalars).run(init, 3)
+
+    with np.errstate(all="ignore"):
+        try:
+            ref = reference_run(stencil, init, 3, boundary, inputs=inputs,
+                                scalars=scalars)
+        except Exception as exc:  # a constant kernel, ``1 / w0``, w0 = 0
+            with pytest.raises(type(exc)):
+                native()
+            assume(False)
+    # a NaN's sign and payload are the hardware's choice of operand
+    assume(np.isfinite(ref).all())
+    try:
+        got = native()
+    except ValueError as exc:
+        # scalars that fold to ``inf`` (``w0 / 5e-324``): numpy computes
+        # on, C has no literal to print (docs/NATIVE.md, Constants)
+        assume("has no C literal" not in str(exc))
+        raise
     assert_same_bits(got, ref)

@@ -15,6 +15,15 @@ from repro.ir.expr import (
 from repro.ir.tensor import SpNode
 
 
+def c_source(expr, ji):
+    """``expr`` as the one C printer spells it (no halo shift)."""
+    from repro.backend.c_codegen import render_kernel_c
+    from repro.ir import Kernel
+
+    return render_kernel_c(Kernel("k", ji, expr), {},
+                           lambda tensor, time_offset: "p", {"B": (0, 0)})
+
+
 @pytest.fixture
 def B():
     return SpNode("B", (8, 8), halo=(1, 1))
@@ -78,11 +87,11 @@ class TestIndexExpr:
         e = i + 0.5
         assert isinstance(e, OperatorExpr)
 
-    def test_c_source(self):
-        i = VarExpr("i")
-        assert IndexExpr(i, 0).c_source() == "i"
-        assert IndexExpr(i, 2).c_source() == "i + 2"
-        assert IndexExpr(i, -1).c_source() == "i - 1"
+    def test_c_source(self, B, ji):
+        j, i = ji
+        assert c_source(B[j, i], ji) == "AT_B(p, j, i)"
+        assert c_source(B[j, i + 2], ji) == "AT_B(p, j, i + 2)"
+        assert c_source(B[j - 1, i], ji) == "AT_B(p, j - 1, i)"
 
     def test_non_int_offset_rejected(self):
         with pytest.raises(TypeError):
@@ -130,14 +139,16 @@ class TestOperatorExpr:
 
     def test_c_source_parenthesised(self, B, ji):
         j, i = ji
-        src = (B[j, i] + B[j, i - 1]).c_source()
-        assert src.startswith("(") and " + " in src
+        assert c_source(B[j, i] + B[j, i - 1], ji) == (
+            "(AT_B(p, j, i) + AT_B(p, j, i - 1))")
+        assert c_source(-B[j, i] / 3, ji) == (
+            "((-AT_B(p, j, i)) / ((real)3.0))")
 
 
 class TestCallFuncExpr:
     def test_known_function(self):
         e = CallFuncExpr("sqrt", (ConstExpr(4.0),))
-        assert e.c_source() == "sqrt(4.0)"
+        assert (e.func, e.args) == ("sqrt", (ConstExpr(4.0),))
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError, match="unknown external function"):
@@ -157,7 +168,7 @@ class TestAssignExpr:
     def test_valid_assignment(self, B, ji):
         j, i = ji
         a = AssignExpr(B[j, i], B[j, i - 1] + 1.0)
-        assert a.c_source().endswith(";")
+        assert a.children() == (a.target, a.value)
 
     def test_non_access_target_rejected(self):
         with pytest.raises(TypeError):
@@ -200,5 +211,8 @@ class TestWalk:
         assert sum(isinstance(n, ConstExpr) for n in e.walk()) == terms
 
     def test_const_nonfinite_c_source_raises(self):
-        with pytest.raises(ValueError):
-            ConstExpr(float("inf")).c_source()
+        from repro.backend.c_codegen import c_literal
+
+        assert c_literal(1) == "((real)1.0)"
+        with pytest.raises(ValueError, match="no C literal"):
+            c_literal(float("inf"))

@@ -1,4 +1,4 @@
-"""Unit tests for IR traversal/rewriting and the Table-4 analyses."""
+"""Unit tests for the lowering's constant fold and the Table-4 analyses."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.ir import (
     Kernel,
     SpNode,
     Stencil,
-    TeNode,
     VarExpr,
     characterize_kernel,
     classify_shape,
@@ -15,90 +14,61 @@ from repro.ir import (
     stencil_flops_per_point,
     total_traffic_bytes,
 )
-from repro.ir.expr import ConstExpr, OperatorExpr, TensorAccess
-from repro.ir.visitor import (
-    count_nodes,
-    fold_constants,
-    shift_offsets,
-    substitute_tensor,
-    transform,
-)
+from repro.ir.expr import CallFuncExpr, ConstExpr
 from tests.conftest import make_2d5pt, make_3d7pt
 
 
-class TestTransform:
-    def test_identity_when_fn_returns_none(self):
-        _, kern = make_2d5pt()
-        out = transform(kern.expr, lambda n: None)
-        assert out.c_source() == kern.expr.c_source()
-
-    def test_replace_constants(self):
-        _, kern = make_2d5pt()
-        out = transform(
-            kern.expr,
-            lambda n: ConstExpr(1.0) if isinstance(n, ConstExpr) else None,
-        )
-        consts = {n.value for n in out.walk() if isinstance(n, ConstExpr)}
-        assert consts == {1.0}
-
-
-class TestSubstituteTensor:
-    def test_rewrites_accesses_preserving_offsets(self):
-        tensor, kern = make_2d5pt()
-        buf = TeNode("spm_buf", tensor.shape, tensor.dtype)
-        out = substitute_tensor(kern.expr, {"A": buf})
-        names = {
-            n.tensor.name for n in out.walk() if isinstance(n, TensorAccess)
-        }
-        assert names == {"spm_buf"}
-        offsets = sorted(
-            n.offsets for n in out.walk() if isinstance(n, TensorAccess)
-        )
-        orig = sorted(
-            n.offsets for n in kern.expr.walk()
-            if isinstance(n, TensorAccess)
-        )
-        assert offsets == orig
-
-    def test_unmapped_tensors_untouched(self):
-        _, kern = make_2d5pt()
-        out = substitute_tensor(kern.expr, {"Z": TeNode("z", (4, 4))})
-        names = {
-            n.tensor.name for n in out.walk() if isinstance(n, TensorAccess)
-        }
-        assert names == {"A"}
-
-
-class TestShiftOffsets:
-    def test_shift_adds_halo(self):
-        _, kern = make_2d5pt()
-        out = shift_offsets(kern.expr, (1, 1))
-        offsets = {
-            n.offsets for n in out.walk() if isinstance(n, TensorAccess)
-        }
-        assert (1, 1) in offsets  # centre moved to (1, 1)
-        assert (1, 0) in offsets  # (0, -1) moved
-
-    def test_rank_mismatch_rejected(self):
-        _, kern = make_2d5pt()
-        with pytest.raises(ValueError):
-            shift_offsets(kern.expr, (1, 1, 1))
+def _program(expr):
+    j, i = VarExpr("j"), VarExpr("i")
+    A = SpNode("A", (8, 8), halo=(1, 1))
+    return Kernel("k", (j, i), expr * A[j, i]).program
 
 
 class TestFoldConstants:
+    """The one fold, in ``ir.program``: python arithmetic, at lowering."""
+
     def test_folds_nested(self):
-        e = (ConstExpr(2) + ConstExpr(3)) * ConstExpr(4)
-        out = fold_constants(e)
-        assert isinstance(out, ConstExpr) and out.value == 20
+        program = _program((ConstExpr(2) + ConstExpr(3)) * ConstExpr(4))
+        assert program.code == (("mul", (("value", 20), ("slot", 0))),)
+        assert program.unfoldable == ()
+
+    def test_int_division_is_true_division(self):
+        program = _program(ConstExpr(1) / ConstExpr(2))
+        assert program.code == (("mul", (("value", 0.5), ("slot", 0))),)
+
+    def test_known_funcs_fold_through_numpy(self):
+        (_, ((_, value), _)), = _program(
+            CallFuncExpr("pow", (2.0, -1)) + CallFuncExpr("sqrt", (4,))
+        ).code
+        assert value == 2.5
 
     def test_division_by_zero_raises(self):
+        """Lowering records it (``ir.validate`` reports it); the fold
+        raises what the oracle's ``1 / 0`` raises."""
+        program = _program(ConstExpr(1) / ConstExpr(0))
+        assert program.unfoldable == (
+            "div(1, 0) raises ZeroDivisionError: division by zero",)
         with pytest.raises(ZeroDivisionError):
-            fold_constants(ConstExpr(1) / ConstExpr(0))
+            program.fold({})
+
+    def test_scalars_fold_once_bound(self):
+        c0 = VarExpr("c0", "f64")
+        program = _program(c0 * ConstExpr(2) - 1)
+        assert len(program.code) == 3  # nothing to fold yet
+        code, result = program.fold({"c0": 0.75})
+        assert code == (("mul", (("value", 0.5), ("slot", 0))),)
+        assert result == ("temp", 0)
+        with pytest.raises(KeyError, match="free scalar 'c0'"):
+            program.fold({})
+        with pytest.raises(ZeroDivisionError):
+            _program(1 / c0).fold({"c0": 0})
 
     def test_mixed_left_unfolded(self):
         _, kern = make_2d5pt()
-        out = fold_constants(kern.expr)
-        assert count_nodes(out, TensorAccess) == 5
+        program = kern.program
+        assert len(program.accesses) == 5
+        assert len(program.code) == kern.flops()
+        assert program.fold({}) == (program.code, program.result)
 
 
 class TestCharacterize:

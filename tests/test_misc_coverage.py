@@ -159,6 +159,35 @@ class TestDocsGenerator:
         assert "repro.ir.stencil" in api
 
 
+class TestBundleDigests:
+    def test_48_lines_and_compare_exit_code(self, tmp_path):
+        """``tools/bundle_digests.py``: one line per Table-4 cpu bundle;
+        ``--compare`` is silent-and-zero on equal digests, non-zero on
+        any difference."""
+        root = Path(__file__).resolve().parent.parent
+
+        def tool(*args):
+            return subprocess.run(
+                [sys.executable, str(root / "tools" / "bundle_digests.py"),
+                 *args], capture_output=True, text=True, timeout=300)
+
+        listed = tool()
+        assert listed.returncode == 0, listed.stderr
+        lines = listed.stdout.splitlines()
+        assert len(lines) == 8 * 3 * 2
+        assert len({line.split()[0] for line in lines}) == 48
+        same = tmp_path / "same.txt"
+        same.write_text(listed.stdout)
+        assert tool("--compare", str(same)).returncode == 0
+        other = tmp_path / "other.txt"
+        other.write_text("\n".join(["0" * 64 + lines[0][64:]] + lines[2:]))
+        differs = tool("--compare", str(other))
+        assert differs.returncode == 1
+        assert lines[0].split()[1] in differs.stdout  # changed
+        assert lines[1].split()[1] in differs.stdout  # missing there
+        assert "46/48 bundles identical" in differs.stdout
+
+
 class TestAsciiChart:
     def test_renders_series_and_legend(self):
         from repro.evalsuite import line_chart

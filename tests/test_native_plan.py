@@ -36,7 +36,6 @@ from repro.frontend.stencils import benchmark_by_name
 from repro.ir import Kernel, SpNode, Stencil, VarExpr, f64
 from repro.schedule import Schedule, schedule_key
 from tests.strategies import (
-    COMMON,
     boundaries,
     legal_schedules,
     star_stencil_cases,
@@ -162,7 +161,7 @@ def _scheduled_cases(draw):
 
 
 @given(a=_scheduled_cases(), b=_scheduled_cases())
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_equal_plan_key_means_identical_generated_c(a, b):
     key_a, files_a = _case_key_and_sources(*a)
     key_b, files_b = _case_key_and_sources(*b)

@@ -20,12 +20,10 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.backend.numpy_backend import (
     BlockEngine,
-    KernelProgram,
     ScheduledExecutor,
     TermProgram,
     _access_view,
     evaluate_kernel,
-    kernel_program,
     reference_run,
 )
 from repro.backend.pipeline_exec import PipelineExecutor
@@ -33,14 +31,14 @@ from repro.comm.decomposition import decompose
 from repro.comm.halo import core_owned_regions
 from repro.frontend.stencils import build_benchmark
 from repro.ir import (
-    Kernel, SpNode, StagePipeline, Stencil, ValidationError, VarExpr, f32,
-    f64, i32,
+    Kernel, KernelProgram, SpNode, StagePipeline, Stencil, VarExpr, f32, f64,
+    i32,
 )
 from repro.ir.expr import CallFuncExpr, ConstExpr, OperatorExpr
 from repro.runtime.executor import DistributedStencil, distributed_run
 from repro.runtime.simmpi import run_ranks
 from tests.conftest import make_2d5pt
-from tests.strategies import COMMON, FUNC_ARITY, expression_kernel_cases
+from tests.strategies import FUNC_ARITY, expression_kernel_cases
 
 J, I = VarExpr("j"), VarExpr("i")
 
@@ -54,8 +52,7 @@ def assert_same_bits(got, want):
 def run_term(kernel, planes, halos, region, scalars, scale, out_dtype):
     """``scale * kernel`` over ``region`` through the flat program, in
     the output dtype — what the engine adds into the plane."""
-    lowered, _ = kernel_program(kernel)
-    typed = TermProgram(lowered, scalars, scale, np.dtype(out_dtype))
+    typed = TermProgram(kernel.program, scalars, scale, np.dtype(out_dtype))
     views = [
         _access_view(a, planes[a.tensor.name, a.time_offset],
                      halos[a.tensor.name], region)
@@ -118,7 +115,7 @@ def check_against_oracle(kernel, tensors, scalars, scale, out_dtype, seed):
 
 
 class TestProgramMatchesInterpreter:
-    @settings(max_examples=120, **COMMON)
+    @settings(max_examples=120)
     @given(case=expression_kernel_cases(),
            scale=st.sampled_from([1.0, -1.0, 0.6, 0.25]),
            seed=st.integers(0, 2 ** 16))
@@ -127,7 +124,7 @@ class TestProgramMatchesInterpreter:
         check_against_oracle(kernel, {"A": A, "C": C}, scalars, scale,
                              A.dtype.np_dtype, seed)
 
-    @settings(max_examples=40, **COMMON)
+    @settings(max_examples=40)
     @given(case=expression_kernel_cases(),
            weight=st.sampled_from([0.3, 0.5, 1.0]),
            boundary=st.sampled_from(["zero", "periodic"]),
@@ -148,14 +145,21 @@ class TestProgramMatchesInterpreter:
             inputs = {"C": (rng.uniform(-2, 2, C.shape) * 2).astype(
                 C.dtype.np_dtype)}
         with np.errstate(all="ignore"):
+            def engine():
+                return ScheduledExecutor(
+                    stencil, {}, boundary, inputs=inputs, scalars=scalars
+                ).run(init, 4)
+
             try:
                 want = reference_run(stencil, init, 4, boundary,
                                      inputs=inputs, scalars=scalars)
-            except (ArithmeticError, ValidationError):
-                assume(False)  # a folded ``1 / 0``; a constant kernel
-            got = ScheduledExecutor(
-                stencil, {}, boundary, inputs=inputs, scalars=scalars
-            ).run(init, 4)
+            except Exception as exc:
+                # a constant kernel, ``pow(0, -1)``, a ``1 / w0`` with
+                # ``w0 = 0``: the engine must refuse it the same way
+                with pytest.raises(type(exc)):
+                    engine()
+                assume(False)
+            got = engine()
         assert_same_bits(got, want)
 
     @pytest.mark.parametrize("out_dtype", [f32, f64], ids=["f32", "f64"])
@@ -188,8 +192,8 @@ class TestProgramMatchesInterpreter:
         A = SpNode("A", (6, 8), dtype, halo=(1, 1), time_window=2)
         expr = CallFuncExpr("sqrt", (ConstExpr(2) * VarExpr("w0", "f64"),))
         kernel = Kernel("k", (J, I), expr - 1)
-        lowered, _ = kernel_program(kernel)
-        typed = TermProgram(lowered, {"w0": 0.75}, 0.4, dtype.np_dtype)
+        typed = TermProgram(kernel.program, {"w0": 0.75}, 0.4,
+                            dtype.np_dtype)
         # only the term's own ``scale *`` (and cast) run per region
         assert len(typed.code) <= 2
         check_against_oracle(kernel, {"A": A}, {"w0": 0.75}, 0.4,
@@ -198,13 +202,13 @@ class TestProgramMatchesInterpreter:
     def test_bare_access_kernel(self):
         A = SpNode("A", (6, 8), f64, halo=(1, 1), time_window=2)
         kernel = Kernel("k", (J, I), A[J, I + 1])
-        assert kernel_program(kernel)[0].code == ()
+        assert kernel.program.code == ()
         check_against_oracle(kernel, {"A": A}, {}, -0.5, np.float64, seed=1)
 
     def test_left_deep_sum_needs_two_registers(self):
         prog, _ = build_benchmark("2d9pt_star", grid=(16, 16))
         kernel = prog.ir.kernels[0]
-        lowered, _ = kernel_program(kernel)
+        lowered = kernel.program
         typed = TermProgram(lowered, {}, 0.6, np.dtype(np.float64))
         assert len(lowered.accesses) == 9
         assert len(lowered.code) == kernel.flops()
@@ -220,8 +224,7 @@ class TestProgramMatchesInterpreter:
         kernel = Kernel(
             "k", (J, I), CallFuncExpr("sqrt", (ConstExpr(2.0),)) * A[J, I]
             + 0.5 * A[J, I - 1])
-        lowered, _ = kernel_program(kernel)
-        typed = TermProgram(lowered, {}, 1.0, np.dtype(np.float32))
+        typed = TermProgram(kernel.program, {}, 1.0, np.dtype(np.float32))
         assert np.dtype(np.float64) in typed.reg_dtypes
         assert typed.reg_dtypes[typed.code[-1][2]] == np.float32
         check_against_oracle(kernel, {"A": A}, {}, 1.0, np.float32, seed=2)
@@ -229,9 +232,8 @@ class TestProgramMatchesInterpreter:
     def test_errors_are_raised_at_typing_and_binding(self):
         A = SpNode("A", (4, 4), f64, halo=(1, 1), time_window=2)
         kernel = Kernel("k", (J, I), VarExpr("w", "f64") * A[J, I])
-        lowered, _ = kernel_program(kernel)
         with pytest.raises(KeyError, match="free scalar 'w' has no bound"):
-            TermProgram(lowered, {}, 1.0, np.dtype(np.float64))
+            TermProgram(kernel.program, {}, 1.0, np.dtype(np.float64))
         with pytest.raises(TypeError, match="bare index"):
             KernelProgram(Kernel("k", (J, I), A[J, I] + (I + 1)))
         stencil = Stencil(A, Kernel("k", (J, I), A[J, I - 1])[Stencil.t - 1])
@@ -255,12 +257,16 @@ def _bench_program(grid=(32, 32), boundary="periodic"):
 
 class TestLoweredOnce:
     def test_program_is_kept_on_the_kernel_node(self):
-        _, kernel = make_2d5pt()
+        tensor, kernel = make_2d5pt()
+        stencil = Stencil(tensor, kernel[Stencil.t - 1])
+        assert "program" not in vars(kernel)  # validating kept none
         with obs.capture() as (_tracer, reg):
-            first, fresh = kernel_program(kernel)
-            again, fresh_again = kernel_program(kernel)
-        assert fresh and not fresh_again
-        assert first is again
+            first = BlockEngine.serial(stencil, "zero")
+            again = BlockEngine.serial(stencil, "zero")
+        assert first.plan_stats["lower"] == 1
+        assert again.plan_stats["lower"] == 0
+        assert first._terms["A"][0].lowered is kernel.program
+        assert again._terms["A"][0].lowered is kernel.program
         assert reg.counter_total("numpy.plan.lower") == 1
 
     @pytest.mark.parametrize("grid", [None, (2, 1)], ids=["serial", "mpi"])

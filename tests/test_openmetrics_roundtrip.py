@@ -66,7 +66,7 @@ def _find(family, labels):
                          f"{family.name}")
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(gauges=_series(_value))
 def test_gauge_roundtrip(gauges):
     families = parse(render({"gauges": gauges}))
@@ -76,7 +76,7 @@ def test_gauge_roundtrip(gauges):
         assert _find(fam, labels) == float(value)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(counters=_series(_value))
 def test_counter_roundtrip(counters):
     families = parse(render({"counters": counters}))
@@ -90,7 +90,7 @@ def test_counter_roundtrip(counters):
         assert values == [float(value)]
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(histograms=_series(
     st.lists(_value, min_size=1, max_size=5),
     forbid_labels=("quantile",),  # render injects this label itself

@@ -10,7 +10,7 @@ from repro.frontend import build_benchmark, parse_program, render_program
 from repro.frontend.printer import render_expr
 from repro.ir import Kernel, SpNode, Stencil, VarExpr
 from repro.ir.expr import ConstExpr
-from tests.strategies import COMMON, coefficients, seeds
+from tests.strategies import coefficients, seeds
 
 
 class TestRenderExpr:
@@ -83,7 +83,7 @@ class TestRoundTrip:
     coef=coefficients(2, 5, nonzero=True),
     seed=seeds(),
 )
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_roundtrip_property_random_coefficients(coef, seed):
     """Any linear 1-D stencil survives the print->parse round trip."""
     i = VarExpr("i")

@@ -15,11 +15,9 @@ from repro.backend.numpy_backend import ScheduledExecutor, reference_run
 from repro.comm import HaloSpec, decompose, halo_regions, pack, unpack
 from repro.ir import Kernel, SpNode, Stencil, VarExpr
 from repro.ir.expr import ConstExpr
-from repro.ir.visitor import fold_constants
 from repro.machine.spm import SPMAllocationError, SPMAllocator
 from repro.schedule import Schedule, SlidingTimeWindow
 from tests.strategies import (
-    COMMON,
     process_grids,
     seeds,
     shapes,
@@ -32,7 +30,7 @@ from tests.strategies import (
     shape=shapes(2, 4, 40),
     grid=process_grids(2, 4),
 )
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60)
 def test_decomposition_partitions_domain(shape, grid):
     assume(all(g <= s for g, s in zip(grid, shape)))
     subs = decompose(shape, grid)
@@ -50,7 +48,7 @@ def test_decomposition_partitions_domain(shape, grid):
     sub=st.tuples(st.integers(2, 12), st.integers(2, 12)),
     halo=st.tuples(st.integers(0, 2), st.integers(0, 2)),
 )
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60)
 def test_halo_regions_send_recv_disjoint_and_equal_sized(sub, halo):
     assume(all(h <= s for s, h in zip(sub, halo)))
     spec = HaloSpec(sub, halo)
@@ -71,7 +69,7 @@ def test_halo_regions_send_recv_disjoint_and_equal_sized(sub, halo):
     shape=st.tuples(st.integers(3, 10), st.integers(3, 10)),
     data=st.integers(0, 2 ** 31),
 )
-@settings(max_examples=50, **COMMON)
+@settings(max_examples=50)
 def test_pack_unpack_roundtrip(shape, data):
     rng = np.random.default_rng(data)
     plane = rng.random(shape)
@@ -88,7 +86,7 @@ def test_pack_unpack_roundtrip(shape, data):
     extent=shapes(3, 4, 20),
     factors=tile_factors(3),
 )
-@settings(max_examples=50, **COMMON)
+@settings(max_examples=50)
 def test_tiles_cover_domain_once_for_any_factors(extent, factors):
     assume(all(f <= e for f, e in zip(factors, extent)))
     k, j, i = VarExpr("k"), VarExpr("j"), VarExpr("i")
@@ -109,7 +107,7 @@ def test_tiles_cover_domain_once_for_any_factors(extent, factors):
     nworkers=st.integers(1, 9),
     factors=tile_factors(2, 1, 6),
 )
-@settings(max_examples=40, **COMMON)
+@settings(max_examples=40)
 def test_worker_assignment_partitions_tiles(nworkers, factors):
     j, i = VarExpr("j"), VarExpr("i")
     B = SpNode("B", (12, 12), halo=(1, 1))
@@ -127,7 +125,7 @@ def test_worker_assignment_partitions_tiles(nworkers, factors):
 
 # -- sliding window ------------------------------------------------------------------
 @given(steps=st.integers(1, 12), window=st.integers(2, 4))
-@settings(max_examples=30, **COMMON)
+@settings(max_examples=30)
 def test_window_equals_full_history(steps, window):
     """Keeping only W planes gives the same result as keeping all."""
     B = SpNode("B", (6, 6), halo=(1, 1), time_window=window)
@@ -154,7 +152,7 @@ def test_window_equals_full_history(steps, window):
 @given(
     sizes=st.lists(st.integers(1, 4096), min_size=1, max_size=12),
 )
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60)
 def test_spm_allocator_invariants(sizes):
     spm = SPMAllocator(16 * 1024, align=32)
     live = {}
@@ -180,12 +178,16 @@ def test_spm_allocator_invariants(sizes):
     a=st.floats(-100, 100, allow_nan=False),
     b=st.floats(-100, 100, allow_nan=False),
 )
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60)
 def test_constant_folding_matches_python(a, b):
+    """The lowering folds a literal-only sub-tree to exactly the value
+    python (hence the oracle's ``_eval``) computes for it."""
+    j, i = VarExpr("j"), VarExpr("i")
+    B = SpNode("B", (8, 8), halo=(1, 1), time_window=2)
     e = (ConstExpr(a) + ConstExpr(b)) * ConstExpr(2.0) - ConstExpr(a)
-    out = fold_constants(e)
-    assert isinstance(out, ConstExpr)
-    assert out.value == pytest.approx((a + b) * 2.0 - a, abs=1e-9)
+    program = Kernel("k", (j, i), e * B[j, i]).program
+    assert program.code == (
+        ("mul", (("value", (a + b) * 2.0 - a), ("slot", 0))),)
 
 
 @given(
@@ -193,7 +195,7 @@ def test_constant_folding_matches_python(a, b):
                   min_size=3, max_size=3),
     seed=seeds(),
 )
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_stencil_linearity(coef, seed):
     """The stencil operator is linear: S(a·x) == a·S(x)."""
     assume(any(abs(c) > 1e-6 for c in coef))
@@ -216,7 +218,7 @@ def test_stencil_linearity(coef, seed):
     factors=tile_factors(2),
     seed=seeds(),
 )
-@settings(max_examples=25, **COMMON)
+@settings(max_examples=25)
 def test_schedule_never_changes_results(factors, seed):
     """Any legal tiling produces bitwise-identical results (Sec. 5.1)."""
     j, i = VarExpr("j"), VarExpr("i")

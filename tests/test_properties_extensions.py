@@ -16,7 +16,6 @@ from repro.inspector import WorkloadMap, decompose_weighted, weighted_cuts
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr, f64
 from repro.runtime.topology import fat_tree, route_exchange, torus
 from tests.strategies import (
-    COMMON,
     boundaries,
     process_grids,
     seeds,
@@ -32,7 +31,7 @@ from tests.strategies import (
     seed=seeds(),
     boundary=boundaries,
 )
-@settings(max_examples=20, **COMMON)
+@settings(max_examples=20)
 def test_temporal_tiling_always_exact(tile, depth, seed, boundary):
     """Any tile/depth combination reproduces the reference bitwise."""
     grid = (12, 15)
@@ -51,7 +50,7 @@ def test_temporal_tiling_always_exact(tile, depth, seed, boundary):
                       min_size=4, max_size=30),
     parts=st.integers(1, 4),
 )
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60)
 def test_weighted_cuts_partition_and_balance(marginal, parts):
     marginal = np.asarray(marginal)
     assume(parts <= len(marginal))
@@ -68,7 +67,7 @@ def test_weighted_cuts_partition_and_balance(marginal, parts):
     grid=process_grids(2, 3),
     seed=seeds(),
 )
-@settings(max_examples=40, **COMMON)
+@settings(max_examples=40)
 def test_weighted_decomposition_partitions_domain(shape, grid, seed):
     assume(all(g <= s for g, s in zip(grid, shape)))
     rng = np.random.default_rng(seed)
@@ -105,7 +104,7 @@ _multigrid = runpy.run_path(str(
 
 
 @given(seed=seeds(), stages=st.integers(1, 3) | st.just("multigrid"))
-@settings(max_examples=15, **COMMON)
+@settings(max_examples=15)
 def test_pipeline_stage_chain_linear(seed, stages):
     """A chain of averaging stages — or the multigrid smoother and
     residual — stays linear in its data: P(a·x) == a·P(x)."""
@@ -139,7 +138,7 @@ def test_pipeline_stage_chain_linear(seed, stages):
     radix=st.integers(2, 8),
     nhosts=st.integers(4, 32),
 )
-@settings(max_examples=30, **COMMON)
+@settings(max_examples=30)
 def test_fat_tree_always_connected(radix, nhosts):
     import networkx as nx
 
@@ -152,7 +151,7 @@ def test_fat_tree_always_connected(radix, nhosts):
     dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
     pgrid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
 )
-@settings(max_examples=20, **COMMON)
+@settings(max_examples=20)
 @pytest.mark.slow
 def test_routed_bytes_conserved_on_any_torus(dims, pgrid):
     """Total routed bytes equal the analytical per-process halo sum."""
