@@ -25,10 +25,10 @@ from repro.backend.pipeline_exec import (
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr, f64
 
 
-def build_pipeline(n, omega=0.8):
-    U = SpNode("U", (n, n), f64, halo=(1, 1), time_window=2)
-    R = SpNode("R", (n, n), f64, halo=(1, 1), time_window=2)
-    Brhs = SpNode("Brhs", (n, n), f64, halo=(1, 1), time_window=2)
+def build_pipeline(n, omega=0.8, dtype=f64):
+    U = SpNode("U", (n, n), dtype, halo=(1, 1), time_window=2)
+    R = SpNode("R", (n, n), dtype, halo=(1, 1), time_window=2)
+    Brhs = SpNode("Brhs", (n, n), dtype, halo=(1, 1), time_window=2)
     j, i = VarExpr("j"), VarExpr("i")
 
     # weighted Jacobi for -Laplace(U) = b with Dirichlet-0 boundary:

@@ -5,7 +5,9 @@ AOT generation of standard C plus Makefiles for the ``cpu``, ``matrix``
 executable numpy backend used to run and verify schedules in-process.
 """
 
-from .c_codegen import CCodeGenerator, GeneratedCode, render_kernel_c
+from .c_codegen import (
+    CCodeGenerator, GeneratedCode, generate_pipeline, render_kernel_c,
+)
 from .sunway import SunwayCodeGenerator, generate_sunway
 from .makefile import generate_makefile, toolchain_cflags, TOOLCHAINS
 from .native import (
@@ -23,7 +25,6 @@ from .native import (
 from .targets import generate, KNOWN_TARGETS
 from .temporal_exec import TemporalTilingExecutor
 from .pipeline_exec import PipelineExecutor, distributed_pipeline_run
-from .pipeline_codegen import PipelineCodeGenerator, generate_pipeline
 from .mpi_codegen import MPICodeGenerator, generate_mpi, COMM_HEADER, COMM_SOURCE
 from .numpy_backend import (
     BOUNDARY_CONDITIONS,
@@ -34,7 +35,7 @@ from .numpy_backend import (
 )
 
 __all__ = [
-    "CCodeGenerator", "GeneratedCode", "render_kernel_c",
+    "CCodeGenerator", "GeneratedCode", "generate_pipeline", "render_kernel_c",
     "SunwayCodeGenerator", "generate_sunway",
     "generate_makefile", "toolchain_cflags", "TOOLCHAINS",
     "ArtifactCache", "NativeBuildError", "NativeExecutor",
@@ -46,6 +47,5 @@ __all__ = [
     "fill_halo", "reference_run",
     "TemporalTilingExecutor",
     "PipelineExecutor", "distributed_pipeline_run",
-    "PipelineCodeGenerator", "generate_pipeline",
     "MPICodeGenerator", "generate_mpi", "COMM_HEADER", "COMM_SOURCE",
 ]

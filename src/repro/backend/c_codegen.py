@@ -1,27 +1,41 @@
 """AOT C code generation (Sec. 3: "generate standard C codes as well as
 corresponding building scripts").
 
-The generator lowers a validated :class:`~repro.ir.stencil.Stencil` plus
-its kernels' schedules into a self-contained C program:
+The generator lowers a validated :class:`~repro.ir.stencil.Stencil` —
+or a :class:`~repro.ir.pipeline.StagePipeline` of them, a lone stencil
+being its one-stage case — plus its kernels' schedules into a
+self-contained C program:
 
-- one *sweep* function per run of consecutive combination terms that
-  share a kernel, with the scheduled loop nest (tiled, reordered,
-  optionally OpenMP-parallel) around a body that writes the finished
-  value straight into the plane of step ``t``,
-- a time loop driving the sliding window (planes addressed modulo W),
-- halo fill for the configured boundary condition,
+- one *sweep* function per run of consecutive combination terms of a
+  stage that share a kernel, with the scheduled loop nest (tiled,
+  reordered, optionally OpenMP-parallel) around a body that writes the
+  finished value straight into the plane of step ``t``,
+- a time loop driving one sliding window per stage (planes addressed
+  modulo W), stages in pipeline order,
+- per tensor, a halo fill for the configured boundary condition, run on
+  every plane a stage produces before anything reads it,
 - a small binary I/O ``main`` so generated programs can be executed and
   checked against the numpy reference (this replaces running on the
-  authors' hardware; the *Sunway* backend additionally emits athread
-  master/slave files that are validated structurally).
+  authors' hardware).
+
+Every CPU C program is printed by this one generator: the shared
+library (:class:`~repro.backend.native.SharedLibGenerator`) replaces
+the entry point, the MPI rank program
+(:class:`~repro.backend.mpi_codegen.MPICodeGenerator`) the entry point,
+the layout macros, the loop bounds and the halo fill — which on a rank
+is the exchange.  The *Sunway* backend reuses the nests and the kernel
+printer but spawns one CPE sweep per kernel application (its SPM
+staging is per application).
 
 The emitted program protocol is::
 
     ./prog <init.bin> <timesteps> <out.bin>
 
-``init.bin`` holds the W-1 initial history planes (valid region only,
-C order) followed by any auxiliary input tensors; ``out.bin`` receives
-the newest valid plane after ``timesteps`` sweeps.
+``init.bin`` holds, per stage output in pipeline order, its initial
+history planes oldest first (valid region, C order; the W-1 planes of a
+lone stencil), followed by any auxiliary input tensors; ``out.bin``
+receives each stage's newest valid plane after ``timesteps`` steps, in
+pipeline order.
 """
 
 from __future__ import annotations
@@ -33,10 +47,12 @@ from functools import cached_property
 from itertools import groupby
 from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from ..ir.analysis import free_scalars
 from ..ir.kernel import Kernel, KernelApply
+from ..ir.pipeline import StagePipeline, as_pipeline
 from ..ir.program import TEMP, VALUE, Operand
 from ..ir.stencil import Stencil
 from ..ir.validate import ValidationError, validate_stencil
@@ -44,7 +60,7 @@ from ..schedule.loopnest import LoopNest
 from ..schedule.schedule import Schedule
 
 __all__ = ["GeneratedCode", "SweepRun", "CCodeGenerator", "bound_scalars",
-           "c_literal", "render_kernel_c"]
+           "c_literal", "generate_pipeline", "render_kernel_c"]
 
 
 @dataclass
@@ -95,12 +111,16 @@ class GeneratedCode:
 
 
 class SweepRun(NamedTuple):
-    """Consecutive combination terms sharing a kernel: one emitted sweep."""
+    """Consecutive combination terms of one stage sharing a kernel: one
+    emitted sweep."""
 
     name: str
+    stage: Stencil
     kernel: Kernel
     terms: Tuple[Tuple[float, KernelApply], ...]
-    depths: List[int]  #: steps back from t of the output planes it reads
+    depths: List[int]  #: steps back from t of the stage's own planes read
+    #: ``(stage output, steps back from t)`` of the stage references read
+    refs: List[Tuple[str, int]]
     aux: List[int]  #: positions in ``aux_tensors`` of the inputs it reads
 
 
@@ -190,53 +210,82 @@ def render_kernel_c(kernel: Kernel, scalars: Mapping[str, float],
 
 
 class CCodeGenerator:
-    """Generates the portable C (OpenMP) program for a stencil.
+    """Generates the portable C (OpenMP) program for a stencil or a
+    pipeline of stencil stages.
 
     Subclassed / reused by the target backends: ``cpu`` and ``matrix``
     emit this program directly (their difference is thread count and
-    build flags); ``sunway`` replaces the sweep bodies with athread
+    build flags); the shared library and the MPI rank program replace
+    its entry point; ``sunway`` replaces the sweep bodies with athread
     master/slave files.
     """
 
-    def __init__(self, stencil: Stencil, schedules: Mapping[str, Schedule],
+    def __init__(self, program: Union[Stencil, StagePipeline],
+                 schedules: Mapping[str, Schedule],
                  boundary: str = "zero", use_openmp: bool = True,
                  nthreads: Optional[int] = None,
                  scalars: Optional[Mapping[str, float]] = None):
-        validate_stencil(stencil)
-        self.scalars = bound_scalars([stencil], scalars)
+        if isinstance(program, Stencil):
+            validate_stencil(program)  # its own report, not a stage's
+        self.pipeline, self.history = as_pipeline(program)
+        self.stages = self.pipeline.stages
+        self.scalars = bound_scalars(self.stages, scalars)
         if boundary not in ("zero", "periodic", "reflect"):
             raise ValueError(
                 f"C backend supports zero/periodic/reflect boundaries, "
                 f"got {boundary!r}"
             )
-        self.stencil = stencil
         self.boundary = boundary
         self.use_openmp = use_openmp
         self.schedules = dict(schedules)
-        for kern in stencil.kernels:
-            self.schedules.setdefault(kern.name, Schedule(kern))
+        for stage in self.stages:
+            for kern in stage.kernels:
+                self.schedules.setdefault(kern.name, Schedule(kern))
         self.nests: Dict[str, LoopNest] = {
-            name: sched.lower(stencil.output.shape)
+            name: sched.lower(self.pipeline.shape)
             for name, sched in self.schedules.items()
         }
         self.nthreads = nthreads or max(
             n.nthreads for n in self.nests.values()
         )
-        out = stencil.output
-        self.real = out.dtype.c_name
-        self.ndim = out.ndim
-        self.aux_tensors = self._aux_tensors()
-        self._rendered: Dict[str, str] = {}  # kernel name -> C template
+        self.real = self.stages[0].output.dtype.c_name
+        self.ndim = self.pipeline.ndim
+        self.aux_tensors = list(self.pipeline.aux_tensors().values())
+        #: (stage output, kernel name) -> C template
+        self._rendered: Dict[Tuple[str, str], str] = {}
+
+    @property
+    def stencil(self) -> Stencil:
+        """The stencil of a one-stage program — what the flavours with a
+        single window (shared library, MPI, Sunway) generate."""
+        if len(self.stages) != 1:
+            raise ValueError(
+                f"{type(self).__name__} generates single-stencil programs;"
+                f" got a {len(self.stages)}-stage pipeline"
+            )
+        return self.stages[0]
 
     # -- helpers -----------------------------------------------------------------
-    def _aux_tensors(self) -> List:
-        out_name = self.stencil.output.name
-        seen = {}
-        for kern in self.stencil.kernels:
-            for tensor in kern.input_tensors:
-                if tensor.name != out_name:
-                    seen.setdefault(tensor.name, tensor)
-        return list(seen.values())
+    def _c_name(self, base: str, tensor: str) -> str:
+        """``tensor``'s copy of a per-tensor C name (``TWIN``,
+        ``PLANE_ELEMS``, ``PX``, ``HX``, ``fill_halo``, ``win``, ``dst``,
+        ``newest``): ``base`` itself for the output of a one-stage
+        program, ``<base>_<tensor>`` for any other tensor."""
+        if len(self.stages) == 1 and tensor == self.stages[0].output.name:
+            return base
+        return f"{base}_{tensor}"
+
+    def _axes(self, prefix: str, tensor: Optional[str] = None) -> List[str]:
+        """Per-dimension macro names, outermost first: ``NZ NY NX`` for
+        the domain, ``PZ``.../``HZ``... of ``tensor`` by :meth:`_c_name`."""
+        names = [prefix + axis for axis in "ZYX"[-self.ndim:]]
+        if tensor is None:
+            return names
+        return [self._c_name(n, tensor) for n in names]
+
+    def _plane(self, tensor: str, t: str) -> str:
+        """The plane of step ``t`` in ``tensor``'s window."""
+        return f"PLANE_{tensor}({self._c_name('win', tensor)}, {t})"
 
     def _dims(self, tensor) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         halo = getattr(tensor, "halo", (0,) * tensor.ndim)
@@ -254,6 +303,14 @@ class CCodeGenerator:
             idx = f"({idx}) * {padded[d]}L + ({dims[d]})"
         return f"#define AT_{name}(p, {args}) ((p)[{idx}])"
 
+    def _plane_macro(self, tensor) -> str:
+        twin = self._c_name("TWIN", tensor.name)
+        elems = self._c_name("PLANE_ELEMS", tensor.name)
+        return (
+            f"#define PLANE_{tensor.name}(win, t) "
+            f"((win) + (((t) % {twin} + {twin}) % {twin}) * {elems})"
+        )
+
     def _plane_elems(self, tensor) -> int:
         padded, _ = self._dims(tensor)
         n = 1
@@ -263,44 +320,43 @@ class CCodeGenerator:
 
     # -- emission ----------------------------------------------------------------
     def header(self) -> str:
-        out = self.stencil.output
-        padded, halo = self._dims(out)
-        w = out.time_window
+        outputs = self.pipeline.outputs
         lines = [
-            f"/* generated by MSC: stencil over {out.name}"
-            f" {out.shape}, window {w} */",
+            "/* generated by MSC: stencil over " + "; ".join(
+                f"{out.name} {out.shape}, window {out.time_window}"
+                for out in outputs
+            ) + " */",
         ] + [f"#include <{h}>" for h in self.includes]
         lines.append(f"typedef {self.real} real;")
-        names = ["NZ", "NY", "NX"][-self.ndim:]
-        pnames = ["PZ", "PY", "PX"][-self.ndim:]
-        hnames = ["HZ", "HY", "HX"][-self.ndim:]
-        for nm, v in zip(names, out.shape):
+        names = self._axes("N")
+        for nm, v in zip(names, self.pipeline.shape):
             lines.append(f"#define {nm} {v}")
-        for nm, v in zip(pnames, padded):
-            lines.append(f"#define {nm} {v}")
-        for nm, v in zip(hnames, halo):
-            lines.append(f"#define {nm} {v}")
-        lines.append(f"#define TWIN {w}")
-        plane = " * ".join(pnames)
-        lines.append(f"#define PLANE_ELEMS ((long)({plane}))")
-        lines.append(
-            f"#define PLANE_{out.name}(win, t) "
-            f"((win) + (((t) % TWIN + TWIN) % TWIN) * PLANE_ELEMS)"
-        )
-        lines.append(self._at_macro(out))
-        for aux in self.aux_tensors:
-            lines.append(self._at_macro(aux))
+        for tensor in [*outputs, *self.aux_tensors]:
+            padded, halo = self._dims(tensor)
+            pnames = self._axes("P", tensor.name)
+            for nm, v in zip(pnames, padded):
+                lines.append(f"#define {nm} {v}")
+            for nm, v in zip(self._axes("H", tensor.name), halo):
+                lines.append(f"#define {nm} {v}")
+            if tensor.name in self.history:  # a stage output: a window
+                twin = self._c_name("TWIN", tensor.name)
+                elems = self._c_name("PLANE_ELEMS", tensor.name)
+                lines.append(f"#define {twin} {tensor.time_window}")
+                plane = " * ".join(pnames)
+                lines.append(f"#define {elems} ((long)({plane}))")
+                lines.append(self._plane_macro(tensor))
+            lines.append(self._at_macro(tensor))
         valid = " * ".join(f"(long){n}" for n in names)
         lines.append(f"#define VALID_ELEMS ({valid})")
         return "\n".join(lines)
 
-    def halo_fill(self) -> str:
-        """Emit fill_halo(real *plane) for the configured boundary."""
-        out = self.stencil.output
-        _, halo = self._dims(out)
+    def halo_fill(self, tensor) -> str:
+        """Emit ``fill_halo(real *p)`` (named by :meth:`_c_name`) for
+        ``tensor``'s planes under the configured boundary."""
+        _, halo = self._dims(tensor)
         dims = ["k", "j", "i"][-self.ndim:]
-        pnames = ["PZ", "PY", "PX"][-self.ndim:]
-        hnames = ["HZ", "HY", "HX"][-self.ndim:]
+        pnames = self._axes("P", tensor.name)
+        hnames = self._axes("H", tensor.name)
         body: List[str] = []
         for d in range(self.ndim):
             if halo[d] == 0:
@@ -338,19 +394,19 @@ class CCodeGenerator:
                     src_lo.append(v)
                     src_hi.append(v)
             inner = f"for (long h = 0; h < {hnames[d]}; h++) {{"
-            out_name = out.name
+            name = tensor.name
             if self.boundary in ("periodic", "reflect"):
                 lo_stmt = (
-                    f"AT_{out_name}(p, {', '.join(idx_lo)}) = "
-                    f"AT_{out_name}(p, {', '.join(src_lo)});"
+                    f"AT_{name}(p, {', '.join(idx_lo)}) = "
+                    f"AT_{name}(p, {', '.join(src_lo)});"
                 )
                 hi_stmt = (
-                    f"AT_{out_name}(p, {', '.join(idx_hi)}) = "
-                    f"AT_{out_name}(p, {', '.join(src_hi)});"
+                    f"AT_{name}(p, {', '.join(idx_hi)}) = "
+                    f"AT_{name}(p, {', '.join(src_hi)});"
                 )
             else:
-                lo_stmt = f"AT_{out_name}(p, {', '.join(idx_lo)}) = 0;"
-                hi_stmt = f"AT_{out_name}(p, {', '.join(idx_hi)}) = 0;"
+                lo_stmt = f"AT_{name}(p, {', '.join(idx_lo)}) = 0;"
+                hi_stmt = f"AT_{name}(p, {', '.join(idx_hi)}) = 0;"
             body.append(
                 "\n".join(
                     ["  " + l for l in loops_open]
@@ -359,7 +415,8 @@ class CCodeGenerator:
                 )
             )
         return (
-            "static void fill_halo(real *p) {\n"
+            f"static void {self._c_name('fill_halo', tensor.name)}"
+            "(real *p) {\n"
             + "\n".join(body)
             + "\n}"
         )
@@ -390,53 +447,73 @@ class CCodeGenerator:
 
     @cached_property
     def sweep_runs(self) -> List["SweepRun"]:
-        """``combination_terms()`` split, in order, into maximal runs of
-        consecutive terms that share a kernel (hence a loop nest).
+        """Each stage's ``combination_terms()`` split, in order, into
+        maximal runs of consecutive terms that share a kernel (hence a
+        loop nest); stages in pipeline order.
 
-        Raises :class:`ValidationError` when a read of the output tensor
-        would land on the window slot being written.
+        Raises :class:`ValidationError` when a read of a stage's own
+        output would land on the window slot being written.
         """
-        out = self.stencil.output
         aux_index = {a.name: i for i, a in enumerate(self.aux_tensors)}
         runs: List[SweepRun] = []
         aliased: List[str] = []
-        for _, group in groupby(self.stencil.combination_terms(),
-                                key=lambda term: term[1].kernel.name):
-            terms = tuple(group)
-            kern = terms[0][1].kernel
-            inner = {a.time_offset for a in kern.accesses
-                     if a.tensor.name == out.name}
-            depths = sorted({-(app.time_offset + off)
-                             for _, app in terms for off in inner})
-            # the write slot is t % TWIN: a read `depth` steps back is
-            # a different slot only while 0 < depth < TWIN
-            aliased += [
-                f"kernel {kern.name!r} reads {out.name!r} {d} step(s) back:"
-                f" the slot step t writes in a window of {out.time_window}"
-                for d in depths if not 0 < d < out.time_window
-            ]
-            runs.append(SweepRun(
-                f"sweep_{len(runs)}_{kern.name}", kern, terms, depths,
-                [aux_index[t.name] for t in kern.input_tensors
-                 if t.name != out.name],
-            ))
+        for stage in self.stages:
+            out = stage.output
+            for _, group in groupby(stage.combination_terms(),
+                                    key=lambda term: term[1].kernel.name):
+                terms = tuple(group)
+                kern = terms[0][1].kernel
+                inner = {a.time_offset for a in kern.accesses
+                         if a.tensor.name == out.name}
+                depths = sorted({-(app.time_offset + off)
+                                 for _, app in terms for off in inner})
+                # the write slot is t % TWIN: a read `depth` steps back
+                # is a different slot only while 0 < depth < TWIN
+                aliased += [
+                    f"kernel {kern.name!r} reads {out.name!r} {d} step(s)"
+                    f" back: the slot step t writes in a window of "
+                    f"{out.time_window}"
+                    for d in depths if not 0 < d < out.time_window
+                ]
+                # stage references: relative to t, whatever the
+                # application offset (repro.ir.pipeline)
+                refs = sorted({
+                    (a.tensor.name, -a.time_offset) for a in kern.accesses
+                    if a.tensor.name in self.history
+                    and a.tensor.name != out.name
+                })
+                runs.append(SweepRun(
+                    f"sweep_{len(runs)}_{kern.name}", stage, kern, terms,
+                    depths, refs,
+                    [aux_index[t.name] for t in kern.input_tensors
+                     if t.name in aux_index],
+                ))
         if aliased:
             raise ValidationError(aliased)
         return runs
 
     def _timestep_body(self) -> List[str]:
-        """Statements inside the time loop: one sweep per run, then the
-        halo fill.  Assumes ``real *win``, ``real **aux`` (if any sweep
-        reads a static input) and ``long t``, the step being written.
+        """Statements inside the time loop: per stage, one sweep per run
+        into plane ``t`` of its window, then that plane's halo fill —
+        before a later stage (or step) reads it.  Assumes each stage's
+        window (``win`` by :meth:`_c_name`), ``real **aux`` (if any
+        sweep reads a static input) and ``long t``, the step being
+        written.
         """
-        plane = f"PLANE_{self.stencil.output.name}"
-        lines = [f"    real *dst = {plane}(win, t);"]
-        for run in self.sweep_runs:
-            args = ["dst"]
-            args += [f"{plane}(win, t - {d})" for d in run.depths]
-            args += [f"aux[{i}]" for i in run.aux]
-            lines.append(f"    {run.name}({', '.join(args)});")
-        lines.append("    fill_halo(dst);")
+        lines = []
+        for stage in self.stages:
+            out = stage.output.name
+            dst = self._c_name("dst", out)
+            lines.append(f"    real *{dst} = {self._plane(out, 't')};")
+            for run in self.sweep_runs:
+                if run.stage is not stage:
+                    continue
+                args = [dst]
+                args += [self._plane(out, f"t - {d}") for d in run.depths]
+                args += [self._plane(ref, f"t - {d}") for ref, d in run.refs]
+                args += [f"aux[{i}]" for i in run.aux]
+                lines.append(f"    {run.name}({', '.join(args)});")
+            lines.append(f"    {self._c_name('fill_halo', out)}({dst});")
         return lines
 
     def _loop_nest_code(self, nest: LoopNest, body: str) -> str:
@@ -496,36 +573,43 @@ class CCodeGenerator:
     def sweep_function(self, run: SweepRun) -> str:
         """Sweep for one run, written straight into the plane of step t:
         ``dst = ((0 + s1 * K(t-k1)) + s2 * K(t-k2)) ...`` for the first
-        run of the step, ``dst = (dst + s * K(t-k)) ...`` for later ones
-        — the left-to-right order ``reference_run`` accumulates in.
+        run of the stage's step, ``dst = (dst + s * K(t-k)) ...`` for
+        later ones — the left-to-right order ``reference_run``
+        accumulates in.  Own planes are ``<B>_m<depth>``, stage
+        references ``<S>_m<depth>``, static inputs ``<C>_buf``.
         """
         kern = run.kernel
-        out = self.stencil.output
+        out = run.stage.output
         halos = {t.name: self._dims(t)[1]
-                 for t in [out] + self.aux_tensors}
-        # rendered once per kernel with `{depth}` plane slots, then
-        # instantiated per term; the halo shift is folded into offsets
-        if kern.name not in self._rendered:
-            self._rendered[kern.name] = render_kernel_c(
+                 for t in [*self.pipeline.outputs, *self.aux_tensors]}
+        # rendered once per (stage, kernel) with `{depth}` slots for the
+        # own planes, then instantiated per term; the halo shift is
+        # folded into offsets
+        key = (out.name, kern.name)
+        if key not in self._rendered:
+            self._rendered[key] = render_kernel_c(
                 kern, self.scalars,
                 lambda tensor, time_offset: (
                     f"{{{-time_offset}}}" if tensor == out.name
-                    else f"{tensor}_buf"
+                    else f"{tensor}_m{-time_offset}"
+                    if tensor in self.history else f"{tensor}_buf"
                 ),
                 halos,
             )
-        rendered = self._rendered[kern.name]
+        rendered = self._rendered[key]
         planes = [f"{out.name}_m{d}" for d in range(out.time_window)]
         dst = f"AT_{out.name}(dst, " + ", ".join(
             f"{lv.name} + {h}" if h else lv.name
             for lv, h in zip(kern.loop_vars, halos[out.name])
         ) + ")"
-        value = "(real)0" if run is self.sweep_runs[0] else dst
+        first = next(r for r in self.sweep_runs if r.stage is run.stage)
+        value = "(real)0" if run is first else dst
         for scale, app in run.terms:
             term = rendered.format(*planes[-app.time_offset:])
             value = f"({value} + (real){scale!r} * {term})"
         params = ["real *restrict dst"]
         params += [f"const real *restrict {planes[d]}" for d in run.depths]
+        params += [f"const real *restrict {ref}_m{d}" for ref, d in run.refs]
         params += [f"const real *restrict {self.aux_tensors[i].name}_buf"
                    for i in run.aux]
         nest_code = self._loop_nest_code(
@@ -537,8 +621,9 @@ class CCodeGenerator:
         )
 
     def main_function(self) -> str:
-        out = self.stencil.output
-        hist = self.stencil.required_time_window - 1
+        outputs = [out.name for out in self.pipeline.outputs]
+        tensors = {out.name: out for out in self.pipeline.outputs}
+        k_max = max(self.history.values())
         lines: List[str] = [
             "int main(int argc, char **argv) {",
             "  if (argc != 4) {",
@@ -546,21 +631,34 @@ class CCodeGenerator:
             " argv[0]);",
             "    return 2;",
             "  }",
-            "  real *win = (real *)calloc((size_t)TWIN * PLANE_ELEMS,"
-            " sizeof(real));",
+        ]
+        lines += [
+            f"  real *{self._c_name('win', out)} = (real *)calloc((size_t)"
+            f"{self._c_name('TWIN', out)} * "
+            f"{self._c_name('PLANE_ELEMS', out)}, sizeof(real));"
+            for out in outputs
+        ]
+        lines += [
             '  FILE *fi = fopen(argv[1], "rb");',
             '  if (!fi) { perror("init"); return 1; }',
             "  real *tmp = (real *)malloc(sizeof(real) * VALID_ELEMS);",
-            f"  for (long t = 0; t < {hist}; t++) {{",
-            "    if (fread(tmp, sizeof(real), VALID_ELEMS, fi) != "
-            "(size_t)VALID_ELEMS) { fprintf(stderr, \"short init\\n\");"
-            " return 1; }",
-            f"    real *p = PLANE_{out.name}(win, t);",
         ]
-        lines += self._copy_loops(
-            out, f"AT_{out.name}(p, {{shifted}}) = tmp[{{flat}}];", 2
-        )
-        lines += ["    fill_halo(p);", "  }"]
+        # every output's newest seed sits at step k_max - 1
+        for out in outputs:
+            if not self.history[out]:
+                continue
+            lines += [
+                f"  for (long t = {k_max - self.history[out]}; "
+                f"t < {k_max}; t++) {{",
+                "    if (fread(tmp, sizeof(real), VALID_ELEMS, fi) != "
+                "(size_t)VALID_ELEMS) { fprintf(stderr, \"short init\\n\");"
+                " return 1; }",
+                f"    real *p = {self._plane(out, 't')};",
+            ]
+            lines += self._copy_loops(
+                tensors[out], f"AT_{out}(p, {{shifted}}) = tmp[{{flat}}];", 2
+            )
+            lines += [f"    {self._c_name('fill_halo', out)}(p);", "  }"]
         if self.aux_tensors:
             lines.append(f"  real *aux[{len(self.aux_tensors)}];")
         for n, aux in enumerate(self.aux_tensors):
@@ -576,26 +674,31 @@ class CCodeGenerator:
                 aux, f"AT_{aux.name}(aux[{n}], {{shifted}}) = tmp[{{flat}}];",
                 1,
             )
-            # fill_halo is laid out for the output tensor's planes
-            if self._dims(aux) == self._dims(out):
-                lines.append(f"  fill_halo(aux[{n}]);")
+            if any(self._dims(aux)[1]):
+                lines.append(
+                    f"  {self._c_name('fill_halo', aux.name)}(aux[{n}]);")
         lines += [
             "  fclose(fi);",
             "  long steps = strtol(argv[2], NULL, 10);",
-            f"  for (long t = {hist}; t < {hist} + steps; t++) {{",
+            f"  for (long t = {k_max}; t < {k_max} + steps; t++) {{",
         ]
         lines += self._timestep_body()
+        lines.append("  }")
+        for out in outputs:
+            newest = self._c_name("newest", out)
+            plane = self._plane(out, f"{k_max} + steps - 1")
+            lines.append(f"  real *{newest} = {plane};")
+            lines += self._copy_loops(
+                tensors[out],
+                f"tmp[{{flat}}] = AT_{out}({newest}, {{shifted}});", 1,
+            )
+            if out == outputs[0]:  # opened once the first plane is staged
+                lines += [
+                    '  FILE *fo = fopen(argv[3], "wb");',
+                    '  if (!fo) { perror("out"); return 1; }',
+                ]
+            lines.append("  fwrite(tmp, sizeof(real), VALID_ELEMS, fo);")
         lines += [
-            "  }",
-            f"  real *newest = PLANE_{out.name}(win, {hist} + steps - 1);",
-        ]
-        lines += self._copy_loops(
-            out, f"tmp[{{flat}}] = AT_{out.name}(newest, {{shifted}});", 1
-        )
-        lines += [
-            '  FILE *fo = fopen(argv[3], "wb");',
-            '  if (!fo) { perror("out"); return 1; }',
-            "  fwrite(tmp, sizeof(real), VALID_ELEMS, fo);",
             "  fclose(fo);",
             "  free(tmp);",
             "  return 0;",
@@ -609,8 +712,11 @@ class CCodeGenerator:
     includes = ("stdio.h", "stdlib.h", "math.h")
 
     def entry_point(self) -> str:
-        """What follows the sweeps: here the file-I/O ``main``."""
-        return self.main_function()
+        """What follows the sweeps: here the halo fill of each static
+        input with a halo, and the file-I/O ``main`` that runs it."""
+        fills = [self.halo_fill(aux) for aux in self.aux_tensors
+                 if any(self._dims(aux)[1])]
+        return "\n\n".join(fills + [self.main_function()])
 
     def generate(self, name: str) -> GeneratedCode:
         """Produce the complete single-file C program."""
@@ -618,7 +724,9 @@ class CCodeGenerator:
 
         with span("codegen.c", bundle=name, target=self.target):
             with span("codegen.c.header"):
-                parts = [self.header(), self.halo_fill()]
+                parts = [self.header()] + [
+                    self.halo_fill(out) for out in self.pipeline.outputs
+                ]
             for run in self.sweep_runs:
                 with span("codegen.c.sweep", kernel=run.kernel.name):
                     parts.append(self.sweep_function(run))
@@ -627,3 +735,18 @@ class CCodeGenerator:
             code = GeneratedCode(name=name, target=self.target)
             code.files[f"{name}.c"] = "\n\n".join(parts) + "\n"
         return code
+
+
+def generate_pipeline(pipeline: StagePipeline, name: str,
+                      boundary: str = "zero", nthreads: int = 8,
+                      scalars: Optional[Mapping[str, float]] = None
+                      ) -> GeneratedCode:
+    """The file-I/O C program of ``pipeline``: every stage kernel under
+    the default schedule with its outermost axis ``parallel(nthreads)``.
+    """
+    schedules = {
+        kern.name: Schedule(kern).parallel(kern.loop_vars[0].name, nthreads)
+        for stage in pipeline.stages for kern in stage.kernels
+    }
+    return CCodeGenerator(pipeline, schedules, boundary,
+                          scalars=scalars).generate(name)

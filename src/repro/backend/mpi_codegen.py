@@ -9,25 +9,27 @@ plugin.  This module emits exactly that:
   Cartesian setup, balanced decomposition, and the asynchronous
   dimension-phased halo exchange (pack → ``MPI_Isend``/``MPI_Irecv`` →
   unpack), generic over 1–3 dimensions;
-- ``<name>_mpi.c`` — the stencil program: rank 0 reads and scatters the
-  global planes, every rank sweeps its sub-domain and calls
-  ``msc_exchange`` after committing each plane, rank 0 gathers and
-  writes the result;
+- ``<name>_mpi.c`` — the stencil program, printed by
+  :class:`~repro.backend.c_codegen.CCodeGenerator`: rank 0 reads and
+  scatters the global planes, every rank sweeps its sub-domain straight
+  into the plane of step ``t`` and fills its halo — ``msc_fill_boundary``
+  plus ``msc_exchange``, the call inserted after each committed plane —
+  and rank 0 gathers and writes the result;
 - a Makefile using ``mpicc``.
 
 mpicc/mpi.h are not available in this environment, so the bundle is
-validated structurally (and kept faithful: the Python communication
-library implements the same protocol and *is* executed in the tests).
+validated structurally and run against the single-rank stub
+(:mod:`repro.backend.mpi_stub`); the Python communication library
+implements the same protocol and *is* executed in the tests.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..ir.stencil import Stencil
-from ..ir.validate import validate_stencil
 from ..schedule.schedule import Schedule
-from .c_codegen import GeneratedCode, bound_scalars, render_kernel_c
+from .c_codegen import CCodeGenerator, GeneratedCode
 
 __all__ = ["MPICodeGenerator", "generate_mpi", "COMM_HEADER", "COMM_SOURCE"]
 
@@ -351,207 +353,155 @@ void msc_comm_free(msc_comm_t *ctx) { MPI_Comm_free(&ctx->cart); }
 """
 
 
-class MPICodeGenerator:
-    """Emit the distributed stencil program + the comm library in C."""
+
+
+class MPICodeGenerator(CCodeGenerator):
+    """Emit the distributed stencil program + the comm library in C.
+
+    The rank program is :class:`CCodeGenerator`'s: the same fused
+    sweeps (untiled, over the rank's sub-domain), the same time loop —
+    because on a rank the halo fill *is* the library call, boundary
+    strips plus exchange, inserted after every committed plane — and an
+    init/scatter/gather ``main``.  Layout macros read the runtime
+    ``ctx.padded`` strides.
+    """
+
+    target = "mpi"
 
     def __init__(self, stencil: Stencil, schedules: Mapping[str, Schedule],
                  mpi_grid, boundary: str = "zero",
                  scalars: Optional[Mapping[str, float]] = None):
-        validate_stencil(stencil)
-        self.scalars = bound_scalars([stencil], scalars)
+        super().__init__(stencil, schedules, boundary, scalars=scalars)
         if boundary not in ("zero", "periodic"):
             raise ValueError(
                 f"MPI codegen supports zero/periodic, got {boundary!r}"
             )
-        out = stencil.output
-        self.stencil = stencil
-        self.boundary = boundary
+        out = self.stencil.output
         self.mpi_grid = tuple(int(g) for g in mpi_grid)
         if len(self.mpi_grid) != out.ndim:
             raise ValueError(
                 f"MPI grid {self.mpi_grid} does not match a "
                 f"{out.ndim}-D stencil"
             )
-        self.real = out.dtype.c_name
-        self.ndim = out.ndim
-        self.dims = {1: ("i",), 2: ("j", "i"), 3: ("k", "j", "i")}[out.ndim]
-        if out.dtype.c_name != "double":
+        if self.aux_tensors:
+            raise ValueError(
+                "the MPI rank program scatters the output tensor only; "
+                f"auxiliary inputs {[t.name for t in self.aux_tensors]} "
+                "are not supported (use the cpu/matrix targets)"
+            )
+        if self.real != "double":
             raise ValueError(
                 "the generated comm library is double-precision; "
                 "use f64 tensors for MPI code generation"
             )
 
-    def program_source(self, name: str) -> str:
-        st = self.stencil
-        out = st.output
-        hist = st.required_time_window - 1
-        w = out.time_window
-        halos = {out.name: out.halo}
-
-        def plane_of(tname: str, time_offset: int) -> str:
-            if time_offset == 0:
-                return "PLANE(t_read)"
-            return f"PLANE(t_read - {-time_offset})"
-
-        dims = self.dims
-        # local padded strides are runtime values (ctx.padded[]) so the
-        # access macro is variable-stride
+    def header(self) -> str:
+        """Layout macros over the rank's runtime strides (``ctx``: this
+        rank's grid and sub-domain)."""
+        out = self.stencil.output
+        dims = ["k", "j", "i"][-self.ndim:]
         idx = dims[0]
         for d in range(1, self.ndim):
             idx = f"({idx}) * ctx.padded[{d}] + ({dims[d]})"
-        lines: List[str] = [
+        elems = " * ".join(f"ctx.padded[{d}]" for d in range(self.ndim))
+        return "\n".join([
             f"/* generated by MSC: distributed {out.name} over "
             f"{'x'.join(map(str, self.mpi_grid))} ranks */",
             '#include "msc_comm.h"',
             "#include <stdio.h>",
             "#include <stdlib.h>",
-            "#include <string.h>",
             "#include <math.h>",
             "typedef double real;",
-            f"#define TWIN {w}",
-            "static msc_comm_t ctx;",
-            "static real *win;  /* TWIN local padded planes */",
-            "static long plane_elems;",
-            "#define PLANE(t) (win + (((t) % TWIN + TWIN) % TWIN) * "
-            "plane_elems)",
+            "static msc_comm_t ctx;  /* this rank's grid and sub-domain */",
+            f"#define TWIN {out.time_window}",
+            f"#define PLANE_ELEMS ({elems})",
+            self._plane_macro(out),
             f"#define AT_{out.name}(p, {', '.join(dims)}) ((p)[{idx}])",
+        ])
+
+    def halo_fill(self, tensor) -> str:
+        """On a rank the halo fill is the exchange: strips with no
+        neighbour zeroed, then the dimension-phased halo exchange."""
+        return (
+            f"static void {self._c_name('fill_halo', tensor.name)}"
+            "(real *p) {\n"
+            "  /* the library call the compiler inserted (Sec. 4.4) */\n"
+            "  msc_fill_boundary(&ctx, p);\n"
+            "  msc_exchange(&ctx, p);\n"
+            "}"
+        )
+
+    def _loop_nest_code(self, nest, body: str) -> str:
+        """The rank's sub-domain, untiled, in the kernel's variable
+        order."""
+        lines = [
+            "  " * d + f"for (long {var} = 0; {var} < ctx.hi[{d}] - "
+            f"ctx.lo[{d}]; {var}++) {{"
+            for d, var in enumerate(nest.domain)
         ]
-        # one sweep per kernel over the local sub-domain; the declared
-        # halo equals the runtime ctx.halo, so the halo-folded subscripts
-        # rendered by render_kernel_c index the padded local planes
-        seen = set()
-        for _, app in st.combination_terms():
-            kern = app.kernel
-            if kern.name in seen:
-                continue
-            seen.add(kern.name)
-            body = render_kernel_c(kern, self.scalars, plane_of, halos)
-            acc_idx = dims[0]
-            for d in range(1, self.ndim):
-                acc_idx = f"({acc_idx}) * nloc[{d}] + ({dims[d]})"
-            loop_lines = []
-            for d, v in enumerate(dims):
-                loop_lines.append(
-                    "  " * (d + 1)
-                    + f"for (long {v} = 0; {v} < nloc[{d}]; {v}++) {{"
-                )
-            close = ["  " * (d + 1) + "}" for d in range(self.ndim)][::-1]
-            lines += [
-                f"static void sweep_{kern.name}(long t_read, real *acc, "
-                "real scale) {",
-                "  long nloc[MSC_MAX_DIMS];",
-                "  for (int d = 0; d < ctx.ndim; d++) "
-                "nloc[d] = ctx.hi[d] - ctx.lo[d];",
-            ]
-            lines += loop_lines
-            lines.append(
-                "  " * (self.ndim + 1)
-                + f"acc[{acc_idx}] += scale * {body};"
-            )
-            lines += close
-            lines.append("}")
-        lines += [
-            "",
+        lines.append("  " * len(nest.domain) + body)
+        lines += ["  " * d + "}" for d in reversed(range(len(nest.domain)))]
+        return "\n".join(lines)
+
+    def entry_point(self) -> str:
+        """Rank 0 reads and scatters the history planes, every rank
+        steps its sub-domain, rank 0 gathers and writes the newest."""
+        out = self.stencil.output
+        hist = self.history[out.name]
+        periodic = "1" if self.boundary == "periodic" else "0"
+        lines = [
             "int main(int argc, char **argv) {",
             "  MPI_Init(&argc, &argv);",
             f"  int dims[] = {{{', '.join(map(str, self.mpi_grid))}}};",
-            "  int periods[] = {"
-            + ", ".join(
-                "1" if self.boundary == "periodic" else "0"
-                for _ in range(self.ndim)
-            )
-            + "};",
+            f"  int periods[] = {{{', '.join([periodic] * self.ndim)}}};",
             f"  long global[] = {{{', '.join(map(str, out.shape))}}};",
             f"  long halo[] = {{{', '.join(map(str, out.halo))}}};",
             f"  msc_comm_init(&ctx, MPI_COMM_WORLD, {self.ndim}, dims, "
             "periods, global, halo);",
-            "  plane_elems = 1;",
-            "  for (int d = 0; d < ctx.ndim; d++) "
-            "plane_elems *= ctx.padded[d];",
-            "  win = (real *)calloc((size_t)TWIN * plane_elems, "
+            "  real *win = (real *)calloc((size_t)TWIN * PLANE_ELEMS, "
             "sizeof(real));",
             "  long gelems = 1;",
             "  for (int d = 0; d < ctx.ndim; d++) gelems *= global[d];",
             "  real *gbuf = NULL;",
             "  if (ctx.rank == 0) gbuf = (real *)malloc(sizeof(real) * "
             "gelems);",
-            '  FILE *fi = NULL;',
+            "  FILE *fi = NULL;",
             '  if (ctx.rank == 0) fi = fopen(argv[1], "rb");',
-            f"  for (long s = 0; s < {hist}; s++) {{",
+            f"  for (long t = 0; t < {hist}; t++) {{",
             "    if (ctx.rank == 0 && fread(gbuf, sizeof(real), gelems, fi)"
             " != (size_t)gelems) MPI_Abort(MPI_COMM_WORLD, 1);",
-            "    msc_scatter(&ctx, gbuf, PLANE(s));",
-            "    msc_fill_boundary(&ctx, PLANE(s));",
-            "    msc_exchange(&ctx, PLANE(s));",
+            f"    msc_scatter(&ctx, gbuf, {self._plane(out.name, 't')});",
+            f"    fill_halo({self._plane(out.name, 't')});",
             "  }",
             "  if (ctx.rank == 0) fclose(fi);",
             "  long steps = strtol(argv[2], NULL, 10);",
-            "  long nloc_total = 1;",
-            "  for (int d = 0; d < ctx.ndim; d++) "
-            "nloc_total *= ctx.hi[d] - ctx.lo[d];",
-            "  real *acc = (real *)malloc(sizeof(real) * nloc_total);",
             f"  for (long t = {hist}; t < {hist} + steps; t++) {{",
-            "    memset(acc, 0, sizeof(real) * nloc_total);",
-        ]
-        for scale, app in st.combination_terms():
-            lines.append(
-                f"    sweep_{app.kernel.name}(t - {-app.time_offset}, "
-                f"acc, (real){scale!r});"
-            )
-        copy_open = []
-        for d, v in enumerate(dims):
-            copy_open.append(
-                "  " * (d + 2)
-                + f"for (long {v} = 0; {v} < ctx.hi[{d}] - ctx.lo[{d}]; "
-                f"{v}++) {{"
-            )
-        copy_close = ["  " * (d + 2) + "}"
-                      for d in range(self.ndim)][::-1]
-        acc_idx = dims[0]
-        for d in range(1, self.ndim):
-            acc_idx = f"({acc_idx}) * (ctx.hi[{d}] - ctx.lo[{d}]) " \
-                      f"+ ({dims[d]})"
-        shifted = ", ".join(
-            f"{v} + ctx.halo[{d}]" for d, v in enumerate(dims)
-        )
-        lines += [
-            "    real *p = PLANE(t);",
-        ]
-        lines += copy_open
-        lines.append(
-            "  " * (self.ndim + 2)
-            + f"AT_{out.name}(p, {shifted}) = acc[{acc_idx}];"
-        )
-        lines += copy_close
-        lines += [
-            "    /* the library call the compiler inserted (Sec. 4.4) */",
-            "    msc_fill_boundary(&ctx, p);",
-            "    msc_exchange(&ctx, p);",
+            *self._timestep_body(),
             "  }",
-            f"  msc_gather(&ctx, PLANE({hist} + steps - 1), gbuf);",
+            f"  msc_gather(&ctx, "
+            f"{self._plane(out.name, f'{hist} + steps - 1')}, gbuf);",
             "  if (ctx.rank == 0) {",
             '    FILE *fo = fopen(argv[3], "wb");',
             "    fwrite(gbuf, sizeof(real), gelems, fo);",
             "    fclose(fo);",
             "  }",
-            "  free(win); free(acc);",
+            "  free(win); free(gbuf);",
             "  msc_comm_free(&ctx);",
             "  MPI_Finalize();",
             "  return 0;",
             "}",
         ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
     def generate(self, name: str) -> GeneratedCode:
-        from ..obs import span
         from .mpi_stub import MPI_STUB_HEADER
 
+        program = super().generate(f"{name}_mpi").files[f"{name}_mpi.c"]
         code = GeneratedCode(name=name, target="mpi")
         code.files["msc_comm.h"] = COMM_HEADER
         code.files["msc_comm.c"] = COMM_SOURCE
         code.files["msc_mpi_stub.h"] = MPI_STUB_HEADER
-        with span("codegen.mpi", bundle=name):
-            code.files[f"{name}_mpi.c"] = self.program_source(name)
+        code.files[f"{name}_mpi.c"] = program
         code.files["Makefile"] = (
             "# generated by MSC (distributed build)\n"
             "CC = mpicc\n"

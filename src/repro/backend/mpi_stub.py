@@ -18,7 +18,9 @@ MPI_STUB_HEADER = """\
  *
  * Supports exactly what the generated code + msc_comm.c use, on one
  * rank: cart topology of total size 1, self-delivering nonblocking
- * messages (matched by tag, FIFO), and trivial collectives.
+ * messages (matched by tag, FIFO), and trivial collectives.  Every
+ * function is static inline: a translation unit that calls only a few
+ * of them still builds warning-free.
  */
 #ifndef MSC_MPI_STUB_H
 #define MSC_MPI_STUB_H
@@ -60,27 +62,29 @@ static int msc_stub_dims[MSC_STUB_MAX_DIMS];
 static int msc_stub_periods[MSC_STUB_MAX_DIMS];
 static int msc_stub_ndim = 0;
 
-static int MPI_Init(int *argc, char ***argv) {
+static inline int MPI_Init(int *argc, char ***argv) {
   (void)argc; (void)argv;
   memset(msc_stub_queue, 0, sizeof(msc_stub_queue));
   memset(msc_stub_reqs, 0, sizeof(msc_stub_reqs));
   return MPI_SUCCESS;
 }
-static int MPI_Finalize(void) { return MPI_SUCCESS; }
-static int MPI_Abort(MPI_Comm c, int code) {
+static inline int MPI_Finalize(void) { return MPI_SUCCESS; }
+static inline int MPI_Abort(MPI_Comm c, int code) {
   (void)c; exit(code);
 }
-static int MPI_Comm_rank(MPI_Comm c, int *rank) {
+static inline int MPI_Comm_rank(MPI_Comm c, int *rank) {
   (void)c; *rank = 0; return MPI_SUCCESS;
 }
-static int MPI_Comm_size(MPI_Comm c, int *size) {
+static inline int MPI_Comm_size(MPI_Comm c, int *size) {
   (void)c; *size = 1; return MPI_SUCCESS;
 }
-static int MPI_Comm_free(MPI_Comm *c) { (void)c; return MPI_SUCCESS; }
+static inline int MPI_Comm_free(MPI_Comm *c) {
+  (void)c; return MPI_SUCCESS;
+}
 
-static int MPI_Cart_create(MPI_Comm base, int ndim, const int *dims,
-                           const int *periods, int reorder,
-                           MPI_Comm *cart) {
+static inline int MPI_Cart_create(MPI_Comm base, int ndim, const int *dims,
+                                  const int *periods, int reorder,
+                                  MPI_Comm *cart) {
   (void)base; (void)reorder;
   long total = 1;
   for (int d = 0; d < ndim; d++) total *= dims[d];
@@ -96,20 +100,22 @@ static int MPI_Cart_create(MPI_Comm base, int ndim, const int *dims,
   *cart = 1;
   return MPI_SUCCESS;
 }
-static int MPI_Cart_coords(MPI_Comm c, int rank, int ndim, int *coords) {
+static inline int MPI_Cart_coords(MPI_Comm c, int rank, int ndim,
+                                  int *coords) {
   (void)c; (void)rank;
   for (int d = 0; d < ndim; d++) coords[d] = 0;
   return MPI_SUCCESS;
 }
-static int MPI_Cart_shift(MPI_Comm c, int dim, int disp, int *lo,
-                          int *hi) {
+static inline int MPI_Cart_shift(MPI_Comm c, int dim, int disp, int *lo,
+                                 int *hi) {
   (void)c; (void)disp;
   if (msc_stub_periods[dim]) { *lo = 0; *hi = 0; }
   else { *lo = MPI_PROC_NULL; *hi = MPI_PROC_NULL; }
   return MPI_SUCCESS;
 }
 
-static int msc_stub_enqueue(const double *buf, long count, int tag) {
+static inline int msc_stub_enqueue(const double *buf, long count,
+                                   int tag) {
   for (int q = 0; q < MSC_STUB_MAX_MSGS; q++) {
     if (!msc_stub_queue[q].used) {
       msc_stub_queue[q].used = 1;
@@ -124,7 +130,7 @@ static int msc_stub_enqueue(const double *buf, long count, int tag) {
   fprintf(stderr, "msc_mpi_stub: message queue overflow\\n");
   exit(3);
 }
-static int msc_stub_dequeue(double *buf, long count, int tag) {
+static inline int msc_stub_dequeue(double *buf, long count, int tag) {
   for (int q = 0; q < MSC_STUB_MAX_MSGS; q++) {
     if (msc_stub_queue[q].used && msc_stub_queue[q].tag == tag) {
       if (msc_stub_queue[q].count != count) {
@@ -140,15 +146,17 @@ static int msc_stub_dequeue(double *buf, long count, int tag) {
   return 1; /* not yet available */
 }
 
-static int MPI_Isend(const void *buf, long count, MPI_Datatype dt,
-                     int dest, int tag, MPI_Comm c, MPI_Request *req) {
+static inline int MPI_Isend(const void *buf, long count, MPI_Datatype dt,
+                            int dest, int tag, MPI_Comm c,
+                            MPI_Request *req) {
   (void)dt; (void)dest; (void)c;
   msc_stub_enqueue((const double *)buf, count, tag);
   *req = -1; /* completed immediately (buffered) */
   return MPI_SUCCESS;
 }
-static int MPI_Irecv(void *buf, long count, MPI_Datatype dt, int src,
-                     int tag, MPI_Comm c, MPI_Request *req) {
+static inline int MPI_Irecv(void *buf, long count, MPI_Datatype dt,
+                            int src, int tag, MPI_Comm c,
+                            MPI_Request *req) {
   (void)dt; (void)src; (void)c;
   for (int r = 0; r < MSC_STUB_MAX_MSGS; r++) {
     if (!msc_stub_reqs[r].used) {
@@ -164,7 +172,7 @@ static int MPI_Irecv(void *buf, long count, MPI_Datatype dt, int src,
   fprintf(stderr, "msc_mpi_stub: request table overflow\\n");
   exit(3);
 }
-static int MPI_Waitall(int n, MPI_Request *reqs, MPI_Status *st) {
+static inline int MPI_Waitall(int n, MPI_Request *reqs, MPI_Status *st) {
   (void)st;
   for (int k = 0; k < n; k++) {
     int r = reqs[k];
@@ -180,13 +188,13 @@ static int MPI_Waitall(int n, MPI_Request *reqs, MPI_Status *st) {
   }
   return MPI_SUCCESS;
 }
-static int MPI_Send(const void *buf, long count, MPI_Datatype dt,
-                    int dest, int tag, MPI_Comm c) {
+static inline int MPI_Send(const void *buf, long count, MPI_Datatype dt,
+                           int dest, int tag, MPI_Comm c) {
   (void)dt; (void)dest; (void)c;
   return msc_stub_enqueue((const double *)buf, count, tag);
 }
-static int MPI_Recv(void *buf, long count, MPI_Datatype dt, int src,
-                    int tag, MPI_Comm c, MPI_Status *st) {
+static inline int MPI_Recv(void *buf, long count, MPI_Datatype dt,
+                           int src, int tag, MPI_Comm c, MPI_Status *st) {
   (void)dt; (void)src; (void)c; (void)st;
   if (msc_stub_dequeue((double *)buf, count, tag) != MPI_SUCCESS) {
     fprintf(stderr, "msc_mpi_stub: Recv with no message (tag %d)\\n",

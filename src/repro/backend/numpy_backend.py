@@ -50,7 +50,7 @@ from ..ir.expr import (
     KNOWN_FUNCS,
 )
 from ..ir.kernel import Kernel
-from ..ir.pipeline import StagePipeline
+from ..ir.pipeline import StagePipeline, as_pipeline
 from ..ir.program import SLOT, TEMP, VALUE, KernelProgram, Operand
 from ..ir.stencil import Stencil
 from ..ir.tensor import SpNode
@@ -324,17 +324,6 @@ def reference_run(stencil: Stencil,
         window.interior_view(newest)[...] = acc
         fill_halo(newest, out.halo, boundary)
     return window.valid(window.newest).copy()
-
-
-def as_pipeline(program: Union[Stencil, StagePipeline]
-                ) -> Tuple[StagePipeline, Dict[str, int]]:
-    """``(pipeline, initial planes needed per output)``; a lone stencil
-    is the one-stage pipeline and keeps its W-1 initial planes."""
-    if isinstance(program, StagePipeline):
-        return program, program.required_history()
-    return StagePipeline((program,)), {
-        program.output.name: program.required_time_window - 1
-    }
 
 
 # -- the kernel program --------------------------------------------------------

@@ -25,10 +25,6 @@ class PipelineExecutor:
 
     def __init__(self, pipeline: StagePipeline, boundary: str = "zero",
                  inputs: Optional[Mapping[str, np.ndarray]] = None):
-        if boundary not in ("zero", "periodic"):
-            raise ValueError(
-                f"pipelines support zero/periodic, got {boundary!r}"
-            )
         self.pipeline = pipeline
         self.boundary = boundary
         self.engine = BlockEngine.serial(pipeline, boundary, inputs)

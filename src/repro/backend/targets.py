@@ -1,20 +1,25 @@
 """Target dispatch: generate a complete code bundle for a named target.
 
 ``generate(stencil, schedules, name, target)`` is the single entry the
-frontend's ``compile_to_source_code`` calls.  Targets:
+frontend's ``compile_to_source_code`` (and ``repro compile``) calls.
+Targets:
 
 - ``"cpu"``    — portable C + OpenMP (compilable here with gcc),
 - ``"matrix"`` — same program shape, Matrix toolchain flags,
 - ``"sunway"`` — athread master/slave bundle (structural validation
-  only; sw5cc is not available off-platform).
+  only; sw5cc is not available off-platform),
+- ``"mpi"``    — the rank program plus the communication library.
 
-Every bundle includes its Makefile.
+``cpu``/``matrix`` also take a multi-stage
+:class:`~repro.ir.pipeline.StagePipeline`; ``sunway``/``mpi`` generate
+single-stencil programs.  Every bundle includes its Makefile.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
+from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil
 from ..obs import span
 from ..schedule.schedule import Schedule
@@ -27,7 +32,8 @@ __all__ = ["generate", "KNOWN_TARGETS"]
 KNOWN_TARGETS = ("cpu", "matrix", "sunway", "mpi")
 
 
-def generate(stencil: Stencil, schedules: Mapping[str, Schedule],
+def generate(stencil: Union[Stencil, StagePipeline],
+             schedules: Mapping[str, Schedule],
              name: str, target: str = "cpu", boundary: str = "zero",
              use_mpi: bool = False,
              nthreads: Optional[int] = None,
@@ -37,8 +43,16 @@ def generate(stencil: Stencil, schedules: Mapping[str, Schedule],
         raise ValueError(
             f"unknown target {target!r}; known: {KNOWN_TARGETS}"
         )
+    if isinstance(stencil, StagePipeline) and target in ("sunway", "mpi"):
+        raise ValueError(
+            f"target {target!r} generates single-stencil programs; this "
+            f"program is a {stencil.nstages}-stage pipeline (use cpu or "
+            "matrix)"
+        )
+    label = (stencil.output.name if isinstance(stencil, Stencil)
+             else repr(stencil))
     with span("codegen.generate", target=target, bundle=name,
-              stencil=stencil.output.name) as sp:
+              stencil=label) as sp:
         if target == "mpi":
             from .mpi_codegen import generate_mpi
 

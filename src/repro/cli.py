@@ -325,9 +325,15 @@ def _cmd_compile(args) -> int:
     with open(args.file) as fh:
         parsed = parse_program(fh.read())
     name = args.name or parsed.stencil_name
-    code = parsed.program.compile_to_source_code(
-        name, target=args.target, check=not args.no_check
-    )
+    if parsed.pipeline is None:
+        code = parsed.program.compile_to_source_code(
+            name, target=args.target, check=not args.no_check
+        )
+    else:
+        from .backend.targets import generate
+
+        code = generate(parsed.pipeline, _declared_schedules(parsed), name,
+                        target=args.target)
     paths = code.write_to(args.output)
     print(f"generated {len(paths)} files for target {args.target!r}:")
     for path in paths:
@@ -335,10 +341,15 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _declared_schedules(parsed):
+    """The schedules a parsed ``.msc`` file declares, per kernel name."""
+    return {name: handle.schedule for name, handle in parsed.kernels.items()}
+
+
 def _cmd_check(args) -> int:
     import os
 
-    from .analysis import DIAGNOSTIC_CODES, check_program
+    from .analysis import DIAGNOSTIC_CODES, CheckReport, check_program
 
     if args.list_codes:
         print("diagnostic codes (see docs/ANALYSIS.md):")
@@ -355,7 +366,10 @@ def _cmd_check(args) -> int:
 
         with open(args.source) as fh:
             parsed = parse_program(fh.read())
-        program = parsed.program
+        stages = (parsed.pipeline.stages if parsed.pipeline
+                  else (parsed.program.ir,))
+        schedules = _declared_schedules(parsed)
+        grid = parsed.mpi_grid
         name = parsed.stencil_name
         machine = None
         if args.machine:
@@ -368,15 +382,17 @@ def _cmd_check(args) -> int:
 
         target = args.machine or "sunway"
         program, _ = build_with_schedule(args.source, target)
+        stages, schedules = (program.ir,), program.schedules()
+        grid = program.mpi_grid
         name = args.source
         machine = machine_by_name(target)
 
-    grid = program.mpi_grid
     if args.mpi_grid:
         grid = tuple(int(g) for g in args.mpi_grid.split(","))
-    report = check_program(
-        program.ir, program.schedules(), machine=machine, mpi_grid=grid
-    )
+    report = CheckReport()  # every stage of a pipeline, as one result
+    for stage in stages:
+        report.extend(check_program(stage, schedules, machine=machine,
+                                    mpi_grid=grid))
     label = machine.name if machine else "any machine"
     if len(report):
         print(report.format())

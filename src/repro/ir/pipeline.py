@@ -29,13 +29,13 @@ next stage starts, so cross-stage reads may use spatial offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple, Union
 
 from .stencil import Stencil
 from .tensor import SpNode
 from .validate import ValidationError, validate_stencil
 
-__all__ = ["StagePipeline"]
+__all__ = ["StagePipeline", "as_pipeline"]
 
 
 @dataclass(frozen=True)
@@ -159,3 +159,14 @@ class StagePipeline:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         chain = " -> ".join(st.output.name for st in self.stages)
         return f"StagePipeline({chain})"
+
+
+def as_pipeline(program: Union[Stencil, StagePipeline]
+                ) -> Tuple[StagePipeline, Dict[str, int]]:
+    """``(pipeline, initial planes needed per output)``; a lone stencil
+    is the one-stage pipeline and keeps its W-1 initial planes."""
+    if isinstance(program, StagePipeline):
+        return program, program.required_history()
+    return StagePipeline((program,)), {
+        program.output.name: program.required_time_window - 1
+    }

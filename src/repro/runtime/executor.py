@@ -19,11 +19,11 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend.numpy_backend import (
-    BlockEngine, as_pipeline, checked_inputs, checked_seeds,
+    BlockEngine, checked_inputs, checked_seeds,
 )
 from ..comm.decomposition import SubDomain, decompose
 from ..comm.halo import HaloSpec, core_owned_regions
-from ..ir.pipeline import StagePipeline
+from ..ir.pipeline import StagePipeline, as_pipeline
 from ..ir.stencil import Stencil
 from ..obs import counter, span
 from ..obs.events import emit

@@ -272,6 +272,33 @@ class TestPipelineCLI:
         data = np.load(str(dest))
         assert set(data.files) == {"U", "R"}
 
+    def test_compile_writes_the_pipeline_program(self, pipe_file, tmp_path,
+                                                 capsys):
+        out = tmp_path / "bundle"
+        assert main(["compile", pipe_file, "-o", str(out)]) == 0
+        src = (out / "s1.c").read_text()
+        assert src.index("sweep_0_smooth(dst_U,") < src.index(
+            "fill_halo_U(dst_U);") < src.index("sweep_1_resid(dst_R,")
+        assert "all: s1" in (out / "Makefile").read_text()
+
+    @pytest.mark.parametrize("target", ["sunway", "mpi"])
+    def test_single_stencil_targets_name_the_stage_count(
+            self, pipe_file, tmp_path, capsys, target):
+        assert main(["compile", pipe_file, "--target", target,
+                     "-o", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2-stage pipeline" in err
+
+    def test_check_covers_every_stage(self, pipe_file, tmp_path, capsys):
+        path = tmp_path / "pipe_par.msc"
+        path.write_text(MSC_PIPELINE.replace(
+            "DefShapeMPI2D", "resid.parallel(j, 4096);\nDefShapeMPI2D"))
+        assert main(["check", str(path), "--machine", "cpu"]) == 0
+        out = capsys.readouterr().out
+        assert "PAR001" in out and "(resid/j)" in out  # the second stage
+        assert "s1: schedule is legal on" in out
+
     def test_serial_matches_distributed(self, pipe_file, capsys):
         main(["run", pipe_file, "--steps", "3", "--seed", "2"])
         dist = capsys.readouterr().out.splitlines()[1:]

@@ -13,6 +13,7 @@ The hypothesis sweeps are marked ``slow`` (run with ``-m slow``); one
 deterministic smoke test stays in the default tier-1 lane.
 """
 
+import importlib.util
 import shutil
 import subprocess
 import tempfile
@@ -24,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_program
-from repro.backend import CCodeGenerator
+from repro.backend import CCodeGenerator, SharedLibGenerator, generate_mpi
 from repro.backend.numpy_backend import ScheduledExecutor, reference_run
 from repro.frontend.stencils import BENCHMARK_NAMES
 from repro.ir import VarExpr, f32, f64
@@ -328,6 +329,24 @@ def _two_kernel_stencil():
     return Stencil(B, near[t - 1] + 0.7 * far[t - 2])
 
 
+def _aux_halo_stencil():
+    """``B`` (halo 1) reads ``C[j, i+1]`` and ``C[j-1, i]`` of a static
+    ``C`` laid out with halo 2: ``C``'s halo is filled by its own
+    layout, not the output's."""
+    from repro.ir import Kernel, SpNode, Stencil, VarExpr
+
+    shape = (12, 16)
+    B = SpNode("B", shape, f64, halo=(1, 1), time_window=2)
+    C = SpNode("C", shape, f64, halo=(2, 2), time_window=2)
+    j, i = VarExpr("j"), VarExpr("i")
+    kern = Kernel(
+        "k", (j, i),
+        0.5 * B[j, i] + 0.125 * (B[j, i - 1] + B[j + 1, i])
+        + 0.25 * C[j, i + 1] - 0.125 * C[j - 1, i],
+    )
+    return Stencil(B, kern[Stencil.t - 1])
+
+
 def _small_grid(bench):
     """A test-sized grid that still fits the benchmark's radius."""
     base = (24, 20) if bench.ndim == 2 else (12, 12, 12)
@@ -362,11 +381,12 @@ def _one_stage_cases():
     yield pytest.param(_two_kernel_stencil, id="two-kernels")
 
 
-@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
 @pytest.mark.parametrize("make", _one_stage_cases())
 def test_stencil_is_a_one_stage_pipeline(make, boundary):
     """A ``Stencil`` and its one-stage ``StagePipeline`` agree bitwise
-    with the reference through every numpy entry point."""
+    with the reference through every numpy entry point (the serial ones
+    under reflect: ranks exchange zero/periodic halos)."""
     from repro.backend.pipeline_exec import (
         PipelineExecutor,
         distributed_pipeline_run,
@@ -389,16 +409,17 @@ def test_stencil_is_a_one_stage_pipeline(make, boundary):
         "pipeline": PipelineExecutor(
             pipe, boundary=boundary, inputs=inputs
         ).run({out.name: init}, steps)[out.name],
-        "distributed pipeline": distributed_pipeline_run(
+    }
+    if boundary != "reflect":
+        got["distributed pipeline"] = distributed_pipeline_run(
             pipe, {out.name: init}, steps, grid, boundary=boundary,
             inputs=inputs,
-        )[out.name],
-    }
-    for mode in ("basic", "diag", "overlap"):
-        got[f"distributed {mode}"] = distributed_run(
-            stencil, init, steps, grid, boundary=boundary, inputs=inputs,
-            exchange_mode=mode,
-        )
+        )[out.name]
+        for mode in ("basic", "diag", "overlap"):
+            got[f"distributed {mode}"] = distributed_run(
+                stencil, init, steps, grid, boundary=boundary,
+                inputs=inputs, exchange_mode=mode,
+            )
     for path, result in got.items():
         assert np.array_equal(result, ref), path
 
@@ -541,7 +562,8 @@ def _different_schedules(stencil):
     (_two_kernel_stencil, 2),
     (_three_run_stencil, 3),
     (_aux_offset_stencil, 1),
-], ids=["two-kernels", "near-far-near", "aux-input"])
+    (_aux_halo_stencil, 1),
+], ids=["two-kernels", "near-far-near", "aux-input", "aux-halo"])
 def test_native_bitwise_multi_run(make, runs, boundary):
     stencil = make()
     schedules = _different_schedules(stencil)
@@ -568,6 +590,144 @@ def test_negative_zero_terms_sum_to_positive_zero(dtype):
     assert not np.signbit(ref).any()
     got = NativeExecutor(stencil, {}, boundary="periodic").run(init, 1)
     assert_same_bits(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# one C program generator: a one-stage pipeline prints the stencil's
+# program, and a pipeline and an MPI rank equal their numpy paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_one_stage_pipeline_prints_the_stencil_program(name, boundary):
+    from repro.frontend.stencils import benchmark_by_name
+    from repro.ir import StagePipeline
+
+    prog, _ = benchmark_by_name(name).build(boundary=boundary)
+    for generator in (CCodeGenerator, SharedLibGenerator):
+        files = [
+            generator(program, prog.schedules(), boundary=boundary
+                      ).generate("b").files
+            for program in (prog.ir, StagePipeline((prog.ir,)))
+        ]
+        assert files[0] == files[1], generator.__name__
+
+
+def _multigrid_pipeline(dtype):
+    """The smoother + residual of ``examples/multigrid_smoother.py``."""
+    path = (Path(__file__).resolve().parent.parent / "examples"
+            / "multigrid_smoother.py")
+    spec = importlib.util.spec_from_file_location("multigrid_smoother",
+                                                  path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    return example.build_pipeline(24, dtype=dtype)
+
+
+def _wave3d_pipeline(dtype):
+    from tests.test_pipeline_codegen import _wave_pipeline
+
+    return _wave_pipeline(dtype=dtype)
+
+
+def _table5_schedules(pipeline):
+    """Every stage kernel under the Table-5 ``cpu`` schedule (tile
+    clamped to the grid, reorder, ``parallel``) of the Table-4 star of
+    its dimensionality — as ``build_with_schedule`` applies it."""
+    from repro.evalsuite.configs import table5_row
+
+    row = table5_row("2d9pt_star" if pipeline.ndim == 2 else "3d7pt_star")
+    tile = [min(t, s) for t, s in zip(row.matrix_tile, pipeline.shape)]
+    axes = ("xo", "xi", "yo", "yi", "zo", "zi")[:2 * pipeline.ndim]
+    return {
+        kern.name: Schedule(kern).tile(*tile, *axes).reorder(*row.reorder)
+        .parallel("xo", 28)
+        for stage in pipeline.stages for kern in stage.kernels
+    }
+
+
+@needs_gcc
+@_SCHEDULED
+@_DTYPES
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("make", [_multigrid_pipeline, _wave3d_pipeline],
+                         ids=["multigrid", "wave3d"])
+def test_generated_pipeline_bitwise(make, boundary, dtype, scheduled):
+    """The pipeline's file-I/O program equals ``PipelineExecutor``."""
+    from repro.backend.pipeline_exec import PipelineExecutor
+    from repro.evalsuite.verify import _compile_and_run
+
+    pipe = make(dtype)
+    np_dtype = dtype.np_dtype
+    rng = np.random.default_rng(8)
+    seeds = {
+        name: [rng.random(pipe.shape).astype(np_dtype) for _ in range(k)]
+        for name, k in pipe.required_history().items() if k
+    }
+    inputs = {name: rng.random(pipe.shape).astype(np_dtype)
+              for name in pipe.aux_tensors()}
+    # init.bin: each stage's seeds in pipeline order, then the inputs
+    blob = np.concatenate(
+        [p.ravel() for out in pipe.outputs for p in seeds.get(out.name, [])]
+        + [data.ravel() for data in inputs.values()]
+    )
+    gen = CCodeGenerator(pipe, _table5_schedules(pipe) if scheduled else {},
+                         boundary=boundary)
+    got, note = _compile_and_run(
+        gen.generate("pipe").files, "pipe", blob, 4, np_dtype,
+        (pipe.nstages, *pipe.shape), flags=None,
+    )
+    assert not note, note
+    ref = PipelineExecutor(pipe, boundary=boundary,
+                           inputs=inputs or None).run(seeds, 4)
+    for plane, out in zip(got, pipe.outputs):
+        assert_same_bits(plane, ref[out.name])
+
+
+def _negative_zero_stencil():
+    """The 2d5pt stencil; its seed is all ``-0.0`` (see below)."""
+    from repro.ir import Stencil
+    from tests.conftest import make_2d5pt
+
+    tensor, kern = make_2d5pt(shape=(8, 8), dtype=f64)
+    return Stencil(tensor, kern[Stencil.t - 1])
+
+
+def _mpi_cases():
+    from repro.frontend.stencils import benchmark_by_name
+
+    for name in BENCHMARK_NAMES:
+        bench = benchmark_by_name(name)
+        yield pytest.param(
+            lambda bench=bench: bench.build(grid=_small_grid(bench))[0].ir,
+            id=name,
+        )
+    yield pytest.param(_two_kernel_stencil, id="two-kernels")
+    yield pytest.param(_negative_zero_stencil, id="negative-zero")
+
+
+@needs_gcc
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("make", _mpi_cases())
+def test_mpi_stub_program_bitwise(make, boundary):
+    """The rank program on a 1x..x1 grid against the single-rank stub:
+    every halo goes through ``msc_fill_boundary`` + ``msc_exchange``."""
+    from repro.evalsuite.verify import _compile_and_run
+
+    stencil = make()
+    init, _ = _seeded(stencil)
+    if make is _negative_zero_stencil:
+        init = [np.full_like(plane, -0.0) for plane in init]
+    code = generate_mpi(stencil, {}, "rank", (1,) * stencil.ndim,
+                        boundary=boundary)
+    got, note = _compile_and_run(
+        code.files, "rank", np.concatenate([p.ravel() for p in init]), 3,
+        np.float64, stencil.output.shape,
+        flags=["-O2", "-ffp-contract=off", "-DMSC_MPI_STUB"],
+        compile_files=["rank_mpi.c", "msc_comm.c"],
+    )
+    assert not note, note
+    assert_same_bits(got, reference_run(stencil, init, 3, boundary=boundary))
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,11 @@ class TestDocsGenerator:
 
 
 class TestBundleDigests:
-    def test_48_lines_and_compare_exit_code(self, tmp_path):
-        """``tools/bundle_digests.py``: one line per Table-4 cpu bundle;
-        ``--compare`` is silent-and-zero on equal digests, non-zero on
-        any difference."""
+    def test_one_line_per_bundle_and_compare_exit_code(self, tmp_path):
+        """``tools/bundle_digests.py``: one line per Table-4 cpu bundle
+        under the default and the Table-5 schedule, and per Sunway
+        bundle; ``--compare`` is silent-and-zero on equal digests,
+        non-zero on any difference."""
         root = Path(__file__).resolve().parent.parent
 
         def tool(*args):
@@ -174,8 +175,10 @@ class TestBundleDigests:
         listed = tool()
         assert listed.returncode == 0, listed.stderr
         lines = listed.stdout.splitlines()
-        assert len(lines) == 8 * 3 * 2
-        assert len({line.split()[0] for line in lines}) == 48
+        assert len(lines) == 8 * 3 * 2 * 2 + 8 * 2
+        assert len({line.split()[0] for line in lines}) == 112
+        assert sum("/table5" in line for line in lines) == 64
+        assert sum("/sunway/" in line for line in lines) == 16
         same = tmp_path / "same.txt"
         same.write_text(listed.stdout)
         assert tool("--compare", str(same)).returncode == 0
@@ -185,7 +188,7 @@ class TestBundleDigests:
         assert differs.returncode == 1
         assert lines[0].split()[1] in differs.stdout  # changed
         assert lines[1].split()[1] in differs.stdout  # missing there
-        assert "46/48 bundles identical" in differs.stdout
+        assert "110/112 bundles identical" in differs.stdout
 
 
 class TestAsciiChart:

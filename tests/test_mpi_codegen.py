@@ -49,8 +49,22 @@ class TestBundleStructure:
         for api in ("msc_comm_init", "msc_scatter", "msc_exchange",
                     "msc_gather", "msc_comm_free"):
             assert api in src, api
-        # Sec. 4.4: the compiler inserts the exchange after each commit
-        assert src.index("acc[") < src.index("msc_exchange(&ctx, p)")
+        # Sec. 4.4: the compiler inserts the exchange after each commit —
+        # a rank's halo fill is the library call, run on the plane the
+        # sweep just wrote
+        fill = src[src.index("static void fill_halo(real *p) {"):]
+        assert fill.index("msc_fill_boundary(&ctx, p);") < fill.index(
+            "msc_exchange(&ctx, p);") < fill.index("}")
+        loop = src[src.index("for (long t = 2; t < 2 + steps; t++) {"):]
+        assert loop.index("sweep_0_") < loop.index("fill_halo(dst);")
+
+    def test_sweeps_write_the_plane_directly(self, bundle):
+        """The generator's fused sweep: no accumulator plane, no per-step
+        clear, no copy-back."""
+        src = bundle.files["dist3d_mpi.c"]
+        assert "acc" not in src and "memset" not in src
+        assert "static void sweep_0_" in src
+        assert "real *restrict dst" in src
 
     def test_makefile_targets(self, bundle):
         mk = bundle.files["Makefile"]
@@ -71,6 +85,12 @@ class TestBundleStructure:
                                   dtype=f32)
         with pytest.raises(ValueError, match="double"):
             generate_mpi(prog.ir, {}, "x", (2, 2))
+
+    def test_aux_inputs_rejected_by_name(self):
+        from tests.test_differential import _aux_offset_stencil
+
+        with pytest.raises(ValueError, match=r"auxiliary inputs \['C'\]"):
+            generate_mpi(_aux_offset_stencil(), {}, "x", (1, 1))
 
     def test_targets_dispatch(self):
         prog, _ = build_benchmark("2d9pt_star", grid=(32, 32))

@@ -17,7 +17,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backend import native
+from repro.backend import (
+    CCodeGenerator, generate_mpi, generate_pipeline, native,
+)
 from repro.backend.native import (
     ArtifactCache,
     NativeBuildError,
@@ -29,6 +31,7 @@ from repro.backend.native import (
     select_backend,
 )
 from repro.backend.numpy_backend import reference_run
+from repro.frontend.stencils import BENCHMARK_NAMES, benchmark_by_name
 from repro.ir import Stencil, f32, f64
 from repro.schedule import Schedule
 from tests.conftest import make_2d5pt, make_3d7pt
@@ -47,6 +50,36 @@ def _program_3d(shape=(10, 12, 8)):
     tensor, kern = make_3d7pt(shape=shape)
     t = Stencil.t
     return Stencil(tensor, 0.6 * kern[t - 1] + 0.4 * kern[t - 2]), kern
+
+
+def _compile_werror(directory, sources, flags):
+    """Compile ``sources`` in ``directory`` to objects, every warning an
+    error."""
+    import subprocess
+
+    built = subprocess.run(
+        [native.which_cc(), "-c", "-fopenmp", "-Wall", "-Wextra", "-Werror",
+         "-ffp-contract=off", *flags, *sources, "-I."],
+        cwd=directory, capture_output=True, text=True, timeout=120,
+    )
+    assert built.returncode == 0, built.stderr
+
+
+def _warning_free_bundle(flavour):
+    """``(bundle, extra compiler flags)`` of one generated program."""
+    from tests.test_differential import _aux_halo_stencil
+    from tests.test_pipeline_codegen import _jacobi_pipeline, _wave_pipeline
+
+    if flavour == "mpi-stub":
+        return generate_mpi(_program_3d()[0], {}, "m", (1, 1, 1),
+                            boundary="periodic"), ["-DMSC_MPI_STUB"]
+    if flavour == "pipeline-jacobi":
+        return generate_pipeline(_jacobi_pipeline(), "p", "reflect"), []
+    if flavour == "pipeline-wave3d":
+        return generate_pipeline(_wave_pipeline(), "p", "reflect"), []
+    st = (_aux_halo_stencil() if flavour == "file-main-aux-halo"
+          else _program_3d()[0])
+    return CCodeGenerator(st, {}, boundary="periodic").generate("f"), []
 
 
 def _store_repeatedly(root, key, binary_path, go, rounds=10):
@@ -415,6 +448,40 @@ class TestSharedLibGenerator:
         ).stdout
         assert " T msc_run" in symbols
         assert not re.findall(r"^.* [bBdD] .*$", symbols, re.M)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_table4_library_is_warning_free_and_stateless(self, name,
+                                                          tmp_path):
+        """Every Table-4 library: ``-Wall -Wextra -Werror`` clean, and
+        ``nm`` shows no writable symbol (``msc_run`` is re-entrant)."""
+        import shutil
+        import subprocess
+
+        if shutil.which("nm") is None:
+            pytest.skip("nm not available")
+        bench = benchmark_by_name(name)
+        prog, _ = bench.build(grid=(64,) * bench.ndim)
+        SharedLibGenerator(prog.ir, prog.schedules()).generate(
+            "s").write_to(str(tmp_path))
+        _compile_werror(tmp_path, ["s.c"], ["-fPIC", "-O3"])
+        symbols = subprocess.run(
+            ["nm", "s.o"], cwd=tmp_path, check=True, capture_output=True,
+            text=True,
+        ).stdout
+        assert " T msc_run" in symbols
+        assert not re.findall(r"^.* [bBdD] .*$", symbols, re.M)
+
+    @pytest.mark.parametrize("flavour", [
+        "file-main", "file-main-aux-halo", "mpi-stub", "pipeline-jacobi",
+        "pipeline-wave3d",
+    ])
+    def test_every_program_flavour_is_warning_free(self, flavour, tmp_path):
+        """The file-I/O ``main`` (with and without a static input), the
+        MPI rank program against the stub, and the pipelines."""
+        code, flags = _warning_free_bundle(flavour)
+        code.write_to(str(tmp_path))
+        sources = [f for f in code.files if f.endswith(".c")]
+        _compile_werror(tmp_path, sources, ["-O2", *flags])
 
     def test_timeouts_read_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "7.5")

@@ -1,4 +1,5 @@
-"""Compile-and-run verification of the pipeline C code generator."""
+"""Compile-and-run verification of the pipeline C programs
+(``generate_pipeline``: :class:`CCodeGenerator` over every stage)."""
 
 import shutil
 import subprocess
@@ -6,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from repro.backend.pipeline_codegen import generate_pipeline
+from repro.backend.c_codegen import generate_pipeline
 from repro.backend.pipeline_exec import PipelineExecutor
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr, f64
 
@@ -38,6 +39,29 @@ def _jacobi_pipeline(shape=(14, 18)):
     ))
 
 
+def _wave_pipeline(shape=(8, 10, 12), dtype=f64):
+    """A two-history 3-D wave stage, then a gradient stage reading it."""
+    k, j, i = VarExpr("k"), VarExpr("j"), VarExpr("i")
+    U = SpNode("U", shape, dtype, halo=(1, 1, 1), time_window=3)
+    G = SpNode("G", shape, dtype, halo=(1, 1, 1), time_window=2)
+    wave = Kernel(
+        "wave", (k, j, i),
+        1.9 * U[k, j, i] + 0.01 * (
+            U[k, j, i - 1] + U[k, j, i + 1] + U[k, j - 1, i]
+            + U[k, j + 1, i] + U[k - 1, j, i] + U[k + 1, j, i]
+        ),
+    )
+    ident = Kernel("ident", (k, j, i), 1.0 * U[k, j, i])
+    grad = Kernel(
+        "grad", (k, j, i), U[k, j, i + 1] - U[k, j, i - 1],
+    )
+    t = Stencil.t
+    return StagePipeline((
+        Stencil(U, wave[t - 1] - ident[t - 2]),
+        Stencil(G, grad[t - 1]),
+    ))
+
+
 def _compile_run(code, tmp_path, init_arrays, steps, nout, shape):
     code.write_to(str(tmp_path))
     exe = tmp_path / code.name
@@ -64,30 +88,38 @@ class TestGeneratedStructure:
     def test_one_window_per_stage(self):
         code = generate_pipeline(_jacobi_pipeline(), "p")
         src = code.main_source
-        assert "static real *U_win;" in src
-        assert "static real *R_win;" in src
-        assert "static real *Brhs_buf;" in src
+        assert "real *win_U = " in src
+        assert "real *win_R = " in src
+        assert "real *aux[1];" in src  # Brhs, read by both stages
 
     def test_stage_order_in_time_loop(self):
         src = generate_pipeline(_jacobi_pipeline(), "p").main_source
-        assert src.index("sweep_U_0(t,") < src.index("sweep_R_0(t,")
+        assert (src.index("sweep_0_jacobi(dst_U,")
+                < src.index("sweep_1_residual(dst_R,"))
 
     def test_halo_fill_between_stages(self):
         src = generate_pipeline(_jacobi_pipeline(), "p").main_source
-        assert src.index("fill_halo_U(p_U)") < src.index("sweep_R_0(t,")
+        assert (src.index("fill_halo_U(dst_U)")
+                < src.index("sweep_1_residual(dst_R,"))
+
+    def test_residual_reads_the_fresh_smoothed_plane(self):
+        # a stage reference at offset 0 is plane t of the earlier stage
+        src = generate_pipeline(_jacobi_pipeline(), "p").main_source
+        assert ("sweep_1_residual(dst_R, PLANE_U(win_U, t - 0), aux[0]);"
+                in src)
+
+    def test_no_accumulator_plane(self):
+        src = generate_pipeline(_jacobi_pipeline(), "p").main_source
+        assert "acc" not in src and "memset" not in src
 
     def test_balanced_braces(self):
         src = generate_pipeline(_jacobi_pipeline(), "p").main_source
         assert src.count("{") == src.count("}")
 
-    def test_reflect_rejected(self):
-        with pytest.raises(ValueError):
-            generate_pipeline(_jacobi_pipeline(), "p", boundary="reflect")
-
 
 @needs_gcc
 class TestCompiledPipeline:
-    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
     def test_matches_python_executor(self, tmp_path, rng, boundary):
         pipe = _jacobi_pipeline()
         code = generate_pipeline(pipe, f"pipe_{boundary}",
@@ -104,25 +136,7 @@ class TestCompiledPipeline:
     def test_3d_two_history_stage(self, tmp_path, rng):
         # a stage with two time dependencies inside a pipeline
         shape = (8, 10, 12)
-        k, j, i = VarExpr("k"), VarExpr("j"), VarExpr("i")
-        U = SpNode("U", shape, f64, halo=(1, 1, 1), time_window=3)
-        G = SpNode("G", shape, f64, halo=(1, 1, 1), time_window=2)
-        wave = Kernel(
-            "wave", (k, j, i),
-            1.9 * U[k, j, i] + 0.01 * (
-                U[k, j, i - 1] + U[k, j, i + 1] + U[k, j - 1, i]
-                + U[k, j + 1, i] + U[k - 1, j, i] + U[k + 1, j, i]
-            ),
-        )
-        ident = Kernel("ident", (k, j, i), 1.0 * U[k, j, i])
-        grad = Kernel(
-            "grad", (k, j, i), U[k, j, i + 1] - U[k, j, i - 1],
-        )
-        t = Stencil.t
-        pipe = StagePipeline((
-            Stencil(U, wave[t - 1] - ident[t - 2]),
-            Stencil(G, grad[t - 1]),
-        ))
+        pipe = _wave_pipeline(shape)
         code = generate_pipeline(pipe, "wave3d", boundary="periodic")
         u0 = rng.random(shape)
         u1 = rng.random(shape)

@@ -1,11 +1,18 @@
-"""sha256 of the generated C of the cpu flavours, one line per bundle.
+"""sha256 of the generated C the benchmark compiles, one line per bundle.
 
 The evidence a PR gives when it says it did not change the native
-path: the 8 Table-4 programs x zero/periodic/reflect x the two cpu
-flavours (``shared``: the ``msc_*`` library ``NativeExecutor`` loads;
-``file``: the file-I/O ``main``), default grid and schedule — 48 lines
-in ``sha256sum`` format.  Run from the repository root, once per
-checkout, and compare:
+path, in ``sha256sum`` format, 112 lines:
+
+- the 8 Table-4 programs x zero/periodic/reflect x the two cpu
+  flavours (``shared``: the ``msc_*`` library ``NativeExecutor`` loads;
+  ``file``: the file-I/O ``main``), default grid and schedule;
+- the same with each program's Table-5 ``cpu`` schedule (tile, reorder,
+  ``parallel``: what the tiled host benchmarks compile), as
+  ``<program>/<boundary>/<flavour>/table5``;
+- the Sunway athread bundle with its Table-5 schedule, zero/periodic,
+  as ``<program>/<boundary>/sunway/table5``.
+
+Run from the repository root, once per checkout, and compare:
 
     python tools/bundle_digests.py > /tmp/parent.txt     # in the parent
     python tools/bundle_digests.py --compare /tmp/parent.txt
@@ -26,26 +33,39 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.backend.c_codegen import CCodeGenerator  # noqa: E402
 from repro.backend.native import SharedLibGenerator  # noqa: E402
+from repro.backend.sunway import SunwayCodeGenerator  # noqa: E402
+from repro.evalsuite.harness import build_with_schedule  # noqa: E402
 from repro.frontend.stencils import ALL_BENCHMARKS  # noqa: E402
 
 BOUNDARIES = ("zero", "periodic", "reflect")
 FLAVOURS = {"shared": SharedLibGenerator, "file": CCodeGenerator}
+SUNWAY_BOUNDARIES = ("zero", "periodic")
+
+
+def _digest(generator, prog, boundary: str) -> str:
+    files = generator(
+        prog.ir, prog.schedules(), boundary=boundary
+    ).generate("bundle").files
+    text = "".join(f"{name}\0{files[name]}\0" for name in sorted(files))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def bundle_digests() -> dict:
-    """``{"<program>/<boundary>/<flavour>": sha256 hex}``."""
+    """``{"<program>/<boundary>/<flavour>[/table5]": sha256 hex}``."""
     digests = {}
     for bench in ALL_BENCHMARKS:
+        tiled, _ = build_with_schedule(bench.name, "cpu")
         for boundary in BOUNDARIES:
             prog, _ = bench.build(boundary=boundary)
             for flavour, generator in FLAVOURS.items():
-                files = generator(
-                    prog.ir, prog.schedules(), boundary=boundary
-                ).generate("bundle").files
-                text = "".join(f"{name}\0{files[name]}\0"
-                               for name in sorted(files))
-                digests[f"{bench.name}/{boundary}/{flavour}"] = (
-                    hashlib.sha256(text.encode()).hexdigest())
+                key = f"{bench.name}/{boundary}/{flavour}"
+                digests[key] = _digest(generator, prog, boundary)
+                digests[f"{key}/table5"] = _digest(generator, tiled,
+                                                   boundary)
+        sunway, _ = build_with_schedule(bench.name, "sunway")
+        for boundary in SUNWAY_BOUNDARIES:
+            digests[f"{bench.name}/{boundary}/sunway/table5"] = _digest(
+                SunwayCodeGenerator, sunway, boundary)
     return digests
 
 
