@@ -23,9 +23,9 @@ library (:class:`~repro.backend.native.SharedLibGenerator`) replaces
 the entry point, the MPI rank program
 (:class:`~repro.backend.mpi_codegen.MPICodeGenerator`) the entry point,
 the layout macros, the loop bounds and the halo fill — which on a rank
-is the exchange.  The *Sunway* backend reuses the nests and the kernel
-printer but spawns one CPE sweep per kernel application (its SPM
-staging is per application).
+is the exchange.  The *Sunway* backend reuses the nests, the kernel
+printer, the halo fill and the I/O copy loops but spawns one CPE sweep
+per kernel application (its SPM staging is per application).
 
 The emitted program protocol is::
 
@@ -422,10 +422,11 @@ class CCodeGenerator:
         )
 
     def _copy_loops(self, tensor, stmt: str, indent: int) -> List[str]:
-        """Loops of ``main`` over ``tensor``'s valid region around
-        ``stmt``, in which ``{flat}`` is the dense index into a
-        valid-region buffer and ``{shifted}`` the halo-shifted index
-        list into the padded plane.
+        """Loops over ``tensor``'s valid region around ``stmt`` (the
+        file I/O copies of ``main`` and of the Sunway runtime), in
+        which ``{flat}`` is the dense index into a valid-region buffer
+        and ``{shifted}`` the halo-shifted index list into the padded
+        plane.
         """
         dims = ["k", "j", "i"][-tensor.ndim:]
         flat = dims[0]

@@ -81,7 +81,7 @@ def generate_makefile(name: str, target: str,
             f" (testing)\n"
             f"single: {name}_master.c {name}_slave.c {name}_common.c"
             f" {name}.h msc_athread_stub.h\n"
-            f"\tgcc -O2 -DMSC_ATHREAD_STUB {name}_master.c"
+            f"\tgcc -O2 -ffp-contract=off -DMSC_ATHREAD_STUB {name}_master.c"
             f" {name}_slave.c {name}_common.c -o {name} -lm\n"
             f"\n"
             f"clean:\n"

@@ -3,19 +3,27 @@
 On Sunway the MPE runs the time loop and control flow while the 64 CPEs
 execute tiles.  MSC emits (Listing 2, Fig. 4(d)/(e)):
 
-- ``<name>_master.c`` — MPE: window rotation, halo fill, per-timestep
-  ``athread_spawn``/``athread_join`` of the slave sweep;
+- ``<name>_master.c`` — MPE: the time loop, one
+  ``athread_spawn``/``athread_join`` of the slave sweep per kernel
+  application, then the halo fill of the step's plane;
 - ``<name>_slave.c`` — CPE: ``athread_get_id``, round-robin tile
   assignment (``task_id % 64 == my_id``), SPM buffers declared
   ``__thread_local``, DMA ``athread_get``/``athread_put`` at the
   compute_at loop level, the reordered inner loops between them;
 - ``<name>.h`` — shared constants (grid/tile/halo dims, window size).
 
+Each application writes straight into plane ``t``, as every CPU program
+does: per tile the slave starts its write buffer at zero for the step's
+first application (or DMA-gets plane ``t``'s tile for a later one), adds
+``scale * K`` to it and puts it back — ``reference_run``'s order
+``((0 + s1*K1) + s2*K2)...``.  There is no accumulator plane.
+
 sw5cc only exists on TaihuLight, so the bundle additionally ships
 ``<name>_common.c`` (the MPE runtime: window storage, the tile
-gather/scatter a strided DMA descriptor performs, commit, halo fill,
-I/O) and ``msc_athread_stub.h`` — a sequential athread subset selected
-with ``-DMSC_ATHREAD_STUB`` (``make single``).  The bundle therefore
+gathers/scatter a strided DMA descriptor performs, and — printed by
+:class:`CCodeGenerator` — the halo fill and the binary I/O loops) and
+``msc_athread_stub.h`` — a sequential athread subset selected with
+``-DMSC_ATHREAD_STUB`` (``make single``).  The bundle therefore
 *executes* off-platform and its output is verified bit-identical to
 the reference, on top of the structural checks (SPM buffers fit 64 KB,
 every input staged, round-robin tile→CPE mapping, DMA placement).
@@ -23,6 +31,7 @@ every input staged, round-robin tile→CPE mapping, DMA placement).
 
 from __future__ import annotations
 
+import math
 from typing import List, Mapping, Optional
 
 from ..ir.kernel import Kernel
@@ -136,52 +145,30 @@ class SunwayCodeGenerator(CCodeGenerator):
                 (b.buffer for b in bindings if b.kind == "write"), None
             )
             dims = [lv.name for lv in kern.loop_vars]
-            tile_args = ", ".join(str(s) for s in tile)
             padded_tile = [s + 2 * r for s, r in zip(tile, rad)]
-            inner_elems = 1
-            padded_elems = 1
-            for s, p in zip(tile, padded_tile):
-                inner_elems *= s
-                padded_elems *= p
+            inner_elems = math.prod(tile)
+            padded_elems = math.prod(padded_tile)
 
-            # render the expression against the SPM tile buffer
-            halos_local = {out.name: tuple(rad)}
-            for aux in self.aux_tensors:
-                halos_local[aux.name] = tuple(rad)
-
-            def plane_of(tensor: str, time_offset: int,
-                         _rb=read_buf) -> str:
-                # every staged plane lives in the read buffer, one
-                # padded tile per time plane
-                slot = -time_offset
-                return f"({_rb} + {slot} * {padded_elems})"
-
-            # remap the AT_ macro to tile-local strides
-            at_lines = []
-            idx = dims[0]
-            for d in range(1, len(dims)):
-                idx = f"({idx}) * {padded_tile[d]} + ({dims[d]})"
-            at_lines.append(
-                f"#define AT_{out.name}(p, {', '.join(dims)}) ((p)[{idx}])"
+            # the expression against the SPM tile buffer: every staged
+            # plane lives in the read buffer, one padded tile per time
+            # plane, under an AT_ macro with tile-local strides
+            rendered = render_kernel_c(
+                kern, self.scalars,
+                lambda _tensor, time_offset: (
+                    f"({read_buf} + {-time_offset} * {padded_elems})"
+                ),
+                {out.name: tuple(rad)},
             )
-            for aux in self.aux_tensors:
-                at_lines.append(
-                    f"#define AT_{aux.name}(p, {', '.join(dims)}) "
-                    f"((p)[{idx}])"
-                )
-            rendered = render_kernel_c(kern, self.scalars, plane_of,
-                                       halos_local)
-            planes_read = len({a.time_offset for a in kern.accesses})
+            idx = dims[0]
             w_idx = dims[0]
             for d in range(1, len(dims)):
+                idx = f"({idx}) * {padded_tile[d]} + ({dims[d]})"
                 w_idx = f"({w_idx}) * {tile[d]} + ({dims[d]})"
-
-            inner_loops_open = [
-                f"    for (int {v} = 0; {v} < {s}; {v}++)"
-                for v, s in zip(dims, tile)
-            ]
-            lines += at_lines
+            planes_read = len({a.time_offset for a in kern.accesses})
+            get = ("athread_get(PE_MODE, main_plane({t}, origin, {rim}), "
+                   "{dst}, {n} * sizeof(real), (void *)&reply, 0, 0, 0);")
             lines += [
+                f"#define AT_{out.name}(p, {', '.join(dims)}) ((p)[{idx}])",
                 f"void sweep_{kern.name}_slave(void *arg) {{",
                 "  sweep_arg_t *a = (sweep_arg_t *)arg;",
                 "  const int my_id = athread_get_id(-1);",
@@ -193,21 +180,36 @@ class SunwayCodeGenerator(CCodeGenerator):
                 "    long origin[3]; tile_origin(task_id, origin);",
                 "    reply = 0;",
             ]
-            for plane in range(planes_read):
-                lines.append(
-                    f"    athread_get(PE_MODE, main_plane(a->t_read - {plane}"
-                    f", origin), {read_buf} + {plane} * {padded_elems}, "
-                    f"{padded_elems} * sizeof(real), (void *)&reply, 0, 0, 0);"
-                )
+            lines += [
+                "    " + get.format(
+                    t=f"a->t_read - {plane}", rim=1,
+                    dst=f"{read_buf} + {plane} * {padded_elems}",
+                    n=padded_elems,
+                ) for plane in range(planes_read)
+            ]
             lines += [
                 f"    while (reply < {planes_read}) ;",
+                "    /* the step so far: none yet, or plane t's tile */",
+                "    if (a->first) {",
+                f"      for (long w = 0; w < {inner_elems}; w++) "
+                f"{write_buf}[w] = 0;",
+                "    } else {",
+                "      reply = 0;",
+                "      " + get.format(t="a->t", rim=0, dst=write_buf,
+                                      n=inner_elems),
+                "      while (reply < 1) ;",
+                "    }",
             ]
-            lines += inner_loops_open
             lines += [
-                f"      {write_buf}[{w_idx}] = {rendered};",
+                f"    for (int {v} = 0; {v} < {s}; {v}++)"
+                for v, s in zip(dims, tile)
+            ]
+            lines += [
+                f"      {write_buf}[{w_idx}] = {write_buf}[{w_idx}]"
+                f" + a->scale * {rendered};",
                 "    reply = 0;",
                 f"    athread_put(PE_MODE, {write_buf}, "
-                f"acc_plane(a->acc, origin), "
+                f"put_tile(a->t, origin), "
                 f"{inner_elems} * sizeof(real), (void *)&reply, 0, 0);",
                 "    while (reply < 1) ;",
                 "  }",
@@ -228,9 +230,7 @@ class SunwayCodeGenerator(CCodeGenerator):
             "#ifdef MSC_ATHREAD_STUB",
             "#define MSC_ATHREAD_STUB_PRIMARY",
             "#endif",
-            "#include <stdio.h>",
             "#include <stdlib.h>",
-            "#include <string.h>",
             f'#include "{self._header_name}"',
             "#ifdef MSC_ATHREAD_STUB",
             '#include "msc_athread_stub.h"',
@@ -239,14 +239,10 @@ class SunwayCodeGenerator(CCodeGenerator):
             "#endif",
             "",
         ]
-        seen = set()
-        for _, app in terms:
-            if app.kernel.name not in seen:
-                seen.add(app.kernel.name)
-                lines.append(
-                    f"extern void slave_sweep_{app.kernel.name}_slave"
-                    "(void *);"
-                )
+        lines += [
+            f"extern void slave_sweep_{name}_slave(void *);"
+            for name in dict.fromkeys(app.kernel.name for _, app in terms)
+        ]
         lines += [
             "",
             "int main(int argc, char **argv) {",
@@ -257,22 +253,20 @@ class SunwayCodeGenerator(CCodeGenerator):
             "  load_history(argv[1]);",
             f"  for (long t = {hist}; t < {hist} + steps; t++) {{",
             "    sweep_arg_t a;",
-            "    a.acc = acc_buffer();",
-            "    clear_acc(a.acc);",
-            "    clear_plane(t);",
+            "    a.t = t;",
         ]
-        for scale, app in terms:
+        for n, (scale, app) in enumerate(terms):
             lines += [
                 f"    a.t_read = t - {-app.time_offset};",
                 f"    a.scale = (real){scale!r};",
+                f"    a.first = {int(n == 0)};",
                 f"    athread_spawn(sweep_{app.kernel.name}_slave, &a);",
                 "    athread_join();",
-                "    commit_scaled(a.acc, a.scale, t);",
             ]
         lines += [
-            "    fill_halo(plane_of(t));",
+            "    fill_plane_halo(t);",
             "  }",
-            "  store_newest(argv[3]);",
+            f"  store_plane({hist} + steps - 1, argv[3]);",
             "  athread_halt();",
             "  return 0;",
             "}",
@@ -282,300 +276,152 @@ class SunwayCodeGenerator(CCodeGenerator):
     def shared_header(self) -> str:
         out = self.stencil.output
         padded, halo = self._dims(out)
-        anyk = self.stencil.kernels[0]
-        nest = self.nests[anyk.name]
+        nest = self.nests[self.stencil.kernels[0].name]
         tile = nest.tile_shape()
+        counts = [-(-s_ // t) for s_, t in zip(out.shape, tile)]
         lines = [
             "#ifndef MSC_GENERATED_H",
             "#define MSC_GENERATED_H",
             f"typedef {self.real} real;",
             f"#define TWIN {out.time_window}",
         ]
-        for nm, v in zip(["NZ", "NY", "NX"][-self.ndim:], out.shape):
-            lines.append(f"#define {nm} {v}")
-        for nm, v in zip(["HZ", "HY", "HX"][-self.ndim:], halo):
-            lines.append(f"#define {nm} {v}")
-        for nm, v in zip(["TZ", "TY", "TX"][-self.ndim:], tile):
-            lines.append(f"#define {nm} {v}")
-        for nm, v in zip(["PZ", "PY", "PX"][-self.ndim:], padded):
-            lines.append(f"#define {nm} {v}")
-        counts = [
-            -(-s_ // t) for s_, t in zip(out.shape, tile)
-        ]
-        for nm, v in zip(["TCZ", "TCY", "TCX"][-self.ndim:], counts):
-            lines.append(f"#define {nm} {v}")
-        lines.append(f"#define MSC_NUM_CPES {nest.nthreads}")
+        for prefix, values in (("N", out.shape), ("H", halo), ("T", tile),
+                               ("P", padded), ("TC", counts)):
+            lines += [f"#define {nm} {v}"
+                      for nm, v in zip(self._axes(prefix), values)]
         lines += [
-            "typedef struct { long t_read; real scale; real *acc; }"
+            f"#define MSC_NUM_CPES {nest.nthreads}",
+            "typedef struct { long t_read; real scale; long t; int first; }"
             " sweep_arg_t;",
-            "real *main_plane(long t, const long *origin);",
-            "real *acc_plane(real *acc, const long *origin);",
-            "real *acc_buffer(void);",
-            "real *plane_of(long t);",
+            "real *main_plane(long t, const long *origin, int rim);",
+            "real *put_tile(long t, const long *origin);",
             "void tile_origin(long task_id, long *origin);",
-            "void clear_acc(real *acc);",
-            "void clear_plane(long t);",
-            "void commit_scaled(real *acc, real scale, long t);",
-            "void fill_halo(real *p);",
+            "void fill_plane_halo(long t);",
             "void load_history(const char *path);",
-            "void store_newest(const char *path);",
+            "void store_plane(long t, const char *path);",
             "#endif",
         ]
         return "\n".join(lines) + "\n"
 
-
     # -- MPE runtime (common) ---------------------------------------------------
     def common_source(self) -> str:
-        """Portable-C MPE runtime: window storage, tile gather/scatter
-        (the data movement a strided DMA descriptor performs), commit,
-        halo fill and binary I/O.  Shared by the sw5cc and the
-        -DMSC_ATHREAD_STUB builds."""
+        """Portable-C MPE runtime: window storage, the tile gathers and
+        the scatter a strided DMA descriptor performs, the halo fill and
+        the binary I/O — the last two printed as :class:`CCodeGenerator`
+        prints them.  Shared by the sw5cc and the -DMSC_ATHREAD_STUB
+        builds."""
         out = self.stencil.output
-        rad = self.stencil.radius
         hist = self.stencil.required_time_window - 1
         dims = ["k", "j", "i"][-self.ndim:]
-        N = ["NZ", "NY", "NX"][-self.ndim:]
-        P = ["PZ", "PY", "PX"][-self.ndim:]
-        H = ["HZ", "HY", "HX"][-self.ndim:]
-        T = ["TZ", "TY", "TX"][-self.ndim:]
-        TC = ["TCZ", "TCY", "TCX"][-self.ndim:]
-        R = [str(r) for r in rad]
+        H, T, TC = (self._axes(prefix) for prefix in ("H", "T", "TC"))
+        rad = self.stencil.radius
 
-        def flat(names, coords):
-            expr = coords[0]
-            for d in range(1, self.ndim):
-                expr = f"({expr}) * {names[d]} + ({coords[d]})"
-            return expr
+        def tile_loops(origin: str, stmt: str,
+                       widened: bool = False) -> List[str]:
+            """``stmt`` over the tile at ``origin`` — ``widened`` by the
+            C variable ``rim`` radii per side — with ``{at}`` the cell's
+            AT_ index list in the padded plane."""
+            lines, at = [], []
+            for d, (v, r) in enumerate(zip(dims, rad)):
+                grow, shift = (f" + 2 * rim * {r}", f" - rim * {r}"
+                               ) if widened else ("", "")
+                lines.append("  " * (d + 1) + f"for (long {v} = 0; "
+                             f"{v} < {T[d]}{grow}; {v}++)")
+                at.append(f"{origin}[{d}] + {H[d]}{shift} + {v}")
+            lines.append("  " * (self.ndim + 1)
+                         + stmt.format(at=", ".join(at)))
+            return lines
 
-        pt_elems = " * ".join(
-            f"({t} + 2 * {r})" for t, r in zip(T, R)
-        )
-        tile_elems = " * ".join(T)
-        plane_elems = " * ".join(P)
-        valid_elems = " * ".join(N)
-
+        at = f"AT_{out.name}"
         lines: List[str] = [
             f'#include "{self._header_name}"',
             "#include <stdio.h>",
             "#include <stdlib.h>",
-            "#include <string.h>",
             "",
-            f"#define PLANE_ELEMS ((long)({plane_elems}))",
-            f"#define VALID_ELEMS ((long)({valid_elems}))",
-            f"#define GATHER_ELEMS ((long)({pt_elems}))",
-            f"#define TILE_ELEMS ((long)({tile_elems}))",
-            "",
-            "static real *win;",
-            "static real *acc_buf;",
-            "static real gather_scratch[GATHER_ELEMS];",
-            "static real put_scratch[TILE_ELEMS];",
-            "static struct {",
-            "  real *acc;",
-            f"  long o[{self.ndim}];",
-            "  int active;",
-            "} pending;",
-            "static long g_newest = -1;",
+            "#define PLANE_ELEMS ((long)(" + " * ".join(self._axes("P"))
+            + "))",
+            "#define VALID_ELEMS ((long)(" + " * ".join(self._axes("N"))
+            + "))",
+            "#define GATHER_ELEMS ((long)(" + " * ".join(
+                f"({t} + 2 * {r})" for t, r in zip(T, rad)) + "))",
+            "#define TILE_ELEMS ((long)(" + " * ".join(T) + "))",
+            self._at_macro(out),
             "#define PLANE(t) (win + (((t) % TWIN + TWIN) % TWIN)"
             " * PLANE_ELEMS)",
             "",
+            "static real *win;",
+            "static real gather_scratch[GATHER_ELEMS];",
+            "static real put_scratch[TILE_ELEMS];",
+            "/* the tile of plane t the last put wrote to put_scratch */",
+            f"static struct {{ long t; long o[{self.ndim}]; int active; }}"
+            " pending;",
+            "",
             "static void flush_pending(void) {",
             "  if (!pending.active) return;",
+            "  real *p = PLANE(pending.t);",
             "  long pos = 0;",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {T[d]}; {v}++)"
-            )
-        coords = [f"pending.o[{d}] + {v}" for d, v in enumerate(dims)]
-        lines.append(
-            "  " * (self.ndim + 1)
-            + f"pending.acc[{flat(N, coords)}] = put_scratch[pos++];"
-        )
-        lines += [
+            *tile_loops("pending.o",
+                        f"{at}(p, {{at}}) = put_scratch[pos++];"),
             "  pending.active = 0;",
             "}",
             "",
-            "real *main_plane(long t, const long *origin) {",
+            "/* plane t's tile at origin, widened by rim radii per side */",
+            "real *main_plane(long t, const long *origin, int rim) {",
             "  flush_pending();",
             "  real *p = PLANE(t);",
             "  long pos = 0;",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {T[d]} + 2 * {R[d]}; {v}++)"
-            )
-        gcoords = [
-            f"origin[{d}] + {H[d]} - {R[d]} + {v}"
-            for d, v in enumerate(dims)
-        ]
-        lines.append(
-            "  " * (self.ndim + 1)
-            + f"gather_scratch[pos++] = p[{flat(P, gcoords)}];"
-        )
-        lines += [
+            *tile_loops("origin",
+                        f"gather_scratch[pos++] = {at}(p, {{at}});",
+                        widened=True),
             "  return gather_scratch;",
             "}",
             "",
-            "real *acc_plane(real *acc, const long *origin) {",
+            "real *put_tile(long t, const long *origin) {",
             "  flush_pending();",
-            "  pending.acc = acc;",
-        ]
-        for d in range(self.ndim):
-            lines.append(f"  pending.o[{d}] = origin[{d}];")
-        lines += [
+            "  pending.t = t;",
+            *(f"  pending.o[{d}] = origin[{d}];" for d in range(self.ndim)),
             "  pending.active = 1;",
             "  return put_scratch;",
             "}",
             "",
             "void tile_origin(long task_id, long *origin) {",
             "  long rem = task_id;",
-        ]
-        for d in range(self.ndim - 1, 0, -1):
-            lines.append(
-                f"  origin[{d}] = (rem % {TC[d]}) * {T[d]}; "
-                f"rem /= {TC[d]};"
-            )
-        lines.append(f"  origin[0] = rem * {T[0]};")
-        lines += [
+            *(f"  origin[{d}] = (rem % {TC[d]}) * {T[d]}; rem /= {TC[d]};"
+              for d in range(self.ndim - 1, 0, -1)),
+            f"  origin[0] = rem * {T[0]};",
             "}",
             "",
-            "real *acc_buffer(void) { return acc_buf; }",
-            "real *plane_of(long t) { return PLANE(t); }",
-            "void clear_acc(real *acc) {"
-            " memset(acc, 0, sizeof(real) * VALID_ELEMS); }",
+            self.halo_fill(out),
             "",
-            "void clear_plane(long t) {",
-            "  real *p = PLANE(t);",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {N[d]}; {v}++)"
-            )
-        icoords = [f"{v} + {H[d]}" for d, v in enumerate(dims)]
-        lines.append(
-            "  " * (self.ndim + 1) + f"p[{flat(P, icoords)}] = 0;"
-        )
-        lines += [
-            "}",
-            "",
-            "void commit_scaled(real *acc, real scale, long t) {",
+            "void fill_plane_halo(long t) {",
             "  flush_pending();",
-            "  real *p = PLANE(t);",
-            "  long pos = 0;",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {N[d]}; {v}++)"
-            )
-        lines.append(
-            "  " * (self.ndim + 1)
-            + f"p[{flat(P, icoords)}] += scale * acc[pos++];"
-        )
-        lines += [
-            "  g_newest = t;",
-            "}",
-            "",
-        ]
-        # halo fill (zero / periodic), same scheme as the CPU generator
-        lines.append("void fill_halo(real *p) {")
-        for d in range(self.ndim):
-            loops_open = []
-            for dd in range(self.ndim):
-                if dd == d:
-                    continue
-                v = dims[dd]
-                loops_open.append(
-                    f"for (long {v} = 0; {v} < {P[dd]}; {v}++)"
-                )
-            lo_idx, hi_idx, lo_src, hi_src = [], [], [], []
-            for dd in range(self.ndim):
-                v = dims[dd]
-                if dd == d:
-                    lo_idx.append("h")
-                    hi_idx.append(f"{P[dd]} - 1 - h")
-                    if self.boundary == "periodic":
-                        lo_src.append(f"{P[dd]} - 2 * {H[dd]} + h")
-                        hi_src.append(f"2 * {H[dd]} - 1 - h")
-                    else:
-                        lo_src.append("0")
-                        hi_src.append("0")
-                else:
-                    for target in (lo_idx, hi_idx, lo_src, hi_src):
-                        target.append(v)
-            for ind, l in enumerate(loops_open):
-                lines.append("  " * (ind + 1) + l)
-            ind = len(loops_open) + 1
-            lines.append("  " * ind + f"for (long h = 0; h < {H[d]}; h++) {{")
-            if self.boundary == "periodic":
-                lines.append(
-                    "  " * (ind + 1)
-                    + f"p[{flat(P, lo_idx)}] = p[{flat(P, lo_src)}];"
-                )
-                lines.append(
-                    "  " * (ind + 1)
-                    + f"p[{flat(P, hi_idx)}] = p[{flat(P, hi_src)}];"
-                )
-            else:
-                lines.append(
-                    "  " * (ind + 1) + f"p[{flat(P, lo_idx)}] = 0;"
-                )
-                lines.append(
-                    "  " * (ind + 1) + f"p[{flat(P, hi_idx)}] = 0;"
-                )
-            lines.append("  " * ind + "}")
-        lines += [
+            "  fill_halo(PLANE(t));",
             "}",
             "",
             "void load_history(const char *path) {",
             "  win = (real *)calloc((size_t)TWIN * PLANE_ELEMS,"
             " sizeof(real));",
-            "  acc_buf = (real *)malloc(sizeof(real) * VALID_ELEMS);",
             '  FILE *fi = fopen(path, "rb");',
             '  if (!fi) { perror("init"); exit(1); }',
             "  real *tmp = (real *)malloc(sizeof(real) * VALID_ELEMS);",
-            f"  for (long s = 0; s < {hist}; s++) {{",
+            f"  for (long t = 0; t < {hist}; t++) {{",
             "    if (fread(tmp, sizeof(real), VALID_ELEMS, fi) != "
             '(size_t)VALID_ELEMS) { fprintf(stderr, "short init\\n");'
             " exit(1); }",
-            "    real *p = PLANE(s);",
-            "    long pos = 0;",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 2)
-                + f"for (long {v} = 0; {v} < {N[d]}; {v}++)"
-            )
-        lines.append(
-            "  " * (self.ndim + 2)
-            + f"p[{flat(P, icoords)}] = tmp[pos++];"
-        )
-        lines += [
+            "    real *p = PLANE(t);",
+            *self._copy_loops(out, f"{at}(p, {{shifted}}) = tmp[{{flat}}];",
+                              2),
             "    fill_halo(p);",
-            f"    g_newest = s;",
             "  }",
             "  fclose(fi);",
             "  free(tmp);",
             "}",
             "",
-            "void store_newest(const char *path) {",
-            "  real *p = PLANE(g_newest);",
+            "void store_plane(long t, const char *path) {",
+            "  real *p = PLANE(t);",
             "  real *tmp = (real *)malloc(sizeof(real) * VALID_ELEMS);",
-            "  long pos = 0;",
-        ]
-        for d, v in enumerate(dims):
-            lines.append(
-                "  " * (d + 1)
-                + f"for (long {v} = 0; {v} < {N[d]}; {v}++)"
-            )
-        lines.append(
-            "  " * (self.ndim + 1)
-            + f"tmp[pos++] = p[{flat(P, icoords)}];"
-        )
-        lines += [
+            *self._copy_loops(out, f"tmp[{{flat}}] = {at}(p, {{shifted}});",
+                              1),
             '  FILE *fo = fopen(path, "wb");',
             '  if (!fo) { perror("out"); exit(1); }',
             "  fwrite(tmp, sizeof(real), VALID_ELEMS, fo);",

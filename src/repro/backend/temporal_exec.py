@@ -1,56 +1,34 @@
 """Executor for overlapped temporal tiling.
 
-Advances a stencil ``time_block`` timesteps per tile visit: each tile
-gathers its extended (``time_block × radius``) neighbourhood from the
-global planes, steps locally without any intermediate synchronisation,
-and commits only its exact interior.  Results must equal the
-step-by-step reference — redundant computation buys fewer
-synchronisation rounds, never different numerics.
+Advances a stencil ``time_block`` timesteps per tile visit.  A tile is
+a :class:`~repro.backend.numpy_backend.BlockEngine` on a halo-extended
+block: the tile grown by ``time_block × radius`` per side, seeded with
+that block of the global history planes, stepped ``time_block`` times
+over the whole block without any intermediate synchronisation, and only
+its exact interior copied out.  Results must equal the step-by-step
+reference — redundant computation buys fewer synchronisation rounds,
+never different numerics.
 
-Boundary handling during the gather: ``periodic`` wraps (numpy take
-with wrap mode); ``zero`` pads with zeros beyond the global domain.
-Within a block, rim cells go stale at the known rate of ``radius`` per
-step; the commit only reads the provably-valid interior.
+The seed gather wraps around the domain.  That is the ``periodic``
+boundary; under ``zero`` the engine's ghost refresh re-zeroes every
+out-of-domain cell after each step.  The block's own rim goes stale at
+the known rate of ``radius`` per step; the copy-out reads only the
+provably-valid interior.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..ir.stencil import Stencil
 from ..ir.validate import validate_stencil
 from ..schedule.temporal import TemporalTilePlan, plan_temporal_tiles
-from .numpy_backend import evaluate_kernel
+from .numpy_backend import BlockEngine, checked_seeds
 
 __all__ = ["TemporalTilingExecutor"]
-
-
-def _gather(plane_valid: np.ndarray, lo: Sequence[int],
-            hi: Sequence[int], boundary: str) -> np.ndarray:
-    """Extract [lo, hi) per dim from a (halo-free) global plane,
-    applying the boundary condition outside the domain."""
-    if boundary == "periodic":
-        out = plane_valid
-        for d, (l, h) in enumerate(zip(lo, hi)):
-            idx = np.arange(l, h) % plane_valid.shape[d]
-            out = np.take(out, idx, axis=d)
-        return out.copy()
-    # zero boundary: copy the in-domain part into a zero block
-    shape = tuple(h - l for l, h in zip(lo, hi))
-    out = np.zeros(shape, dtype=plane_valid.dtype)
-    src = []
-    dst = []
-    for d, (l, h) in enumerate(zip(lo, hi)):
-        sl = max(l, 0)
-        sh = min(h, plane_valid.shape[d])
-        if sl >= sh:
-            return out  # fully outside
-        src.append(slice(sl, sh))
-        dst.append(slice(sl - l, sh - l))
-    out[tuple(dst)] = plane_valid[tuple(src)]
-    return out
 
 
 class TemporalTilingExecutor:
@@ -86,129 +64,67 @@ class TemporalTilingExecutor:
             stencil, tile, time_block
         )
         self.boundary = boundary
-        self._terms = stencil.combination_terms()
-        #: total points computed (for redundancy accounting)
+        #: points the engines computed: every step covers the whole
+        #: gathered block, rim included
         self.computed_points = 0
 
-    # -- one block over one tile --------------------------------------------------
-    def _advance_tile(self, history: List[np.ndarray],
-                      lo: Tuple[int, ...],
-                      hi: Tuple[int, ...]) -> List[np.ndarray]:
-        """Advance one tile ``time_block`` steps; returns the local
-        history planes (gathered coordinates), newest last."""
-        plan = self.plan
-        rad = plan.radius
-        ext = plan.extension
-        g_lo = tuple(l - e for l, e in zip(lo, ext))
-        g_hi = tuple(h + e for h, e in zip(hi, ext))
-        local: List[np.ndarray] = [
-            _gather(p, g_lo, g_hi, self.boundary) for p in history
-        ]
-        # with a Dirichlet (zero) boundary the out-of-domain cells are
-        # zero at *every* timestep, not just at gather time: remember
-        # which local strips lie outside the global domain
-        outside: List[Tuple[slice, ...]] = []
-        if self.boundary == "zero":
-            shape = tuple(h - l for l, h in zip(g_lo, g_hi))
-            for d, (l, h) in enumerate(zip(g_lo, g_hi)):
-                if l < 0:
-                    sl = [slice(None)] * len(shape)
-                    sl[d] = slice(0, -l)
-                    outside.append(tuple(sl))
-                over = h - plan.domain[d]
-                if over > 0:
-                    sl = [slice(None)] * len(shape)
-                    sl[d] = slice(shape[d] - over, shape[d])
-                    outside.append(tuple(sl))
-        out = self.stencil.output
-        # local planes have no separate halo: treat the full gathered
-        # block as "valid" and evaluate only the interior that still has
-        # radius-r support
-        for step in range(1, plan.time_block + 1):
-            newest = np.zeros_like(local[-1])
-            region = [
-                (r, s - r) for r, s in zip(rad, newest.shape)
-            ]
-            planes = {}
-            for scale, app in self._terms:
-                plane = local[len(local) + app.time_offset]
-                planes[(out.name, 0)] = plane
-                for extra in range(1, out.time_window):
-                    pos = len(local) + app.time_offset - extra
-                    if pos >= 0:
-                        planes[(out.name, -extra)] = local[pos]
-                val = evaluate_kernel(
-                    app.kernel, planes,
-                    {out.name: (0,) * out.ndim}, region,
-                )
-                sl = tuple(slice(a, b) for a, b in region)
-                newest[sl] += np.asarray(scale * val, dtype=newest.dtype)
-            self.computed_points += int(np.prod(
-                [b - a for a, b in region]
-            ))
-            for sl in outside:
-                newest[sl] = 0
-            local.append(newest)
-            local = local[-self.stencil.output.time_window:]
-        return local
+    def _refresh(self, origin: Sequence[int]):
+        """Ghost refresh of a block whose first cell is global
+        ``origin``: under ``zero``, re-zero every cell of a padded plane
+        that lies outside the domain; ``periodic`` has nothing to do."""
+        domain = self.plan.domain
 
-    # -- full run ---------------------------------------------------------------
+        def refresh(_name, halo, plane):
+            if self.boundary != "zero":
+                return
+            for d, (lo, n, h) in enumerate(zip(origin, domain, halo)):
+                index = [slice(None)] * plane.ndim
+                for cells in (slice(0, max(h - lo, 0)),
+                              slice(h - lo + n, None)):
+                    index[d] = cells
+                    plane[tuple(index)] = 0
+        return refresh
+
     def run(self, init: Sequence[np.ndarray], blocks: int) -> np.ndarray:
         """Run ``blocks × time_block`` timesteps; returns the newest plane.
 
         ``init`` supplies the W−1 initial history planes (as for the
         reference executor).
         """
-        need = self.stencil.required_time_window - 1
-        if len(init) != need:
-            raise ValueError(f"need {need} initial planes")
         out = self.stencil.output
-        history = [
-            np.asarray(p, dtype=out.dtype.np_dtype).copy() for p in init
-        ]
+        need = self.stencil.required_time_window - 1
+        history = checked_seeds([out], {out.name: need}, {out.name: init},
+                                out.shape)[out.name]
         plan = self.plan
         for _ in range(blocks):
-            new_history = [
-                np.zeros(out.shape, dtype=out.dtype.np_dtype)
-                for _ in range(len(history))
-            ]
-            ext = plan.extension
-            for tile_lo in self._tile_origins():
-                tile_hi = tuple(
-                    min(l + t, d)
-                    for l, t, d in zip(tile_lo, plan.tile, plan.domain)
-                )
-                local = self._advance_tile(history, tile_lo, tile_hi)
-                # commit the newest (and the refreshed history planes)
-                commit = tuple(
-                    slice(e, e + h - l)
-                    for e, l, h in zip(ext, tile_lo, tile_hi)
-                )
-                global_sl = tuple(
-                    slice(l, h) for l, h in zip(tile_lo, tile_hi)
-                )
-                for dst, src in zip(new_history, local[-len(new_history):]):
-                    dst[global_sl] = src[commit]
+            new_history = [np.empty_like(p) for p in history]
+            for index in np.ndindex(*plan.tiles_per_dim):
+                lo = [c * t for c, t in zip(index, plan.tile)]
+                hi = [min(l + t, n)
+                      for l, t, n in zip(lo, plan.tile, plan.domain)]
+                origin = [l - e for l, e in zip(lo, plan.extension)]
+                gather = np.ix_(*(
+                    np.arange(l - e, h + e) % n
+                    for l, h, e, n in zip(lo, hi, plan.extension,
+                                          plan.domain)
+                ))
+                shape = [h - l + 2 * e
+                         for l, h, e in zip(lo, hi, plan.extension)]
+                engine = BlockEngine(self.stencil, self._refresh(origin),
+                                     shape=shape)
+                engine.seed({out.name: [p[gather] for p in history]})
+                for _ in range(plan.time_block):
+                    engine.step()
+                self.computed_points += plan.time_block * math.prod(shape)
+                window = engine.windows[out.name]
+                interior = tuple(slice(e, e + h - l)
+                                 for l, h, e in zip(lo, hi, plan.extension))
+                tile = tuple(slice(l, h) for l, h in zip(lo, hi))
+                for dst, t in zip(new_history,
+                                  range(engine.t - need + 1, engine.t + 1)):
+                    dst[tile] = window.valid(t)[interior]
             history = new_history
         return history[-1]
-
-    def _tile_origins(self):
-        plan = self.plan
-        counts = plan.tiles_per_dim
-        origins = [[c * t for c in range(n)]
-                   for n, t in zip(counts, plan.tile)]
-        if len(counts) == 1:
-            for a in origins[0]:
-                yield (a,)
-        elif len(counts) == 2:
-            for a in origins[0]:
-                for b in origins[1]:
-                    yield (a, b)
-        else:
-            for a in origins[0]:
-                for b in origins[1]:
-                    for c in origins[2]:
-                        yield (a, b, c)
 
     @property
     def redundancy(self) -> float:

@@ -249,7 +249,7 @@ def _compiled_athread_stub(name, dtype, init, timesteps,
     blob = np.concatenate([p.ravel() for p in local_init])
     got, note = _compile_and_run(
         code.files, "vsw", blob, timesteps, dtype.np_dtype, grid,
-        flags=["-O2", "-DMSC_ATHREAD_STUB"],
+        flags=["-O2", "-ffp-contract=off", "-DMSC_ATHREAD_STUB"],
     )
     if note:
         return float("nan"), note

@@ -15,6 +15,8 @@ import pytest
 from repro.backend import CCodeGenerator, generate, generate_makefile
 from repro.backend.native import SharedLibGenerator
 from repro.backend.numpy_backend import reference_run
+from repro.evalsuite.harness import build_with_schedule
+from repro.frontend.stencils import BENCHMARK_NAMES
 from repro.ir import Stencil, ValidationError, f32, f64
 from repro.schedule import Schedule
 from tests.conftest import make_2d5pt, make_3d7pt
@@ -212,6 +214,18 @@ class TestDirectWriteSweep:
         src = flavour(stencil_3d7pt_2dep, {}).generate("a").main_source
         assert not re.search(r"\bacc\b|memset", src)
         assert not re.search(r"malloc|calloc|VALID_ELEMS", time_loop(src))
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_no_accumulator_in_sunway_bundle(self, name, boundary):
+        """The athread bundle's puts land in plane t: no file keeps an
+        accumulator buffer, clears one or commits from one."""
+        prog, _ = build_with_schedule(name, "sunway")
+        files = generate(prog.ir, prog.schedules(), "sw", target="sunway",
+                         boundary=boundary).files
+        for fname, text in files.items():
+            assert not re.search(r"\bacc\w*|memset|commit_scaled|clear_",
+                                 text), fname
 
     @FLAVOURS
     def test_one_sweep_call_per_run_per_step(self, flavour):

@@ -175,10 +175,10 @@ class TestBundleDigests:
         listed = tool()
         assert listed.returncode == 0, listed.stderr
         lines = listed.stdout.splitlines()
-        assert len(lines) == 8 * 3 * 2 * 2 + 8 * 2
-        assert len({line.split()[0] for line in lines}) == 112
-        assert sum("/table5" in line for line in lines) == 64
-        assert sum("/sunway/" in line for line in lines) == 16
+        assert len(lines) == 8 * 3 * 2 * 2 + 8 * 3
+        assert len({line.split()[0] for line in lines}) == 120
+        assert sum("/table5" in line for line in lines) == 72
+        assert sum("/sunway/" in line for line in lines) == 24
         same = tmp_path / "same.txt"
         same.write_text(listed.stdout)
         assert tool("--compare", str(same)).returncode == 0
@@ -188,7 +188,7 @@ class TestBundleDigests:
         assert differs.returncode == 1
         assert lines[0].split()[1] in differs.stdout  # changed
         assert lines[1].split()[1] in differs.stdout  # missing there
-        assert "110/112 bundles identical" in differs.stdout
+        assert "118/120 bundles identical" in differs.stdout
 
 
 class TestAsciiChart:

@@ -1,12 +1,16 @@
 """Structural validation of the Sunway athread master/slave bundles."""
 
 import re
+import subprocess
 
+import numpy as np
 import pytest
 
 from repro.backend import generate, generate_sunway
+from repro.backend.numpy_backend import reference_run
 from repro.evalsuite.harness import build_with_schedule
-from repro.frontend.stencils import BENCHMARK_NAMES
+from repro.frontend.stencils import BENCHMARK_NAMES, benchmark_by_name
+from repro.ir import f32, f64
 from repro.machine.spec import SUNWAY_CG
 
 
@@ -105,6 +109,10 @@ class TestLegalityEnforced:
         assert "sw5cc" in code.files["Makefile"]
 
 
+#: a small grid every Table-4 program's Sunway tile divides, per rank
+_STUB_GRIDS = {2: (64, 64), 3: (12, 16, 64)}
+
+
 @pytest.mark.skipif(
     __import__("shutil").which("gcc") is None, reason="gcc not available"
 )
@@ -112,85 +120,72 @@ class TestAthreadStubExecution:
     """The bundle compiles against the sequential athread stub and its
     output matches the reference bit-for-bit — the complete generated
     structure (SPM staging, reply counters, round-robin CPE mapping,
-    DMA gather/scatter) actually executes."""
+    DMA gather/scatter into plane t) actually executes."""
 
-    def _build_and_run(self, tmp_path, code, init, steps, shape):
-        import subprocess
-
-        import numpy as np
-
+    def _check(self, tmp_path, name, boundary, shape, steps, init=None,
+               dtype=f64):
+        """Build ``name``'s bundle on ``shape``, run ``steps`` steps from
+        ``init`` (default: random) and compare with ``reference_run``
+        by bytes, so a ``-0.0`` for ``+0.0`` is a difference too."""
+        prog, _ = build_with_schedule(name, "sunway", dtype=dtype,
+                                      grid=shape)
+        code = generate(prog.ir, prog.schedules(), "sw", target="sunway",
+                        boundary=boundary)
         code.write_to(str(tmp_path))
-        srcs = [
-            str(tmp_path / f)
-            for f in code.files if f.endswith(".c")
-        ]
+        srcs = [str(tmp_path / f) for f in code.files if f.endswith(".c")]
         res = subprocess.run(
-            ["gcc", "-O2", "-DMSC_ATHREAD_STUB", *srcs,
+            ["gcc", "-O2", "-ffp-contract=off", "-DMSC_ATHREAD_STUB", *srcs,
              "-o", str(tmp_path / "prog"), "-lm", "-I", str(tmp_path)],
-            capture_output=True, text=True,
-            timeout=120,
+            capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
+        np_dtype = dtype.np_dtype
+        if init is None:
+            rng = np.random.default_rng(len(name) + steps)
+            init = [rng.random(shape).astype(np_dtype) for _ in range(2)]
         np.concatenate([p.ravel() for p in init]).tofile(
             str(tmp_path / "i.bin")
         )
         res = subprocess.run(
             [str(tmp_path / "prog"), str(tmp_path / "i.bin"),
              str(steps), str(tmp_path / "o.bin")],
-            capture_output=True, text=True,
-            timeout=120,
+            capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
-        return np.fromfile(str(tmp_path / "o.bin")).reshape(shape)
+        got = np.fromfile(str(tmp_path / "o.bin"), dtype=np_dtype)
+        ref = reference_run(prog.ir, init, steps, boundary=boundary)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_table4_program(self, tmp_path, name, boundary):
+        """Every application is written straight into plane ``t``, and
+        the MPE's halo fill is the CPU generator's: ``reflect`` mirrors,
+        it is not a zero halo."""
+        shape = _STUB_GRIDS[benchmark_by_name(name).ndim]
+        self._check(tmp_path, name, boundary, shape, 3)
+
+    @pytest.mark.parametrize("name", ["2d9pt_star", "3d7pt_star"])
+    def test_fp32(self, tmp_path, name):
+        shape = _STUB_GRIDS[benchmark_by_name(name).ndim]
+        self._check(tmp_path, name, "periodic", shape, 3, dtype=f32)
+
+    def test_negative_zero_seed(self, tmp_path):
+        """``0 + 0.6*K`` of an all ``-0.0`` field is ``+0.0``, as in the
+        accumulator-into-zeros reference."""
+        shape = _STUB_GRIDS[2]
+        self._check(tmp_path, "2d9pt_star", "periodic", shape, 2,
+                    init=[np.full(shape, -0.0)] * 2)
 
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
-    def test_3d_two_time_deps(self, tmp_path, rng, boundary):
-        import numpy as np
+    def test_3d_two_time_deps(self, tmp_path, boundary):
+        self._check(tmp_path, "3d7pt_star", boundary, (16, 16, 64), 5)
 
-        from repro.backend import generate
-        from repro.backend.numpy_backend import reference_run
+    def test_wide_radius_3d13pt(self, tmp_path):
+        self._check(tmp_path, "3d13pt_star", "periodic", (16, 16, 64), 3)
 
-        shape = (16, 16, 64)
-        prog, handle = build_with_schedule("3d7pt_star", "sunway",
-                                           grid=shape)
-        code = generate(prog.ir, prog.schedules(), "sw", target="sunway",
-                        boundary=boundary)
-        init = [rng.random(shape) for _ in range(2)]
-        got = self._build_and_run(tmp_path, code, init, 5, shape)
-        ref = reference_run(prog.ir, init, 5, boundary=boundary)
-        np.testing.assert_array_equal(got, ref)
-
-    def test_wide_radius_3d13pt(self, tmp_path, rng):
-        import numpy as np
-
-        from repro.backend import generate
-        from repro.backend.numpy_backend import reference_run
-
-        shape = (16, 16, 64)
-        prog, handle = build_with_schedule("3d13pt_star", "sunway",
-                                           grid=shape)
-        code = generate(prog.ir, prog.schedules(), "sw13",
-                        target="sunway", boundary="periodic")
-        init = [rng.random(shape) for _ in range(2)]
-        got = self._build_and_run(tmp_path, code, init, 3, shape)
-        ref = reference_run(prog.ir, init, 3, boundary="periodic")
-        np.testing.assert_array_equal(got, ref)
-
-    def test_2d_box(self, tmp_path, rng):
-        import numpy as np
-
-        from repro.backend import generate
-        from repro.backend.numpy_backend import reference_run
-
-        shape = (64, 64)
-        prog, handle = build_with_schedule("2d9pt_box", "sunway",
-                                           grid=shape)
-        code = generate(prog.ir, prog.schedules(), "sw2d",
-                        target="sunway", boundary="zero")
-        init = [rng.random(shape) for _ in range(2)]
-        got = self._build_and_run(tmp_path, code, init, 4, shape)
-        ref = reference_run(prog.ir, init, 4, boundary="zero")
-        np.testing.assert_array_equal(got, ref)
+    def test_2d_box(self, tmp_path):
+        self._check(tmp_path, "2d9pt_box", "zero", (64, 64), 4)
 
 
 class TestAthreadGuards:

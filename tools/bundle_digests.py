@@ -1,7 +1,7 @@
 """sha256 of the generated C the benchmark compiles, one line per bundle.
 
 The evidence a PR gives when it says it did not change the native
-path, in ``sha256sum`` format, 112 lines:
+path, in ``sha256sum`` format, 120 lines:
 
 - the 8 Table-4 programs x zero/periodic/reflect x the two cpu
   flavours (``shared``: the ``msc_*`` library ``NativeExecutor`` loads;
@@ -9,8 +9,8 @@ path, in ``sha256sum`` format, 112 lines:
 - the same with each program's Table-5 ``cpu`` schedule (tile, reorder,
   ``parallel``: what the tiled host benchmarks compile), as
   ``<program>/<boundary>/<flavour>/table5``;
-- the Sunway athread bundle with its Table-5 schedule, zero/periodic,
-  as ``<program>/<boundary>/sunway/table5``.
+- the Sunway athread bundle with its Table-5 schedule,
+  zero/periodic/reflect, as ``<program>/<boundary>/sunway/table5``.
 
 Run from the repository root, once per checkout, and compare:
 
@@ -39,7 +39,6 @@ from repro.frontend.stencils import ALL_BENCHMARKS  # noqa: E402
 
 BOUNDARIES = ("zero", "periodic", "reflect")
 FLAVOURS = {"shared": SharedLibGenerator, "file": CCodeGenerator}
-SUNWAY_BOUNDARIES = ("zero", "periodic")
 
 
 def _digest(generator, prog, boundary: str) -> str:
@@ -63,7 +62,7 @@ def bundle_digests() -> dict:
                 digests[f"{key}/table5"] = _digest(generator, tiled,
                                                    boundary)
         sunway, _ = build_with_schedule(bench.name, "sunway")
-        for boundary in SUNWAY_BOUNDARIES:
+        for boundary in BOUNDARIES:
             digests[f"{bench.name}/{boundary}/sunway/table5"] = _digest(
                 SunwayCodeGenerator, sunway, boundary)
     return digests
