@@ -105,6 +105,8 @@ def _add_live_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .obs.diff import DEFAULT_THRESHOLD
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MSC stencil DSL (ICPP'21 reproduction)",
@@ -218,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", default=None, metavar="BASELINE.json",
                    help="compare against a baseline bench document; "
                         "exit 1 on regression")
-    p.add_argument("--threshold", type=float, default=0.10,
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="regression noise threshold as a fraction "
-                        "(default: 0.10)")
+                        f"(default: {DEFAULT_THRESHOLD:.2f})")
     p.add_argument("--report-only", action="store_true",
                    help="with --compare: print deltas but always "
                         "exit 0")
@@ -279,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "BENCH_*.json document, or a --trace "
                                 "file")
     p.add_argument("current", help="run under scrutiny (same forms)")
-    p.add_argument("--threshold", type=float, default=0.10,
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="regression noise threshold as a fraction "
-                        "(default: 0.10)")
+                        f"(default: {DEFAULT_THRESHOLD:.2f})")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="machine-readable output")
 
@@ -296,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="track one metric (default: every gated metric)")
     p.add_argument("--limit", type=int, default=None, metavar="N",
                    help="only the newest N runs")
-    p.add_argument("--threshold", type=float, default=0.10,
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="change-point shift threshold as a fraction "
-                        "(default: 0.10)")
+                        f"(default: {DEFAULT_THRESHOLD:.2f})")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="machine-readable output")
     p.add_argument("--no-annotate", action="store_true",
@@ -775,18 +777,23 @@ def _cmd_bench(args) -> int:
 
     if baseline is None:
         return 0
-    cmp = perf.compare(doc, baseline, threshold=args.threshold)
+    from .obs.diff import diff_runs, views_from_bench
+
+    base_name = os.path.basename(args.compare)
+    report = diff_runs(views_from_bench(baseline, base_name),
+                       views_from_bench(doc, name), args.threshold,
+                       base_label=base_name, current_label=name)
     print()
-    print(cmp.format())
-    if not cmp.ok:
-        worst = max(cmp.regressions, key=lambda d: d.worse_frac)
+    print(report.format())
+    if not report.ok:
+        worst = max(report.regressions, key=lambda d: d.worse_frac)
         obs_ledger.note(verdict=(
-            f"regression vs {os.path.basename(args.compare)}: "
-            f"{len(cmp.regressions)} delta(s), worst {worst.label} "
+            f"regression vs {base_name}: "
+            f"{len(report.regressions)} delta(s), worst {worst.label} "
             f"{worst.worse_frac:+.1%}"
         ))
-    if cmp.ok or args.report_only:
-        if not cmp.ok:
+    if report.ok or args.report_only:
+        if not report.ok:
             print("(report-only mode: regressions do not fail the run)")
         return 0
     return 1
@@ -1007,11 +1014,11 @@ def _cmd_history(args) -> int:
             for wname, n in recorded:
                 print(f"  {wname:36s} {n} run(s)")
             return 0
-        rows = ledger.query(workload=args.workload, limit=args.limit)
-        if not rows:
+        if args.workload not in dict(ledger.workloads()):
             print(f"error: no ledger runs for workload "
                   f"{args.workload!r} ({path})", file=sys.stderr)
             return 1
+        rows = ledger.query(workload=args.workload, limit=args.limit)
         report = history_report(rows, args.workload, metric=args.metric,
                                 threshold=args.threshold)
         applied = [] if args.no_annotate else \

@@ -18,15 +18,15 @@ package is the measurement substrate for those claims:
   scrape server (``--serve-metrics``),
 - :mod:`repro.obs.monitor` — the ``repro monitor`` ASCII dashboard,
 - :mod:`repro.obs.perf`    — the performance observatory: statistical
-  bench runner, span-based phase attribution, roofline reports and
-  the ``repro bench`` regression gate (import explicitly:
-  ``from repro.obs import perf``),
+  bench runner, span-based phase attribution and roofline reports
+  (import explicitly: ``from repro.obs import perf``),
 - :mod:`repro.obs.ledger`  — the append-only sqlite *run ledger*
   every ``run``/``simulate``/``tune``/``bench``/``verify`` invocation
   records into by default (``REPRO_LEDGER=0`` opts out),
-- :mod:`repro.obs.diff`    — ``repro diff`` (two-run comparison with
-  waterfall regression attribution) and ``repro history``
-  (longitudinal trends + change-point detection over the ledger).
+- :mod:`repro.obs.diff`    — the one regression rule: ``repro diff``
+  and ``repro bench --compare`` (two-run comparison with waterfall
+  regression attribution) and ``repro history`` (longitudinal trends
+  + change-point detection over the ledger).
 
 Full recording is **off by default** and free when off: instrumentation
 sites cost one flag check and record nothing until :func:`enable` is

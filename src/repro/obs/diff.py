@@ -2,12 +2,13 @@
 
 Two query surfaces over comparable run data:
 
-- :func:`diff_runs` — ``repro diff A B``: align two runs by the stable
-  phase taxonomy and span names, compute CI-aware metric deltas with
-  the bench gate's median/MAD machinery, and render an ASCII
-  *waterfall* attributing the total delta to phases, followed by the
-  gated-metric deltas, the span-level movers and a **config drift**
-  section listing every fingerprint field that differs.
+- :func:`diff_runs` — ``repro diff A B`` and ``repro bench --compare``:
+  align two runs by the stable phase taxonomy and span names, judge
+  every phase and metric delta with the one regression rule (below),
+  and render an ASCII *waterfall* attributing the total delta to
+  phases, followed by the metrics that moved, the span-level movers
+  and a **config drift** section listing every fingerprint field that
+  differs.
 - :func:`history_report` — ``repro history <workload>``: per-metric
   trend over a workload's ledger rows with a deterministic
   change-point detector (:func:`detect_change_point`, a sliding
@@ -23,24 +24,32 @@ A *run* here is any of three sources (:func:`load_views`):
   folded through :func:`repro.obs.perf.phases.attribute`, counters
   become gated zero-CI metric points.
 
-Regression semantics match the bench gate: only *gated* metrics and
-*deterministic* (modelled) phases can fail the diff — host wall phases
-ride along as information.  ``repro diff`` exits 1 iff a regression
-survives those rules.
+The regression rule: only *gated* metrics and *deterministic*
+(modelled) phases can regress — host wall phases ride along as
+information.  A gated delta regresses when its median is worse than
+the baseline by more than the noise ``threshold`` (default 10%,
+direction-aware) *and* lies outside the baseline's 95% CI (zero-width
+for deterministic values, so any above-threshold move trips it).
+``repro diff`` and ``repro bench --compare`` exit 1 iff a regression
+survives that rule.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .metrics import _percentile
-from .perf.compare import Delta, _outside_ci, _worse_frac
+from .export import fmt_time
+from .metrics import mad, median
 
 __all__ = [
+    "Delta",
+    "worse_frac",
+    "outside_ci",
     "RunView",
     "RunDiff",
     "DiffReport",
@@ -48,6 +57,7 @@ __all__ = [
     "MetricHistory",
     "HistoryReport",
     "load_views",
+    "views_from_bench",
     "diff_runs",
     "detect_change_point",
     "history_report",
@@ -60,6 +70,70 @@ HISTORY_FORMAT = "repro-history"
 HISTORY_VERSION = 1
 
 _LEDGER_REF = re.compile(r"^(?:ledger:|lg:)?(\d+)$")
+
+
+# ---------------------------------------------------------------------------
+# the regression rule
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Delta:
+    """One compared quantity."""
+
+    workload: str
+    kind: str  # "metric" | "phase" | "phase-host"
+    name: str
+    base: float
+    current: float
+    #: direction-adjusted fractional change; positive = worse
+    worse_frac: float
+    gated: bool
+    regressed: bool = False
+    improved: bool = False
+
+    @property
+    def label(self) -> str:
+        what = f"phase '{self.name}'" if "phase" in self.kind \
+            else self.name
+        return f"{self.workload}: {what}"
+
+    @property
+    def status(self) -> str:
+        return ("REGRESSED" if self.regressed
+                else "improved" if self.improved
+                else "ok" if self.gated else "info")
+
+
+def worse_frac(base: float, cur: float, direction: str) -> float:
+    """Fractional change with positive = worse for the direction."""
+    delta = cur - base if direction == "lower" else base - cur
+    if base == 0:
+        if delta == 0:
+            return 0.0
+        return math.inf if delta > 0 else -math.inf
+    return delta / abs(base)
+
+
+def outside_ci(cur: float, ci: Sequence[float], direction: str) -> bool:
+    """Does ``cur`` lie beyond the worse end of the baseline CI?"""
+    lo, hi = ci
+    return cur > hi if direction == "lower" else cur < lo
+
+
+def _delta(workload: str, kind: str, name: str, base: float, cur: float,
+           threshold: float, gated: bool, direction: str = "lower",
+           ci: Optional[Sequence[float]] = None) -> Delta:
+    """Judge one quantity: the regressed/improved decision.
+
+    ``ci`` is the baseline metric's 95% interval; a modelled phase has
+    none (its value is deterministic), so only the threshold applies.
+    """
+    worse = worse_frac(base, cur, direction)
+    d = Delta(workload, kind, name, base, cur, worse, gated)
+    d.regressed = (gated and worse > threshold
+                   and (ci is None or outside_ci(cur, ci, direction)))
+    d.improved = gated and worse < -threshold
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +178,8 @@ def _view_from_ledger_row(row: Mapping[str, Any], label: str) -> RunView:
     )
 
 
-def _views_from_bench(doc: Mapping[str, Any], label: str) -> List[RunView]:
+def views_from_bench(doc: Mapping[str, Any], label: str) -> List[RunView]:
+    """One view per workload of a bench document."""
     views = []
     for wname, wl in doc.get("workloads", {}).items():
         views.append(RunView(
@@ -183,7 +258,7 @@ def load_views(source: str,
     except ValueError:
         pass  # not a bench document — try the trace loader
     if doc is not None:
-        views = _views_from_bench(doc, label)
+        views = views_from_bench(doc, label)
         if not views:
             raise ValueError(f"{source}: bench document has no workloads")
         return views
@@ -273,8 +348,12 @@ class DiffReport:
     notes: List[str] = field(default_factory=list)
 
     @property
+    def deltas(self) -> List[Delta]:
+        return [d for rd in self.diffs for d in rd.deltas]
+
+    @property
     def regressions(self) -> List[Delta]:
-        return [d for rd in self.diffs for d in rd.regressions]
+        return [d for d in self.deltas if d.regressed]
 
     @property
     def ok(self) -> bool:
@@ -311,7 +390,8 @@ class DiffReport:
                     lines.append(
                         f"  {rd.workload}: regression attributed to "
                         f"phase '{phase}' ({d.worse_frac:+.1%}, "
-                        f"{_fmt_s(d.base)} -> {_fmt_s(d.current)})"
+                        f"{fmt_time(d.base)} -> "
+                        f"{fmt_time(d.current)})"
                     )
             for d in self.regressions:
                 if d.kind != "phase":
@@ -325,16 +405,6 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _fmt_s(seconds: float) -> str:
-    if seconds == 0:
-        return "0"
-    if abs(seconds) >= 1.0:
-        return f"{seconds:.3f}s"
-    if abs(seconds) >= 1e-3:
-        return f"{seconds * 1e3:.3f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 _BAR_WIDTH = 28
 
 
@@ -345,7 +415,7 @@ def _format_run_diff(rd: RunDiff, threshold: float) -> List[str]:
     kind = "modelled" if rd.deterministic else "host"
     lines = [
         f"{rd.workload}: total {kind} phase time "
-        f"{_fmt_s(total_b)} -> {_fmt_s(total_c)} ({pct})"
+        f"{fmt_time(total_b)} -> {fmt_time(total_c)} ({pct})"
     ]
     rows = sorted(rd.waterfall, key=lambda r: -abs(r[2] - r[1]))
     max_abs = max((abs(c - b) for _, b, c in rows), default=0.0)
@@ -363,21 +433,23 @@ def _format_run_diff(rd: RunDiff, threshold: float) -> List[str]:
         share = (f" {delta / total_delta:>5.1%}"
                  if total_delta and delta else "")
         lines.append(
-            f"  {phase:12s} {_fmt_s(b):>10s} {_fmt_s(c):>10s} "
-            f"{_fmt_s(delta):>10s}  |{bar}{share}"
+            f"  {phase:12s} {fmt_time(b):>10s} {fmt_time(c):>10s} "
+            f"{fmt_time(delta):>10s}  |{bar}{share}"
         )
+    # metrics, plus the host phases a modelled waterfall leaves out
     moved = [d for d in rd.deltas
-             if d.kind == "metric"
-             and (d.regressed or d.improved
-                  or (d.gated and abs(d.worse_frac) > 0.02))]
+             if (d.kind == "metric"
+                 or (rd.deterministic and d.kind == "phase-host"))
+             and (d.regressed or d.improved or abs(d.worse_frac) > 0.02)]
     if moved:
-        lines.append("  gated metrics that moved:")
+        lines.append("  metrics that moved:")
         for d in sorted(moved, key=lambda d: -abs(d.worse_frac)):
-            status = ("REGRESSED" if d.regressed else
-                      "improved" if d.improved else "ok")
+            name = d.name if d.kind == "metric" else f"host phase {d.name}"
+            pct = ("n/a" if math.isinf(d.worse_frac)
+                   else f"{d.worse_frac:+.1%}")
             lines.append(
-                f"    {d.name:28s} {d.base:>12.6g} {d.current:>12.6g} "
-                f"{d.worse_frac:+8.1%}  {status}"
+                f"    {name:28s} {d.base:>12.6g} {d.current:>12.6g} "
+                f"{pct:>8s}  {d.status}"
             )
     movers = sorted(rd.span_moves, key=lambda r: -abs(r[2] - r[1]))[:5]
     movers = [m for m in movers if abs(m[2] - m[1]) > 0]
@@ -385,8 +457,8 @@ def _format_run_diff(rd: RunDiff, threshold: float) -> List[str]:
         lines.append("  span-level movers (host self-time):")
         for name, b, c in movers:
             lines.append(
-                f"    {name:28s} {_fmt_s(b):>10s} -> {_fmt_s(c):>10s} "
-                f"({_fmt_s(c - b):>9s})"
+                f"    {name:28s} {fmt_time(b):>10s} -> {fmt_time(c):>10s} "
+                f"({fmt_time(c - b):>9s})"
             )
     if rd.drift:
         lines.append(f"  config drift ({len(rd.drift)} field(s)):")
@@ -413,6 +485,8 @@ def _pair_views(base: Sequence[RunView], current: Sequence[RunView]
         pairs.append((base[0], current[0]))
         matched_base.add(base[0].workload)
         matched_cur.add(current[0].workload)
+        notes.append(f"no workload in common: comparing "
+                     f"{current[0].workload!r} with {base[0].workload!r}")
     for v in base:
         if v.workload not in matched_base:
             notes.append(f"workload {v.workload!r} only in base run")
@@ -460,31 +534,31 @@ def _diff_pair(base: RunView, cur: RunView, threshold: float) -> RunDiff:
         if b == 0 and c == 0:
             continue
         rd.waterfall.append((phase, b, c))
-        worse = _worse_frac(b, c, "lower")
-        d = Delta(cur.workload, "phase" if deterministic else
-                  "phase-host", phase, b, c, worse,
-                  gated=deterministic)
-        d.regressed = deterministic and worse > threshold
-        d.improved = deterministic and worse < -threshold
-        rd.deltas.append(d)
+        rd.deltas.append(_delta(
+            cur.workload, "phase" if deterministic else "phase-host",
+            phase, b, c, threshold, gated=deterministic,
+        ))
+    if deterministic:
+        # host phases stay informational beside the modelled waterfall
+        for phase in sorted(set(base.phases_host) & set(cur.phases_host)):
+            rd.deltas.append(_delta(
+                cur.workload, "phase-host", phase,
+                float(base.phases_host[phase]["time_s"]),
+                float(cur.phases_host[phase]["time_s"]),
+                threshold, gated=False,
+            ))
 
-    # CI-aware metric deltas (the bench gate's exact rules)
     for name in sorted(set(base.metrics) & set(cur.metrics)):
         bm, cm = base.metrics[name], cur.metrics[name]
         if not isinstance(bm, Mapping) or not isinstance(cm, Mapping):
             continue
-        direction = cm.get("direction", "lower")
-        gated = bool(bm.get("gate")) and bool(cm.get("gate"))
-        worse = _worse_frac(float(bm["median"]), float(cm["median"]),
-                            direction)
-        ci = bm.get("ci95") or [bm["median"], bm["median"]]
-        d = Delta(cur.workload, "metric", name, float(bm["median"]),
-                  float(cm["median"]), worse, gated)
-        d.regressed = (gated and worse > threshold
-                       and _outside_ci(float(cm["median"]), ci,
-                                       direction))
-        d.improved = gated and worse < -threshold
-        rd.deltas.append(d)
+        b, c = float(bm["median"]), float(cm["median"])
+        rd.deltas.append(_delta(
+            cur.workload, "metric", name, b, c, threshold,
+            gated=bool(bm.get("gate")) and bool(cm.get("gate")),
+            direction=cm.get("direction", "lower"),
+            ci=bm.get("ci95") or (b, b),
+        ))
 
     # span-name alignment below the taxonomy
     for name in sorted(set(base.spans) & set(cur.spans)):
@@ -519,15 +593,6 @@ def diff_runs(base: Sequence[RunView], current: Sequence[RunView],
 # ---------------------------------------------------------------------------
 # change-point detection + history
 # ---------------------------------------------------------------------------
-
-def _median(values: Sequence[float]) -> float:
-    return _percentile(sorted(values), 0.5)
-
-
-def _mad(values: Sequence[float]) -> float:
-    med = _median(values)
-    return _median([abs(v - med) for v in values])
-
 
 @dataclass
 class ChangePoint:
@@ -570,7 +635,7 @@ def detect_change_point(values: Sequence[float],
     best: Optional[Tuple[float, float, int, float, float]] = None
     for i in range(min_segment, n - min_segment + 1):
         left, right = values[:i], values[i:]
-        ml, mr = _median(left), _median(right)
+        ml, mr = median(left), median(right)
         cost = (sum(abs(v - ml) for v in left)
                 + sum(abs(v - mr) for v in right))
         shift = abs(mr - ml)
@@ -582,10 +647,10 @@ def detect_change_point(values: Sequence[float],
     scale = max(abs(ml), abs(mr))
     if scale == 0 or shift <= threshold * scale:
         return None
-    noise = max(_mad(values[:index]), _mad(values[index:]))
+    noise = max(mad(values[:index]), mad(values[index:]))
     if shift <= 3 * noise:
         return None
-    worse = _worse_frac(ml, mr, direction)
+    worse = worse_frac(ml, mr, direction)
     return ChangePoint(
         index=index,
         before=ml,

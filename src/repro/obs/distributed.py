@@ -40,9 +40,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .export import load_trace, trace_to_dict
-from .metrics import MetricsRegistry
-from .perf.phases import PHASES, phase_of
+from .export import fmt_time, load_trace, trace_to_dict
+from .metrics import MetricsRegistry, median
+from .perf.phases import PHASES, phase_of, self_times
 from .trace import Tracer
 
 __all__ = [
@@ -533,22 +533,11 @@ class ImbalanceReport:
         }
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def _skew(values: List[float]) -> float:
     """max/median, 1.0 when degenerate (".0 of nothing is balanced")."""
     if len(values) < 2:
         return 1.0
-    med = _median(values)
+    med = median(values)
     if med <= 0:
         return 1.0
     return max(values) / med
@@ -557,18 +546,10 @@ def _skew(values: List[float]) -> float:
 def imbalance_report(dt: DistributedTrace) -> ImbalanceReport:
     """Fold a merged trace into the per-rank load-imbalance view."""
     rep = ImbalanceReport()
-    child_time: Dict[int, float] = {}
-    for s in dt.spans:
-        pid = s.get("parent_id")
-        if pid is not None:
-            child_time[pid] = child_time.get(pid, 0.0) + s["duration_s"]
-    for s in dt.spans:
+    for s, self_s in self_times(dt.spans):
         rank = dt.rank_of(s)
         if rank is None:
             continue
-        self_s = max(
-            0.0, s["duration_s"] - child_time.get(s["span_id"], 0.0)
-        )
         phase = phase_of(s["name"])
         per = rep.per_rank.setdefault(rank, {})
         per[phase] = per.get(phase, 0.0) + self_s
@@ -611,14 +592,6 @@ def imbalance_report(dt: DistributedTrace) -> ImbalanceReport:
 
 
 # -- rendering -------------------------------------------------------------
-def _fmt_time(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def format_by_rank(dt: DistributedTrace,
                    rep: Optional[ImbalanceReport] = None) -> str:
     """Per-rank phase self-time table with a skew column."""
@@ -635,14 +608,14 @@ def format_by_rank(dt: DistributedTrace,
     header += f"{'total':>11s}{'skew':>7s}"
     lines.append(header)
     lines.append("-" * len(header))
-    med_total = _median([rep.totals[r] for r in ranks])
+    med_total = median([rep.totals[r] for r in ranks])
     for r in ranks:
         row = f"{r:<5d}"
         for p in phases:
-            row += f"{_fmt_time(rep.per_rank[r].get(p, 0.0)):>11s}"
+            row += f"{fmt_time(rep.per_rank[r].get(p, 0.0)):>11s}"
         total = rep.totals[r]
         skew = total / med_total if med_total > 0 else 1.0
-        row += f"{_fmt_time(total):>11s}{skew:>6.2f}x"
+        row += f"{fmt_time(total):>11s}{skew:>6.2f}x"
         lines.append(row)
     skew_row = "skew "
     for p in phases:
@@ -671,7 +644,7 @@ def format_by_rank(dt: DistributedTrace,
 def format_critical_path(cp: CriticalPath) -> str:
     """Human-readable rendering of one extracted critical path."""
     lines = [
-        f"CRITICAL PATH  (wall {_fmt_time(cp.total_s)}, "
+        f"CRITICAL PATH  (wall {fmt_time(cp.total_s)}, "
         f"{cp.crossings} rank crossings, "
         f"chain {cp.chain_spans} spans / {cp.chain_crossings} crossings, "
         f"{cp.flow_edges} flow edges)"
@@ -682,10 +655,8 @@ def format_critical_path(cp: CriticalPath) -> str:
         via = ""
         if seg.edge == "flow" and seg.flow_id:
             via = f"  <- flow {seg.flow_id}"
-        lines.append(
-            f"  {rank:>8s}  {label:36s} {_fmt_time(seg.contribution_s):>10s}"
-            f"{via}"
-        )
+        took = fmt_time(seg.contribution_s)
+        lines.append(f"  {rank:>8s}  {label:36s} {took:>10s}{via}")
     if cp.phase_times:
         total = sum(cp.phase_times.values()) or 1.0
         comp = "  ".join(

@@ -25,6 +25,7 @@ from .trace import Tracer, tracer
 
 __all__ = [
     "EXPORT_FORMATS",
+    "fmt_time",
     "trace_to_dict",
     "export_json",
     "export_chrome",
@@ -138,16 +139,25 @@ def export_chrome(tr: Optional[Tracer] = None,
 
 
 # -- ASCII summary -------------------------------------------------------
-def _fmt_time(seconds: float) -> str:
-    if seconds >= 1.0:
+def fmt_time(seconds: float) -> str:
+    """``1.23s`` / ``4.56ms`` / ``7.8us`` (sign kept); exactly 0 is ``0``.
+
+    The one time formatter of every ``obs`` table: trace summaries,
+    per-rank and critical-path reports, bench reports and run diffs.
+    """
+    if seconds == 0:
+        return "0"
+    if abs(seconds) >= 1.0:
         return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
+    if abs(seconds) >= 1e-3:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds * 1e6:.1f}us"
 
 
 def _aggregate(spans: List[Dict[str, Any]]) -> Dict[tuple, Dict[str, Any]]:
     """Group span dicts by their root→leaf name path."""
+    from .perf.phases import self_times
+
     by_id = {s["span_id"]: s for s in spans}
     paths: Dict[int, tuple] = {}
 
@@ -162,18 +172,12 @@ def _aggregate(spans: List[Dict[str, Any]]) -> Dict[tuple, Dict[str, Any]]:
         return p
 
     agg: Dict[tuple, Dict[str, Any]] = {}
-    for s in spans:
-        p = path_of(s)
-        node = agg.setdefault(p, {"count": 0, "total": 0.0})
+    for s, self_s in self_times(spans):
+        node = agg.setdefault(path_of(s),
+                              {"count": 0, "total": 0.0, "self": 0.0})
         node["count"] += 1
         node["total"] += s["duration_s"]
-    # self time = total - direct children's total
-    for p, node in agg.items():
-        child_total = sum(
-            n["total"] for q, n in agg.items()
-            if len(q) == len(p) + 1 and q[:len(p)] == p
-        )
-        node["self"] = max(0.0, node["total"] - child_total)
+        node["self"] += self_s
     return agg
 
 
@@ -189,7 +193,7 @@ def _summarize(spans: List[Dict[str, Any]],
     )
     lines.append(
         f"TRACE SUMMARY  ({len(spans)} spans, {len(threads)} "
-        f"threads, root total {_fmt_time(total)})"
+        f"threads, root total {fmt_time(total)})"
     )
     if spans:
         agg = _aggregate(spans)
@@ -204,9 +208,9 @@ def _summarize(spans: List[Dict[str, Any]],
                 label = label[:41] + "..."
             lines.append(
                 f"{label:44s} {node['count']:>7d} "
-                f"{_fmt_time(node['total']):>10s} "
-                f"{_fmt_time(node['self']):>10s} "
-                f"{_fmt_time(node['total'] / node['count']):>10s}"
+                f"{fmt_time(node['total']):>10s} "
+                f"{fmt_time(node['self']):>10s} "
+                f"{fmt_time(node['total'] / node['count']):>10s}"
             )
     else:
         lines.append("(no spans recorded — was tracing enabled?)")

@@ -52,6 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .metrics import aggregate
+
 __all__ = [
     "ENV_LEDGER",
     "ENV_LEDGER_DIR",
@@ -145,15 +147,7 @@ def metric_point(value: float, unit: str = "", direction: str = "lower",
     treat ledger points and bench aggregates identically (any
     >threshold shift on a gated point is outside its CI).
     """
-    v = float(value)
-    return {
-        "n": 1,
-        "median": v,
-        "mad": 0.0,
-        "mean": v,
-        "min": v,
-        "max": v,
-        "ci95": [v, v],
+    return aggregate([float(value)]) | {
         "unit": unit,
         "direction": direction,
         "gate": bool(gate),
@@ -170,24 +164,13 @@ def fold_spans(spans: Iterable[Any]) -> Tuple[
     """
     from .perf.phases import attribute
 
-    records = [s if isinstance(s, Mapping) else s.to_dict()
-               for s in spans]
-    attr = attribute(records)
+    attr = attribute(spans)
     phases = {
         name: {"time_s": st.time_s, "count": float(st.count),
                "bytes": st.bytes}
         for name, st in attr.phases.items()
     }
-    child: Dict[Any, float] = {}
-    for s in records:
-        pid = s.get("parent_id")
-        if pid is not None:
-            child[pid] = child.get(pid, 0.0) + s["duration_s"]
-    names: Dict[str, float] = {}
-    for s in records:
-        self_s = max(0.0, s["duration_s"] - child.get(s["span_id"], 0.0))
-        names[s["name"]] = names.get(s["name"], 0.0) + self_s
-    top = dict(sorted(names.items(), key=lambda kv: -kv[1])[:40])
+    top = dict(sorted(attr.by_name.items(), key=lambda kv: -kv[1])[:40])
     return phases, top
 
 
@@ -350,7 +333,7 @@ class RunLedger:
         rows = [self._row_to_dict(r)
                 for r in self._conn.execute(sql, params)]
         if limit is not None and limit >= 0:
-            rows = rows[-limit:]
+            rows = rows[max(0, len(rows) - limit):]
         return rows
 
     def workloads(self) -> List[Tuple[str, int]]:

@@ -12,13 +12,18 @@ Series are identified by a metric name plus a label set; labels are
 arbitrary keyword arguments (``counter("comm.messages", rank=3)``).
 Like the tracer, the global registry is **disabled by default** so the
 instrumented code paths are free when observability is off.
+
+The module also holds the one copy of the robust statistics every
+``obs`` layer shares: :func:`percentile`, :func:`median`, :func:`mad`
+and the bench runner's :func:`aggregate`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -27,6 +32,10 @@ __all__ = [
     "gauge",
     "observe",
     "format_series",
+    "percentile",
+    "median",
+    "mad",
+    "aggregate",
 ]
 
 _SeriesKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
@@ -45,7 +54,7 @@ def format_series(key: _SeriesKey) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _percentile(ordered: List[float], q: float) -> float:
+def percentile(ordered: Sequence[float], q: float) -> float:
     """Linearly-interpolated percentile of an already-sorted list.
 
     Nearest-rank is badly biased for the handful of observations the
@@ -60,6 +69,42 @@ def _percentile(ordered: List[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
+
+
+def median(values: Sequence[float]) -> float:
+    """Median of unsorted values (mean of the middle two for even n)."""
+    return percentile(sorted(values), 0.5)
+
+
+def mad(values: Sequence[float]) -> float:
+    """Median absolute deviation from the median (the noise scale)."""
+    med = median(values)
+    return median([abs(v - med) for v in values])
+
+
+def aggregate(values: Sequence[float]) -> Dict[str, Any]:
+    """Robust summary of one metric's repeat values.
+
+    ``ci95`` is a notch-style interval for the median,
+    ``median ± 1.57 × IQR / sqrt(n)`` (McGill et al.): zero-width for
+    deterministic values and for a single observation.
+    """
+    if not values:
+        raise ValueError("aggregate of no values")
+    ordered = sorted(values)
+    n = len(ordered)
+    med = percentile(ordered, 0.5)
+    iqr = percentile(ordered, 0.75) - percentile(ordered, 0.25)
+    half = 1.57 * iqr / math.sqrt(n)
+    return {
+        "n": n,
+        "median": med,
+        "mad": mad(ordered),
+        "mean": sum(ordered) / n,
+        "min": ordered[0],
+        "max": ordered[-1],
+        "ci95": [med - half, med + half],
+    }
 
 
 class MetricsRegistry:
@@ -194,9 +239,9 @@ class MetricsRegistry:
                     "count": len(ordered),
                     "sum": sum(ordered),
                     "mean": sum(ordered) / len(ordered),
-                    "p50": _percentile(ordered, 0.50),
-                    "p90": _percentile(ordered, 0.90),
-                    "p99": _percentile(ordered, 0.99),
+                    "p50": percentile(ordered, 0.50),
+                    "p90": percentile(ordered, 0.90),
+                    "p99": percentile(ordered, 0.99),
                     "max": ordered[-1],
                 }
         return {

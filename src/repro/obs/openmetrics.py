@@ -35,6 +35,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
+from .metrics import percentile
+
 __all__ = [
     "render",
     "parse",
@@ -172,7 +174,7 @@ def render(raw: Mapping[str, Mapping]) -> str:
                     lines.append(
                         f"{fam}"
                         f"{_render_labels(labels, (('quantile', qlabel),))}"
-                        f" {_fmt(_percentile(ordered, q))}"
+                        f" {_fmt(percentile(ordered, q))}"
                     )
                 lines.append(
                     f"{fam}_sum{_render_labels(labels)} {_fmt(sum(ordered))}"
@@ -182,15 +184,6 @@ def render(raw: Mapping[str, Mapping]) -> str:
                 )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 # ---------------------------------------------------------------------------

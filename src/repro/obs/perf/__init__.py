@@ -11,31 +11,24 @@ DSL):
   send-wait/unpack/tune/...);
 - :mod:`~repro.obs.perf.schema` — the versioned ``BENCH_<name>.json``
   document format;
-- :mod:`~repro.obs.perf.compare` — baseline deltas + the regression
-  gate (median worse by >10% and outside the baseline CI);
 - :mod:`~repro.obs.perf.report` — ASCII phase/roofline rendering;
 - :mod:`~repro.obs.perf.workloads` — built-in ``<bench>@<machine>``
   and ``exchange:<bench>`` workloads.
 
-Driven by ``repro bench [--compare BASELINE.json]``; see
-``docs/PERF.md`` for the schema and methodology.
+Driven by ``repro bench [--compare BASELINE.json]``; the comparison
+runs through :func:`repro.obs.diff.diff_runs`, the same code as
+``repro diff``.  See ``docs/PERF.md`` for the schema and methodology.
 """
 
 from __future__ import annotations
 
-from .compare import (
-    DEFAULT_THRESHOLD,
-    ComparisonReport,
-    Delta,
-    compare,
-)
+from ..metrics import aggregate
 from .phases import PHASES, PhaseAttribution, PhaseStats, attribute, phase_of
 from .report import format_bench, format_workload
 from .runner import (
     MetricSpec,
     Workload,
     WorkloadOutput,
-    aggregate,
     environment_fingerprint,
     run_bench,
     run_workload,
@@ -58,10 +51,7 @@ from .workloads import (
 __all__ = [
     "BENCH_FORMAT",
     "BENCH_VERSION",
-    "DEFAULT_THRESHOLD",
     "DEFAULT_WORKLOADS",
-    "ComparisonReport",
-    "Delta",
     "MetricSpec",
     "PHASES",
     "PhaseAttribution",
@@ -72,7 +62,6 @@ __all__ = [
     "attribute",
     "available_workloads",
     "bench_filename",
-    "compare",
     "environment_fingerprint",
     "format_bench",
     "format_workload",

@@ -43,6 +43,7 @@ __all__ = [
     "PhaseStats",
     "PhaseAttribution",
     "phase_of",
+    "self_times",
     "attribute",
 ]
 
@@ -119,6 +120,8 @@ class PhaseAttribution:
     phases: Dict[str, PhaseStats] = field(default_factory=dict)
     #: sum of root-span durations (the trace's wall coverage)
     total_s: float = 0.0
+    #: span name -> summed self time, below the taxonomy
+    by_name: Dict[str, float] = field(default_factory=dict, init=False)
 
     def share(self, phase: str) -> float:
         """Fraction of total span time credited to ``phase``."""
@@ -150,11 +153,24 @@ class PhaseAttribution:
         }
 
 
-def _as_dicts(spans: Iterable[Any]) -> List[Mapping[str, Any]]:
-    out = []
-    for s in spans:
-        out.append(s if isinstance(s, Mapping) else s.to_dict())
-    return out
+def self_times(spans: Iterable[Any]) -> List[Tuple[Mapping[str, Any], float]]:
+    """Each span (as a dict) with its self time.
+
+    Self time is the span's duration minus its direct children's
+    durations, floored at zero: the one child-time fold behind
+    :func:`attribute` (and so the ledger's span-name map), the trace
+    summary's per-path table and the per-rank imbalance report.
+    """
+    records = [s if isinstance(s, Mapping) else s.to_dict() for s in spans]
+    child_time: Dict[Any, float] = {}
+    for s in records:
+        pid = s.get("parent_id")
+        if pid is not None:
+            child_time[pid] = child_time.get(pid, 0.0) + s["duration_s"]
+    return [
+        (s, max(0.0, s["duration_s"] - child_time.get(s["span_id"], 0.0)))
+        for s in records
+    ]
 
 
 def attribute(spans: Iterable[Any]) -> PhaseAttribution:
@@ -164,25 +180,18 @@ def attribute(spans: Iterable[Any]) -> PhaseAttribution:
     direct children do not cover, so nested instrumentation never
     counts twice and the phase times sum to the root total.
     """
-    records = _as_dicts(spans)
-    child_time: Dict[Any, float] = {}
-    for s in records:
-        pid = s.get("parent_id")
-        if pid is not None:
-            child_time[pid] = child_time.get(pid, 0.0) + s["duration_s"]
-
     attr = PhaseAttribution()
-    for s in records:
+    for s, self_s in self_times(spans):
         if s.get("parent_id") is None:
             attr.total_s += s["duration_s"]
         phase = phase_of(s["name"])
         stats = attr.phases.get(phase)
         if stats is None:
             stats = attr.phases[phase] = PhaseStats(phase)
-        self_s = s["duration_s"] - child_time.get(s["span_id"], 0.0)
-        stats.time_s += max(0.0, self_s)
+        stats.time_s += self_s
         stats.count += 1
         nbytes = s.get("attrs", {}).get("bytes")
         if isinstance(nbytes, (int, float)):
             stats.bytes += nbytes
+        attr.by_name[s["name"]] = attr.by_name.get(s["name"], 0.0) + self_s
     return attr

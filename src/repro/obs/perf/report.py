@@ -11,22 +11,15 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..export import fmt_time
 from .phases import PHASES
 
 __all__ = ["format_bench", "format_workload"]
 
 
-def _fmt_time(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.3f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def _fmt_value(value: float, unit: str) -> str:
     if unit == "s":
-        return _fmt_time(value)
+        return fmt_time(value)
     shown = f"{value:.4g}"
     return f"{shown} {unit}".rstrip()
 
@@ -61,7 +54,7 @@ def format_workload(name: str, wl: Dict[str, Any]) -> str:
         bars = {p: sim[p]["time_s"] for p in PHASES if p in sim}
         bars.update({p: v["time_s"] for p, v in sim.items()
                      if p not in bars})
-        chart = bar_chart(bars, width=32, fmt=_fmt_time)
+        chart = bar_chart(bars, width=32, fmt=fmt_time)
         lines.extend("    " + ln for ln in chart.splitlines())
 
     host = wl.get("phases_host", {})
@@ -69,13 +62,13 @@ def format_workload(name: str, wl: Dict[str, Any]) -> str:
         total = wl.get("phase_total_host_s", 0.0)
         cov = wl.get("phase_coverage", 0.0)
         lines.append(
-            f"  host phase attribution (total {_fmt_time(total)}, "
+            f"  host phase attribution (total {fmt_time(total)}, "
             f"coverage {cov:.1%}):"
         )
         bars = {p: host[p]["time_s"] for p in PHASES if p in host}
         bars.update({p: v["time_s"] for p, v in host.items()
                      if p not in bars})
-        chart = bar_chart(bars, width=32, fmt=_fmt_time)
+        chart = bar_chart(bars, width=32, fmt=fmt_time)
         lines.extend("    " + ln for ln in chart.splitlines())
 
     roofline = wl.get("roofline", {})

@@ -24,7 +24,6 @@ schema:
 
 from __future__ import annotations
 
-import math
 import os
 import platform
 import sys
@@ -33,8 +32,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import capture
 from ..events import emit
-from ..metrics import _percentile
-from .phases import PhaseAttribution, attribute
+from ..metrics import aggregate, median
+from .phases import PhaseAttribution, PhaseStats, attribute
 from .schema import BENCH_FORMAT, BENCH_VERSION
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "WorkloadOutput",
     "run_workload",
     "run_bench",
-    "aggregate",
     "environment_fingerprint",
 ]
 
@@ -82,27 +80,6 @@ class Workload:
 
     def spec_for(self, metric: str) -> MetricSpec:
         return self.metric_specs.get(metric, MetricSpec())
-
-
-def aggregate(values: List[float]) -> Dict[str, Any]:
-    """Robust summary of one metric's repeat values."""
-    if not values:
-        raise ValueError("aggregate of no values")
-    ordered = sorted(values)
-    n = len(ordered)
-    median = _percentile(ordered, 0.5)
-    mad = _percentile(sorted(abs(v - median) for v in ordered), 0.5)
-    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
-    half = 1.57 * iqr / math.sqrt(n)
-    return {
-        "n": n,
-        "median": median,
-        "mad": mad,
-        "mean": sum(ordered) / n,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "ci95": [median - half, median + half],
-    }
 
 
 def _perf_counter() -> float:
@@ -153,23 +130,16 @@ def run_workload(workload: Workload, repeats: int = 5, warmup: int = 1,
         }
 
     # host phase attribution: median time/bytes per phase over repeats
-    phase_names = sorted({p for a in host_attrs for p in a.phases})
     phases_host: Dict[str, Any] = {}
-    for pname in phase_names:
-        times = [a.phases[pname].time_s if pname in a.phases else 0.0
-                 for a in host_attrs]
-        byts = [a.phases[pname].bytes if pname in a.phases else 0.0
-                for a in host_attrs]
-        counts = [a.phases[pname].count if pname in a.phases else 0
-                  for a in host_attrs]
+    for pname in sorted({p for a in host_attrs for p in a.phases}):
+        stats = [a.phases.get(pname, PhaseStats(pname)) for a in host_attrs]
         phases_host[pname] = {
-            "time_s": _percentile(sorted(times), 0.5),
-            "bytes": _percentile(sorted(byts), 0.5),
-            "count": int(_percentile(sorted(float(c) for c in counts),
-                                     0.5)),
+            "time_s": median([st.time_s for st in stats]),
+            "bytes": median([st.bytes for st in stats]),
+            "count": int(median([st.count for st in stats])),
         }
-    coverage = _percentile(sorted(a.coverage for a in host_attrs), 0.5)
-    total_host = _percentile(sorted(a.total_s for a in host_attrs), 0.5)
+    coverage = median([a.coverage for a in host_attrs])
+    total_host = median([a.total_s for a in host_attrs])
 
     return {
         "meta": dict(workload.meta),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..metrics import median
 from .runner import MetricSpec, Workload, WorkloadOutput
 
 __all__ = [
@@ -342,7 +343,6 @@ def _telemetry_overhead_workload(steps: int = 16,
     """
 
     def fn(seed: int) -> WorkloadOutput:
-        import statistics
         import time
 
         import numpy as np
@@ -410,15 +410,15 @@ def _telemetry_overhead_workload(steps: int = 16,
             tr._sync()
             tr.enable() if prior_keep_all else tr.disable()
             reg.enable() if prior_reg else reg.disable()
-        frac = statistics.median(
+        frac = median([
             (on - off) / off
             for off, on in zip(times_off, times_on) if off > 0
-        )
+        ])
         return WorkloadOutput(metrics={
             "telemetry.overhead_ok": 1.0 if frac < 0.05 else 0.0,
             "telemetry.overhead_frac": frac,
-            "telemetry.median_on_s": statistics.median(times_on),
-            "telemetry.median_off_s": statistics.median(times_off),
+            "telemetry.median_on_s": median(times_on),
+            "telemetry.median_off_s": median(times_off),
             "telemetry.flight_spans": float(fl_kept),
             "telemetry.flight_dropped": float(fl_dropped),
             "telemetry.sampler_samples": float(sampler_samples),

@@ -268,6 +268,12 @@ class TestHistory:
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"] == 2
 
+    def test_limit_zero_shows_no_runs(self, own_ledger_dir, capsys):
+        self._seed_rows(own_ledger_dir, [1.0, 1.0, 1.0, 9.0])
+        assert main(["history", "w@x", "--limit", "0", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["runs"] == 0 and doc["metrics"] == {}
+
     def test_history_report_direct(self):
         rows = [
             {"id": i + 1, "ts": 1.0 * i, "outcome": "ok",

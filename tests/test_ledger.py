@@ -82,6 +82,12 @@ class TestStore:
         assert [r["id"] for r in rows] == [3, 4]
         assert store.query(command="bench", workload="b")[0]["id"] == 2
 
+    def test_query_limit_zero_keeps_no_rows(self, store):
+        for _ in range(3):
+            store.record(RunRecord(command="bench", workload="a"))
+        assert store.query(workload="a", limit=0) == []
+        assert len(store.query(workload="a", limit=5)) == 3
+
     def test_workloads_listing(self, store):
         for wl in ("a", "b", "a", None):
             store.record(RunRecord(command="run", workload=wl))

@@ -2,6 +2,9 @@
 the guarantee that instrumentation is free while disabled."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -231,10 +234,10 @@ class TestMetrics:
         assert snap["p50"] == pytest.approx(3.0)
 
     def test_percentile_empty_raises(self):
-        from repro.obs.metrics import _percentile
+        from repro.obs.metrics import percentile
 
         with pytest.raises(ValueError):
-            _percentile([], 0.5)
+            percentile([], 0.5)
 
     def test_format_series(self):
         obs.enable()
@@ -586,3 +589,18 @@ class TestChromeRoundTripProperty:
         ) as fh:
             fh.write(export_chrome(tr, reg))
         assert load_trace(fh.name) == json.loads(export_json(tr, reg))
+
+
+def test_import_repro_loads_only_core_obs_modules():
+    """``import repro`` pulls in no ``obs`` module beyond the hot path:
+    every other one is imported where it is used."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import sys, repro; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('repro.obs'))))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert out == ["repro.obs", "repro.obs.metrics", "repro.obs.trace"]

@@ -11,7 +11,12 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.obs import perf
-from repro.obs.perf.compare import _worse_frac
+from repro.obs.diff import (
+    DEFAULT_THRESHOLD,
+    diff_runs,
+    views_from_bench,
+    worse_frac,
+)
 from repro.obs.perf.runner import MetricSpec, Workload, WorkloadOutput
 
 
@@ -233,11 +238,18 @@ def _bench_doc(value: float, name: str = "doc") -> dict:
     return perf.run_bench([_toy_workload(value)], name, repeats=3)
 
 
+def _compare(current: dict, baseline: dict,
+             threshold: float = DEFAULT_THRESHOLD):
+    """What ``repro bench --compare`` runs on two bench documents."""
+    return diff_runs(views_from_bench(baseline, "base"),
+                     views_from_bench(current, "cur"), threshold)
+
+
 class TestCompare:
     def test_identical_no_regression(self):
         base = _bench_doc(1.0, "base")
         cur = _bench_doc(1.0, "cur")
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         assert cmp.ok
         assert cmp.regressions == []
         assert "no regressions" in cmp.format()
@@ -245,7 +257,7 @@ class TestCompare:
     def test_slowdown_regresses_and_names_phase(self):
         base = _bench_doc(1.0, "base")
         cur = _bench_doc(1.5, "cur")
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         assert not cmp.ok
         names = {(d.kind, d.name) for d in cmp.regressions}
         assert ("metric", "m") in names
@@ -255,12 +267,12 @@ class TestCompare:
     def test_small_change_within_threshold_ok(self):
         base = _bench_doc(1.0, "base")
         cur = _bench_doc(1.05, "cur")
-        assert perf.compare(cur, base, threshold=0.10).ok
+        assert _compare(cur, base, threshold=0.10).ok
 
     def test_improvement_flagged_not_failed(self):
         base = _bench_doc(1.0, "base")
         cur = _bench_doc(0.5, "cur")
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         assert cmp.ok
         assert any(d.improved for d in cmp.deltas)
 
@@ -271,25 +283,39 @@ class TestCompare:
         cur = perf.run_bench(
             [_toy_workload(10.0, gate=False)], "cur", repeats=2
         )
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         # the modelled phase still gates; drop it to isolate the metric
         metric_deltas = [d for d in cmp.regressions if d.kind == "metric"]
         assert metric_deltas == []
 
     def test_higher_is_better_direction(self):
-        assert _worse_frac(10.0, 5.0, "higher") == pytest.approx(0.5)
-        assert _worse_frac(10.0, 20.0, "higher") == pytest.approx(-1.0)
-        assert _worse_frac(0.0, 0.0, "lower") == 0.0
-        assert _worse_frac(0.0, 1.0, "lower") == float("inf")
+        assert worse_frac(10.0, 5.0, "higher") == pytest.approx(0.5)
+        assert worse_frac(10.0, 20.0, "higher") == pytest.approx(-1.0)
+        assert worse_frac(0.0, 0.0, "lower") == 0.0
+        assert worse_frac(0.0, 1.0, "lower") == float("inf")
 
     def test_missing_workloads_noted(self):
         base = _bench_doc(1.0, "base")
         cur = _bench_doc(1.0, "cur")
         cur["workloads"]["new"] = cur["workloads"]["toy"]
         base["workloads"]["gone"] = base["workloads"]["toy"]
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         text = "\n".join(cmp.notes)
         assert "new" in text and "gone" in text
+
+    def test_single_workloads_with_different_names_noted(self):
+        base = _bench_doc(1.0, "base")
+        cur = _bench_doc(1.5, "cur")
+        cur["workloads"] = {"renamed": cur["workloads"]["toy"]}
+        cmp = _compare(cur, base)
+        # the single-run fallback still compares the pair ...
+        assert ("phase", "spm-dma") in {
+            (d.kind, d.name) for d in cmp.regressions
+        }
+        # ... and one note says which two workloads it paired
+        (note,) = [ln for ln in cmp.format().splitlines()
+                   if ln.startswith("note:")]
+        assert "'renamed'" in note and "'toy'" in note
 
 
 # -- built-in workloads ----------------------------------------------------
@@ -350,7 +376,7 @@ class TestWorkloads:
         )
         base = perf.run_bench([base_wl], "base", repeats=2)
         cur = perf.run_bench([slow_wl], "cur", repeats=2)
-        cmp = perf.compare(cur, base)
+        cmp = _compare(cur, base)
         assert not cmp.ok
         assert any(d.kind == "phase" and d.name == "spm-dma"
                    for d in cmp.regressions)
