@@ -9,7 +9,9 @@ self-contained C program:
 - one *sweep* function per run of consecutive combination terms of a
   stage that share a kernel, with the scheduled loop nest (tiled,
   reordered, optionally OpenMP-parallel) around a body that writes the
-  finished value straight into the plane of step ``t``,
+  finished value straight into the plane of step ``t`` — one fused
+  statement per point, or, for a wide dense box, loops over the rows of
+  its coefficient table (:class:`RowTable`),
 - a time loop driving one sliding window per stage (planes addressed
   modulo W), stages in pipeline order,
 - per tensor, a halo fill for the configured boundary condition, run on
@@ -53,14 +55,25 @@ from typing import (
 from ..ir.analysis import free_scalars
 from ..ir.kernel import Kernel, KernelApply
 from ..ir.pipeline import StagePipeline, as_pipeline
-from ..ir.program import TEMP, VALUE, Operand
+from ..ir.program import SLOT, TEMP, VALUE, Instruction, Operand
 from ..ir.stencil import Stencil
+from ..ir.tensor import SpNode
 from ..ir.validate import ValidationError, validate_stencil
 from ..schedule.loopnest import LoopNest
 from ..schedule.schedule import Schedule
 
-__all__ = ["GeneratedCode", "SweepRun", "CCodeGenerator", "bound_scalars",
-           "c_literal", "generate_pipeline", "render_kernel_c"]
+__all__ = ["GeneratedCode", "SweepRun", "RowTable", "CCodeGenerator",
+           "bound_scalars", "c_literal", "generate_pipeline",
+           "render_kernel_c", "row_table"]
+
+#: points of the innermost axis one row block covers: its row buffers
+#: are this wide whatever the grid, so a sweep's stack use is bounded
+ROW_STRIP = 64
+
+#: prints the loops replacing a nest's innermost loop, given the C
+#: bounds ``lo, hi`` of its variable and that loop's pragma lines
+#: (``share``, ``shape``: see ``CCodeGenerator._pragmas``)
+RowBlock = Callable[[str, str, List[str], List[str]], List[str]]
 
 
 @dataclass
@@ -209,6 +222,90 @@ def render_kernel_c(kernel: Kernel, scalars: Mapping[str, float],
     return text(result)
 
 
+class RowTable(NamedTuple):
+    """A kernel in matrix form: its folded program is the left-deep sum
+    ``((c0*a0 + c1*a1) + ...)`` over reads of one tensor at one time
+    offset, and the reads fall, in order, into rows of the same width
+    that differ only in the offsets other than the innermost one.  Tap
+    ``w`` of row ``r`` reads ``outer[r] + (inner[w],)`` scaled by
+    ``coefficients[r][w]``."""
+
+    tensor: SpNode  #: the one tensor every tap reads
+    time_offset: int
+    outer: Tuple[Tuple[int, ...], ...]  #: per row, all but the innermost
+    inner: Tuple[int, ...]  #: innermost offsets of every row, in order
+    coefficients: Tuple[Tuple[float, ...], ...]  #: folded values [R][W]
+
+
+#: narrowest rows worth a table: at three taps (the 3x3 box) the loops
+#: over rows cost more than the statement they replace
+MIN_ROW_WIDTH = 5
+
+#: printed before a sweep in matrix form.  gcc's -O3 unroll-and-jam
+#: would fuse two passes of its row loop and vectorise the second
+#: pass's reads through the row-offset table as gathers: the 25- and
+#: 49-tap boxes then step about 2x slower than the statement they
+#: replace, and the wide ones no faster
+_NO_UNROLL_JAM = (
+    "#if defined(__GNUC__) && !defined(__clang__)\n"
+    '__attribute__((optimize("no-loop-unroll-and-jam")))\n'
+    "#endif\n"
+)
+
+
+def _tap(code: Sequence[Instruction], operand: Operand
+         ) -> Optional[Tuple[float, int]]:
+    """``(coefficient, slot)`` when ``operand`` is a constant times a
+    read, in either order (IEEE multiplication commutes exactly)."""
+    if operand[0] != TEMP:
+        return None
+    name, pair = code[operand[1]]
+    if name != "mul":
+        return None
+    kinds = tuple(kind for kind, _ in pair)
+    if kinds == (VALUE, SLOT):
+        return pair[0][1], pair[1][1]
+    if kinds == (SLOT, VALUE):
+        return pair[1][1], pair[0][1]
+    return None
+
+
+def row_table(kernel: Kernel, scalars: Mapping[str, float]
+              ) -> Optional[RowTable]:
+    """``kernel``'s :class:`RowTable` under ``scalars``, or None when its
+    folded program is not such a sum or has fewer than two rows or rows
+    narrower than :data:`MIN_ROW_WIDTH`."""
+    program = kernel.program
+    code, ref = program.fold(scalars)
+    taps = []
+    while ref[0] == TEMP and code[ref[1]][0] == "add":
+        ref, last = code[ref[1]][1]
+        taps.append(_tap(code, last))
+    taps.append(_tap(code, ref))
+    if None in taps or len(code) != 2 * len(taps) - 1:
+        return None
+    taps.reverse()
+    reads = [program.accesses[slot] for _, slot in taps]
+    first = reads[0]
+    loop_vars = [v.name for v in kernel.loop_vars]
+    if any(a.tensor.name != first.tensor.name
+           or a.time_offset != first.time_offset
+           or [ix.var.name for ix in a.indices] != loop_vars
+           for a in reads):
+        return None
+    rows = [list(group) for _, group in groupby(
+        zip(taps, reads), key=lambda tap: tap[1].offsets[:-1])]
+    inner = tuple(a.offsets[-1] for _, a in rows[0])
+    if len(rows) < 2 or len(inner) < MIN_ROW_WIDTH or any(
+            tuple(a.offsets[-1] for _, a in row) != inner for row in rows):
+        return None
+    return RowTable(
+        first.tensor, first.time_offset,
+        tuple(row[0][1].offsets[:-1] for row in rows), inner,
+        tuple(tuple(value for (value, _), _ in row) for row in rows),
+    )
+
+
 class CCodeGenerator:
     """Generates the portable C (OpenMP) program for a stencil or a
     pipeline of stencil stages.
@@ -251,8 +348,9 @@ class CCodeGenerator:
         self.real = self.stages[0].output.dtype.c_name
         self.ndim = self.pipeline.ndim
         self.aux_tensors = list(self.pipeline.aux_tensors().values())
-        #: (stage output, kernel name) -> C template
-        self._rendered: Dict[Tuple[str, str], str] = {}
+        #: (stage output, kernel name) -> C template, or the kernel's
+        #: RowTable when its sweeps print in matrix form
+        self._rendered: Dict[Tuple[str, str], Union[str, RowTable]] = {}
 
     @property
     def stencil(self) -> Stencil:
@@ -517,11 +615,41 @@ class CCodeGenerator:
             lines.append(f"    {self._c_name('fill_halo', out)}({dst});")
         return lines
 
-    def _loop_nest_code(self, nest: LoopNest, body: str) -> str:
-        """Emit the scheduled loop nest around ``body``.
+    def _pragmas(self, nest: LoopNest, axis: str
+                 ) -> Tuple[List[str], List[str]]:
+        """The pragma lines of ``axis``'s loop: the one sharing its
+        iterations out among threads, and those shaping one thread's
+        pass over them (``omp simd``, ``GCC unroll``)."""
+        share, shape = [], []
+        if self.use_openmp and axis == nest.parallel_axis:
+            share = ["#ifdef _OPENMP",
+                     f"#pragma omp parallel for num_threads({self.nthreads})"
+                     " schedule(static)", "#endif"]
+        if axis == nest.vectorized_axis and self.use_openmp:
+            shape = ["#ifdef _OPENMP", "#pragma omp simd", "#endif"]
+        if axis in nest.unroll_factors:
+            shape.append(f"#pragma GCC unroll {nest.unroll_factors[axis]}")
+        return share, shape
+
+    def _rows_fit(self, nest: LoopNest) -> bool:
+        """Whether the nest's innermost loop walks the innermost domain
+        variable (whole, or as its inner tile axis): what a row block
+        replaces."""
+        last = nest.axes[-1]
+        var = list(nest.domain)[-1]
+        return (last.role is None and last.name == var
+                or last.role == "inner" and last.parent == var)
+
+    def _loop_nest_code(self, nest: LoopNest,
+                        body: Union[str, RowBlock]) -> str:
+        """Emit the scheduled loop nest around ``body``: the statement
+        of one point, or a :data:`RowBlock` that replaces the innermost
+        loop (:meth:`_rows_fit`) and is handed the C bounds ``[lo, hi)``
+        of the innermost variable there and that loop's pragmas.
 
         Tiled variables are recovered inside the nest via
-        ``k = ko * TILE + ki`` with an edge guard.
+        ``k = ko * TILE + ki`` with an edge guard — for the innermost
+        variable of a row block, the guard becomes its bound.
         """
         lines: List[str] = []
         indent = 0
@@ -530,25 +658,17 @@ class CCodeGenerator:
             lines.append("  " * indent + s)
 
         factors = nest.tile_factors
-        for ax in nest.axes:
-            if self.use_openmp and ax.name == nest.parallel_axis:
-                emit(
-                    f"#ifdef _OPENMP\n"
-                    + "  " * indent
-                    + f"#pragma omp parallel for num_threads({self.nthreads})"
-                    f" schedule(static)\n"
-                    + "  " * indent
-                    + "#endif"
-                )
-            if ax.name == nest.vectorized_axis and self.use_openmp:
-                emit(
-                    "#ifdef _OPENMP\n" + "  " * indent
-                    + "#pragma omp simd\n" + "  " * indent + "#endif"
-                )
-            if ax.name in nest.unroll_factors:
-                emit(
-                    f"#pragma GCC unroll {nest.unroll_factors[ax.name]}"
-                )
+
+        def tile_start(var: str) -> str:
+            outer = next(a.name for a in nest.axes
+                         if a.parent == var and a.role == "outer")
+            return f"{outer} * {factors[var]}L"
+
+        loops = nest.axes if isinstance(body, str) else nest.axes[:-1]
+        for ax in loops:
+            share, shape = self._pragmas(nest, ax.name)
+            for line in share + shape:
+                emit(line)
             emit(
                 f"for (long {ax.name} = {ax.start}; {ax.name} < {ax.end}; "
                 f"{ax.name}++) {{"
@@ -556,17 +676,22 @@ class CCodeGenerator:
             indent += 1
             if ax.role == "inner":
                 var = ax.parent
-                outer = next(
-                    a.name for a in nest.axes
-                    if a.parent == var and a.role == "outer"
-                )
+                emit(f"long {var} = {tile_start(var)} + {ax.name};")
+                emit(f"if ({var} >= {nest.domain[var][1]}) continue;")
+        if isinstance(body, str):
+            emit(body)
+        else:
+            last = nest.axes[-1]
+            bounds = str(last.start), str(last.end)
+            if last.role == "inner":
+                var, lo = last.parent, tile_start(last.parent)
+                end = f"{lo} + {factors[var]}L"
                 hi = nest.domain[var][1]
-                emit(
-                    f"long {var} = {outer} * {factors[var]}L + {ax.name};"
-                )
-                emit(f"if ({var} >= {hi}) continue;")
-        emit(body)
-        for _ in nest.axes:
+                emit(f"long {var}_hi = {end} < {hi} ? {end} : {hi};")
+                bounds = lo, f"{var}_hi"
+            for line in body(*bounds, *self._pragmas(nest, last.name)):
+                emit(line)
+        for _ in loops:
             indent -= 1
             emit("}")
         return "\n".join(lines)
@@ -578,48 +703,165 @@ class CCodeGenerator:
         later ones — the left-to-right order ``reference_run``
         accumulates in.  Own planes are ``<B>_m<depth>``, stage
         references ``<S>_m<depth>``, static inputs ``<C>_buf``.
+
+        A kernel with a :func:`row_table` whose nest ends in a loop over
+        its innermost variable (:meth:`_rows_fit`) prints in matrix
+        form instead (:meth:`_row_block`): the same operations per
+        point, each row template once rather than every tap.
         """
         kern = run.kernel
         out = run.stage.output
+        nest = self.nests[kern.name]
         halos = {t.name: self._dims(t)[1]
                  for t in [*self.pipeline.outputs, *self.aux_tensors]}
+
+        def plane_of(tensor: str, time_offset: int) -> str:
+            return (f"{{{-time_offset}}}" if tensor == out.name
+                    else f"{tensor}_m{-time_offset}"
+                    if tensor in self.history else f"{tensor}_buf")
+
         # rendered once per (stage, kernel) with `{depth}` slots for the
         # own planes, then instantiated per term; the halo shift is
         # folded into offsets
         key = (out.name, kern.name)
         if key not in self._rendered:
-            self._rendered[key] = render_kernel_c(
-                kern, self.scalars,
-                lambda tensor, time_offset: (
-                    f"{{{-time_offset}}}" if tensor == out.name
-                    else f"{tensor}_m{-time_offset}"
-                    if tensor in self.history else f"{tensor}_buf"
-                ),
-                halos,
-            )
-        rendered = self._rendered[key]
+            table = self._rows_fit(nest) and row_table(kern, self.scalars)
+            self._rendered[key] = table or render_kernel_c(
+                kern, self.scalars, plane_of, halos)
+        form = self._rendered[key]
         planes = [f"{out.name}_m{d}" for d in range(out.time_window)]
-        dst = f"AT_{out.name}(dst, " + ", ".join(
-            f"{lv.name} + {h}" if h else lv.name
-            for lv, h in zip(kern.loop_vars, halos[out.name])
-        ) + ")"
         first = next(r for r in self.sweep_runs if r.stage is run.stage)
-        value = "(real)0" if run is first else dst
-        for scale, app in run.terms:
-            term = rendered.format(*planes[-app.time_offset:])
-            value = f"({value} + (real){scale!r} * {term})"
         params = ["real *restrict dst"]
         params += [f"const real *restrict {planes[d]}" for d in run.depths]
         params += [f"const real *restrict {ref}_m{d}" for ref, d in run.refs]
         params += [f"const real *restrict {self.aux_tensors[i].name}_buf"
                    for i in run.aux]
-        nest_code = self._loop_nest_code(
-            self.nests[kern.name], f"{dst} = {value};"
-        )
-        return (
-            f"static void {run.name}({', '.join(params)}) {{\n"
-            f"{nest_code}\n}}"
-        )
+        head = f"static void {run.name}({', '.join(params)}) {{\n"
+        if isinstance(form, RowTable):
+            tables, block = self._row_block(
+                run, form, run is first, [
+                    plane_of(form.tensor.name, form.time_offset).format(
+                        *planes[-app.time_offset:])
+                    for _, app in run.terms
+                ])
+            return (_NO_UNROLL_JAM + head
+                    + "".join(f"  {line}\n" for line in tables)
+                    + self._loop_nest_code(nest, block) + "\n}")
+        dst = self._dst(out, [lv.name for lv in kern.loop_vars])
+        value = "(real)0" if run is first else dst
+        for scale, app in run.terms:
+            term = form.format(*planes[-app.time_offset:])
+            value = f"({value} + (real){scale!r} * {term})"
+        return head + self._loop_nest_code(nest, f"{dst} = {value};") + "\n}"
+
+    def _dst(self, out, coords: Sequence[str]) -> str:
+        """The point of plane ``dst`` of ``out`` at the valid-domain
+        coordinates ``coords`` (C expressions)."""
+        return f"AT_{out.name}(dst, " + ", ".join(
+            f"{c} + {h}" if h else c
+            for c, h in zip(coords, self._dims(out)[1])
+        ) + ")"
+
+    def _offset_table(self, name: str, tensor: SpNode,
+                      indices: Sequence[Tuple[int, ...]]) -> str:
+        """The declaration of ``name``, the flat offsets of ``indices``
+        (padded coordinates) into a plane of ``tensor``."""
+        padded, _ = self._dims(tensor)
+        flats = []
+        for index in indices:
+            flat = 0
+            for i, n in zip(index, padded):
+                flat = flat * n + i
+            flats.append(str(flat))
+        return (f"static const long {name}[{len(flats)}] = "
+                f"{{{', '.join(flats)}}};")
+
+    def _row_block(self, run: SweepRun, table: RowTable, first: bool,
+                   term_planes: Sequence[str]
+                   ) -> Tuple[List[str], RowBlock]:
+        """``run``'s sweep in the matrix form of ``table``: the
+        declarations of its coefficient and row-offset tables, and the
+        block that replaces the innermost loop.
+
+        The block walks its range in strips of :data:`ROW_STRIP`
+        points.  Per term, a row buffer takes the first row's taps,
+        ``((c[0][0] * p[s + d0]) + (c[0][1] * p[s + d1])) + ...``, and
+        every later row continues that sum, ``((row[s] + (c[r][0] *
+        p[o[r] + s + d0])) + ...)``; then the strip's points are written
+        as ``((0 + s1 * row1[s]) + s2 * row2[s])`` (``dst + ...`` after
+        an earlier run).  Each point sees the operations of the fused
+        statement, in its order, on the same once-rounded constants.
+        """
+        kern = run.kernel
+        out = run.stage.output
+        var = kern.loop_vars[-1].name
+        outer_vars = [v.name for v in kern.loop_vars[:-1]]
+        halo = self._dims(table.tensor)[1]
+        nrows, width = len(table.outer), len(table.inner)
+        coef, offs = f"{run.name}_c", f"{run.name}_o"
+        strip, step, row = f"{var}_n", f"{var}_s", f"{var}_r"
+        tables = [f"static const real {coef}[{nrows}][{width}] = {{"]
+        tables += [
+            "  {" + ", ".join(c_literal(v) for v in coefficients) + "},"
+            for coefficients in table.coefficients
+        ]
+        tables += ["};", self._offset_table(offs, table.tensor, [
+            tuple(h + o for h, o in zip(halo, outer)) + (0,)
+            for outer in table.outer
+        ])]
+        shifts = [halo[-1] + d for d in table.inner]
+
+        def taps(r: str, base: str) -> List[str]:
+            reads = [f"{base}[{offs}[{r}] + {step}]" if d == 0 else
+                     f"{base}[{offs}[{r}] + {step} + {d}]" if d > 0 else
+                     f"{base}[{offs}[{r}] + {step} - {-d}]" for d in shifts]
+            return [f"({coef}[{r}][{w}] * {read})"
+                    for w, read in enumerate(reads)]
+
+        def chain(start: str, products: List[str]) -> str:
+            for product in products:
+                start = f"({start} + {product})"
+            return start
+
+        dst = self._dst(out, outer_vars + [f"{var} + {step}"])
+        value = "(real)0" if first else dst
+        buffers = [f"{var}_row{k}" for k in range(len(run.terms))]
+        for (scale, _), buf in zip(run.terms, buffers):
+            value = f"({value} + (real){scale!r} * {buf}[{step}])"
+
+        def block(lo: str, hi: str, share: List[str], shape: List[str]
+                  ) -> List[str]:
+            over = f"for (long {step} = 0; {step} < {strip}; {step}++)"
+            lines = share + [
+                f"for (long {var} = {lo}; {var} < {hi}; "
+                f"{var} += {ROW_STRIP}) {{",
+                f"  const long {strip} = {hi} - {var} < {ROW_STRIP} ? "
+                f"{hi} - {var} : {ROW_STRIP};",
+                "  real " + ", ".join(f"{buf}[{ROW_STRIP}]"
+                                      for buf in buffers) + ";",
+            ]
+            for k, (plane, buf) in enumerate(zip(term_planes, buffers)):
+                base = f"{var}_p{k}"
+                point = ", ".join(outer_vars + [var])
+                opening, rest = taps("0", base), taps(row, base)
+                lines += [
+                    f"  const real *{base} = "
+                    f"&AT_{table.tensor.name}({plane}, {point});",
+                ] + ["  " + line for line in shape] + [
+                    f"  {over}",
+                    f"    {buf}[{step}] = {chain(opening[0], opening[1:])};",
+                    f"  for (long {row} = 1; {row} < {nrows}; {row}++) {{",
+                ] + ["    " + line for line in shape] + [
+                    f"    {over}",
+                    f"      {buf}[{step}] = "
+                    f"{chain(f'{buf}[{step}]', rest)};",
+                    "  }",
+                ]
+            lines += ["  " + line for line in shape] + [
+                f"  {over}", f"    {dst} = {value};", "}"]
+            return lines
+
+        return tables, block
 
     def main_function(self) -> str:
         outputs = [out.name for out in self.pipeline.outputs]

@@ -431,16 +431,35 @@ class MPICodeGenerator(CCodeGenerator):
             "}"
         )
 
-    def _loop_nest_code(self, nest, body: str) -> str:
+    def _rows_fit(self, nest) -> bool:
+        """The rank's nest always ends in the innermost variable."""
+        return True
+
+    def _offset_table(self, name: str, tensor, indices) -> str:
+        """Flat offsets over this rank's strides, known at run time."""
+        def flat(index) -> str:
+            text = str(index[0])
+            for d, i in enumerate(index[1:], 1):
+                text = f"({text}) * ctx.padded[{d}] + {i}"
+            return text
+
+        return (f"const long {name}[{len(indices)}] = "
+                f"{{{', '.join(map(flat, indices))}}};")
+
+    def _loop_nest_code(self, nest, body) -> str:
         """The rank's sub-domain, untiled, in the kernel's variable
-        order."""
+        order; a row block replaces the innermost loop."""
+        loops = list(enumerate(nest.domain))
+        if not isinstance(body, str):
+            *loops, (d, _) = loops
+            body = "\n".join(body("0", f"ctx.hi[{d}] - ctx.lo[{d}]", [], []))
         lines = [
             "  " * d + f"for (long {var} = 0; {var} < ctx.hi[{d}] - "
             f"ctx.lo[{d}]; {var}++) {{"
-            for d, var in enumerate(nest.domain)
+            for d, var in loops
         ]
-        lines.append("  " * len(nest.domain) + body)
-        lines += ["  " * d + "}" for d in reversed(range(len(nest.domain)))]
+        lines += ["  " * len(loops) + line for line in body.splitlines()]
+        lines += ["  " * d + "}" for d in reversed(range(len(loops)))]
         return "\n".join(lines)
 
     def entry_point(self) -> str:
@@ -505,14 +524,14 @@ class MPICodeGenerator(CCodeGenerator):
         code.files["Makefile"] = (
             "# generated by MSC (distributed build)\n"
             "CC = mpicc\n"
-            "CFLAGS = -O3 -fopenmp\n"
+            "CFLAGS = -O3 -fopenmp -ffp-contract=off\n"
             f"all: {name}\n"
             f"{name}: {name}_mpi.c msc_comm.c msc_comm.h\n"
             f"\t$(CC) $(CFLAGS) {name}_mpi.c msc_comm.c -o $@ -lm\n"
             "# single-rank build against the bundled MPI stub (testing)\n"
             f"single: {name}_mpi.c msc_comm.c msc_comm.h msc_mpi_stub.h\n"
-            f"\tgcc -O2 -DMSC_MPI_STUB {name}_mpi.c msc_comm.c "
-            f"-o {name} -lm\n"
+            f"\tgcc -O2 -ffp-contract=off -DMSC_MPI_STUB {name}_mpi.c "
+            f"msc_comm.c -o {name} -lm\n"
             "clean:\n"
             f"\trm -f {name}\n"
             ".PHONY: all single clean\n"

@@ -351,7 +351,7 @@ def build_artifact(sources: Mapping[str, str], binary_name: str,
         )
     fp = dict(compiler_fingerprint(cc_path))
     if flags is None:
-        flags = toolchain_cflags("cpu") + ["-ffp-contract=off"]
+        flags = toolchain_cflags("cpu")
     flags = list(flags)
     if kind == "shared":
         for extra in ("-shared", "-fPIC"):

@@ -331,6 +331,47 @@ class TestTargetsAndMakefiles:
         assert res.returncode == 0, res.stderr + res.stdout
         assert (tmp_path / "buildme").exists()
 
+    @pytest.mark.parametrize("target", ["cpu", "matrix"])
+    def test_gcc_toolchains_never_contract(self, target):
+        from repro.backend import toolchain_cflags
+
+        assert "-ffp-contract=off" in toolchain_cflags(target)
+        assert ("CFLAGS = " + " ".join(toolchain_cflags(target))
+                in generate_makefile("prog", target))
+
+    @needs_gcc
+    def test_makefile_build_is_bit_equal_to_reference(self, tmp_path, rng):
+        """``repro compile`` then ``make``, with the Makefile's own
+        ``CC``/``CFLAGS``: on an FMA host a build that lets gcc contract
+        ``a*b + c`` drifts from ``reference_run`` within two steps."""
+        from repro.cli import main
+        from repro.frontend import build_benchmark, parse_program
+        from repro.frontend import render_program
+
+        prog, _ = build_benchmark("3d25pt_star", grid=(16, 12, 20))
+        text = render_program(prog.ir, prog.schedules())
+        (tmp_path / "star.msc").write_text(text)
+        assert main(["compile", str(tmp_path / "star.msc"), "-o",
+                     str(tmp_path), "--name", "star"]) == 0
+        res = subprocess.run(["make", "-C", str(tmp_path)],
+                             capture_output=True, text=True, timeout=120)
+        if res.returncode != 0 and "march=native" in res.stderr:
+            pytest.skip("march=native unsupported here")
+        assert res.returncode == 0, res.stderr + res.stdout
+        stencil = parse_program(text).program.ir
+        init = [rng.random(stencil.output.shape) for _ in range(2)]
+        np.concatenate([p.ravel() for p in init]).tofile(
+            str(tmp_path / "init.bin"))
+        res = subprocess.run(
+            [str(tmp_path / "star"), str(tmp_path / "init.bin"), "2",
+             str(tmp_path / "out.bin")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        got = np.fromfile(str(tmp_path / "out.bin")).reshape(
+            stencil.output.shape)
+        assert got.tobytes() == reference_run(stencil, init, 2).tobytes()
+
 
 @needs_gcc
 def test_kernel_internal_time_offset_compiled(tmp_path, rng):
@@ -352,3 +393,96 @@ def test_kernel_internal_time_offset_compiled(tmp_path, rng):
                            use_openmp=False)
     ref = reference_run(st, init, 4, boundary="periodic")
     np.testing.assert_array_equal(got, ref)
+
+
+class TestRerolledSweep:
+    """Wide dense boxes print in matrix form: a coefficient table and
+    loops over its rows (``c_codegen.row_table``)."""
+
+    @staticmethod
+    def _sweep(src: str) -> str:
+        start = src.index("static void sweep_0_")
+        return src[start:src.index("\n}\n", start)]
+
+    @pytest.mark.parametrize("scheduled", [False, True],
+                             ids=["default", "table5"])
+    def test_only_the_wide_table4_boxes_reroll(self, scheduled):
+        from repro.backend.c_codegen import row_table
+        from repro.frontend.stencils import build_benchmark
+
+        rerolled = []
+        for name in BENCHMARK_NAMES:
+            prog, handle = (build_with_schedule(name, "cpu") if scheduled
+                            else build_benchmark(name))
+            src = CCodeGenerator(prog.ir, prog.schedules()).generate(
+                "r").main_source
+            if "static const real sweep_0_" in src:
+                rerolled.append(name)
+            table = row_table(prog.ir.kernels[0], {})
+            assert (table is not None) == (name in rerolled), name
+        assert rerolled == ["2d121pt_box", "2d169pt_box"]
+
+    def test_each_row_template_is_printed_once(self):
+        """169 taps are 13 rows of 13: per term (two) the first row and
+        the template of the others, 52 products instead of 338."""
+        from repro.backend.c_codegen import row_table
+        from repro.frontend.stencils import build_benchmark
+
+        prog, _ = build_benchmark("2d169pt_box", grid=(64, 80))
+        table = row_table(prog.ir.kernels[0], {})
+        assert len(table.outer) == len(table.inner) == 13
+        assert table.inner == tuple(range(-6, 7))
+        body = self._sweep(CCodeGenerator(prog.ir, {}).generate(
+            "r").main_source)
+        coef = "sweep_0_S_2d169pt_box_c"
+        assert f"static const real {coef}[13][13] = {{" in body
+        assert "static const long sweep_0_S_2d169pt_box_o[13] = " in body
+        products = re.findall(rf"\({coef}\[(\w+)\]\[(\d+)\] \* ", body)
+        assert len(products) == 2 * 2 * 13
+        assert [w for r, w in products if r == "0"] == [
+            str(w) for w in range(13)] * 2
+        # the write: ((0 + 0.6 * row0) + 0.4 * row1), one statement
+        assert body.count("AT_B(dst, ") == 1
+        assert ("= (((real)0 + (real)0.6 * i_row0[i_s]) + (real)0.4 * "
+                "i_row1[i_s]);") in body
+
+    @pytest.mark.parametrize("flavour", [CCodeGenerator, SharedLibGenerator],
+                             ids=["main", "shared"])
+    def test_no_accumulator_in_rerolled_sweep(self, flavour):
+        from repro.frontend.stencils import build_benchmark
+
+        prog, _ = build_benchmark("2d121pt_box", grid=(40, 40))
+        src = flavour(prog.ir, prog.schedules()).generate("a").main_source
+        assert "static const real sweep_0_" in src
+        assert not re.search(r"acc|memset", src)
+        assert not re.search(r"malloc|calloc|VALID_ELEMS", time_loop(src))
+
+    def test_3x3_box_and_stars_keep_the_fused_statement(self):
+        from repro.backend.c_codegen import row_table
+        from repro.frontend.stencils import build_benchmark
+
+        for name in ("2d9pt_box", "2d9pt_star", "3d31pt_star"):
+            prog, _ = build_benchmark(name)
+            assert row_table(prog.ir.kernels[0], {}) is None, name
+
+    @needs_gcc
+    def test_stack_use_does_not_grow_with_the_grid(self, tmp_path):
+        """Row buffers are strip-mined to a fixed width: a 65536-wide
+        grid's sweep uses the stack a 96-wide one does."""
+        from repro.frontend.stencils import build_benchmark
+
+        usage = {}
+        for width in (96, 65536):
+            prog, _ = build_benchmark("2d169pt_box", grid=(16, width))
+            directory = tmp_path / str(width)
+            SharedLibGenerator(prog.ir, {}).generate("s").write_to(
+                str(directory))
+            subprocess.run(
+                [GCC, "-c", "-O3", "-fopenmp", "-fPIC", "-ffp-contract=off",
+                 "-fstack-usage", "s.c", "-o", "s.o"],
+                cwd=directory, check=True, capture_output=True, timeout=120,
+            )
+            (line,) = [line for line in (directory / "s.su").read_text()
+                       .splitlines() if ":sweep_0_" in line]
+            usage[width] = int(line.split("\t")[1])
+        assert usage[96] == usage[65536] <= 4096, usage

@@ -473,10 +473,11 @@ def _table4_program(name, dtype, scheduled):
 
 
 def _native_vs_reference(stencil, schedules, boundary, steps=3,
-                         scalars=None):
+                         scalars=None, init=None):
     from repro.backend.native import NativeExecutor
 
-    init, inputs = _seeded(stencil)
+    seeded, inputs = _seeded(stencil)
+    init = seeded if init is None else init
     ref = reference_run(stencil, init, steps, boundary=boundary,
                         inputs=inputs, scalars=scalars)
     got = NativeExecutor(stencil, schedules, boundary=boundary,
@@ -484,13 +485,15 @@ def _native_vs_reference(stencil, schedules, boundary, steps=3,
     assert_same_bits(got, ref)
 
 
-def _main_vs_reference(stencil, schedules, boundary, steps=3, scalars=None):
+def _main_vs_reference(stencil, schedules, boundary, steps=3, scalars=None,
+                       init=None):
     """The file-I/O ``main`` flavour, built and run the way ``repro
     verify`` does it (artifact cache, run timeout)."""
     from repro.evalsuite.verify import _compile_and_run
 
     out = stencil.output
-    init, inputs = _seeded(stencil)
+    seeded, inputs = _seeded(stencil)
+    init = seeded if init is None else init
     gen = CCodeGenerator(stencil, schedules, boundary=boundary,
                          scalars=scalars)
     # init.bin: the history planes, then each static input once
@@ -704,6 +707,8 @@ def _mpi_cases():
         )
     yield pytest.param(_two_kernel_stencil, id="two-kernels")
     yield pytest.param(_negative_zero_stencil, id="negative-zero")
+    for name in ("2d25pt_box", "3d125pt_box"):  # rerolled, see below
+        yield pytest.param(lambda name=name: _row_box(name), id=name)
 
 
 @needs_gcc
@@ -825,3 +830,170 @@ def test_native_bitwise_random_operator_kernels(case, boundary, seed):
         assume("has no C literal" not in str(exc))
         raise
     assert_same_bits(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# wide dense boxes print in matrix form — a coefficient table and loops
+# over its rows (c_codegen.row_table) — doing the fused statement's
+# operations per point in its order: still bit-equal to the oracle
+# ---------------------------------------------------------------------------
+
+#: name -> (ndim, radius, grid).  Odd outer extents (the Table-5 tiles
+#: of 2 do not divide them) and an innermost extent past one row strip
+#: (64 points) that is no multiple of it
+_ROW_BOXES = {
+    "2d121pt_box": (2, 5, (27, 70)),
+    "2d169pt_box": (2, 6, (27, 70)),
+    "2d25pt_box": (2, 2, (13, 131)),
+    "3d125pt_box": (3, 2, (9, 11, 70)),  # rows over (dz, dy)
+}
+
+
+def _row_box(name, dtype=f64):
+    """``name`` of :data:`_ROW_BOXES` as a Table-4-style box stencil."""
+    from repro.frontend.stencils import BenchmarkDef
+
+    ndim, radius, grid = _ROW_BOXES[name]
+    points = (2 * radius + 1) ** ndim
+    bench = BenchmarkDef(name, ndim, "box", radius, points, 0, 0, 0, 2, grid)
+    return bench.build(grid=grid, dtype=dtype)[0].ir
+
+
+def _row_schedules(stencil, kind):
+    """No schedule, the Table-5 one, or an inner tile (24) that does not
+    divide the innermost extent, its axis vectorised (``inner-simd``)
+    or unrolled (``inner-unroll``): the pragmas of the row loops."""
+    from repro.ir import StagePipeline
+
+    if kind == "default":
+        return {}
+    if kind == "table5":
+        return _table5_schedules(StagePipeline((stencil,)))
+    (kern,) = stencil.kernels
+    axes = ("xo", "xi", "yo", "yi", "zo", "zi")[:2 * stencil.ndim]
+    sched = Schedule(kern).tile(*(5, 4, 24)[-stencil.ndim:], *axes)
+    sched.reorder(*axes[0::2], *axes[1::2]).parallel("xo", 2)
+    if kind == "inner-simd":
+        return {kern.name: sched.vectorize(axes[-1])}
+    return {kern.name: sched.unroll(axes[-1], 4)}
+
+
+def _rerolled(stencil, schedules, scalars=None) -> bool:
+    src = CCodeGenerator(stencil, schedules, scalars=scalars).generate(
+        "r").main_source
+    return "static const real sweep_0_" in src
+
+
+@needs_gcc
+@_DTYPES
+@pytest.mark.parametrize("kind", ["default", "table5", "inner-simd"])
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+@pytest.mark.parametrize("name", list(_ROW_BOXES))
+def test_rerolled_box_bitwise(name, boundary, kind, dtype):
+    """The file-I/O ``main`` of every rerolled box, and the shared
+    library (the same sweeps, another entry point) unscheduled for the
+    two that are not Table-4 programs — ``test_native_bitwise_table4``
+    covers the others."""
+    stencil = _row_box(name, dtype)
+    schedules = _row_schedules(stencil, kind)
+    assert _rerolled(stencil, schedules)
+    _main_vs_reference(stencil, schedules, boundary)
+    if name not in BENCHMARK_NAMES and kind == "default":
+        _native_vs_reference(stencil, schedules, boundary)
+
+
+@needs_gcc
+@_DTYPES
+def test_rerolled_negative_zero_seed(dtype):
+    """All ``-0.0`` planes: the first row's first tap starts each chain
+    (no ``0 +``), the ``(real)0 +`` seed of the write gives ``+0.0``."""
+    stencil = _row_box("2d25pt_box", dtype)
+    init = [np.full(stencil.output.shape, -0.0, dtype=dtype.np_dtype)
+            for _ in range(2)]
+    assert not np.signbit(reference_run(stencil, init, 1)).any()
+    for schedules in ({}, _row_schedules(stencil, "inner-unroll")):
+        _native_vs_reference(stencil, schedules, "periodic", init=init)
+        _main_vs_reference(stencil, schedules, "periodic", init=init)
+
+
+@needs_gcc
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+def test_rerolled_folded_scalar_coefficient(boundary):
+    """A runtime scalar in a coefficient folds to a table entry."""
+    from repro.ir import Kernel, SpNode, Stencil
+
+    B = SpNode("B", (12, 67), f64, halo=(2, 2), time_window=3)
+    j, i = VarExpr("j"), VarExpr("i")
+    w = VarExpr("w", "f64")
+    expr = None
+    for n, (dy, dx) in enumerate(
+            (dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)):
+        coef = (w * 0.5) if (dy, dx) == (0, 0) else 0.01 * (n + 1)
+        term = coef * B[j + dy if dy else j, i + dx if dx else i]
+        expr = term if expr is None else expr + term
+    kern = Kernel("k", (j, i), expr)
+    t = Stencil.t
+    stencil = Stencil(B, 0.6 * kern[t - 1] + 0.4 * kern[t - 2])
+    scalars = {"w": 0.3}
+    assert _rerolled(stencil, {}, scalars)
+    _native_vs_reference(stencil, {}, boundary, scalars=scalars)
+    _main_vs_reference(stencil, {}, boundary, scalars=scalars)
+
+
+def _box_pipeline(dtype):
+    """A 5x5 box smoothing ``U``, then a 5x5 box over ``U`` into ``R``
+    (a stage reference, its planes ``U_m<d>``; ``R`` has its own
+    halo)."""
+    from repro.ir import Kernel, SpNode, StagePipeline, Stencil
+
+    shape = (11, 75)
+    U = SpNode("U", shape, dtype, halo=(2, 2), time_window=2)
+    R = SpNode("R", shape, dtype, halo=(3, 3), time_window=2)
+    j, i = VarExpr("j"), VarExpr("i")
+
+    def box(name, tensor, scale):
+        expr = None
+        for n, (dy, dx) in enumerate(
+                (dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)):
+            term = (scale * (n % 7 + 1)) * tensor[j + dy if dy else j,
+                                                  i + dx if dx else i]
+            expr = term if expr is None else expr + term
+        return Kernel(name, (j, i), expr)
+
+    t = Stencil.t
+    return StagePipeline((
+        Stencil(U, box("smooth", U, 0.01)[t - 1]),
+        Stencil(R, box("spread", U, 0.03)[t - 1]),
+    ))
+
+
+@needs_gcc
+@_SCHEDULED
+@_DTYPES
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+def test_generated_box_pipeline_bitwise(boundary, dtype, scheduled):
+    """A two-stage pipeline whose both stages reroll equals
+    ``PipelineExecutor``."""
+    from repro.backend.pipeline_exec import PipelineExecutor
+    from repro.evalsuite.verify import _compile_and_run
+
+    pipe = _box_pipeline(dtype)
+    schedules = _table5_schedules(pipe) if scheduled else {}
+    files = CCodeGenerator(pipe, schedules, boundary=boundary).generate(
+        "pipe").files
+    assert files["pipe.c"].count("static const real sweep_") == 2
+    np_dtype = dtype.np_dtype
+    rng = np.random.default_rng(4)
+    seeds = {name: [rng.random(pipe.shape).astype(np_dtype)
+                    for _ in range(k)]
+             for name, k in pipe.required_history().items() if k}
+    blob = np.concatenate([p.ravel() for out in pipe.outputs
+                           for p in seeds.get(out.name, [])])
+    got, note = _compile_and_run(
+        files, "pipe", blob, 4, np_dtype, (pipe.nstages, *pipe.shape),
+        flags=None,
+    )
+    assert not note, note
+    ref = PipelineExecutor(pipe, boundary=boundary).run(seeds, 4)
+    for plane, out in zip(got, pipe.outputs):
+        assert_same_bits(plane, ref[out.name])

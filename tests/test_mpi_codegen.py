@@ -70,6 +70,9 @@ class TestBundleStructure:
         mk = bundle.files["Makefile"]
         assert "mpicc" in mk
         assert "-DMSC_MPI_STUB" in mk  # single-rank test build
+        # both rules build without FMA contraction (bit-equal results)
+        assert "CFLAGS = -O3 -fopenmp -ffp-contract=off\n" in mk
+        assert "\tgcc -O2 -ffp-contract=off -DMSC_MPI_STUB " in mk
 
     def test_balanced_decomposition_in_library(self, bundle):
         comm = bundle.files["msc_comm.c"]
