@@ -49,8 +49,7 @@ def toolchain_cflags(target: str = "cpu") -> list:
     return TOOLCHAINS[target]["cflags"].split()
 
 
-def generate_makefile(name: str, target: str,
-                      use_mpi: bool = False) -> str:
+def generate_makefile(name: str, target: str) -> str:
     """Return Makefile text for a generated bundle.
 
     ``name`` is the bundle stem (``<name>.c`` or ``<name>_master.c`` /
@@ -95,12 +94,10 @@ def generate_makefile(name: str, target: str,
             f"\n"
             f".PHONY: all single clean\n"
         )
-    cc = "mpicc" if use_mpi else tc["cc"]
-    mpi_flag = " -DMSC_USE_MPI" if use_mpi else ""
     return (
         f"# generated by MSC for target {target}\n"
-        f"CC = {cc}\n"
-        f"CFLAGS = {tc['cflags']}{mpi_flag}\n"
+        f"CC = {tc['cc']}\n"
+        f"CFLAGS = {tc['cflags']}\n"
         f"LIBS = {tc['libs']}\n"
         f"\n"
         f"all: {name}\n"

@@ -35,7 +35,6 @@ KNOWN_TARGETS = ("cpu", "matrix", "sunway", "mpi")
 def generate(stencil: Union[Stencil, StagePipeline],
              schedules: Mapping[str, Schedule],
              name: str, target: str = "cpu", boundary: str = "zero",
-             use_mpi: bool = False,
              nthreads: Optional[int] = None,
              mpi_grid=None, scalars=None) -> GeneratedCode:
     """Generate source + Makefile for ``target``."""
@@ -75,9 +74,7 @@ def generate(stencil: Union[Stencil, StagePipeline],
             code = gen.generate(name)
             code.target = target
         if "Makefile" not in code.files:
-            code.files["Makefile"] = generate_makefile(
-                name, target, use_mpi
-            )
+            code.files["Makefile"] = generate_makefile(name, target)
         sp.set(files=len(code.files),
                bytes=sum(len(v) for v in code.files.values()))
     return code

@@ -49,20 +49,18 @@ are logged to stderr; ``--no-check`` skips the gate.
 [--fault-seed N]`` to run the distributed-exchange stage over a faulty
 simulated fabric (see ``docs/RESILIENCE.md``).
 
-Live telemetry (``run``/``simulate``/``tune``/``bench``): the span
-flight recorder is on by default (``REPRO_FLIGHT=0`` opts out,
-``REPRO_FLIGHT_CAPACITY`` resizes the ring); ``--serve-metrics PORT``
-exposes OpenMetrics + flight state on ``127.0.0.1:PORT`` while the
-command runs (``--serve-linger`` keeps it up after); ``--event-log
-FILE`` (or ``REPRO_EVENT_LOG``) appends the structured JSONL event
-narration.  ``repro monitor`` tails either surface.
-
-Every ``run``/``simulate``/``tune``/``bench``/``verify`` invocation
-also appends a record — config + environment fingerprints, phase
-self-times, gated metrics, outcome — to the on-disk run ledger
-(``~/.local/state/repro/ledger.db``; ``REPRO_LEDGER_DIR`` overrides
-the directory, ``REPRO_LEDGER=0`` opts out).  ``repro diff`` and
-``repro history`` query it; see ``docs/OBSERVABILITY.md``.
+Every command runs inside :func:`repro.obs.session`, the one place its
+telemetry is set up and torn down: the span flight ring (on by default;
+``REPRO_FLIGHT=0`` opts out, ``REPRO_FLIGHT_CAPACITY`` resizes it),
+``--serve-metrics PORT`` (OpenMetrics + flight state on
+``127.0.0.1:PORT``; ``--serve-linger`` keeps it up after),
+``--event-log FILE`` (or ``REPRO_EVENT_LOG``, the JSONL event
+narration), ``--trace``, and the run-ledger row that every
+``run``/``simulate``/``tune``/``bench``/``verify`` appends
+(``~/.local/state/repro/ledger.db``; ``REPRO_LEDGER_DIR`` overrides the
+directory, ``REPRO_LEDGER=0`` opts out).  ``repro monitor`` tails the
+live surfaces; ``repro diff`` and ``repro history`` query the ledger;
+see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -1068,144 +1066,24 @@ _COMMANDS = {
 }
 
 
-def _flight_default_on() -> bool:
-    """Flight recorder on unless ``REPRO_FLIGHT`` opts out."""
-    import os
-
-    return os.environ.get("REPRO_FLIGHT", "1").lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
-def _flight_capacity() -> int:
-    import os
-
-    from .obs.trace import DEFAULT_FLIGHT_CAPACITY
-
-    raw = os.environ.get("REPRO_FLIGHT_CAPACITY", "")
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_FLIGHT_CAPACITY
-    except ValueError:
-        return DEFAULT_FLIGHT_CAPACITY
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    import os
-    import time as _time
+    from . import obs
 
     args = build_parser().parse_args(argv)
-    trace_file = getattr(args, "trace", None)
-    serve_port = getattr(args, "serve_metrics", None)
-    event_path = getattr(args, "event_log", None) or os.environ.get(
-        "REPRO_EVENT_LOG"
-    )
-    if trace_file:
-        from . import obs
-
-        obs.reset()
-        obs.enable()
-
-    # flight recorder: always-on ring of completed spans (bounded, so
-    # safe as a default).  Prior state is restored on exit because the
-    # test suite calls main() in-process.
-    from .obs import events as obs_events
-    from .obs import trace as obs_trace
-
-    tr = obs_trace.tracer()
-    prior_flight = tr.flight
-    if _flight_default_on():
-        obs_trace.enable_flight(capacity=_flight_capacity())
-
-    # run ledger: every recording command appends a row by default
-    # (REPRO_LEDGER=0 opts out); commands contribute fingerprints and
-    # metrics through obs_ledger.note()/note_workload() while they run
-    from .obs import ledger as obs_ledger
-
-    record_run = (args.command in obs_ledger.LEDGED_COMMANDS
-                  and obs_ledger.enabled())
-    if record_run:
-        obs_ledger.begin(args.command)
-
-    installed_sink = None
-    if event_path:
-        # replaces (and closes) any previously installed sink
-        installed_sink = obs_events.install(event_path)
-
-    server = sampler = None
-    prior_reg_enabled = None
-    if serve_port is not None:
-        from .obs import registry
-        from .obs.live import MetricsSampler, TelemetryServer
-
-        reg = registry()
-        prior_reg_enabled = reg.enabled
-        reg.enable()
-        sampler = MetricsSampler()
-        sampler.start()
-        server = TelemetryServer(port=serve_port, sampler=sampler)
-        server.start()
-        print(f"serving telemetry on {server.url}/metrics "
-              f"(also /flight, /series)")
-
-    rc = 1
     try:
-        from .obs import span
-
-        with span(f"cli.{args.command}"):
-            obs_events.emit("cli.start", command=args.command)
-            rc = _COMMANDS[args.command](args)
-            obs_events.emit("cli.exit", command=args.command, rc=rc)
-    except FileNotFoundError as exc:
+        with obs.session(
+            args.command,
+            trace=getattr(args, "trace", None),
+            trace_format=getattr(args, "trace_format", "json"),
+            serve=getattr(args, "serve_metrics", None),
+            linger=getattr(args, "serve_linger", 0.0) or 0.0,
+            event_log=getattr(args, "event_log", None),
+        ) as run:
+            run.rc = _COMMANDS[args.command](args)
+    except (FileNotFoundError, KeyError, ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        rc = 1
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        rc = 1
-    finally:
-        if trace_file:
-            from . import obs
-
-            obs.disable()
-        if server is not None:
-            linger = getattr(args, "serve_linger", 0.0) or 0.0
-            if linger > 0:
-                print(f"telemetry endpoint lingering {linger:g}s "
-                      f"at {server.url} ...")
-                _time.sleep(linger)
-            server.stop()
-            sampler.stop(final_sample=False)
-            if prior_reg_enabled is False:
-                from .obs import registry
-
-                registry().disable()
-        if record_run:
-            # fold this invocation's spans (full trace when --trace was
-            # given, else the flight ring) into the ledger row — before
-            # the flight-recorder state is restored below
-            if trace_file:
-                led_spans = list(tr.records)
-            elif tr.flight is not None:
-                led_spans = tr.flight.snapshot()
-            else:
-                led_spans = None
-            obs_ledger.finish(rc, spans=led_spans)
-        if installed_sink is not None:
-            obs_events.uninstall()
-        # restore the caller's flight-recorder state
-        tr._flight = prior_flight
-        tr._sync()
-    if trace_file:
-        from .obs import tracer
-        from .obs.export import write_trace
-
-        try:
-            write_trace(trace_file, args.trace_format)
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace written to {trace_file} "
-              f"({args.trace_format}, {len(tracer().records)} spans)")
-    return rc
+        return 1
+    return run.rc
 
 
 if __name__ == "__main__":  # pragma: no cover

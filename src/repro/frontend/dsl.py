@@ -497,7 +497,6 @@ class StencilProgram:
         return generate(
             self.ir, self.schedules(), name, target=target,
             boundary=self.boundary,
-            use_mpi=self.mpi_grid is not None,
             mpi_grid=self.mpi_grid,
             scalars=self._scalars or None,
         )

@@ -36,6 +36,11 @@ keeps the last N completed spans in a fixed ring (drops accounted via
 ``obs.dropped_spans``) without ever growing memory, cheap enough for
 long-lived service runs.
 
+:func:`session` is the one place a command's telemetry is set up and
+torn down: the flight default, the ledger row, the event sink, the
+``--serve-metrics`` server and the ``--trace`` file, all handed back
+to the caller's state on exit.
+
 Instrumented subsystems (span name prefixes):
 
 ========== ==================================================
@@ -58,7 +63,7 @@ cli         top-level command spans (``cli.*``)
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from .metrics import (
     MetricsRegistry,
@@ -75,7 +80,9 @@ from .trace import (
     disable_flight,
     enable_flight,
     flight,
+    flight_default,
     is_enabled,
+    preserved,
     span,
     tracer,
 )
@@ -100,6 +107,8 @@ __all__ = [
     "rank_scope",
     "registry",
     "reset",
+    "session",
+    "Session",
     "span",
     "tracer",
 ]
@@ -154,12 +163,105 @@ def capture():
             prog.simulate("sunway")
         assert tr.records
 
-    Resets, enables on entry; disables on exit (records are kept so the
-    caller can export them).
+    Resets and enables on entry; on exit the caller's on/off state comes
+    back (records are kept so the caller can export them).
     """
-    reset()
-    enable()
-    try:
+    with preserved():
+        reset()
+        enable()
         yield tracer(), registry()
+
+
+class Session:
+    """What :func:`session` yields: set ``rc`` to the command's exit
+    code (a trace file that cannot be written turns it to 1)."""
+
+    rc = 0
+
+
+@contextmanager
+def session(command: str, *, trace=None, trace_format: str = "json",
+            serve=None, linger: float = 0.0, event_log=None):
+    """Run one command under the CLI's telemetry; yields a :class:`Session`.
+
+    It turns the flight ring on (:func:`~repro.obs.trace.flight_default`),
+    records every span under ``trace`` and writes them there in
+    ``trace_format`` on exit, installs the ``event_log`` (else
+    ``$REPRO_EVENT_LOG``) sink, serves metrics on port ``serve`` until
+    ``linger`` seconds after the block, and writes a ledger row for a
+    :data:`~repro.obs.ledger.LEDGED_COMMANDS` command unless
+    ``REPRO_LEDGER=0``.  The caller's tracer, flight and registry state
+    come back on exit.
+    """
+    import os
+
+    from . import events, ledger
+
+    run = Session()
+    try:
+        with preserved(), ExitStack() as stack:
+            if trace:
+                reset()
+                enable()
+            capacity = flight_default()
+            if capacity:
+                enable_flight(capacity=capacity)
+            event_log = event_log or os.environ.get(events.ENV_EVENT_LOG)
+            if event_log:
+                events.install(event_log)
+                stack.callback(events.uninstall)
+            if serve is not None:
+                stack.enter_context(_serving(serve, linger))
+            row = None
+            if command in ledger.LEDGED_COMMANDS and ledger.enabled():
+                row = stack.enter_context(ledger.recording(command))
+            try:
+                with span(f"cli.{command}"):
+                    events.emit("cli.start", command=command)
+                    yield run
+                    events.emit("cli.exit", command=command, rc=run.rc)
+            finally:
+                if row is not None:  # an exception makes its rc 1
+                    fl = flight()
+                    row.rc = run.rc
+                    row.spans = (list(tracer().records) if trace
+                                 else fl.snapshot() if fl else None)
     finally:
-        disable()
+        if trace:
+            import sys
+
+            from .export import write_trace
+
+            try:
+                write_trace(trace, trace_format)
+            except OSError as exc:
+                print(f"error: cannot write trace: {exc}", file=sys.stderr)
+                run.rc = 1
+            else:
+                print(f"trace written to {trace} ({trace_format}, "
+                      f"{len(tracer().records)} spans)")
+
+
+@contextmanager
+def _serving(port: int, linger: float):
+    """The ``--serve-metrics`` sampler + server around a command."""
+    import time
+
+    from .live import MetricsSampler, TelemetryServer
+
+    registry().enable()
+    sampler = MetricsSampler()
+    server = TelemetryServer(port=port, sampler=sampler)  # binds here
+    sampler.start()
+    server.start()
+    print(f"serving telemetry on {server.url}/metrics "
+          f"(also /flight, /series)")
+    try:
+        yield
+    finally:
+        if linger > 0:
+            print(f"telemetry endpoint lingering {linger:g}s "
+                  f"at {server.url} ...")
+            time.sleep(linger)
+        server.stop()
+        sampler.stop(final_sample=False)

@@ -9,8 +9,9 @@ accept/reject steps.  A run's event log is the narration the
 the in-memory flight ring).
 
 Emission is **off by default** and free when off: :func:`emit` is one
-``None`` check until a sink is installed (the CLI's ``--event-log``
-flag or ``REPRO_EVENT_LOG=path``).  Each record carries::
+``None`` check until a sink is installed (:func:`repro.obs.session`
+installs ``--event-log FILE``, else ``$REPRO_EVENT_LOG``).  Each
+record carries::
 
     {"ts": <wall seconds>, "level": "info", "event": "comm.retry",
      "span": "comm.exchange", "span_id": 42, "rank": 1, ...fields}
@@ -161,14 +162,6 @@ def install(path: str, min_level: str = "debug") -> EventLog:
         _SINK.close()
     _SINK = EventLog(path, min_level=min_level)
     return _SINK
-
-
-def install_from_env() -> Optional[EventLog]:
-    """Install the sink named by ``REPRO_EVENT_LOG`` (None if unset)."""
-    path = os.environ.get(ENV_EVENT_LOG)
-    if not path:
-        return None
-    return install(path)
 
 
 def uninstall() -> None:

@@ -26,12 +26,12 @@ Storage location: ``$REPRO_LEDGER_DIR/ledger.db`` when set, else
 ``~/.local/state/repro/ledger.db``.  ``REPRO_LEDGER=0`` opts the CLI
 hooks out entirely (nothing is opened or written).
 
-The collector half (:func:`begin` / :func:`note` /
-:func:`note_workload` / :func:`finish`) is how the CLI builds a record
-incrementally while a command runs: commands contribute what they know
-(fingerprints, metrics, modelled phases) and ``repro.cli.main``
-finalises the record — folding the run's spans, stamping the outcome
-— after the command returns.  Every ledger write emits a
+The collector half (:func:`recording` / :func:`note` /
+:func:`note_workload`) is how a command's record is built while it
+runs: :func:`repro.obs.session` opens the :func:`recording` block,
+commands contribute what they know (fingerprints, metrics, modelled
+phases) and the block's exit finalises the record — folding the run's
+spans, stamping the outcome.  Every ledger write emits a
 ``ledger.record`` event so event-log narrations show the run id.  All
 collector failures are swallowed (one stderr warning): observability
 must never break the run it observes.
@@ -49,6 +49,7 @@ import os
 import sqlite3
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -69,12 +70,10 @@ __all__ = [
     "program_fingerprints",
     "metric_point",
     "fold_spans",
-    "begin",
+    "Recording",
+    "recording",
     "note",
     "note_workload",
-    "finish",
-    "discard",
-    "pending",
 ]
 
 #: opt-out switch: ``REPRO_LEDGER=0`` disables all CLI ledger writes
@@ -368,14 +367,25 @@ def open_ledger(directory: Optional[str] = None) -> RunLedger:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Pending:
+class Recording:
+    """One command's run record while it is collected.
+
+    Before the :func:`recording` block ends, set ``rc`` (the exit code;
+    an exception out of the block records 1) and ``spans`` (tracer
+    records or a flight-ring snapshot, folded into host phases).  After
+    it, ``ids`` holds the ledger ids written.
+    """
+
     command: str
     ts: float
     shared: RunRecord
     workloads: List[RunRecord] = field(default_factory=list)
+    rc: int = 0
+    spans: Optional[Iterable[Any]] = None
+    ids: List[int] = field(default_factory=list)
 
 
-_PENDING: Optional[_Pending] = None
+_PENDING: Optional[Recording] = None
 _ENV_CACHE: Optional[Dict[str, Any]] = None
 
 
@@ -389,25 +399,27 @@ def _environment() -> Dict[str, Any]:
     return _ENV_CACHE
 
 
-def begin(command: str) -> None:
-    """Start collecting one CLI invocation's run record."""
+@contextmanager
+def recording(command: str, directory: Optional[str] = None):
+    """Collect one command's run record inside the block and write it
+    on exit; yields the :class:`Recording`.
+
+    :func:`note` / :func:`note_workload` calls inside the block add to
+    it.  The write never raises: a broken store degrades to one stderr
+    warning.
+    """
     global _PENDING
-    _PENDING = _Pending(
-        command=command,
-        ts=time.time(),
-        shared=RunRecord(command=command, ts=time.time()),
-    )
-
-
-def pending() -> Optional[RunRecord]:
-    """The command-level record being collected, or ``None``."""
-    return _PENDING.shared if _PENDING is not None else None
-
-
-def discard() -> None:
-    """Drop the pending record without writing."""
-    global _PENDING
-    _PENDING = None
+    ts = time.time()
+    rec = _PENDING = Recording(command, ts, RunRecord(command=command,
+                                                      ts=ts))
+    try:
+        yield rec
+    except BaseException:
+        rec.rc = 1
+        raise
+    finally:
+        _PENDING = None
+        rec.ids = _write(rec, directory)
 
 
 def note(workload: Optional[str] = None,
@@ -415,8 +427,9 @@ def note(workload: Optional[str] = None,
          metrics: Optional[Mapping[str, Any]] = None,
          phases_sim: Optional[Mapping[str, Dict[str, float]]] = None,
          verdict: Optional[str] = None) -> None:
-    """Merge details into the pending command-level record (no-op when
-    nothing is being collected, so library callers can note freely)."""
+    """Merge details into the command-level record being collected
+    (no-op outside :func:`recording`, so library callers can note
+    freely)."""
     if _PENDING is None:
         return
     rec = _PENDING.shared
@@ -456,28 +469,18 @@ def note_workload(name: str,
     ))
 
 
-def finish(rc: int, spans: Optional[Iterable[Any]] = None,
-           directory: Optional[str] = None) -> List[int]:
-    """Finalise and write the pending record(s); returns ledger ids.
-
-    ``spans`` (tracer records or flight-ring snapshot) are folded into
-    host phases/span self-times for command-level records.  Never
-    raises: a broken store degrades to one stderr warning.
-    """
-    global _PENDING
-    pend = _PENDING
-    _PENDING = None
-    if pend is None:
-        return []
+def _write(pend: Recording, directory: Optional[str]) -> List[int]:
+    """Finalise and write the collected record(s); returns ledger ids."""
     try:
+        rc = pend.rc
         shared = pend.shared
         outcome = "error" if rc else "ok"
         if shared.verdict and shared.verdict.startswith("regression"):
             outcome = "regression"
         phases_host: Dict[str, Dict[str, float]] = {}
         span_times: Dict[str, float] = {}
-        if spans is not None:
-            phases_host, span_times = fold_spans(spans)
+        if pend.spans is not None:
+            phases_host, span_times = fold_spans(pend.spans)
         environment = _environment()
 
         records = pend.workloads or [shared]

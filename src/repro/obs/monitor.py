@@ -137,11 +137,6 @@ def collect_from_events(path: str) -> Dict[str, Any]:
                 state["phase"] = rec.get("phase")
             elif name == "phase.exit" and state["phase"] == rec.get("phase"):
                 state["phase"] = None
-        if name == "comm.bytes" and rank is not None:
-            state["per_rank_bytes"][str(rank)] = (
-                state["per_rank_bytes"].get(str(rank), 0.0)
-                + float(rec.get("bytes", 0))
-            )
     span = ev["last_ts"], ev["first_ts"]
     if None not in span and ev["last_ts"] > ev["first_ts"]:
         state["rates"]["events"] = ev["total"] / (

@@ -349,6 +349,7 @@ def _telemetry_overhead_workload(steps: int = 16,
 
         from ... import obs
         from ...obs.live import DEFAULT_SAMPLE_PERIOD_S, MetricsSampler
+        from ...obs.trace import preserved
 
         # enough work per run (tens of ms) that the fixed per-span cost
         # amortizes and host jitter stays well inside the 5% budget
@@ -369,24 +370,20 @@ def _telemetry_overhead_workload(steps: int = 16,
             return time.perf_counter() - t0
 
         # the bench harness wraps this fn in capture() (full tracing
-        # on); save that state and restore it on the way out so the
-        # harness's own attribution still works
+        # on); hand that state back on the way out so the harness's own
+        # attribution still works
         tr = obs.tracer()
         reg = obs.registry()
-        prior_keep_all = tr._keep_all
-        prior_reg = reg.enabled
-        prior_flight = tr.flight
         times_off = []
         times_on = []
         fl_kept = fl_dropped = 0
         sampler_samples = 0
-        try:
+        with preserved():
             one_run()  # warm caches outside both measurement arms
             for _ in range(pairs):
                 # arm A: every obs surface off
                 tr.disable()
-                tr._flight = None
-                tr._sync()
+                tr.disable_flight()
                 reg.disable()
                 times_off.append(one_run())
                 # arm B: the always-on default (flight ring + metrics
@@ -404,12 +401,6 @@ def _telemetry_overhead_workload(steps: int = 16,
                 fl_kept += fl.kept
                 fl_dropped += fl.dropped
                 sampler_samples += sampler.samples
-                tr.disable_flight()
-        finally:
-            tr._flight = prior_flight
-            tr._sync()
-            tr.enable() if prior_keep_all else tr.disable()
-            reg.enable() if prior_reg else reg.disable()
         frac = median([
             (on - off) / off
             for off, on in zip(times_off, times_on) if off > 0

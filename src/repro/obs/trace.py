@@ -26,6 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -47,10 +48,25 @@ __all__ = [
     "enable_flight",
     "disable_flight",
     "flight",
+    "flight_default",
+    "preserved",
 ]
 
 #: default flight-recorder ring capacity (spans)
 DEFAULT_FLIGHT_CAPACITY = 2048
+
+
+def flight_default() -> Optional[int]:
+    """The flight ring a command runs with: ``None`` when
+    ``REPRO_FLIGHT`` opts out, else ``REPRO_FLIGHT_CAPACITY`` spans
+    (default :data:`DEFAULT_FLIGHT_CAPACITY`)."""
+    if os.environ.get("REPRO_FLIGHT", "1").lower() in ("0", "off", "false",
+                                                       "no"):
+        return None
+    try:
+        return max(1, int(os.environ["REPRO_FLIGHT_CAPACITY"]))
+    except (KeyError, ValueError):
+        return DEFAULT_FLIGHT_CAPACITY
 
 
 @dataclass
@@ -561,3 +577,20 @@ def disable_flight() -> None:
 def flight() -> Optional[FlightRecorder]:
     """The global tracer's flight recorder, or ``None``."""
     return _TRACER._flight
+
+
+@contextmanager
+def preserved():
+    """Hand back, on exit, the tracer's full-recording flag, its flight
+    ring and the metrics registry's enabled flag as the block found
+    them (records and the clock are left as they are)."""
+    from .metrics import registry
+
+    reg = registry()
+    keep_all, fl, reg_on = _TRACER._keep_all, _TRACER._flight, reg.enabled
+    try:
+        yield
+    finally:
+        _TRACER._keep_all, _TRACER._flight = keep_all, fl
+        _TRACER._sync()
+        reg.enable() if reg_on else reg.disable()

@@ -311,8 +311,23 @@ class TestTargetsAndMakefiles:
         assert "mpicc -hybrid" in mk
 
     def test_mpi_flag(self):
-        mk = generate_makefile("prog", "cpu", use_mpi=True)
-        assert "mpicc" in mk and "-DMSC_USE_MPI" in mk
+        """The cpu bundle of an MPI-shaped program is a serial program:
+        its Makefile names gcc, not mpicc (``--target mpi`` is the
+        distributed one)."""
+        from repro.frontend.lang import parse_program
+
+        prog = parse_program(
+            "const N = 8;\nDefVar(j, i32); DefVar(i, i32);\n"
+            "DefTensor2D(U, 1, f64, N, N);\n"
+            "Kernel k((j,i), 0.5*U[j,i] + 0.5*U[j,i-1]);\n"
+            "Stencil s((j,i), U[t] << k[t-1]);\n"
+            "DefShapeMPI2D(shp, 2, 1);\n"
+        ).program
+        assert prog.mpi_grid == (2, 1)
+        mk = prog.compile_to_source_code("prog", target="cpu").files[
+            "Makefile"]
+        assert "CC = gcc" in mk
+        assert "mpicc" not in mk and "MSC_USE_MPI" not in mk
 
     def test_makefile_unknown_target(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,20 @@ class TestRun:
             )
 
 
+class TestMalformedSource:
+    @pytest.mark.parametrize("command", ["run", "check", "compile"])
+    def test_syntax_error_is_one_diagnostic(self, command, tmp_path,
+                                            capsys):
+        path = tmp_path / "bad.msc"
+        path.write_text("stencil foo(")
+        argv = [command, str(path)]
+        if command == "compile":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
 class TestCompile:
     def test_sunway_bundle(self, tmp_path, capsys):
         src = tmp_path / "s.msc"
@@ -385,6 +399,47 @@ class TestTraceCLI:
         assert not is_enabled()
         out = capsys.readouterr().out
         assert "trace written" not in out
+
+    def test_trace_hands_back_caller_telemetry_state(self, tmp_path,
+                                                      capsys):
+        """An in-process ``main([... "--trace", f])`` leaves the
+        caller's registry flag, full recording and flight ring as it
+        found them."""
+        from repro import obs
+
+        tr, reg = obs.tracer(), obs.registry()
+        path = str(tmp_path / "t.json")
+        argv = ["simulate", "2d9pt_box", "--machine", "cpu",
+                "--skip-pipeline", "--trace", path]
+        try:
+            # caller: registry on, a flight ring of its own, no recording
+            reg.enable()
+            ring = obs.enable_flight(capacity=16)
+            assert main(argv) == 0
+            assert reg.enabled and tr.flight is ring
+            obs.disable_flight()
+            assert not obs.is_enabled()  # full recording is off again
+            # caller: full recording on, registry off, no flight ring
+            tr.enable()
+            reg.disable()
+            assert main(argv) == 0
+            assert tr.flight is None and not reg.enabled
+            with obs.span("caller.after"):
+                pass
+            assert tr.records[-1].name == "caller.after"
+        finally:
+            obs.disable()
+            obs.disable_flight()
+        assert "trace written to" in capsys.readouterr().out
+
+    def test_unwritable_trace_fails_the_command(self, msc_file, tmp_path,
+                                                capsys):
+        path = tmp_path / "missing-dir" / "t.json"
+        assert main(["run", msc_file, "--steps", "1",
+                     "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: cannot write trace:" in captured.err
+        assert "trace written" not in captured.out
 
     def test_list_shows_exporters(self, capsys):
         assert main(["list"]) == 0

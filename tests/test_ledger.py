@@ -178,66 +178,68 @@ class TestHelpers:
 
 class TestCollector:
     def test_note_without_begin_is_noop(self, own_ledger_dir):
-        ledger.discard()
         ledger.note(workload="w", config={"a": 1})
         ledger.note_workload("w2")
-        assert ledger.pending() is None
-        assert ledger.finish(0) == []
         assert not os.path.exists(
             ledger.ledger_path(own_ledger_dir)
         )
 
     def test_begin_note_finish_writes_row(self, own_ledger_dir):
-        ledger.begin("simulate")
-        ledger.note(workload="b@m", config={"benchmark": "b"},
-                    metrics={"m": metric_point(1.0)},
-                    phases_sim={"compute": {"time_s": 0.5}})
-        ids = ledger.finish(0, spans=[
-            {"span_id": 1, "parent_id": None, "name": "cli.simulate",
-             "start_s": 0.0, "duration_s": 0.2, "attrs": {}},
-        ])
-        assert len(ids) == 1
+        with ledger.recording("simulate") as rec:
+            ledger.note(workload="b@m", config={"benchmark": "b"},
+                        metrics={"m": metric_point(1.0)},
+                        phases_sim={"compute": {"time_s": 0.5}})
+            rec.spans = [
+                {"span_id": 1, "parent_id": None, "name": "cli.simulate",
+                 "start_s": 0.0, "duration_s": 0.2, "attrs": {}},
+            ]
+        assert len(rec.ids) == 1
         with open_ledger(own_ledger_dir) as led:
-            row = led.get(ids[0])
+            row = led.get(rec.ids[0])
         assert row["workload"] == "b@m"
         assert row["outcome"] == "ok" and row["rc"] == 0
         assert row["phases_sim"]["compute"]["time_s"] == 0.5
         assert row["phases_host"]  # folded from the spans
-        assert row["environment"]  # fingerprint filled in by finish
-        assert ledger.pending() is None
+        assert row["environment"]  # fingerprint filled in on exit
+        ledger.note(workload="late")  # the block is closed: a no-op
+        with open_ledger(own_ledger_dir) as led:
+            assert len(led) == 1
 
     def test_finish_outcomes(self, own_ledger_dir):
-        ledger.begin("run")
-        ledger.note(workload="w")
-        (err_id,) = ledger.finish(3)
-        ledger.begin("bench")
-        ledger.note(workload="w",
-                    verdict="regression vs base: 1 delta(s)")
-        (reg_id,) = ledger.finish(1)
+        with ledger.recording("run") as err:
+            ledger.note(workload="w")
+            err.rc = 3
+        with ledger.recording("bench") as reg:
+            ledger.note(workload="w",
+                        verdict="regression vs base: 1 delta(s)")
+            reg.rc = 1
+        with pytest.raises(RuntimeError):
+            with ledger.recording("run") as raised:
+                raise RuntimeError("boom")
         with open_ledger(own_ledger_dir) as led:
-            assert led.get(err_id)["outcome"] == "error"
-            assert led.get(err_id)["rc"] == 3
-            reg = led.get(reg_id)
-        assert reg["outcome"] == "regression"
-        assert reg["verdict"].startswith("regression vs base")
+            assert led.get(err.ids[0])["outcome"] == "error"
+            assert led.get(err.ids[0])["rc"] == 3
+            assert led.get(raised.ids[0])["rc"] == 1
+            row = led.get(reg.ids[0])
+        assert row["outcome"] == "regression"
+        assert row["verdict"].startswith("regression vs base")
 
     def test_note_workload_one_row_each(self, own_ledger_dir):
-        ledger.begin("bench")
-        ledger.note_workload("a@x", metrics={"m": metric_point(1.0)})
-        ledger.note_workload("b@x", metrics={"m": metric_point(2.0)})
-        ids = ledger.finish(0)
-        assert len(ids) == 2
+        with ledger.recording("bench") as rec:
+            ledger.note_workload("a@x", metrics={"m": metric_point(1.0)})
+            ledger.note_workload("b@x", metrics={"m": metric_point(2.0)})
+        assert len(rec.ids) == 2
         with open_ledger(own_ledger_dir) as led:
-            assert led.get(ids[0])["workload"] == "a@x"
-            assert led.get(ids[1])["workload"] == "b@x"
+            assert led.get(rec.ids[0])["workload"] == "a@x"
+            assert led.get(rec.ids[1])["workload"] == "b@x"
 
     def test_finish_swallows_broken_store(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        ledger.begin("run")
-        ledger.note(workload="w")
-        ids = ledger.finish(0, directory=str(blocker / "sub"))
-        assert ids == []
+        with ledger.recording("run",
+                              directory=str(blocker / "sub")) as rec:
+            ledger.note(workload="w")
+        assert rec.ids == []
         assert "run ledger write failed" in capsys.readouterr().err
 
 

@@ -475,15 +475,26 @@ class TestEventLog:
             list(read_events(str(path)))
 
     def test_install_from_env(self, tmp_path, monkeypatch):
+        """obs.session() installs ``$REPRO_EVENT_LOG`` for its block
+        only; an explicit ``event_log`` wins over the variable."""
+        from repro.obs import session
+
         path = str(tmp_path / "env.jsonl")
         monkeypatch.setenv(obs_events.ENV_EVENT_LOG, path)
-        log = obs_events.install_from_env()
-        assert log is not None and obs_events.current() is log
-        obs_events.emit("hello")
-        uninstall()
-        assert [r["event"] for r in read_events(path)] == ["hello"]
+        with session("list"):
+            assert obs_events.current() is not None
+            obs_events.emit("hello")
+        assert obs_events.current() is None
+        assert [r["event"] for r in read_events(path)] == [
+            "cli.start", "hello", "cli.exit"]
+        explicit = str(tmp_path / "flag.jsonl")
+        with session("list", event_log=explicit):
+            pass
+        assert len(list(read_events(path))) == 3
+        assert len(list(read_events(explicit))) == 2
         monkeypatch.delenv(obs_events.ENV_EVENT_LOG)
-        assert obs_events.install_from_env() is None
+        with session("list"):
+            assert obs_events.current() is None
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +568,8 @@ class TestMonitor:
         recs = [
             {"ts": 0.0, "level": "info", "event": "phase.enter",
              "phase": "distributed_run"},
-            {"ts": 0.5, "level": "info", "event": "comm.bytes",
-             "rank": 0, "bytes": 100},
             {"ts": 1.0, "level": "warn", "event": "comm.retry", "rank": 1},
-            {"ts": 2.0, "level": "info", "event": "comm.bytes",
-             "rank": 1, "bytes": 300},
+            {"ts": 2.0, "level": "warn", "event": "comm.retry", "rank": 0},
         ]
         with open(path, "w") as fh:
             for r in recs:
@@ -573,10 +581,11 @@ class TestMonitor:
         assert state["mode"] == "events"
         assert state["phase"] == "distributed_run"  # entered, never exited
         ev = state["events"]
-        assert ev["total"] == 4
-        assert ev["by_level"] == {"info": 3, "warn": 1}
-        assert state["per_rank_bytes"] == {"0": 100.0, "1": 300.0}
-        assert state["rates"]["events"] == pytest.approx(4 / 2.0)
+        assert ev["total"] == 3
+        assert ev["by_level"] == {"info": 1, "warn": 2}
+        assert ev["per_rank"] == {"0": 1, "1": 1}
+        assert state["per_rank_bytes"] == {}  # bytes come from scrapes
+        assert state["rates"]["events"] == pytest.approx(3 / 2.0)
 
     def test_phase_exit_clears_phase(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -656,7 +665,7 @@ class TestCLILiveFlags:
         assert events[0] == "cli.start"
         assert "cli.exit" in events
         # the run-ledger append is narrated after cli.exit (it happens
-        # in main()'s finally, once the outcome is known)
+        # as obs.session() closes, once the outcome is known)
         assert events[-1] == "ledger.record"
         assert "phase.enter" in events and "phase.exit" in events
         # the sink is detached once the command returns
@@ -674,12 +683,14 @@ class TestCLILiveFlags:
         assert tracer().flight is None
 
     def test_serve_metrics_prints_url_and_restores(self, capsys):
+        registry().disable()
         assert main(["simulate", "2d9pt_box", "--machine", "cpu",
                      "--serve-metrics", "0"]) == 0
         out = capsys.readouterr().out
         assert "http://127.0.0.1:" in out
         # server is shut down and prior obs state restored
         assert obs_events.current() is None
+        assert not registry().enabled
 
 
 # ---------------------------------------------------------------------------

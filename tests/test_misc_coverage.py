@@ -145,18 +145,21 @@ class TestConfigs:
 
 
 class TestDocsGenerator:
-    def test_generates_api_markdown(self, tmp_path):
+    def test_generates_api_markdown(self):
+        """docs/API.md is what ``tools/gen_api_docs.py`` renders now
+        (regenerate it with that script when this fails)."""
+        import importlib.util
+
         root = Path(__file__).resolve().parent.parent
-        result = subprocess.run(
-            [sys.executable, str(root / "tools" / "gen_api_docs.py")],
-            capture_output=True, text=True, cwd=str(root),
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        api = (root / "docs" / "API.md").read_text()
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", root / "tools" / "gen_api_docs.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        api = tool.render()
         assert "# API reference" in api
         assert "repro.comm.exchange" in api
         assert "repro.ir.stencil" in api
+        assert api == (root / "docs" / "API.md").read_text()
 
 
 class TestBundleDigests:

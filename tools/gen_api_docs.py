@@ -103,7 +103,8 @@ def render_module(qualname: str) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
+def render() -> str:
+    """The text of docs/API.md for the package as it is now."""
     modules = []
     pkg_path = Path(repro.__file__).parent
     for info in sorted(
@@ -122,10 +123,14 @@ def main() -> int:
     for qualname in modules:
         out.append(render_module(qualname))
         out.append("")
+    return "\n".join(out)
+
+
+def main() -> int:
     target = ROOT / "docs" / "API.md"
     target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(out))
-    print(f"wrote {target} ({len(modules)} modules)")
+    target.write_text(render())
+    print(f"wrote {target}")
     return 0
 
 
