@@ -39,6 +39,7 @@ DIAGNOSTIC_CODES = {
     "TILE002": "tile factor does not divide the extent (remainder tiles)",
     "TILE003": "fewer tiles than parallel threads (idle cores)",
     "VEC001": "vectorized axis is not the innermost loop",
+    "VEC002": "one axis both vectorized and unrolled",
     "ORD001": "tile-inner axis reordered outside its tile-outer axis",
     "PAR001": "thread count exceeds the machine's cores per node",
     "RACE001": "parallel axis is a tile-inner loop (cross-core write race)",

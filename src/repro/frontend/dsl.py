@@ -239,6 +239,10 @@ class StencilProgram:
         #: node or distributed) ``numpy_plans``, the kernels lowered and
         #: the plans bound and re-used (``BlockEngine.plan_stats``)
         self.last_run: Dict[str, object] = {}
+        #: the executor of the last finished native run under
+        #: ``"native"``, with its window (W padded planes); ``run``
+        #: takes it with an atomic ``pop``
+        self._idle: Dict[str, object] = {}
 
     # -- wiring -----------------------------------------------------------------
     def attach(self, *handles: KernelHandle) -> "StencilProgram":
@@ -387,13 +391,20 @@ class StencilProgram:
 
         Native runs compile once and step many: the legality report and
         the compiled plan (sources, artifact, loaded library) are
-        memoised on the program's content, so repeating ``run`` on an
+        memoised on the program's content, and the program keeps the
+        executor of its last native run.  Repeating ``run`` on an
         unchanged program costs the gate's ``enforce`` (warnings are
-        logged and errors raised every time), seeding the window and
-        ``msc_run``.  Any change the generated code can see — a
+        logged and errors raised every time), one plan lookup,
+        re-seeding the kept window in place (an interior copy and a
+        boundary fill per initial plane; auxiliary inputs are padded
+        again, so one changed in place is seen), ``msc_run`` and the
+        result copy — no allocation.  The program holds that executor
+        and its W padded planes until it is dropped or a run gets
+        another plan.  Any change the generated code can see — a
         scheduling primitive, ``set_scalar``, the boundary,
         ``REPRO_CACHE_DIR``, ``REPRO_CC`` — compiles (or looks up) a
-        new plan.  :attr:`last_run` records which happened.
+        new plan, and that run allocates a new window.
+        :attr:`last_run` records which happened.
 
         ``exchange_mode`` (``basic``/``diag``/``overlap``) selects the
         halo-exchange wire protocol of distributed runs; ignored for
@@ -439,11 +450,16 @@ class StencilProgram:
                 NativeUnavailable,
             )
 
+            # the last native run's executor, taken off the program so
+            # that two threads running it never share one window
+            native = self._idle.pop("native", None)
+            args = (self.ir, scheds, self.boundary)
+            kw = dict(inputs=inputs, scalars=scalars, sched_key=sched_key)
             try:
-                native = NativeExecutor(
-                    self.ir, scheds, self.boundary,
-                    inputs=inputs, scalars=scalars, sched_key=sched_key,
-                )
+                if native is None:
+                    native = NativeExecutor(*args, **kw)
+                else:
+                    native.bind(*args, **kw)
                 engine = "native", lambda: native.run(init, timesteps)
                 run_info = {
                     "plan": "hit" if native.plan_hit else "miss",
@@ -474,6 +490,8 @@ class StencilProgram:
                   exchange_mode="none",
                   plan=run_info.get("plan", "-")):
             result = sweep()
+        if label == "native":
+            self._idle["native"] = native  # for the next run to bind
         counter("runtime.runs", backend=label, exchange_mode="none")
         return result
 

@@ -10,6 +10,8 @@ keeps ``W = deepest-dependency + 1`` planes and recycles the oldest
 executable backend: a ``(W, *padded_shape)`` array whose planes are
 addressed modulo W.  It is allocated for one *block* of the domain —
 the whole domain on one node, a rank's sub-domain when distributed.
+Storage outlives one run: :meth:`SlidingTimeWindow.reset` forgets the
+held steps, so the next run seeds the same planes in place.
 """
 
 from __future__ import annotations
@@ -50,9 +52,14 @@ class SlidingTimeWindow:
         self.data = np.zeros(
             (self.window, *padded), dtype=tensor.dtype.np_dtype
         )
-        #: timestep currently held by each slot; -1 = uninitialised
-        self._held: list = [-(10 ** 9)] * self.window
-        self.newest: int = -1
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every held timestep but keep the storage, so the
+        window can be seeded again in place for another run."""
+        #: timestep currently held by each slot; -10**9 = none
+        self._held = [-(10 ** 9)] * self.window
+        self.newest = -1
 
     # -- plane addressing --------------------------------------------------------
     def _slot(self, t: int) -> int:
@@ -87,7 +94,8 @@ class SlidingTimeWindow:
     def seed(self, t: int, valid_data: np.ndarray) -> None:
         """Install initial-condition data for timestep ``t`` (interior only).
 
-        Halo cells are zero until a halo exchange or boundary fill runs.
+        The halo keeps what the slot held — zero in a fresh window —
+        until a halo exchange or boundary fill runs.
         """
         if valid_data.shape != self.shape:
             raise ValueError(
@@ -95,7 +103,6 @@ class SlidingTimeWindow:
                 f"{self.shape}"
             )
         slot = self._slot(t)
-        self.data[slot].fill(0)
         self.interior_view(self.data[slot])[...] = valid_data
         self._held[slot] = t
         self.newest = max(self.newest, t)
