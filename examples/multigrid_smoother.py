@@ -10,18 +10,18 @@ a residual stage chained in one :class:`StagePipeline`:
     stage 2:  R  <-  b - A U                          (residual of fresh U)
 
 The residual stage reads the *just-smoothed* U (a current-step stage
-reference).  The demo checks the residual norm decreases monotonically
-and that the distributed run matches the serial one exactly.
+reference).  The pipeline runs as a ``StencilProgram`` — the same
+object a single stencil is — so ``run``, ``check`` and
+``compile_to_source_code`` serve it alike.  The demo checks the
+residual norm decreases monotonically and that the distributed run
+matches the serial one exactly.
 
 Run:  python examples/multigrid_smoother.py
 """
 
 import numpy as np
 
-from repro.backend.pipeline_exec import (
-    PipelineExecutor,
-    distributed_pipeline_run,
-)
+from repro.frontend import StencilProgram
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr, f64
 
 
@@ -63,13 +63,14 @@ def main():
     b = rng.random((n, n))
     u0 = np.zeros((n, n))
 
-    ex = PipelineExecutor(pipe, boundary="zero", inputs={"Brhs": b})
-    ex.initialize({"U": [u0]})
+    prog = StencilProgram.of(pipe, boundary="zero").set_input("Brhs", b)
+    prog.set_initial({"U": [u0]})
     norms = []
     for sweep in range(40):
-        ex.step()
-        r = ex.results()["R"]
-        norms.append(float(np.linalg.norm(r)))
+        # one sweep per run, seeded with the last run's newest U
+        res = prog.run(1)
+        prog.set_initial({"U": [res["U"]]})
+        norms.append(float(np.linalg.norm(res["R"])))
     print("\nresidual 2-norm after n smoothing sweeps:")
     for s in (0, 4, 9, 19, 39):
         print(f"  sweep {s + 1:3d}: {norms[s]:10.4f}")
@@ -79,13 +80,9 @@ def main():
     assert all(a >= b_ for a, b_ in zip(norms, norms[1:]))
     assert norms[-1] < 0.9 * norms[0]
 
-    serial = PipelineExecutor(
-        pipe, boundary="zero", inputs={"Brhs": b}
-    ).run({"U": [u0]}, 12)
-    dist = distributed_pipeline_run(
-        pipe, {"U": [u0]}, 12, (2, 2), boundary="zero",
-        inputs={"Brhs": b},
-    )
+    prog.set_initial({"U": [u0]})
+    serial = prog.run(12)
+    dist = prog.set_mpi_grid((2, 2)).run(12)
     assert np.array_equal(dist["U"], serial["U"])
     assert np.array_equal(dist["R"], serial["R"])
     print("\ndistributed (2x2) pipeline identical to serial")

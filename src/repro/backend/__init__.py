@@ -24,7 +24,6 @@ from .native import (
 )
 from .targets import generate, KNOWN_TARGETS
 from .temporal_exec import TemporalTilingExecutor
-from .pipeline_exec import PipelineExecutor, distributed_pipeline_run
 from .mpi_codegen import MPICodeGenerator, generate_mpi, COMM_HEADER, COMM_SOURCE
 from .numpy_backend import (
     BOUNDARY_CONDITIONS,
@@ -46,6 +45,5 @@ __all__ = [
     "BOUNDARY_CONDITIONS", "ScheduledExecutor", "evaluate_kernel",
     "fill_halo", "reference_run",
     "TemporalTilingExecutor",
-    "PipelineExecutor", "distributed_pipeline_run",
     "MPICodeGenerator", "generate_mpi", "COMM_HEADER", "COMM_SOURCE",
 ]

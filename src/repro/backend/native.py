@@ -63,12 +63,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil
 from ..ir.tensor import SpNode
 from ..schedule.schedule import Schedule, schedule_key
 from ..schedule.timewindow import SlidingTimeWindow
 from .c_codegen import CCodeGenerator
-from .makefile import toolchain_cflags
+from .makefile import TOOLCHAINS, toolchain_cflags
 from .numpy_backend import seed_window, static_planes
 
 __all__ = [
@@ -151,10 +152,15 @@ def which_cc(cc: Optional[str] = None) -> Optional[str]:
     Order: explicit ``cc`` argument, ``REPRO_CC``, the cpu-toolchain
     default (gcc).
     """
-    from .makefile import TOOLCHAINS
-
     cand = cc or os.environ.get("REPRO_CC") or TOOLCHAINS["cpu"]["cc"]
-    return shutil.which(cand)
+    return _which(cand, os.environ.get("PATH"))
+
+
+@lru_cache(maxsize=16)
+def _which(cand: str, path: Optional[str]) -> Optional[str]:
+    """``shutil.which`` once per (name, PATH): every native ``run``
+    resolves its compiler; a PATH scan costs more than a warm run."""
+    return shutil.which(cand, path=path)
 
 
 def native_available(cc: Optional[str] = None) -> bool:
@@ -731,7 +737,15 @@ class NativeExecutor:
         already held, its window, static planes and pointers are kept
         and refilled in place; otherwise they are dropped and the next
         ``initialize`` allocates them afresh.  Either way
-        ``initialize`` must run before ``advance``."""
+        ``initialize`` must run before ``advance``.  A one-stage
+        pipeline runs as its stage; a longer one is a row of
+        :data:`~repro.runtime.executor.UNSUPPORTED`."""
+        if isinstance(stencil, StagePipeline):
+            from ..runtime.executor import UnsupportedRun, unsupported
+
+            if message := unsupported("native", False, stencil.nstages):
+                raise UnsupportedRun(message)
+            (stencil,) = stencil.stages
         self._t: Optional[int] = None
         plan, hit = native_plan(
             stencil, schedules, boundary, scalars, cache, cc, sched_key

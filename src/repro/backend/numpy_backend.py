@@ -9,7 +9,7 @@ Sec. 5.1 methodology: generated codes must match the serial codes to
 - :func:`reference_run` — whole-domain, untiled, the "serial code" and
   the oracle every other path is compared against;
 - :class:`BlockEngine` — the one numpy time-stepping engine (a lone
-  stencil is its one-stage case), also behind ``PipelineExecutor`` and
+  stencil is its one-stage case), also behind
   :mod:`repro.runtime.executor`;
 - :class:`ScheduledExecutor` — the engine driven tile-by-tile in the
   schedule's nest order, exactly the structure the C backend emits.
@@ -770,10 +770,12 @@ class ScheduledExecutor:
     Executes exactly the structure the C backends emit: tiles enumerated
     in the nest order of the outer axes, with the sliding time window
     rotating between sweeps.  Results must match :func:`reference_run` —
-    this is asserted throughout the test suite.
+    this is asserted throughout the test suite.  A pipeline runs its
+    stages in order each step, every kernel tiled by its own schedule.
     """
 
-    def __init__(self, stencil: Stencil, schedules: Mapping[str, Schedule],
+    def __init__(self, stencil: Union[Stencil, StagePipeline],
+                 schedules: Mapping[str, Schedule],
                  boundary: str = "zero",
                  inputs: Optional[Mapping[str, np.ndarray]] = None,
                  scalars: Optional[Mapping[str, float]] = None):
@@ -784,12 +786,16 @@ class ScheduledExecutor:
         for kern in stencil.kernels:
             self.schedules.setdefault(kern.name, Schedule(kern))
         self._nests = {
-            name: sched.lower(stencil.output.shape)
+            name: sched.lower(self.engine.shape)
             for name, sched in self.schedules.items()
         }
 
-    def initialize(self, init: Sequence[np.ndarray]) -> None:
-        self.engine.seed({self.stencil.output.name: init})
+    def initialize(self, init) -> None:
+        """Seed the windows: ``{tensor: [oldest ... newest]}``, or a list
+        of the first stage's planes."""
+        if not isinstance(init, Mapping):
+            init = {self.engine.pipeline.outputs[0].name: init}
+        self.engine.seed(init)
 
     def _tiles(self, kernel: Kernel) -> Iterable:
         for tile in self._nests[kernel.name].iter_tiles():
@@ -799,12 +805,14 @@ class ScheduledExecutor:
         """Advance the window by one timestep."""
         self.engine.step(partial(self.engine.compute, regions=self._tiles))
 
-    def run(self, init: Sequence[np.ndarray], timesteps: int) -> np.ndarray:
-        """Initialize, run ``timesteps`` sweeps, return the newest plane."""
+    def run(self, init, timesteps: int):
+        """Initialize, run ``timesteps`` sweeps, return :meth:`result`."""
         self.initialize(init)
         for _ in range(timesteps):
             self.step()
         return self.result()
 
-    def result(self) -> np.ndarray:
-        return self.engine.results()[self.stencil.output.name]
+    def result(self):
+        """The newest plane, or ``{output: newest plane}`` per stage."""
+        results = self.engine.results()
+        return results if len(results) > 1 else results.popitem()[1]

@@ -27,17 +27,15 @@ from .c_codegen import CCodeGenerator, GeneratedCode
 from .makefile import generate_makefile
 from .sunway import SunwayCodeGenerator
 
-__all__ = ["generate", "KNOWN_TARGETS"]
+__all__ = ["generate", "check_target", "KNOWN_TARGETS"]
 
 KNOWN_TARGETS = ("cpu", "matrix", "sunway", "mpi")
 
 
-def generate(stencil: Union[Stencil, StagePipeline],
-             schedules: Mapping[str, Schedule],
-             name: str, target: str = "cpu", boundary: str = "zero",
-             nthreads: Optional[int] = None,
-             mpi_grid=None, scalars=None) -> GeneratedCode:
-    """Generate source + Makefile for ``target``."""
+def check_target(stencil: Union[Stencil, StagePipeline],
+                 target: str) -> None:
+    """Reject an unknown target, or a pipeline for a target that
+    generates single-stencil programs."""
     if target not in KNOWN_TARGETS:
         raise ValueError(
             f"unknown target {target!r}; known: {KNOWN_TARGETS}"
@@ -48,6 +46,15 @@ def generate(stencil: Union[Stencil, StagePipeline],
             f"program is a {stencil.nstages}-stage pipeline (use cpu or "
             "matrix)"
         )
+
+
+def generate(stencil: Union[Stencil, StagePipeline],
+             schedules: Mapping[str, Schedule],
+             name: str, target: str = "cpu", boundary: str = "zero",
+             nthreads: Optional[int] = None,
+             mpi_grid=None, scalars=None) -> GeneratedCode:
+    """Generate source + Makefile for ``target``."""
+    check_target(stencil, target)
     label = (stencil.output.name if isinstance(stencil, Stencil)
              else repr(stencil))
     with span("codegen.generate", target=target, bundle=name,

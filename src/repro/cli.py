@@ -325,15 +325,9 @@ def _cmd_compile(args) -> int:
     with open(args.file) as fh:
         parsed = parse_program(fh.read())
     name = args.name or parsed.stencil_name
-    if parsed.pipeline is None:
-        code = parsed.program.compile_to_source_code(
-            name, target=args.target, check=not args.no_check
-        )
-    else:
-        from .backend.targets import generate
-
-        code = generate(parsed.pipeline, _declared_schedules(parsed), name,
-                        target=args.target)
+    code = parsed.program.compile_to_source_code(
+        name, target=args.target, check=not args.no_check
+    )
     paths = code.write_to(args.output)
     print(f"generated {len(paths)} files for target {args.target!r}:")
     for path in paths:
@@ -341,15 +335,11 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _declared_schedules(parsed):
-    """The schedules a parsed ``.msc`` file declares, per kernel name."""
-    return {name: handle.schedule for name, handle in parsed.kernels.items()}
-
-
 def _cmd_check(args) -> int:
     import os
 
-    from .analysis import DIAGNOSTIC_CODES, CheckReport, check_program
+    from .analysis import DIAGNOSTIC_CODES
+    from .machine.spec import machine_by_name
 
     if args.list_codes:
         print("diagnostic codes (see docs/ANALYSIS.md):")
@@ -361,38 +351,23 @@ def _cmd_check(args) -> int:
               "(or --list-codes)", file=sys.stderr)
         return 2
 
+    machine = args.machine
     if os.path.exists(args.source):
         from .frontend.lang import parse_program
 
         with open(args.source) as fh:
             parsed = parse_program(fh.read())
-        stages = (parsed.pipeline.stages if parsed.pipeline
-                  else (parsed.program.ir,))
-        schedules = _declared_schedules(parsed)
-        grid = parsed.mpi_grid
-        name = parsed.stencil_name
-        machine = None
-        if args.machine:
-            from .machine.spec import machine_by_name
-
-            machine = machine_by_name(args.machine)
+        program, name = parsed.program, parsed.stencil_name
     else:
         from .evalsuite.harness import build_with_schedule
-        from .machine.spec import machine_by_name
 
-        target = args.machine or "sunway"
-        program, _ = build_with_schedule(args.source, target)
-        stages, schedules = (program.ir,), program.schedules()
-        grid = program.mpi_grid
+        machine = machine or "sunway"
+        program, _ = build_with_schedule(args.source, machine)
         name = args.source
-        machine = machine_by_name(target)
-
+    machine = machine and machine_by_name(machine)
     if args.mpi_grid:
-        grid = tuple(int(g) for g in args.mpi_grid.split(","))
-    report = CheckReport()  # every stage of a pipeline, as one result
-    for stage in stages:
-        report.extend(check_program(stage, schedules, machine=machine,
-                                    mpi_grid=grid))
+        program.mpi_grid = tuple(int(g) for g in args.mpi_grid.split(","))
+    report = program.check(machine)
     label = machine.name if machine else "any machine"
     if len(report):
         print(report.format())
@@ -406,6 +381,7 @@ def _cmd_check(args) -> int:
 def _cmd_run(args) -> int:
     import os
 
+    from .backend.native import NativeBuildError, NativeUnavailable
     from .frontend.lang import parse_program
     from .obs import ledger as obs_ledger
 
@@ -416,8 +392,6 @@ def _cmd_run(args) -> int:
         config={"file": os.path.basename(args.file),
                 "steps": args.steps, "seed": args.seed},
     )
-    if parsed.pipeline is not None:
-        return _run_pipeline(args, parsed)
     program = parsed.program
     if args.serial:
         program.mpi_grid = None
@@ -428,13 +402,12 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
             return 1
         program.set_scalar(name, float(value))
-    tensor = program.ir.output
     rng = np.random.default_rng(args.seed)
-    need = program.ir.required_time_window - 1
-    program.set_initial([
-        rng.random(tensor.shape).astype(tensor.dtype.np_dtype)
-        for _ in range(need)
-    ])
+    program.set_initial({
+        out.name: [rng.random(out.shape).astype(out.dtype.np_dtype)
+                   for _ in range(program.history[out.name])]
+        for out in (stage.output for stage in program.stages)
+    })
     distributed = bool(
         program.mpi_grid and int(np.prod(program.mpi_grid)) > 1
     )
@@ -442,89 +415,53 @@ def _cmd_run(args) -> int:
         f"distributed over {program.mpi_grid}" if distributed
         else "single-node"
     )
-    print(f"running {parsed.stencil_name!r}: grid {tensor.shape}, "
+    label = (repr(program.ir) if len(program.stages) > 1
+             else repr(parsed.stencil_name))
+    print(f"running {label}: grid {program.stages[0].output.shape}, "
           f"{args.steps} steps, {mode}")
-    backend = getattr(args, "backend", "auto")
-    if distributed:
-        if backend == "native":
-            print("note: distributed runs execute on the simulated "
-                  "MPI runtime (numpy); --backend native ignored")
-        backend = None
-    else:
-        from .backend.native import NativeUnavailable, select_backend
-
-        try:
-            choice, reason = select_backend(backend)
-        except NativeUnavailable as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"backend: {choice} ({reason})")
-    exchange_mode = getattr(args, "exchange_mode", None)
-    if exchange_mode and not distributed:
-        print("note: --exchange-mode only affects distributed runs")
-    cfg = {"stencil": parsed.stencil_name, "backend": backend,
+    cfg = {"stencil": parsed.stencil_name, "backend": args.backend,
            "distributed": distributed}
     if distributed:
         cfg["mpi_grid"] = list(program.mpi_grid)
-        if exchange_mode:
-            cfg["exchange_mode"] = exchange_mode
+        if args.exchange_mode:
+            cfg["exchange_mode"] = args.exchange_mode
     cfg.update(obs_ledger.program_fingerprints(program))
     obs_ledger.note(config=cfg)
-    result = program.run(timesteps=args.steps, check=not args.no_check,
-                         backend=backend, exchange_mode=exchange_mode)
-    if program.last_run.get("backend") == "native":
-        artifact = program.last_run["artifact"]
-        print(f"native: plan {program.last_run['plan']}, artifact "
+    try:
+        result = program.run(timesteps=args.steps,
+                             check=not args.no_check,
+                             backend=args.backend,
+                             exchange_mode=args.exchange_mode)
+    except (NativeUnavailable, NativeBuildError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    last = program.last_run
+    print(f"backend: {last['backend']} ({last['reason']})")
+    if last["backend"] == "native":
+        artifact = last["artifact"]
+        print(f"native: plan {last['plan']}, artifact "
               f"{'cached' if artifact.cached else 'compiled'} "
               f"(key {artifact.key[:12]})")
-    plans = program.last_run.get("numpy_plans")
+    plans = last.get("numpy_plans")
     if plans:
         # stderr: stdout is the result report, identical across
         # exchange modes, and the bind count is not (CORE + OWNED)
         print(f"numpy: lowered {plans['lower']} kernel(s), "
               f"{plans['bind']} binds, {plans['reuse']} reuses",
               file=sys.stderr)
-    print(f"result: mean={result.mean():.6e} "
-          f"l2={np.linalg.norm(result):.6e}")
+    planes = result if isinstance(result, dict) else {"": result}
+    for name, plane in planes.items():
+        print(f"result{name and ' ' + name}: mean={plane.mean():.6e} "
+              f"l2={np.linalg.norm(plane):.6e}")
     obs_ledger.note(metrics={
-        "run.result_l2": obs_ledger.metric_point(
-            float(np.linalg.norm(result))),
+        "run.result_l2": obs_ledger.metric_point(float(np.linalg.norm(
+            np.concatenate([p.ravel() for p in planes.values()])))),
     })
     if args.out:
-        np.save(args.out, result)
-        print(f"saved to {args.out}")
-    return 0
-
-
-def _run_pipeline(args, parsed) -> int:
-    from .backend.pipeline_exec import (
-        PipelineExecutor,
-        distributed_pipeline_run,
-    )
-
-    pipe = parsed.pipeline
-    rng = np.random.default_rng(args.seed)
-    seeds = {
-        name: [rng.random(pipe.shape) for _ in range(k)]
-        for name, k in pipe.required_history().items()
-        if k > 0
-    }
-    grid = None if args.serial else parsed.mpi_grid
-    if grid is not None and int(np.prod(grid)) > 1:
-        print(f"running pipeline {pipe!r}: {args.steps} steps, "
-              f"distributed over {grid}")
-        results = distributed_pipeline_run(
-            pipe, seeds, args.steps, grid
-        )
-    else:
-        print(f"running pipeline {pipe!r}: {args.steps} steps, "
-              "single-node")
-        results = PipelineExecutor(pipe).run(seeds, args.steps)
-    for name, arr in results.items():
-        print(f"  {name}: mean={arr.mean():.6e} "
-              f"l2={np.linalg.norm(arr):.6e}")
-    if args.out:
-        np.savez(args.out, **results)
+        if isinstance(result, dict):
+            np.savez(args.out, **result)
+        else:
+            np.save(args.out, result)
         print(f"saved to {args.out}")
     return 0
 

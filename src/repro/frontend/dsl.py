@@ -24,18 +24,20 @@ the same vocabulary::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..ir.dtypes import DType, i32
 from ..ir.expr import Expr, VarExpr
 from ..ir.kernel import Kernel as IRKernel, KernelApply
+from ..ir.pipeline import StagePipeline, as_pipeline
 from ..ir.stencil import Stencil as IRStencil, TIME_VAR
 from ..ir.tensor import SpNode
 from ..analysis.diagnostics import CheckReport
 from ..ir.validate import validate_stencil
-from ..obs import span
+from ..obs import counter, span
 from ..schedule.schedule import Schedule, schedule_key
 
 __all__ = [
@@ -210,7 +212,9 @@ class StencilProgram:
     """A complete stencil computation: IR + schedules + execution config.
 
     This is the user-facing ``Stencil`` of Listing 1 — it owns the IR
-    :class:`~repro.ir.stencil.Stencil`, the kernels' schedules, the
+    :class:`~repro.ir.stencil.Stencil` (or, from :meth:`of`, a
+    multi-stage :class:`~repro.ir.pipeline.StagePipeline`), the
+    kernels' schedules, the
     input/initial data, the MPI grid for distributed runs, and drives
     execution, simulation and code generation.
     """
@@ -220,24 +224,48 @@ class StencilProgram:
 
     def __init__(self, output: SpNode, expr: Expr,
                  boundary: str = "zero"):
-        self.ir = IRStencil(output, expr)
-        validate_stencil(self.ir)
+        self._bind_ir(IRStencil(output, expr), boundary)
+
+    @classmethod
+    def of(cls, ir: Union[IRStencil, StagePipeline],
+           boundary: str = "zero") -> "StencilProgram":
+        """The program over an IR stencil or a multi-stage pipeline (a
+        one-stage pipeline is its stencil); every method serves both."""
+        prog = cls.__new__(cls)
+        if isinstance(ir, StagePipeline) and ir.nstages == 1:
+            ir = ir.stages[0]
+        prog._bind_ir(ir, boundary)
+        return prog
+
+    def _bind_ir(self, ir: Union[IRStencil, StagePipeline],
+                 boundary: str) -> None:
+        if isinstance(ir, IRStencil):
+            validate_stencil(ir)
+        #: the IR: a ``Stencil``, or a ``StagePipeline`` of several
+        self.ir = ir
+        #: initial planes each stage output needs, oldest first
+        pipeline, self.history = as_pipeline(ir)
+        #: the stages, each an IR ``Stencil``, in run order
+        self.stages = pipeline.stages
+        self._label = "+".join(out.name for out in pipeline.outputs)
         self.boundary = boundary
         self._handles: Dict[str, KernelHandle] = {}
-        for kern in self.ir.kernels:
+        for kern in ir.kernels:
             handle = KernelHandle._registry.get(id(kern))
             if handle is not None:
                 self._handles[kern.name] = handle
         self.mpi_grid: Optional[Tuple[int, ...]] = None
-        self._initial: Optional[List[np.ndarray]] = None
+        #: the initial planes: a list for one stage, else per tensor
+        self._initial = None
         self._inputs: Dict[str, np.ndarray] = {}
         self._scalars: Dict[str, float] = {}
         #: last ``check`` as (everything it read, report)
         self._checked: Optional[Tuple[Tuple, CheckReport]] = None
-        #: how the last ``run`` executed: ``backend`` and, for native,
-        #: ``plan`` (hit/miss) and the ``artifact``; for numpy (single
-        #: node or distributed) ``numpy_plans``, the kernels lowered and
-        #: the plans bound and re-used (``BlockEngine.plan_stats``)
+        #: how the last ``run`` executed: ``backend``, the ``reason``
+        #: it was picked and, for native, ``plan`` (hit/miss) and the
+        #: ``artifact``; for numpy (single node or distributed)
+        #: ``numpy_plans``, the kernels lowered and the plans bound and
+        #: re-used (``BlockEngine.plan_stats``)
         self.last_run: Dict[str, object] = {}
         #: the executor of the last finished native run under
         #: ``"native"``, with its window (W padded planes); ``run``
@@ -283,17 +311,19 @@ class StencilProgram:
         memo = self._checked
         if memo is not None and memo[0] == key:
             report = memo[1]
-            with span("analysis.check", stencil=self.ir.output.name,
+            with span("analysis.check", stencil=self._label,
                       machine=getattr(spec, "name", None) or "-",
                       memo="hit"):
                 pass
         else:
             from ..analysis import check_program
 
-            report = check_program(
-                self.ir, self.schedules(), machine=spec,
-                mpi_grid=self.mpi_grid,
-            )
+            report = CheckReport()  # every stage, as one result
+            for stage in self.stages:
+                report.extend(check_program(
+                    stage, self.schedules(), machine=spec,
+                    mpi_grid=self.mpi_grid,
+                ))
             self._checked = (key, report)
         return CheckReport(list(report.diagnostics))
 
@@ -323,9 +353,17 @@ class StencilProgram:
         self.mpi_grid = shape
         return self
 
-    def set_initial(self, planes: Sequence[np.ndarray]) -> "StencilProgram":
-        """Provide the W-1 initial history planes (t = 0 .. W-2)."""
-        self._initial = [np.asarray(p) for p in planes]
+    def set_initial(self, planes) -> "StencilProgram":
+        """Provide the initial history planes, oldest first, per stage
+        output as ``{tensor: planes}`` (:attr:`history` says how many)
+        or, as a list, the first stage's: a stencil's W-1 planes
+        (t = 0 .. W-2)."""
+        if not isinstance(planes, Mapping):
+            planes = {self.stages[0].output.name: planes}
+        seeds = {name: [np.asarray(p) for p in given]
+                 for name, given in planes.items()}
+        self._initial = (seeds if isinstance(self.ir, StagePipeline)
+                         else seeds.get(self.ir.output.name, []))
         return self
 
     def set_input(self, name: str, data: np.ndarray) -> "StencilProgram":
@@ -334,7 +372,16 @@ class StencilProgram:
         return self
 
     def set_scalar(self, name: str, value: float) -> "StencilProgram":
-        """Bind a runtime scalar coefficient (a free DefVar symbol)."""
+        """Bind a runtime scalar coefficient (a free DefVar symbol that
+        some kernel reads)."""
+        from ..ir.analysis import free_scalars
+
+        free = sorted({n for st in self.stages for n in free_scalars(st)})
+        if name not in free:
+            raise ValueError(
+                f"no kernel reads a scalar {name!r}; the program's free "
+                f"scalars are {free}"
+            )
         self._scalars[name] = float(value)
         return self
 
@@ -344,11 +391,11 @@ class StencilProgram:
 
         ``data`` may be an ndarray (used for every history plane), a
         list of planes, or the string ``"random"`` for seeded random
-        initial conditions.
+        initial conditions, all for the stage output ``tensor``.
         """
         if mpi_shape is not None:
             self.set_mpi_grid(mpi_shape)
-        need = self.ir.required_time_window - 1
+        need = self.history.get(tensor.name, 0)
         if isinstance(data, str):
             rng = np.random.default_rng(42)
             planes = [
@@ -359,42 +406,41 @@ class StencilProgram:
             planes = [data] * need
         else:
             planes = list(data)
-        return self.set_initial(planes)
+        return self.set_initial({tensor.name: planes})
 
     # -- execution -----------------------------------------------------------
-    def _require_initial(self) -> List[np.ndarray]:
-        if self._initial is None:
-            raise RuntimeError(
-                "no initial data: call set_initial()/input() first"
-            )
-        return self._initial
-
     def run(self, timesteps: int, scheduled: bool = True,
             check: bool = True,
             backend: Optional[str] = None,
-            exchange_mode: Optional[str] = None) -> np.ndarray:
-        """Execute ``timesteps`` sweeps, returning the newest plane.
+            exchange_mode: Optional[str] = None):
+        """Execute ``timesteps`` sweeps, returning the newest plane — or
+        ``{output: newest plane}`` for a multi-stage program; a run no
+        engine executes (a row of :data:`repro.runtime.executor.
+        UNSUPPORTED`) raises ``UnsupportedRun`` before any work.
 
         With an MPI grid configured, runs distributed over the simulated
         MPI runtime (every rank in-process) and returns the gathered
         global result; otherwise runs single-node.  ``scheduled=False``
-        forces the untiled serial reference.  ``check=False`` skips the
+        forces the untiled serial run on one node, grid or not
+        (``reference_run`` for a stencil).  ``check=False`` skips the
         static legality gate.
 
-        ``backend`` selects the single-node execution engine: ``None``
-        (the library default) keeps numpy, ``"native"`` compiles the
-        generated C into a shared library and runs it in-process
+        ``backend`` selects the execution engine: ``None`` (the library
+        default) and ``"numpy"`` the numpy engine, ``"native"`` compiles
+        the generated C into a shared library and runs it in-process
         (raising :class:`~repro.backend.native.NativeUnavailable` /
-        ``NativeBuildError`` when it cannot), ``"auto"`` tries native
-        and transparently falls back to numpy, ``"numpy"`` is explicit.
-        Distributed and unscheduled runs always use numpy.
+        ``NativeBuildError`` when it cannot), ``"auto"`` picks native
+        wherever it can run and numpy otherwise.  The table's rows
+        (``UnsupportedRun`` is a ``ValueError``): ``native`` on a
+        pipeline or an MPI grid, a boundary other than zero/periodic on
+        an MPI grid, an ``exchange_mode`` on a single-node run.
 
         Native runs compile once and step many: the legality report and
         the compiled plan (sources, artifact, loaded library) are
         memoised on the program's content, and the program keeps the
         executor of its last native run.  Repeating ``run`` on an
         unchanged program costs the gate's ``enforce`` (warnings are
-        logged and errors raised every time), one plan lookup,
+        logged and errors raised every time), one table and one plan lookup,
         re-seeding the kept window in place (an interior copy and a
         boundary fill per initial plane; auxiliary inputs are padded
         again, so one changed in place is seen), ``msc_run`` and the
@@ -407,49 +453,63 @@ class StencilProgram:
         :attr:`last_run` records which happened.
 
         ``exchange_mode`` (``basic``/``diag``/``overlap``) selects the
-        halo-exchange wire protocol of distributed runs; ignored for
-        single-node execution.
+        halo-exchange wire protocol of distributed runs.
         """
-        init = self._require_initial()
-        if self.mpi_grid is not None and int(np.prod(self.mpi_grid)) > 1:
-            if check:
-                self._gate(None, "run")
-            from ..runtime.executor import _run_distributed
-
-            name = self.ir.output.name
-            results, plans = _run_distributed(
-                self.ir, {name: init}, timesteps, self.mpi_grid,
-                boundary=self.boundary, inputs=self._inputs or None,
-                scalars=self._scalars or None,
-                exchange_mode=exchange_mode,
-            )
-            self.last_run = {"backend": "numpy", "numpy_plans": plans}
-            return results[name]
+        from ..backend.native import (NativeBuildError, NativeExecutor,
+                                      NativeUnavailable, select_backend)
         from ..backend.numpy_backend import ScheduledExecutor, reference_run
-        from ..obs import counter
+        from ..runtime.executor import (UnsupportedRun, _run_distributed,
+                                        unsupported)
 
+        if self._initial is None:
+            raise RuntimeError(
+                "no initial data: call set_initial()/input() first"
+            )
+        init = self._initial
+        several = isinstance(self.ir, StagePipeline)
+        seeds = init if several else {self.ir.output.name: init}
+        distributed = bool(scheduled and self.mpi_grid
+                           and int(np.prod(self.mpi_grid)) > 1)
+        facts = dict(distributed=distributed, stages=len(self.stages),
+                     boundary=self.boundary, exchange_mode=exchange_mode)
+        # auto never picks an engine the table rejects
+        blocked = backend == "auto" and unsupported("native", **facts)
+        if miss := unsupported("numpy" if blocked else backend, **facts):
+            raise UnsupportedRun(miss)
+        if not scheduled:
+            label, why = ("numpy" if several else "reference"), "unscheduled"
+        elif blocked:
+            label, why = "numpy", f"auto: {blocked}"
+        elif backend in ("native", "auto") and "native" in self._idle:
+            # no compiler lookup: a kept executor was compiled, and its
+            # ``bind`` finds out whether the plan still fits
+            label, why = "native", "kept executor"
+        else:
+            label, why = select_backend(backend or "numpy")
+        scheds = self.schedules() if scheduled else {}
+        # one key for both memos: the report's and the plan's
+        sched_key = schedule_key(scheds)
+        if check and scheduled:
+            self._gate("cpu" if label == "native" else None, "run",
+                       sched_key)
         inputs = self._inputs or None
         scalars = self._scalars or None
-        # pick the engine as (backend label, zero-argument runner) ...
-        engine = None
+        if distributed:
+            results, plans = _run_distributed(
+                self.ir, seeds, timesteps, self.mpi_grid,
+                boundary=self.boundary, inputs=inputs, scalars=scalars,
+                exchange_mode=exchange_mode,
+            )
+            self.last_run = {"backend": label, "reason": why,
+                             "numpy_plans": plans}
+            return results if several else results[self.ir.output.name]
+        # pick the engine as a zero-argument runner ...
+        sweep = None
         run_info: Dict[str, object] = {}
-        if not scheduled:
-            engine = "reference", lambda: reference_run(
-                self.ir, init, timesteps, self.boundary,
-                inputs=inputs, scalars=scalars,
-            )
-        elif backend in ("native", "auto"):
-            scheds = self.schedules()
-            # one key for both memos: the report's and the plan's
-            sched_key = schedule_key(scheds)
-            if check:
-                self._gate("cpu", "run", sched_key)
-            from ..backend.native import (
-                NativeBuildError,
-                NativeExecutor,
-                NativeUnavailable,
-            )
-
+        if label == "reference":
+            sweep = partial(reference_run, self.ir, init, timesteps,
+                            self.boundary, inputs=inputs, scalars=scalars)
+        elif label == "native":
             # the last native run's executor, taken off the program so
             # that two threads running it never share one window
             native = self._idle.pop("native", None)
@@ -460,32 +520,26 @@ class StencilProgram:
                     native = NativeExecutor(*args, **kw)
                 else:
                     native.bind(*args, **kw)
-                engine = "native", lambda: native.run(init, timesteps)
+                sweep = partial(native.run, init, timesteps)
                 run_info = {
                     "plan": "hit" if native.plan_hit else "miss",
                     "artifact": native.artifact,
                 }
-            except (NativeUnavailable, NativeBuildError):
+            except (NativeUnavailable, NativeBuildError) as exc:
                 if backend == "native":
                     raise
-                # auto: fall through to numpy
-        elif backend not in (None, "numpy"):
-            raise ValueError(
-                f"unknown backend {backend!r}; choose "
-                "auto/native/numpy"
-            )
-        if engine is None:
+                label, why = "numpy", f"auto: {exc}"
+        if sweep is None:
             numpy_ex = ScheduledExecutor(
-                self.ir, self.schedules(), self.boundary,
+                self.ir, scheds, self.boundary,
                 inputs=inputs, scalars=scalars,
             )
-            engine = "numpy", lambda: numpy_ex.run(init, timesteps)
+            sweep = partial(numpy_ex.run, seeds, timesteps)
             # the engine's live tally: final once the run returned
             run_info = {"numpy_plans": numpy_ex.engine.plan_stats}
         # ... then run it under the one root span and run counter
-        label, sweep = engine
-        self.last_run = {"backend": label, **run_info}
-        with span("runtime.run", stencil=self.ir.output.name,
+        self.last_run = {"backend": label, "reason": why, **run_info}
+        with span("runtime.run", stencil=self._label,
                   timesteps=timesteps, backend=label,
                   exchange_mode="none",
                   plan=run_info.get("plan", "-")):
@@ -507,8 +561,9 @@ class StencilProgram:
 
         ``check=False`` skips the static legality gate.
         """
-        from ..backend.targets import generate
+        from ..backend.targets import check_target, generate
 
+        check_target(self.ir, target)
         if check:
             self._gate(self._TARGET_MACHINES.get(target),
                        f"compile[{target}]")

@@ -28,9 +28,11 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..ir.dtypes import dtype_from_name
+from ..ir.dtypes import DType, dtype_from_name
 from ..ir.expr import Expr, VarExpr, as_expr
 from ..ir.kernel import KernelApply
+from ..ir.pipeline import StagePipeline
+from ..ir.stencil import Stencil as IRStencil
 from ..ir.tensor import SpNode
 from .dsl import Kernel as make_kernel, KernelHandle, StencilProgram
 
@@ -93,13 +95,13 @@ def tokenize(source: str) -> List[Token]:
 class ParsedProgram:
     """Result of parsing one MSC source file.
 
-    Single-``Stencil`` programs populate ``program``; programs with
-    several ``Stencil`` declarations become a multi-stage
+    ``program`` runs, checks and compiles it; a file with several
+    ``Stencil`` declarations is a program over a multi-stage
     :class:`~repro.ir.pipeline.StagePipeline` (declaration order =
-    stage order) in ``pipeline`` instead.
+    stage order).
     """
 
-    program: Optional[StencilProgram]
+    program: StencilProgram
     kernels: Dict[str, KernelHandle]
     tensors: Dict[str, SpNode]
     consts: Dict[str, float]
@@ -111,8 +113,6 @@ class ParsedProgram:
     run_spec: Optional[Tuple[int, int]] = None
     #: output name from ``st.compile_to_source_code(...)``
     compile_spec: Optional[str] = None
-    #: multi-stage pipeline for programs with several Stencils
-    pipeline: Optional["StagePipeline"] = None
 
     @property
     def timesteps(self) -> Optional[int]:
@@ -229,11 +229,17 @@ class _Parser:
         self._expect("(")
         name = self._expect_ident()
         self._expect(",")
-        dt = self._expect_ident()
-        dtype_from_name(dt.text)  # validate
+        dt = self._dtype()
         self._expect(")")
         self._expect(";")
-        self.vars[name.text] = VarExpr(name.text, dt.text)
+        self.vars[name.text] = VarExpr(name.text, dt.name)
+
+    def _dtype(self) -> DType:
+        tok = self._expect_ident()
+        try:
+            return dtype_from_name(tok.text)
+        except KeyError as exc:
+            raise MSCSyntaxError(exc.args[0], tok.line) from None
 
     def _deftensor(self, head: str) -> None:
         m = re.fullmatch(r"DefTensor([123])D(_TimeWin)?", head)
@@ -255,7 +261,7 @@ class _Parser:
             self._expect(",")
         halo = int(self._number_or_const())
         self._expect(",")
-        dt = self._expect_ident()
+        dt = self._dtype()
         dims = []
         for _ in range(ndim):
             self._expect(",")
@@ -263,7 +269,7 @@ class _Parser:
         self._expect(")")
         self._expect(";")
         self.tensors[name.text] = SpNode(
-            name.text, tuple(dims), dtype_from_name(dt.text),
+            name.text, tuple(dims), dt,
             halo=(halo,) * ndim, time_window=window,
         )
 
@@ -553,7 +559,7 @@ class _Parser:
 
 
 def parse_program(source: str) -> ParsedProgram:
-    """Parse MSC source text into a ready program or pipeline."""
+    """Parse MSC source text into a ready program."""
     from ..obs import span
 
     with span("frontend.parse", chars=len(source)) as sp:
@@ -562,7 +568,7 @@ def parse_program(source: str) -> ParsedProgram:
             stencil=parsed.stencil_name,
             kernels=len(parsed.kernels),
             tensors=len(parsed.tensors),
-            pipeline=parsed.pipeline is not None,
+            stages=len(parsed.program.stages),
         )
     return parsed
 
@@ -572,28 +578,10 @@ def _parse_program(source: str) -> ParsedProgram:
     parser.parse()
     if not parser.stencils:
         raise MSCSyntaxError("program has no Stencil declaration", 1)
-    if len(parser.stencils) > 1:
-        from ..ir.pipeline import StagePipeline
-        from ..ir.stencil import Stencil as IRStencil
-
-        stages = tuple(
-            IRStencil(output, expr)
-            for _, output, expr in parser.stencils
-        )
-        return ParsedProgram(
-            program=None,
-            kernels=dict(parser.kernels),
-            tensors=dict(parser.tensors),
-            consts=dict(parser.consts),
-            mpi_grid=parser.mpi_grid,
-            stencil_name=parser.stencil_name or "st",
-            input_spec=parser.input_spec,
-            run_spec=parser.run_spec,
-            compile_spec=parser.compile_spec,
-            pipeline=StagePipeline(stages),
-        )
-    name, output, expr = parser.stencils[0]
-    program = StencilProgram(output, expr)
+    stages = [IRStencil(output, expr) for _, output, expr in parser.stencils]
+    program = StencilProgram.of(
+        stages[0] if len(stages) == 1 else StagePipeline(stages)
+    )
     program.attach(*parser.kernels.values())
     if parser.mpi_grid is not None:
         program.set_mpi_grid(parser.mpi_grid)
@@ -605,7 +593,7 @@ def _parse_program(source: str) -> ParsedProgram:
         tensors=dict(parser.tensors),
         consts=dict(parser.consts),
         mpi_grid=parser.mpi_grid,
-        stencil_name=name,
+        stencil_name=parser.stencil_name,
         input_spec=parser.input_spec,
         run_spec=parser.run_spec,
         compile_spec=parser.compile_spec,

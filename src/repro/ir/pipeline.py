@@ -28,7 +28,9 @@ next stage starts, so cross-stage reads may use spatial offsets.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set, Tuple, Union
 
 from .stencil import Stencil
@@ -112,6 +114,22 @@ class StagePipeline:
     @property
     def ndim(self) -> int:
         return len(self.shape)
+
+    @cached_property
+    def kernels(self):
+        """Distinct kernels of every stage, in first-seen order."""
+        seen = {}
+        for stage in self.stages:
+            for kern in stage.kernels:
+                seen.setdefault(kern.name, kern)
+        return tuple(seen.values())
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Structural identity: the stages' fingerprints, in order."""
+        return hashlib.sha256(repr(
+            tuple(st.fingerprint for st in self.stages)).encode()
+        ).hexdigest()
 
     def stage_by_output(self, name: str) -> Stencil:
         for st in self.stages:

@@ -15,7 +15,7 @@ from .simmpi import (
 from .faults import FaultInjector, FaultSpec, parse_fault_spec
 from .network import NetworkModel, ScalePoint, scaling_run
 from .topology import ExchangeLoad, Topology, fat_tree, route_exchange, torus
-from .executor import DistributedStencil, distributed_run
+from .executor import DistributedStencil, UnsupportedRun, distributed_run
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "CartComm", "Communicator", "Request",
@@ -23,5 +23,5 @@ __all__ = [
     "FaultInjector", "FaultSpec", "parse_fault_spec",
     "NetworkModel", "ScalePoint", "scaling_run",
     "ExchangeLoad", "Topology", "fat_tree", "route_exchange", "torus",
-    "DistributedStencil", "distributed_run",
+    "DistributedStencil", "UnsupportedRun", "distributed_run",
 ]

@@ -1,4 +1,5 @@
-"""Distributed stencil execution over the simulated MPI runtime.
+"""Distributed stencil execution over the simulated MPI runtime, and
+the one table of runs no engine executes.
 
 ``distributed_run`` executes a stencil across an MPI process grid with
 real data: every rank owns a sub-domain (Fig. 6a), steps it with the
@@ -6,8 +7,9 @@ same :class:`~repro.backend.numpy_backend.BlockEngine` a single node
 uses, exchanges halos through the communication library after producing
 each plane, and rank 0 gathers the global result.  The output must
 match the single-node serial reference exactly — that equivalence is
-the core integration test of the communication library.  Pipelines
-(``distributed_pipeline_run``) go through the same driver.
+the core integration test of the communication library.  Pipelines go
+through the same driver.  :data:`UNSUPPORTED` is every run no engine
+executes; ``StencilProgram.run`` and ``distributed_run`` consult it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,45 @@ from ..obs import counter, span
 from ..obs.events import emit
 from .simmpi import CartComm, run_ranks
 
-__all__ = ["distributed_run", "DistributedStencil"]
+__all__ = ["distributed_run", "DistributedStencil", "UNSUPPORTED",
+           "UnsupportedRun", "unsupported"]
+
+
+class UnsupportedRun(ValueError):
+    """A run that hits a row of :data:`UNSUPPORTED`."""
+
+
+#: every combination no engine runs: (row, does a run hit it, why),
+#: a run given as in :func:`unsupported`
+UNSUPPORTED = (
+    ("native x pipeline",
+     lambda r: r["backend"] == "native" and r["stages"] > 1,
+     "the native backend runs one-stage programs; pipelines run on numpy"),
+    ("native x MPI grid",
+     lambda r: r["backend"] == "native" and r["distributed"],
+     "the native backend runs single-node programs; ranks run on numpy"),
+    ("boundary x MPI grid",
+     lambda r: r["distributed"] and r["boundary"] not in ("zero", "periodic"),
+     "distributed runs support zero/periodic boundaries, got {boundary!r}"),
+    ("exchange_mode x single node",
+     lambda r: r["exchange_mode"] is not None and not r["distributed"],
+     "exchange_mode {exchange_mode!r} selects how ranks exchange halos; "
+     "a single-node run has no ranks"),
+)
+
+
+def unsupported(backend: str, distributed: bool, stages: int = 1,
+                boundary: str = "zero",
+                exchange_mode: Optional[str] = None) -> Optional[str]:
+    """The message of the first :data:`UNSUPPORTED` row the run hits,
+    or None when some engine runs it."""
+    run = {"backend": backend, "distributed": distributed,
+           "stages": stages, "boundary": boundary,
+           "exchange_mode": exchange_mode}
+    for row, hits, why in UNSUPPORTED:
+        if hits(run):
+            return f"{row}: {why.format(**run)}"
+    return None
 
 
 def _refresh_ghosts(comm: CartComm, sub_shape: Sequence[int], exchangers,
@@ -145,8 +185,8 @@ def _run_distributed(program: Union[Stencil, StagePipeline],
                      exchanger: str = "async", subdomains=None,
                      scalars=None, faults=None, exchange_mode=None
                      ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
-    """The driver behind :func:`distributed_run` and
-    ``distributed_pipeline_run``: validate once, before any rank starts;
+    """The driver behind :func:`distributed_run` and a distributed
+    ``StencilProgram.run``: validate once, before any rank starts;
     then each rank scatters, steps and gathers.  Returns the global
     newest plane of every stage output and the ranks' summed
     ``BlockEngine.plan_stats``.
@@ -158,11 +198,9 @@ def _run_distributed(program: Union[Stencil, StagePipeline],
         raise ValueError(
             f"MPI grid is {len(grid)}-D for a {pipeline.ndim}-D stencil"
         )
-    if boundary not in ("zero", "periodic"):
-        raise ValueError(
-            "distributed runs support zero/periodic boundaries, got "
-            f"{boundary!r}"
-        )
+    if message := unsupported("numpy", True, pipeline.nstages, boundary,
+                              exchange_mode):
+        raise UnsupportedRun(message)
     # run-ledger fingerprint plumbing: a no-op unless a CLI command is
     # collecting a record (see repro.obs.ledger)
     from ..obs import ledger as obs_ledger

@@ -313,6 +313,60 @@ class TestPipelineCLI:
         assert "PAR001" in out and "(resid/j)" in out  # the second stage
         assert "s1: schedule is legal on" in out
 
+    @pytest.fixture
+    def race_file(self, tmp_path):
+        path = tmp_path / "race.msc"
+        path.write_text(MSC_PIPELINE.replace(
+            "DefShapeMPI2D", "resid.tile(3, 3, xo, xi, yo, yi);\n"
+            "resid.parallel(xi, 4);\nDefShapeMPI2D"))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--steps", "2"], ["run", "--steps", "2", "--serial"],
+        ["compile", "-o", "bundle"],
+    ])
+    def test_illegal_pipeline_stopped_at_the_gate(self, race_file, tmp_path,
+                                                  capsys, command):
+        argv = [command[0], race_file, *command[1:]]
+        if command[0] == "compile":
+            argv[-1] = str(tmp_path / "bundle")
+        assert main(argv) == 1
+        assert "RACE001" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--serial"]])
+    def test_native_pipeline_rejected(self, pipe_file, capsys, extra):
+        assert main(["run", pipe_file, "--backend", "native",
+                     *extra]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: native x pipeline: ")
+
+    def test_declared_schedules_tile_the_run(self, pipe_file, tmp_path,
+                                             capsys):
+        tiled = tmp_path / "tiled.msc"
+        tiled.write_text(MSC_PIPELINE.replace(
+            "DefShapeMPI2D", "resid.tile(4, 8, xo, xi, yo, yi);\n"
+            "DefShapeMPI2D"))
+        main(["run", pipe_file, "--serial", "--steps", "3"])
+        plain = capsys.readouterr()
+        main(["run", str(tiled), "--serial", "--steps", "3"])
+        got = capsys.readouterr()
+        assert got.out.splitlines()[1:] == plain.out.splitlines()[1:]
+        # resid runs in 2x4 tiles: 8 bound plans where one was
+        assert "lowered 2 kernel(s), 4 binds" in plain.err
+        assert "lowered 2 kernel(s), 18 binds" in got.err
+
+    def test_example_file_is_this_program(self):
+        from pathlib import Path
+
+        from repro.frontend.lang import parse_program
+
+        example = Path(__file__).parent.parent / "examples" / "smoother.msc"
+        got = parse_program(example.read_text()).program
+        want = parse_program(MSC_PIPELINE).program
+        assert got.ir.fingerprint == want.ir.fingerprint
+        assert got.mpi_grid == want.mpi_grid == (2, 2)
+
     def test_serial_matches_distributed(self, pipe_file, capsys):
         main(["run", pipe_file, "--steps", "3", "--seed", "2"])
         dist = capsys.readouterr().out.splitlines()[1:]
@@ -629,12 +683,28 @@ class TestRunBackend:
                      "native"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_distributed_ignores_native(self, msc_file, capsys):
+    def test_distributed_rejects_native(self, msc_file, capsys):
         assert main(["run", msc_file, "--steps", "2",
-                     "--backend", "native"]) == 0
-        out = capsys.readouterr().out
-        assert "--backend native ignored" in out
-        assert "distributed over (2, 1, 2)" in out
+                     "--backend", "native"]) == 1
+        captured = capsys.readouterr()
+        assert "distributed over (2, 1, 2)" in captured.out
+        assert captured.err.startswith("error: native x MPI grid: ")
+
+    def test_distributed_auto_runs_numpy(self, msc_file, capsys):
+        assert main(["run", msc_file, "--steps", "2"]) == 0
+        assert "backend: numpy (auto: native x MPI grid: " in (
+            capsys.readouterr().out)
+
+    def test_exchange_mode_on_one_node_rejected(self, msc_file, capsys):
+        assert main(["run", msc_file, "--steps", "2", "--serial",
+                     "--exchange-mode", "overlap"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: exchange_mode x single node: ")
+
+    def test_unknown_scalar_rejected(self, single_node_file, capsys):
+        assert main(["run", single_node_file, "--scalar", "foo=3"]) == 1
+        err = capsys.readouterr().err
+        assert "'foo'" in err and "free scalars are []" in err
 
     def test_bench_backend_flag_parsed(self):
         args = build_parser().parse_args(

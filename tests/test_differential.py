@@ -387,10 +387,7 @@ def test_stencil_is_a_one_stage_pipeline(make, boundary):
     """A ``Stencil`` and its one-stage ``StagePipeline`` agree bitwise
     with the reference through every numpy entry point (the serial ones
     under reflect: ranks exchange zero/periodic halos)."""
-    from repro.backend.pipeline_exec import (
-        PipelineExecutor,
-        distributed_pipeline_run,
-    )
+    from repro.frontend import StencilProgram
     from repro.ir import StagePipeline
 
     stencil = make()
@@ -402,19 +399,24 @@ def test_stencil_is_a_one_stage_pipeline(make, boundary):
     ref = reference_run(stencil, init, steps, boundary=boundary,
                         inputs=inputs)
 
+    def program(mpi_grid=None):
+        prog = StencilProgram.of(pipe, boundary).set_initial(
+            {out.name: init})
+        for name, data in (inputs or {}).items():
+            prog.set_input(name, data)
+        return prog.set_mpi_grid(mpi_grid) if mpi_grid else prog
+
     got = {
         "scheduled": ScheduledExecutor(
             stencil, {}, boundary=boundary, inputs=inputs
         ).run(init, steps),
-        "pipeline": PipelineExecutor(
-            pipe, boundary=boundary, inputs=inputs
-        ).run({out.name: init}, steps)[out.name],
+        "pipeline": ScheduledExecutor(
+            pipe, {}, boundary=boundary, inputs=inputs
+        ).run({out.name: init}, steps),
+        "program": program().run(steps),
     }
     if boundary != "reflect":
-        got["distributed pipeline"] = distributed_pipeline_run(
-            pipe, {out.name: init}, steps, grid, boundary=boundary,
-            inputs=inputs,
-        )[out.name]
+        got["distributed program"] = program(grid).run(steps)
         for mode in ("basic", "diag", "overlap"):
             got[f"distributed {mode}"] = distributed_run(
                 stencil, init, steps, grid, boundary=boundary,
@@ -649,6 +651,16 @@ def _table5_schedules(pipeline):
     }
 
 
+def _pipeline_program(pipeline, boundary, seeds, inputs=None):
+    """``pipeline`` as a ready ``StencilProgram``: the one run entry."""
+    from repro.frontend import StencilProgram
+
+    prog = StencilProgram.of(pipeline, boundary).set_initial(seeds)
+    for name, data in (inputs or {}).items():
+        prog.set_input(name, data)
+    return prog
+
+
 @needs_gcc
 @_SCHEDULED
 @_DTYPES
@@ -656,8 +668,7 @@ def _table5_schedules(pipeline):
 @pytest.mark.parametrize("make", [_multigrid_pipeline, _wave3d_pipeline],
                          ids=["multigrid", "wave3d"])
 def test_generated_pipeline_bitwise(make, boundary, dtype, scheduled):
-    """The pipeline's file-I/O program equals ``PipelineExecutor``."""
-    from repro.backend.pipeline_exec import PipelineExecutor
+    """The pipeline's file-I/O program equals ``StencilProgram.run``."""
     from repro.evalsuite.verify import _compile_and_run
 
     pipe = make(dtype)
@@ -681,8 +692,7 @@ def test_generated_pipeline_bitwise(make, boundary, dtype, scheduled):
         (pipe.nstages, *pipe.shape), flags=None,
     )
     assert not note, note
-    ref = PipelineExecutor(pipe, boundary=boundary,
-                           inputs=inputs or None).run(seeds, 4)
+    ref = _pipeline_program(pipe, boundary, seeds, inputs).run(4)
     for plane, out in zip(got, pipe.outputs):
         assert_same_bits(plane, ref[out.name])
 
@@ -973,8 +983,7 @@ def _box_pipeline(dtype):
 @pytest.mark.parametrize("boundary", _BOUNDARIES)
 def test_generated_box_pipeline_bitwise(boundary, dtype, scheduled):
     """A two-stage pipeline whose both stages reroll equals
-    ``PipelineExecutor``."""
-    from repro.backend.pipeline_exec import PipelineExecutor
+    ``StencilProgram.run``."""
     from repro.evalsuite.verify import _compile_and_run
 
     pipe = _box_pipeline(dtype)
@@ -994,6 +1003,6 @@ def test_generated_box_pipeline_bitwise(boundary, dtype, scheduled):
         flags=None,
     )
     assert not note, note
-    ref = PipelineExecutor(pipe, boundary=boundary).run(seeds, 4)
+    ref = _pipeline_program(pipe, boundary, seeds).run(4)
     for plane, out in zip(got, pipe.outputs):
         assert_same_bits(plane, ref[out.name])

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.backend.numpy_backend import reference_run
-from repro.frontend import build_benchmark
-from repro.backend.pipeline_exec import distributed_pipeline_run
+from repro.frontend import StencilProgram, build_benchmark
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr
 from repro.runtime.executor import distributed_run
 
@@ -138,10 +137,10 @@ def test_inputs_validated_before_any_rank_starts(entry, rng):
     def run(init, grid=(2, 2), inputs=coef):
         if entry == "stencil":
             return distributed_run(st, init, 1, grid, inputs=inputs)
-        return distributed_pipeline_run(
-            StagePipeline((st,)), {"B": init} if init else {}, 1, grid,
-            inputs=inputs,
-        )["B"]
+        prog = StencilProgram.of(StagePipeline((st,)))
+        for name, data in (inputs or {}).items():
+            prog.set_input(name, data)
+        return prog.set_mpi_grid(grid).set_initial({"B": init}).run(1)
 
     assert run(good).shape == (8, 8)
     with pytest.raises(ValueError, match="'B' needs 2 initial planes.*got 0"):
@@ -161,10 +160,9 @@ def test_inputs_validated_before_any_rank_starts(entry, rng):
 def test_subdomain_narrower_than_halo_rejected_for_pipelines():
     prog, _ = build_benchmark("3d25pt_star", grid=(12, 12, 12))
     with pytest.raises(ValueError, match="narrower than halo"):
-        distributed_pipeline_run(
-            StagePipeline((prog.ir,)), {"B": [np.zeros((12, 12, 12))] * 2},
-            1, (4, 1, 1),
-        )
+        StencilProgram.of(StagePipeline((prog.ir,))).set_mpi_grid(
+            (4, 1, 1)).set_initial([np.zeros((12, 12, 12))] * 2).run(
+                1, check=False)
 
 
 def test_many_timesteps_window_recycling(rng):

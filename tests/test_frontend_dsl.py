@@ -86,6 +86,16 @@ class TestStencilProgram:
         t = msc.StencilProgram.t
         return B, S, msc.StencilProgram(B, 0.6 * S[t - 1] + 0.4 * S[t - 2])
 
+    def test_unscheduled_run_on_a_grid_is_the_serial_reference(self, rng):
+        from repro.backend.numpy_backend import reference_run
+
+        _, _, prog = self._program()
+        init = [rng.random((12, 12, 12)) for _ in range(2)]
+        prog.set_mpi_grid((2, 2, 1)).set_initial(init)
+        got = prog.run(2, scheduled=False)
+        assert prog.last_run["backend"] == "reference"
+        assert got.tobytes() == reference_run(prog.ir, init, 2).tobytes()
+
     def test_run_without_initial_raises(self):
         _, _, prog = self._program()
         with pytest.raises(RuntimeError, match="initial"):
@@ -148,3 +158,62 @@ class TestStencilProgram:
         other = msc.Kernel("other", (j, i), A[j, i])
         with pytest.raises(ValueError, match="not part"):
             prog.attach(other)
+
+
+class TestUnsupportedRuns:
+    """Each row of the one table of runs no engine executes raises its
+    named error before any work; ``auto`` steps around the native
+    rows."""
+
+    def _program(self, rng, grid=(2, 2), boundary="zero"):
+        j, i = msc.indices("j i")
+        A = msc.DefTensor2D("A", 1, f64, 8, 8)
+        K = msc.Kernel("K", (j, i), 0.5 * A[j, i] + 0.25 * A[j, i - 1])
+        prog = msc.StencilProgram(A, K[msc.StencilProgram.t - 1],
+                                  boundary=boundary)
+        if grid:
+            prog.set_mpi_grid(grid)
+        return prog.set_initial([rng.random((8, 8))])
+
+    @pytest.mark.parametrize("grid, boundary, kw, row", [
+        ((2, 2), "zero", {"backend": "native"}, "native x MPI grid"),
+        ((2, 2), "reflect", {}, "boundary x MPI grid"),
+        (None, "zero", {"exchange_mode": "diag"},
+         "exchange_mode x single node"),
+        ((2, 2), "zero", {"exchange_mode": "diag", "scheduled": False},
+         "exchange_mode x single node"),
+    ])
+    def test_row_raises(self, rng, grid, boundary, kw, row):
+        from repro.runtime.executor import UnsupportedRun
+
+        prog = self._program(rng, grid, boundary)
+        with pytest.raises(UnsupportedRun, match=f"^{row}: "):
+            prog.run(1, **kw)
+        assert prog.last_run == {}
+
+    def test_distributed_run_consults_the_table(self, rng):
+        from repro.runtime.executor import UnsupportedRun, distributed_run
+
+        prog = self._program(rng, None)
+        with pytest.raises(UnsupportedRun,
+                           match="^boundary x MPI grid: .*'reflect'"):
+            distributed_run(prog.ir, prog._initial, 1, (2, 2),
+                            boundary="reflect")
+
+    def test_auto_on_a_grid_runs_numpy(self, rng):
+        prog = self._program(rng)
+        prog.run(1, backend="auto")
+        assert prog.last_run["backend"] == "numpy"
+        assert prog.last_run["reason"].startswith("auto: native x MPI grid")
+
+    def test_every_row_is_reachable(self):
+        from repro.runtime.executor import UNSUPPORTED, unsupported
+
+        runs = [dict(backend="native", distributed=False, stages=2),
+                dict(backend="native", distributed=True),
+                dict(backend="numpy", distributed=True, boundary="reflect"),
+                dict(backend="numpy", distributed=False,
+                     exchange_mode="basic")]
+        hit = [unsupported(**run).split(":")[0] for run in runs]
+        assert hit == [row for row, _hits, _why in UNSUPPORTED]
+        assert unsupported("native", False) is None

@@ -1,7 +1,11 @@
 """Tests for the textual MSC language (lexer + parser)."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.backend.numpy_backend import reference_run
 from repro.frontend.lang import (
@@ -244,3 +248,64 @@ class TestDriverStatements:
         parsed = parse_program(VALID_3D)
         assert parsed.run_spec is None
         assert parsed.timesteps is None
+
+
+def test_unknown_dtype_names_its_line():
+    src = VALID_3D.replace("DefVar(j, i32)", "DefVar(j, i3)")
+    with pytest.raises(MSCSyntaxError, match="line 6: unknown dtype 'i3'"):
+        parse_program(src)
+    src = VALID_3D.replace("halo_width, f64", "halo_width, q64")
+    with pytest.raises(MSCSyntaxError, match="line 7: unknown dtype 'q64'"):
+        parse_program(src)
+
+
+def _mutation_corpus():
+    from tests.test_cli import (
+        MSC_DISTRIBUTED, MSC_PIPELINE, MSC_SINGLE_NODE, MSC_SUNWAY,
+    )
+
+    return (VALID_3D, MSC_DISTRIBUTED, MSC_SINGLE_NODE, MSC_SUNWAY,
+            MSC_PIPELINE)
+
+
+#: what a mutation writes in: names the parser knows in the wrong
+#: place, unknown ones, odd numbers and every punctuation token
+_PIECES = (
+    "i3", "f16", "f64", "i32", "t", "N", "U", "B", "S", "st", "xo", "zi",
+    "0", "1", "-1", "2.5", "1e9", "Stencil", "Kernel", "DefVar",
+    "DefTensor2D", "DefTensor3D_TimeWin", "DefShapeMPI2D", "const",
+    "tile", "parallel", "cache_read", "run", "input", '"random"',
+    ";", ",", ".", "(", ")", "[", "]", "<<", "=", "+", "-", "*", "/",
+)
+
+
+@st.composite
+def _mutated_sources(draw):
+    """A corpus program with one to three token-level edits: delete,
+    replace, insert or duplicate a token."""
+    words = re.findall(r"\s+|\w+|<<|.", draw(st.sampled_from(
+        _mutation_corpus())), re.S)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(words) - 1))
+        edit = draw(st.sampled_from(("delete", "replace", "insert",
+                                     "duplicate")))
+        if edit == "delete":
+            del words[at]
+        elif edit == "duplicate":
+            words.insert(at, words[at])
+        else:
+            piece = draw(st.sampled_from(_PIECES))
+            words[at:at + (edit == "replace")] = [piece]
+    return "".join(words)
+
+
+@given(source=_mutated_sources())
+@settings(max_examples=400)
+@example(source=VALID_3D.replace("DefVar(j, i32)", "DefVar(j, i3)"))
+def test_mutated_programs_fail_only_with_named_errors(source):
+    """Whatever the text, the parser returns a program or raises an
+    ``MSCSyntaxError`` or a ``ValueError`` subclass."""
+    try:
+        parse_program(source)
+    except (MSCSyntaxError, ValueError):
+        pass

@@ -406,6 +406,26 @@ class TestKeptExecutor:
         assert second.tobytes() == first.tobytes()
         assert third.tobytes() == _expected(prog, init, 1)
 
+    @pytest.mark.parametrize("backend", ["native", "auto"])
+    def test_warm_run_looks_no_compiler_up(self, monkeypatch, backend):
+        prog, handle, init = _star_program()
+        prog.run(2, backend=backend)
+        assert prog.last_run["reason"] != "kept executor"
+        monkeypatch.setattr(native, "which_cc", lambda cc=None: None)
+        got = prog.run(2, backend=backend)
+        assert prog.last_run["backend"] == "native"
+        assert prog.last_run["reason"] == "kept executor"
+        assert got.tobytes() == _expected(prog, init, 2)
+        # a new plan must be built, and without a compiler it cannot
+        handle.tile(4, 8, "xo", "xi", "yo", "yi")
+        if backend == "native":
+            with pytest.raises(native.NativeUnavailable):
+                prog.run(2, backend=backend)
+        else:
+            assert prog.run(2, backend=backend).tobytes() == _expected(
+                prog, init, 2)
+            assert prog.last_run["backend"] == "numpy"
+
     @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
     def test_repeated_runs_leave_no_stale_halo(self, boundary, rng):
         prog, _handle, _init = _star_program(boundary=boundary)

@@ -26,7 +26,6 @@ from repro.backend.numpy_backend import (
     evaluate_kernel,
     reference_run,
 )
-from repro.backend.pipeline_exec import PipelineExecutor
 from repro.comm.decomposition import decompose
 from repro.comm.halo import core_owned_regions
 from repro.frontend.stencils import build_benchmark
@@ -363,7 +362,7 @@ class TestBoundPlans:
     def test_serial_steady_step_allocates_no_block_sized_array(self):
         grid = (256, 256)
         prog, init = _bench_program(grid)
-        ex = PipelineExecutor(StagePipeline((prog.ir,)), "periodic")
+        ex = ScheduledExecutor(StagePipeline((prog.ir,)), {}, "periodic")
         ex.initialize({prog.ir.output.name: init})
         for _ in range(prog.ir.output.time_window):
             ex.step()

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend.pipeline_exec import (
-    PipelineExecutor,
-    distributed_pipeline_run,
-)
+from repro.frontend import StencilProgram
 from repro.ir import (
     Kernel,
     SpNode,
@@ -22,6 +19,17 @@ def _tensors(shape=(16, 16)):
     U = SpNode("U", shape, f64, halo=(1, 1), time_window=2)
     R = SpNode("R", shape, f64, halo=(1, 1), time_window=2)
     return U, R
+
+
+def _run(pipe, seeds, steps, boundary="zero", grid=None, inputs=None):
+    """``steps`` of ``pipe`` through the one run entry,
+    ``StencilProgram.run`` (distributed over ``grid`` when given)."""
+    prog = StencilProgram.of(pipe, boundary).set_initial(seeds)
+    for name, data in (inputs or {}).items():
+        prog.set_input(name, data)
+    if grid is not None:
+        prog.set_mpi_grid(grid)
+    return prog.run(steps)
 
 
 def _smoother_residual(shape=(16, 16)):
@@ -122,9 +130,7 @@ class TestSerialExecution:
     def test_matches_manual_two_stage(self, rng):
         pipe = _smoother_residual()
         u0 = rng.random((16, 16))
-        res = PipelineExecutor(pipe, boundary="periodic").run(
-            {"U": [u0]}, 3
-        )
+        res = _run(pipe, {"U": [u0]}, 3, boundary="periodic")
 
         def wrap(a):
             p = np.zeros((18, 18))
@@ -152,7 +158,7 @@ class TestSerialExecution:
     def test_missing_seed_rejected(self):
         pipe = _smoother_residual()
         with pytest.raises(ValueError, match="seed"):
-            PipelineExecutor(pipe).run({}, 1)
+            _run(pipe, {}, 1)
 
     def test_missing_aux_rejected(self, rng):
         U, R = _tensors()
@@ -164,7 +170,7 @@ class TestSerialExecution:
             Stencil(R, Kernel("b", (j, i), 1.0 * U[j, i])[t - 1]),
         ))
         with pytest.raises(ValueError, match="auxiliary"):
-            PipelineExecutor(pipe)
+            _run(pipe, {"U": [rng.random((16, 16))]}, 1)
 
     def test_single_stage_equals_reference_run(self, rng):
         from repro.backend.numpy_backend import reference_run
@@ -179,9 +185,9 @@ class TestSerialExecution:
         st = Stencil(U, k[Stencil.t - 1])
         pipe = StagePipeline((st,))
         u0 = rng.random((12, 12))
-        res = PipelineExecutor(pipe, boundary="zero").run({"U": [u0]}, 4)
+        res = _run(pipe, {"U": [u0]}, 4, boundary="zero")
         ref = reference_run(st, [u0], 4, boundary="zero")
-        np.testing.assert_array_equal(res["U"], ref)
+        np.testing.assert_array_equal(res, ref)
 
 
 class TestDistributedExecution:
@@ -189,12 +195,8 @@ class TestDistributedExecution:
     def test_matches_serial(self, rng, boundary):
         pipe = _smoother_residual((20, 24))
         u0 = rng.random((20, 24))
-        serial = PipelineExecutor(pipe, boundary=boundary).run(
-            {"U": [u0]}, 4
-        )
-        dist = distributed_pipeline_run(
-            pipe, {"U": [u0]}, 4, (2, 3), boundary=boundary
-        )
+        serial = _run(pipe, {"U": [u0]}, 4, boundary=boundary)
+        dist = _run(pipe, {"U": [u0]}, 4, boundary=boundary, grid=(2, 3))
         for name in ("U", "R"):
             np.testing.assert_array_equal(dist[name], serial[name])
 
@@ -219,11 +221,70 @@ class TestDistributedExecution:
             )[t - 1]),
         ))
         a0 = rng.random(shape)
-        serial = PipelineExecutor(pipe, boundary="periodic").run(
-            {"A": [a0]}, 3
-        )
-        dist = distributed_pipeline_run(
-            pipe, {"A": [a0]}, 3, (2, 2), boundary="periodic"
-        )
+        serial = _run(pipe, {"A": [a0]}, 3, boundary="periodic")
+        dist = _run(pipe, {"A": [a0]}, 3, boundary="periodic", grid=(2, 2))
         for name in ("A", "Bt", "Ct"):
             np.testing.assert_array_equal(dist[name], serial[name])
+
+
+class TestOneEntry:
+    """A pipeline runs, checks and compiles through ``StencilProgram``
+    exactly as a stencil does."""
+
+    def test_declared_schedules_tile_the_run_bitwise(self, rng):
+        from repro.backend.numpy_backend import ScheduledExecutor
+        from repro.schedule import Schedule
+
+        pipe = _smoother_residual((16, 24))
+        seeds = {"U": [rng.random((16, 24))]}
+        resid = pipe.stages[1].kernels[0]
+        tiled = ScheduledExecutor(pipe, {
+            "resid": Schedule(resid).tile(4, 8, "xo", "xi", "yo", "yi"),
+        }, "periodic")
+        got = tiled.run(seeds, 3)
+        ref = _run(pipe, seeds, 3, boundary="periodic")
+        assert tiled.engine.plan_stats["bind"] > 2 * 8
+        for name in ("U", "R"):
+            assert got[name].tobytes() == ref[name].tobytes()
+
+    def test_unscheduled_run_is_the_untiled_engine(self, rng):
+        pipe = _smoother_residual()
+        prog = StencilProgram.of(pipe).set_initial(
+            {"U": [rng.random((16, 16))]})
+        ref = prog.run(2)
+        got = prog.run(2, scheduled=False)
+        assert prog.last_run["backend"] == "numpy"
+        assert got["R"].tobytes() == ref["R"].tobytes()
+
+    def test_native_is_a_table_row(self, rng):
+        from repro.backend.native import NativeExecutor
+        from repro.runtime.executor import UnsupportedRun
+
+        pipe = _smoother_residual()
+        prog = StencilProgram.of(pipe).set_initial(
+            {"U": [rng.random((16, 16))]})
+        with pytest.raises(UnsupportedRun, match="^native x pipeline: "):
+            prog.run(1, backend="native")
+        with pytest.raises(UnsupportedRun, match="^native x pipeline: "):
+            NativeExecutor(pipe, {})
+        prog.run(1, backend="auto")
+        assert prog.last_run["backend"] == "numpy"
+        assert prog.last_run["reason"].startswith("auto: native x pipeline")
+
+    def test_a_list_of_seeds_is_the_first_stage_s(self, rng):
+        prog = StencilProgram.of(_smoother_residual())
+        assert prog.history == {"U": 1, "R": 0}
+        u0 = rng.random((16, 16))
+        got = prog.set_initial([u0]).run(2)
+        want = prog.set_initial({"U": [u0]}).run(2)
+        assert got["R"].tobytes() == want["R"].tobytes()
+
+    def test_compile_is_the_pipeline_program(self):
+        from repro.backend.targets import generate
+
+        pipe = _smoother_residual()
+        got = StencilProgram.of(pipe).compile_to_source_code("p").files
+        assert got == generate(pipe, {}, "p").files
+        with pytest.raises(ValueError, match="2-stage pipeline"):
+            StencilProgram.of(pipe).compile_to_source_code(
+                "p", target="sunway")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.backend.c_codegen import generate_pipeline
-from repro.backend.pipeline_exec import PipelineExecutor
+from repro.frontend import StencilProgram
 from repro.ir import Kernel, SpNode, StagePipeline, Stencil, VarExpr, f64
 
 needs_gcc = pytest.mark.skipif(
@@ -127,9 +127,8 @@ class TestCompiledPipeline:
         u0 = rng.random((14, 18))
         b = rng.random((14, 18))
         got = _compile_run(code, tmp_path, [u0, b], 5, 2, (14, 18))
-        ref = PipelineExecutor(
-            pipe, boundary=boundary, inputs={"Brhs": b}
-        ).run({"U": [u0]}, 5)
+        ref = StencilProgram.of(pipe, boundary).set_input(
+            "Brhs", b).set_initial({"U": [u0]}).run(5)
         np.testing.assert_array_equal(got[0], ref["U"])
         np.testing.assert_array_equal(got[1], ref["R"])
 
@@ -141,9 +140,8 @@ class TestCompiledPipeline:
         u0 = rng.random(shape)
         u1 = rng.random(shape)
         got = _compile_run(code, tmp_path, [u0, u1], 4, 2, shape)
-        ref = PipelineExecutor(pipe, boundary="periodic").run(
-            {"U": [u0, u1]}, 4
-        )
+        ref = StencilProgram.of(pipe, "periodic").set_initial(
+            {"U": [u0, u1]}).run(4)
         np.testing.assert_array_equal(got[0], ref["U"])
         np.testing.assert_array_equal(got[1], ref["G"])
 

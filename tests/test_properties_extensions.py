@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.numpy_backend import reference_run
-from repro.backend.pipeline_exec import PipelineExecutor
+from repro.frontend import StencilProgram
 from repro.backend.temporal_exec import TemporalTilingExecutor
 from repro.frontend import build_benchmark
 from repro.inspector import WorkloadMap, decompose_weighted, weighted_cuts
@@ -121,11 +121,13 @@ def test_pipeline_stage_chain_linear(seed, stages):
     inputs = {name: rng.random(shape) for name in pipe.aux_tensors()}
 
     def run(a):
-        return PipelineExecutor(
-            pipe, boundary="periodic",
-            inputs={name: a * x for name, x in inputs.items()},
-        ).run({name: [a * x for x in planes]
-               for name, planes in seeds.items()}, 2)
+        prog = StencilProgram.of(pipe, "periodic").set_initial(
+            {name: [a * x for x in planes]
+             for name, planes in seeds.items()})
+        for name, x in inputs.items():
+            prog.set_input(name, a * x)
+        result = prog.run(2)
+        return result if isinstance(result, dict) else {"out": result}
 
     out1, out2 = run(1.0), run(2.5)
     for name in out1:

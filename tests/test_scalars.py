@@ -48,6 +48,28 @@ class TestFreeScalarDiscovery:
     def test_literal_kernel_has_none(self, stencil_3d7pt_2dep):
         assert free_scalars(stencil_3d7pt_2dep) == []
 
+    def test_unknown_scalar_name_rejected(self):
+        prog, _ = _scalar_program()
+        with pytest.raises(ValueError,
+                           match=r"'foo'; .* are \['c0', 'c1'\]"):
+            prog.set_scalar("foo", 3.0)
+        assert prog._scalars == {}
+        prog.set_scalar("c1", 0.5)
+        assert prog._scalars == {"c1": 0.5}
+
+    def test_a_later_stage_scalar_is_known(self):
+        prog, A = _scalar_program()
+        j, i = msc.indices("j i")
+        R = msc.DefTensor2D("R", 1, msc.f64, 12, 16)
+        w = msc.DefVar("w", msc.f64)
+        scale = Kernel("scale", (j, i), w * A[j, i])
+        t = Stencil.t
+        pipe = msc.StencilProgram.of(
+            StagePipeline((prog.ir, Stencil(R, scale[t - 1]))))
+        pipe.set_scalar("w", 2.0).set_scalar("c0", 1.0)
+        with pytest.raises(ValueError, match=r"\['c0', 'c1', 'w'\]"):
+            pipe.set_scalar("v", 1.0)
+
 
 class TestEvaluation:
     def test_evaluate_kernel_binds_scalars(self):
