@@ -66,11 +66,12 @@ import numpy as np
 from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil
 from ..ir.tensor import SpNode
+from ..obs import counter, span
 from ..schedule.schedule import Schedule, schedule_key
 from ..schedule.timewindow import SlidingTimeWindow
 from .c_codegen import CCodeGenerator
 from .makefile import TOOLCHAINS, toolchain_cflags
-from .numpy_backend import seed_window, static_planes
+from .numpy_backend import checked_seeds, static_planes
 
 __all__ = [
     "NativeUnavailable",
@@ -138,7 +139,14 @@ def run_timeout() -> float:
 
 def cache_dir() -> str:
     """Artifact-cache root (``REPRO_CACHE_DIR`` wins; read per call)."""
-    override = os.environ.get("REPRO_CACHE_DIR")
+    return _cache_root(os.environ.get("REPRO_CACHE_DIR"),
+                       os.environ.get("HOME"))
+
+
+@lru_cache(maxsize=8)
+def _cache_root(override: Optional[str], home: Optional[str]) -> str:
+    """The root for one (``REPRO_CACHE_DIR``, ``HOME``) pair: a warm
+    run keys its plan on the root, and ``expanduser`` once per pair."""
     if override:
         return override
     return os.path.join(
@@ -349,7 +357,6 @@ def build_artifact(sources: Mapping[str, str], binary_name: str,
     (default: every ``.c``); headers just need to be in ``sources``.
     A hit spawns no compiler subprocess and bumps ``native.cache.hit``.
     """
-    from ..obs import counter, span
     from ..obs.events import emit
 
     cc_path = which_cc(cc)
@@ -429,8 +436,6 @@ def run_binary(path: str, args: Sequence[str],
     Raises :class:`NativeRunError` on timeout; nonzero exit status is
     the caller's to interpret (the CompletedProcess is returned).
     """
-    from ..obs import span
-
     with span("native.run", binary=os.path.basename(path)):
         try:
             return subprocess.run(
@@ -475,28 +480,69 @@ class SharedLibGenerator(CCodeGenerator):
         long msc_plane_elems(void);   /* padded elems per plane   */
         long msc_time_window(void);   /* TWIN                     */
         long msc_history(void);       /* initial planes expected  */
+        int  msc_seed(real *win, const real *const *init, long n);
         int  msc_run(real *win, real **aux, long t0, long steps);
 
     ``win`` is the caller-owned TWIN-plane window (contiguous,
-    ``TWIN * PLANE_ELEMS`` reals, plane ``t`` at slot ``t % TWIN``)
-    with the initial halos already filled; ``aux`` the padded static
-    input planes in :meth:`_aux_tensors` order.  The library has no
-    file-scope state: any number of threads may call ``msc_run`` at
-    once, each on its own window.
+    ``TWIN * PLANE_ELEMS`` reals, plane ``t`` at slot ``t % TWIN``).
+    ``msc_seed`` copies the ``n`` unpadded, C-contiguous initial
+    planes ``init`` (oldest first) into slots ``0 .. n-1`` and fills
+    their halos, so the library owns the window's layout; it returns
+    nonzero, writing nothing, unless ``0 <= n < TWIN``.  ``aux`` holds
+    the padded static input planes in :attr:`aux_tensors` order, halos
+    filled by the caller.  The library has no file-scope state: any
+    number of threads may call ``msc_seed`` and ``msc_run`` at once,
+    each on its own window.
     """
 
     target = "c-shared"
     includes = ("math.h",)  # no I/O, no allocation: each costs gcc time
 
+    def seed_function(self) -> List[str]:
+        """``msc_seed``: one ``__builtin_memcpy`` per interior row of
+        each initial plane, then the plane's ``fill_halo``."""
+        out = self.stencil.output
+        name = out.name
+        rows = ["k", "j"][-(out.ndim - 1):] if out.ndim > 1 else []
+        sizes, halos = self._axes("N"), self._axes("H", name)
+        lines = [
+            # once per run, not per step: ``cold`` keeps gcc's -O3
+            # effort (and build time) on the sweeps
+            "__attribute__((cold))",
+            "int msc_seed(real *win, const real *const *init, long n) {",
+            "  if (n < 0 || n >= TWIN) return 1;",
+            "  for (long s = 0; s < n; s++) {",
+            f"    real *p = {self._plane(name, 's')};",
+            "    const real *src = init[s];",
+        ]
+        for depth, v in enumerate(rows):
+            lines.append("    " + "  " * depth
+                         + f"for (long {v} = 0; {v} < {sizes[depth]}; "
+                         f"{v}++) {{")
+        at = ", ".join([f"{v} + {h}" for v, h in zip(rows, halos)]
+                       + [halos[-1]])
+        pad = "    " + "  " * len(rows)
+        lines += [
+            f"{pad}__builtin_memcpy(&AT_{name}(p, {at}), src, "
+            f"{sizes[-1]} * sizeof(real));",
+            f"{pad}src += {sizes[-1]};",
+        ]
+        lines += ["    " + "  " * d + "}" for d in reversed(range(len(rows)))]
+        lines += [f"    {self._c_name('fill_halo', name)}(p);", "  }",
+                  "  return 0;", "}"]
+        return lines
+
     def entry_point(self) -> str:
         """The exports; everything they touch arrives as an argument, so
-        the library keeps no mutable state and ``msc_run`` is re-entrant.
+        the library keeps no mutable state and ``msc_seed`` and
+        ``msc_run`` are re-entrant.
         """
         hist = self.stencil.required_time_window - 1
         lines = [
             "long msc_plane_elems(void) { return PLANE_ELEMS; }",
             "long msc_time_window(void) { return TWIN; }",
             f"long msc_history(void) {{ return {hist}; }}",
+            *self.seed_function(),
             "int msc_run(real *win, real **aux, long t0, long steps) {",
             "  (void)aux;",
             "  for (long t = t0; t < t0 + steps; t++) {",
@@ -532,8 +578,10 @@ class NativePlan:
     lib: ctypes.CDLL
     c_real: type  #: ctypes scalar of the working precision
     twin: int
-    history: int  #: initial planes ``msc_run`` expects
+    history: int  #: initial planes ``msc_seed`` copies, ``msc_run`` reads
     aux_tensors: Tuple[SpNode, ...]  #: static inputs, in ``aux`` order
+    #: ``artifact`` as a plan hit reports it: no compiler ran for it
+    hit_artifact: BuiltArtifact
 
 
 class _PlanSlot:
@@ -573,50 +621,74 @@ def native_plan(stencil: Stencil, schedules: Mapping[str, Schedule],
     root and the compiler request — so two structurally equal programs
     share a plan and any change of the above gets a new one.  A miss
     generates, fingerprints, builds through the on-disk cache, loads
-    and binds; a hit does none of that.  Concurrent requests for one
+    and binds; a hit does none of that: one key, one table lookup (and
+    the move to the table's recent end).  Concurrent requests for one
     missing plan build it once.
     """
-    from ..obs import counter, span
-
-    cache = cache or ArtifactCache()
     if sched_key is None:
         sched_key = schedule_key(schedules, stencil.kernels)
     key = _plan_key(stencil, sched_key, boundary, scalars, cache, cc)
     with span("native.plan") as sp:
-        with _plans_lock:
-            slot = _plans.get(key)
-            if slot is None:
-                slot = _plans[key] = _PlanSlot()
-                if len(_plans) > PLAN_CAPACITY:
-                    _plans.popitem(last=False)
-            else:
+        # a lone dict read or move is atomic; only a build takes locks
+        slot = _plans.get(key)
+        plan = None if slot is None else slot.plan
+        if plan is not None:
+            hit = True
+            try:
                 _plans.move_to_end(key)
-        with slot.lock:
-            hit = slot.plan is not None
-            if not hit:
-                # a failed build leaves the slot empty: the next
-                # request (or waiter) tries again
-                slot.plan = _compile_plan(
-                    stencil, schedules, boundary, scalars, cache, cc,
-                    sched_key,
-                )
+            except KeyError:
+                pass  # evicted meanwhile: the plan itself still works
+        else:
+            plan, hit = _built_plan(key, stencil, schedules, boundary,
+                                    scalars, cache, cc, sched_key)
         outcome = "hit" if hit else "miss"
-        sp.set(outcome=outcome, key=slot.plan.artifact.key[:12])
+        sp.set(outcome=outcome, key=plan.artifact.key[:12])
     counter("native.plan." + outcome)
+    return plan, hit
+
+
+def _built_plan(key: Tuple, stencil: Stencil,
+                schedules: Mapping[str, Schedule], boundary: str,
+                scalars: Optional[Mapping[str, float]],
+                cache: Optional[ArtifactCache], cc: Optional[str],
+                sched_key: Tuple) -> Tuple[NativePlan, bool]:
+    """The plan of ``key`` through its slot: built here, or by the
+    thread that held the slot's lock first (then a hit)."""
+    with _plans_lock:
+        slot = _plans.get(key)
+        if slot is None:
+            slot = _plans[key] = _PlanSlot()
+            if len(_plans) > PLAN_CAPACITY:
+                _plans.popitem(last=False)
+        else:
+            _plans.move_to_end(key)
+    with slot.lock:
+        hit = slot.plan is not None
+        if not hit:
+            # a failed build leaves the slot empty: the next request
+            # (or waiter) tries again
+            slot.plan = _compile_plan(
+                stencil, schedules, boundary, scalars,
+                cache or ArtifactCache(key[4]),  # the root in the key
+                cc, sched_key,
+            )
     return slot.plan, hit
 
 
 def _plan_key(stencil: Stencil, sched_key: Tuple, boundary: str,
               scalars: Optional[Mapping[str, float]],
-              cache: ArtifactCache, cc: Optional[str]) -> Tuple:
+              cache: Optional[ArtifactCache], cc: Optional[str]) -> Tuple:
     """Everything the generated sources, the build and the cache entry
-    depend on.  Must stay at least as fine as the sources: a hit skips
-    generating them, so nothing downstream can catch a collision."""
+    depend on (``cache=None``: the default root).  Must stay at least
+    as fine as the sources: a hit skips generating them, so nothing
+    downstream can catch a collision."""
     return (
         stencil.fingerprint, sched_key, boundary,
         # repr: 0.0 == -0.0 and 1 == 1.0, yet each prints its own C
-        tuple(sorted((n, repr(v)) for n, v in (scalars or {}).items())),
-        cache.root, cc or os.environ.get("REPRO_CC"),
+        tuple(sorted((n, repr(v)) for n, v in scalars.items()))
+        if scalars else (),
+        cache_dir() if cache is None else cache.root,
+        cc or os.environ.get("REPRO_CC"),
     )
 
 
@@ -666,6 +738,7 @@ def _compile_plan(stencil: Stencil, schedules: Mapping[str, Schedule],
         c_real=c_real, twin=out.time_window,
         history=stencil.required_time_window - 1,
         aux_tensors=tuple(gen.aux_tensors),
+        hit_artifact=replace(artifact, cached=True),
     )
 
 
@@ -675,6 +748,10 @@ def _bind(lib: ctypes.CDLL, c_real: type, plane_elems: int,
     lib.msc_run.restype = ctypes.c_int
     lib.msc_run.argtypes = [
         realp, ctypes.POINTER(realp), ctypes.c_long, ctypes.c_long
+    ]
+    lib.msc_seed.restype = ctypes.c_int
+    lib.msc_seed.argtypes = [
+        realp, ctypes.POINTER(ctypes.c_void_p), ctypes.c_long
     ]
     lib.msc_plane_elems.restype = ctypes.c_long
     lib.msc_time_window.restype = ctypes.c_long
@@ -704,9 +781,10 @@ class NativeExecutor:
     this run's static input planes; ``artifact.cached`` says no
     compiler ran for *this* binding, so it is True on a plan hit.  The
     first ``initialize`` allocates the window, every later one re-seeds
-    it in place, so an executor bound again to the same plan (the next
-    warm run of one program) allocates nothing and keeps the ctypes
-    pointers ``msc_run`` is called with.
+    it in place with one ``msc_seed`` call, so an executor bound again
+    to the same plan (the next warm run of one program) allocates
+    nothing and keeps the ctypes pointers ``msc_seed`` and ``msc_run``
+    are called with.
     """
 
     def __init__(self, stencil: Stencil,
@@ -761,32 +839,63 @@ class NativeExecutor:
             self._aux_ptrs = (realp * max(len(aux), 1))(
                 *[a.ctypes.data_as(realp) for a in aux.values()]
             )
-            self._plan, self._win = plan, None
+            self._plan, self._win, self._seeds = plan, None, None
+            out = stencil.output
+            self._seed_layout = (out.dtype.np_dtype, out.shape)
         self._aux = aux
         self.stencil, self.boundary, self.plan_hit = stencil, boundary, hit
-        self.artifact = (
-            replace(plan.artifact, cached=True) if hit else plan.artifact
-        )
+        self.artifact = plan.hit_artifact if hit else plan.artifact
 
     def initialize(self, init: Sequence[np.ndarray]) -> None:
-        """Seed the window with the initial planes: allocated by the
-        first call after a new plan, re-seeded in place by later ones."""
-        # msc_run steps the window's storage in place
-        fresh = self._win is None
-        self._win = seed_window(
-            self.stencil.output, self._plan.history, init, self.boundary,
-            window=self._win,
-        )
-        if fresh:
+        """Seed the window with the initial planes (oldest first) in
+        one ``msc_seed`` call, which copies their interiors and fills
+        their halos: the window is allocated by the first call after a
+        new plan and seeded in place by later ones."""
+        self._t = None
+        plan = self._plan
+        if self._win is None:
+            # msc_run steps the window's storage in place
+            self._win = SlidingTimeWindow(self.stencil.output)
             self._win_ptr = self._win.data.ctypes.data_as(
-                ctypes.POINTER(self._plan.c_real)
+                ctypes.POINTER(plan.c_real)
             )
-        self._t = self._plan.history
+        rc = int(plan.lib.msc_seed(self._win_ptr, self._seed_pointers(init),
+                                   plan.history))
+        if rc != 0:
+            raise NativeRunError(f"msc_seed returned {rc}")
+        self._t = plan.history
+
+    def _seed_pointers(self, init: Sequence[np.ndarray]):
+        """``msc_seed``'s ``init``: the planes validated as
+        ``seed_window`` validates them (count, shape; cast to the
+        working dtype), made C-contiguous.  The pointer array is kept
+        while ``init`` holds the very planes it points into, their data
+        where it was and unchanged in dtype, shape and layout:
+        ``msc_seed`` reads their contents on every call.  A cast or
+        contiguous copy is never one of ``init``'s own planes, so it is
+        made again on every call and sees its source change; it is held
+        here while the pointers point into it."""
+        if self._seeds is not None:
+            planes, pointers, addresses = self._seeds
+            dtype, shape = self._seed_layout
+            if len(init) == len(planes) and all(
+                    given is plane and plane.ctypes.data == address
+                    and plane.dtype == dtype and plane.shape == shape
+                    and plane.flags.c_contiguous
+                    for given, plane, address in zip(init, planes,
+                                                     addresses)):
+                return pointers
+        out = self.stencil.output
+        planes = tuple(np.ascontiguousarray(p) for p in checked_seeds(
+            [out], {out.name: self._plan.history}, {out.name: init},
+            out.shape)[out.name])
+        addresses = [p.ctypes.data for p in planes]
+        pointers = (ctypes.c_void_p * max(len(planes), 1))(*addresses)
+        self._seeds = (planes, pointers, addresses)
+        return pointers
 
     def advance(self, steps: int) -> None:
         """Run ``steps`` sweeps inside the shared library."""
-        from ..obs import span
-
         if self._t is None:
             raise RuntimeError("call initialize() before advance()")
         if steps <= 0:

@@ -276,20 +276,12 @@ def static_planes(tensors: Mapping[str, object],
 
 
 def seed_window(out: SpNode, need: int, init: Sequence[np.ndarray],
-                boundary: str,
-                window: Optional[SlidingTimeWindow] = None
-                ) -> SlidingTimeWindow:
+                boundary: str) -> SlidingTimeWindow:
     """Whole-domain window of ``out`` holding its ``need`` initial
-    planes at t = 0 .. need-1, halos filled.  ``window`` (one this
-    function returned before for ``out``) is reset and seeded again in
-    place instead of allocated: each seed plane gets its interior
-    copied and its halo filled, so nothing of an earlier run shows."""
+    planes at t = 0 .. need-1, halos filled."""
     planes = checked_seeds([out], {out.name: need}, {out.name: init},
                            out.shape)[out.name]
-    if window is None:
-        window = SlidingTimeWindow(out)
-    else:
-        window.reset()
+    window = SlidingTimeWindow(out)
     for t, data in enumerate(planes):
         window.seed(t, data)
         fill_halo(window.plane(t), out.halo, boundary)
@@ -554,13 +546,15 @@ class BlockEngine:
                     self.plan_stats["lower"] += 1
                 terms.append(_Term(scale, app, lowered))
         self._whole = (tuple((0, s) for s in self.shape),)
-        self._cells = math.prod(self.shape)
-        #: cells each term of a stage has written in the current step
+        #: regions each term of a stage has written in the current step
         self._written = {
-            name: [0] * len(terms) for name, terms in self._terms.items()
+            name: [[] for _ in terms] for name, terms in self._terms.items()
         }
+        #: region sequences (one term's, one step's) known to tile the
+        #: block exactly: a steady step checks its cover by one lookup
+        self._covers: set = set()
         #: bound plans by (stage, term, window rotation, region)
-        self._plans: Dict[Tuple, Tuple[list, int]] = {}
+        self._plans: Dict[Tuple, list] = {}
         #: scratch registers by (region shape, dtype, register number),
         #: shared by every plan of that shape: plans run one at a time
         self._scratch: Dict[Tuple, np.ndarray] = {}
@@ -659,10 +653,9 @@ class BlockEngine:
 
     def _bind(self, stage: Stencil, first: bool, typed: TermProgram,
               planes: Sequence[np.ndarray], target: np.ndarray,
-              region: Tuple[Tuple[int, int], ...]) -> Tuple[list, int]:
-        """Bound plan of one term over ``region``: ``(calls, cells
-        written)``.  An access that leaves the padded buffer is
-        reported here."""
+              region: Tuple[Tuple[int, int], ...]) -> list:
+        """Bound plan of one term over ``region``: its calls.  An
+        access that leaves the padded buffer is reported here."""
         views = [
             _access_view(access, plane, self.halos[access.tensor.name],
                          region)
@@ -688,7 +681,7 @@ class BlockEngine:
             calls.append((np.add, (contribution, dst.dtype.type(0)), dst))
         else:
             calls.append((np.add, (dst, contribution), dst))
-        return calls, math.prod(shape)
+        return calls
 
     def compute(self, stage: Stencil, t: int,
                 regions: Optional[Callable[[Kernel], Iterable]] = None
@@ -721,11 +714,10 @@ class BlockEngine:
                         if len(plans) < _MAX_BOUND_PLANS:
                             plans[key] = plan
                         binds += 1
-                    calls, cells = plan
-                    for fn, args, out in calls:
+                    for fn, args, out in plan:
                         fn(*args, out=out)
-                    written[index] += cells
-                    ops += len(calls)
+                    written[index].append(region)
+                    ops += len(plan)
                     count += 1
             sp.set(ops=ops, regions=count)
         stats = self.plan_stats
@@ -743,7 +735,7 @@ class BlockEngine:
         is claimed *first*, so a read of the plane being overwritten
         fails (``SlidingTimeWindow.plane``), and a ``compute`` whose
         regions leave part of the block unwritten — it would keep the
-        recycled plane's old values — is rejected.
+        recycled plane's old values — or write a cell twice is rejected.
         """
         if self.t is None:
             raise RuntimeError("call initialize() before step()")
@@ -752,16 +744,42 @@ class BlockEngine:
             out = stage.output
             plane = self.windows[out.name].advance(t)
             written = self._written[out.name]
-            written[:] = [0] * len(written)
+            for regions in written:
+                regions.clear()
             (compute or self.compute)(stage, t)
-            if any(cells != self._cells for cells in written):
-                raise ValueError(
-                    f"step {t} of {out.name!r}: regions wrote {written} "
-                    f"cells per term of a block of {self._cells}; they "
-                    "must cover it exactly once"
-                )
+            for index, regions in enumerate(written):
+                if (regions := tuple(regions)) not in self._covers:
+                    self._check_cover(out.name, t, index, regions)
             self.refresh(out.name, out.halo, plane)
         self.t = t
+
+    def _check_cover(self, name: str, t: int, index: int,
+                     regions: Tuple) -> None:
+        """Raise unless ``regions`` — what term ``index`` of stage
+        ``name`` wrote in step ``t`` — tile the block: each inside it,
+        none overlapping another, together all of it.  A sequence that
+        passes is remembered, so a later step repeating it is one
+        lookup in :meth:`step`."""
+        cells = sum(math.prod(hi - lo for lo, hi in r) for r in regions)
+        inside = all(
+            len(r) == len(self.shape)
+            and all(0 <= lo <= hi <= n for (lo, hi), n in zip(r, self.shape))
+            for r in regions
+        )
+        if inside and cells == math.prod(self.shape):
+            covered = np.zeros(self.shape, dtype=bool)
+            for r in regions:
+                covered[tuple(slice(lo, hi) for lo, hi in r)] = True
+            # as many cells as the block, and every cell of it: each once
+            if covered.all():
+                if len(self._covers) < _MAX_BOUND_PLANS:
+                    self._covers.add(regions)
+                return
+        raise ValueError(
+            f"step {t} of {name!r}: term {index} wrote {len(regions)} "
+            f"region(s), {cells} cells, over a block of shape "
+            f"{self.shape}; they must cover it exactly once"
+        )
 
 
 class ScheduledExecutor:

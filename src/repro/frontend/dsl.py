@@ -24,7 +24,7 @@ the same vocabulary::
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +35,7 @@ from ..ir.kernel import Kernel as IRKernel, KernelApply
 from ..ir.pipeline import StagePipeline, as_pipeline
 from ..ir.stencil import Stencil as IRStencil, TIME_VAR
 from ..ir.tensor import SpNode
+from ..analysis import enforce
 from ..analysis.diagnostics import CheckReport
 from ..ir.validate import validate_stencil
 from ..obs import counter, span
@@ -55,6 +56,25 @@ __all__ = [
     "Result",
     "StencilProgram",
 ]
+
+
+@cache
+def _run_modules():
+    """The modules :meth:`StencilProgram.run` drives, imported at its
+    first call and then held: not with ``import repro``, and not per
+    call (three ``import`` statements cost more than a plan lookup)."""
+    from ..backend import native, numpy_backend
+    from ..runtime import executor
+
+    return native, numpy_backend, executor
+
+
+@cache
+def _machine_by_name(name: str):
+    """``machine_by_name`` (a fixed registry), imported at first use."""
+    from ..machine.spec import machine_by_name
+
+    return machine_by_name(name)
 
 
 def DefVar(name: str, dtype: DType = i32) -> VarExpr:
@@ -331,16 +351,12 @@ class StencilProgram:
     def _machine_spec(machine):
         if machine is None or not isinstance(machine, str):
             return machine
-        from ..machine.spec import machine_by_name
-
-        return machine_by_name(machine)
+        return _machine_by_name(machine)
 
     def _gate(self, machine, where: str,
               sched_key: Optional[Tuple] = None) -> None:
         """Pre-codegen/pre-run gate: log warnings, raise on errors —
         on every call; only the analysis behind it is memoised."""
-        from ..analysis import enforce
-
         enforce(self.check(machine, sched_key), where=where)
 
     # -- configuration -----------------------------------------------------------
@@ -440,11 +456,12 @@ class StencilProgram:
         memoised on the program's content, and the program keeps the
         executor of its last native run.  Repeating ``run`` on an
         unchanged program costs the gate's ``enforce`` (warnings are
-        logged and errors raised every time), one table and one plan lookup,
-        re-seeding the kept window in place (an interior copy and a
-        boundary fill per initial plane; auxiliary inputs are padded
-        again, so one changed in place is seen), ``msc_run`` and the
-        result copy — no allocation.  The program holds that executor
+        logged and errors raised every time), one table and one plan
+        lookup, re-seeding the kept window in place with the library's
+        ``msc_seed`` (an interior copy and a boundary fill per initial
+        plane; auxiliary inputs are padded again, so one changed in
+        place is seen), ``msc_run`` and the result copy — no
+        allocation.  The program holds that executor
         and its W padded planes until it is dropped or a run gets
         another plan.  Any change the generated code can see — a
         scheduling primitive, ``set_scalar``, the boundary,
@@ -455,12 +472,7 @@ class StencilProgram:
         ``exchange_mode`` (``basic``/``diag``/``overlap``) selects the
         halo-exchange wire protocol of distributed runs.
         """
-        from ..backend.native import (NativeBuildError, NativeExecutor,
-                                      NativeUnavailable, select_backend)
-        from ..backend.numpy_backend import ScheduledExecutor, reference_run
-        from ..runtime.executor import (UnsupportedRun, _run_distributed,
-                                        unsupported)
-
+        native, numpy_backend, executor = _run_modules()
         if self._initial is None:
             raise RuntimeError(
                 "no initial data: call set_initial()/input() first"
@@ -472,10 +484,15 @@ class StencilProgram:
                            and int(np.prod(self.mpi_grid)) > 1)
         facts = dict(distributed=distributed, stages=len(self.stages),
                      boundary=self.boundary, exchange_mode=exchange_mode)
-        # auto never picks an engine the table rejects
-        blocked = backend == "auto" and unsupported("native", **facts)
-        if miss := unsupported("numpy" if blocked else backend, **facts):
-            raise UnsupportedRun(miss)
+        # auto tries native first and never picks an engine the table
+        # rejects: one lookup unless native is blocked
+        miss = executor.unsupported(
+            "native" if backend == "auto" else backend, **facts)
+        blocked = backend == "auto" and miss
+        if blocked:
+            miss = executor.unsupported("numpy", **facts)
+        if miss:
+            raise executor.UnsupportedRun(miss)
         if not scheduled:
             label, why = ("numpy" if several else "reference"), "unscheduled"
         elif blocked:
@@ -485,7 +502,7 @@ class StencilProgram:
             # ``bind`` finds out whether the plan still fits
             label, why = "native", "kept executor"
         else:
-            label, why = select_backend(backend or "numpy")
+            label, why = native.select_backend(backend or "numpy")
         scheds = self.schedules() if scheduled else {}
         # one key for both memos: the report's and the plan's
         sched_key = schedule_key(scheds)
@@ -495,7 +512,7 @@ class StencilProgram:
         inputs = self._inputs or None
         scalars = self._scalars or None
         if distributed:
-            results, plans = _run_distributed(
+            results, plans = executor._run_distributed(
                 self.ir, seeds, timesteps, self.mpi_grid,
                 boundary=self.boundary, inputs=inputs, scalars=scalars,
                 exchange_mode=exchange_mode,
@@ -507,30 +524,31 @@ class StencilProgram:
         sweep = None
         run_info: Dict[str, object] = {}
         if label == "reference":
-            sweep = partial(reference_run, self.ir, init, timesteps,
-                            self.boundary, inputs=inputs, scalars=scalars)
+            sweep = partial(numpy_backend.reference_run, self.ir, init,
+                            timesteps, self.boundary, inputs=inputs,
+                            scalars=scalars)
         elif label == "native":
             # the last native run's executor, taken off the program so
             # that two threads running it never share one window
-            native = self._idle.pop("native", None)
+            kept = self._idle.pop("native", None)
             args = (self.ir, scheds, self.boundary)
             kw = dict(inputs=inputs, scalars=scalars, sched_key=sched_key)
             try:
-                if native is None:
-                    native = NativeExecutor(*args, **kw)
+                if kept is None:
+                    kept = native.NativeExecutor(*args, **kw)
                 else:
-                    native.bind(*args, **kw)
-                sweep = partial(native.run, init, timesteps)
+                    kept.bind(*args, **kw)
+                sweep = partial(kept.run, init, timesteps)
                 run_info = {
-                    "plan": "hit" if native.plan_hit else "miss",
-                    "artifact": native.artifact,
+                    "plan": "hit" if kept.plan_hit else "miss",
+                    "artifact": kept.artifact,
                 }
-            except (NativeUnavailable, NativeBuildError) as exc:
+            except (native.NativeUnavailable, native.NativeBuildError) as exc:
                 if backend == "native":
                     raise
                 label, why = "numpy", f"auto: {exc}"
         if sweep is None:
-            numpy_ex = ScheduledExecutor(
+            numpy_ex = numpy_backend.ScheduledExecutor(
                 self.ir, scheds, self.boundary,
                 inputs=inputs, scalars=scalars,
             )
@@ -545,7 +563,7 @@ class StencilProgram:
                   plan=run_info.get("plan", "-")):
             result = sweep()
         if label == "native":
-            self._idle["native"] = native  # for the next run to bind
+            self._idle["native"] = kept  # for the next run to bind
         counter("runtime.runs", backend=label, exchange_mode="none")
         return result
 

@@ -25,6 +25,7 @@ stencil programs can live in ``.msc`` files::
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -34,6 +35,7 @@ from ..ir.kernel import KernelApply
 from ..ir.pipeline import StagePipeline
 from ..ir.stencil import Stencil as IRStencil
 from ..ir.tensor import SpNode
+from ..ir.validate import validate_stencil
 from .dsl import Kernel as make_kernel, KernelHandle, StencilProgram
 
 __all__ = ["MSCSyntaxError", "Token", "tokenize", "ParsedProgram",
@@ -46,6 +48,16 @@ class MSCSyntaxError(SyntaxError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+@contextmanager
+def _at_line(line: int):
+    """Re-raise a ``ValueError`` — an IR constructor's refusal, or a
+    ``ValidationError`` — as an :class:`MSCSyntaxError` at ``line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise MSCSyntaxError(str(exc), line) from exc
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,10 @@ class _Parser:
         self.tensors: Dict[str, SpNode] = {}
         self.kernels: Dict[str, KernelHandle] = {}
         self.mpi_grid: Optional[Tuple[int, ...]] = None
-        self.stencils: List[Tuple[str, SpNode, Expr]] = []
+        #: line of the ``DefShapeMPI`` statement that set ``mpi_grid``
+        self.mpi_line = 1
+        #: (name, output, expression, line) per ``Stencil`` statement
+        self.stencils: List[Tuple[str, SpNode, Expr, int]] = []
         self.stencil_name: Optional[str] = None
         self.input_spec: Optional[Tuple[Optional[str], str, str]] = None
         self.run_spec: Optional[Tuple[int, int]] = None
@@ -179,8 +194,15 @@ class _Parser:
             self._statement()
 
     def _statement(self) -> None:
+        """One statement; what its IR constructors refuse (a window
+        under 2 planes, a misplaced loop variable ...) is reported at
+        the statement's first line."""
         tok = self._peek()
         assert tok is not None
+        with _at_line(tok.line):
+            self._dispatch(tok)
+
+    def _dispatch(self, tok: Token) -> None:
         if tok.text == "const":
             self._const_decl()
         elif tok.text == "DefVar":
@@ -282,7 +304,7 @@ class _Parser:
                 tok.line if tok else 1,
             )
         ndim = int(m.group(1))
-        self._next()
+        head = self._next()
         self._expect("(")
         self._expect_ident()  # the shape variable name
         dims = []
@@ -292,6 +314,7 @@ class _Parser:
         self._expect(")")
         self._accept(";")
         self.mpi_grid = tuple(dims)
+        self.mpi_line = head.line
 
     def _loop_var_list(self) -> Tuple[VarExpr, ...]:
         self._expect("(")
@@ -346,11 +369,12 @@ class _Parser:
         expr = self._expression()
         self._expect(")")
         self._expect(";")
-        if any(n == name.text for n, _, _ in self.stencils):
+        if any(entry[0] == name.text for entry in self.stencils):
             raise MSCSyntaxError(
                 f"stencil {name.text!r} redefined", name.line
             )
-        self.stencils.append((name.text, self.tensors[out.text], expr))
+        self.stencils.append(
+            (name.text, self.tensors[out.text], expr, tok.line))
         if self.stencil_name is None:
             self.stencil_name = name.text
 
@@ -578,13 +602,21 @@ def _parse_program(source: str) -> ParsedProgram:
     parser.parse()
     if not parser.stencils:
         raise MSCSyntaxError("program has no Stencil declaration", 1)
-    stages = [IRStencil(output, expr) for _, output, expr in parser.stencils]
-    program = StencilProgram.of(
-        stages[0] if len(stages) == 1 else StagePipeline(stages)
-    )
+    # each stage is reported at its Stencil statement, what only their
+    # combination gets wrong at the first
+    stages = []
+    for _, output, expr, line in parser.stencils:
+        with _at_line(line):
+            stages.append(IRStencil(output, expr))
+            validate_stencil(stages[-1])
+    with _at_line(parser.stencils[0][3]):
+        program = StencilProgram.of(
+            stages[0] if len(stages) == 1 else StagePipeline(stages)
+        )
     program.attach(*parser.kernels.values())
     if parser.mpi_grid is not None:
-        program.set_mpi_grid(parser.mpi_grid)
+        with _at_line(parser.mpi_line):
+            program.set_mpi_grid(parser.mpi_grid)
     if parser.input_spec is not None and parser.input_spec[2] == "random":
         program.input(None, parser.tensors[parser.input_spec[1]], "random")
     return ParsedProgram(

@@ -10,8 +10,6 @@ keeps ``W = deepest-dependency + 1`` planes and recycles the oldest
 executable backend: a ``(W, *padded_shape)`` array whose planes are
 addressed modulo W.  It is allocated for one *block* of the domain —
 the whole domain on one node, a rank's sub-domain when distributed.
-Storage outlives one run: :meth:`SlidingTimeWindow.reset` forgets the
-held steps, so the next run seeds the same planes in place.
 """
 
 from __future__ import annotations
@@ -52,11 +50,6 @@ class SlidingTimeWindow:
         self.data = np.zeros(
             (self.window, *padded), dtype=tensor.dtype.np_dtype
         )
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every held timestep but keep the storage, so the
-        window can be seeded again in place for another run."""
         #: timestep currently held by each slot; -10**9 = none
         self._held = [-(10 ** 9)] * self.window
         self.newest = -1

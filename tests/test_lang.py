@@ -1,6 +1,7 @@
 """Tests for the textual MSC language (lexer + parser)."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,8 +305,91 @@ def _mutated_sources(draw):
 @example(source=VALID_3D.replace("DefVar(j, i32)", "DefVar(j, i3)"))
 def test_mutated_programs_fail_only_with_named_errors(source):
     """Whatever the text, the parser returns a program or raises an
-    ``MSCSyntaxError`` or a ``ValueError`` subclass."""
+    ``MSCSyntaxError``."""
     try:
         parse_program(source)
-    except (MSCSyntaxError, ValueError):
+    except MSCSyntaxError:
         pass
+
+
+_EXAMPLES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.msc"))
+
+
+def _example_text(name):
+    return next(p for p in _EXAMPLES if p.name == name).read_text()
+
+
+@st.composite
+def _char_mutated_examples(draw):
+    """An ``examples/*.msc`` file with one to three character edits:
+    delete one, replace one, or insert one."""
+    chars = list(draw(st.sampled_from([p.read_text() for p in _EXAMPLES])))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars) - 1))
+        edit = draw(st.sampled_from(("delete", "replace", "insert")))
+        if edit == "delete":
+            del chars[at]
+        else:
+            piece = draw(st.sampled_from(
+                "0123456789ijtABUR_;,.()[]<>=+-*/ \n"))
+            chars[at:at + (edit == "replace")] = [piece]
+    return "".join(chars)
+
+
+def test_examples_exist():
+    assert {p.name for p in _EXAMPLES} >= {"heat2d.msc", "smoother.msc"}
+
+
+@given(source=_char_mutated_examples())
+@settings(max_examples=400)
+@example(source=_example_text("heat2d.msc").replace(
+    "DefTensor2D_TimeWin(A, 2, 1,", "DefTensor2D_TimeWin(A, 1, 1,"))
+@example(source=_example_text("heat2d.msc").replace(
+    "DefTensor2D_TimeWin(A, 2, 1,", "DefTensor2D_TimeWin(A, 2, 0,"))
+def test_mutated_examples_fail_only_with_syntax_errors(source):
+    """Whatever the edit, the parser returns a program or raises an
+    ``MSCSyntaxError`` — which names a line — and nothing else."""
+    try:
+        parse_program(source)
+    except MSCSyntaxError as exc:
+        assert re.match(r"line \d+: ", str(exc))
+
+
+class TestIRRefusalsNameTheirLine:
+    """What the IR constructors and the validator refuse is reported as
+    a syntax error at the declaration or ``Stencil`` statement."""
+
+    HEAT = _example_text("heat2d.msc")
+
+    def _line_of(self, text, needle):
+        return text[:text.index(needle)].count("\n") + 1
+
+    def test_window_too_small_at_its_declaration(self):
+        src = self.HEAT.replace("TimeWin(A, 2, 1,", "TimeWin(A, 1, 1,")
+        line = self._line_of(src, "DefTensor2D_TimeWin")
+        with pytest.raises(MSCSyntaxError,
+                           match=f"line {line}: time_window must be") as e:
+            parse_program(src)
+        assert e.value.line == line
+        assert isinstance(e.value.__cause__, ValueError)
+
+    def test_radius_past_the_halo_at_the_stencil_statement(self):
+        src = self.HEAT.replace("TimeWin(A, 2, 1,", "TimeWin(A, 2, 0,")
+        line = self._line_of(src, "Stencil st(")
+        with pytest.raises(MSCSyntaxError, match=(
+                f"(?s)line {line}: invalid stencil program:.*exceeds halo")):
+            parse_program(src)
+
+    def test_misplaced_loop_variable_at_the_kernel(self):
+        src = self.HEAT.replace("0.125*A[j,i-1]", "0.125*A[i,j-1]")
+        line = self._line_of(src, "Kernel S(")
+        with pytest.raises(MSCSyntaxError, match=f"line {line}: "):
+            parse_program(src)
+
+    def test_each_pipeline_stage_at_its_own_statement(self):
+        src = _example_text("smoother.msc").replace(
+            "R[t] << resid[t-1]", "R[t] << resid[t-5]")
+        line = self._line_of(src, "Stencil s2(")
+        with pytest.raises(MSCSyntaxError, match=f"line {line}: "):
+            parse_program(src)

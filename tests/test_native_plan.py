@@ -566,3 +566,164 @@ class TestGateStillEnforces:
         report = prog.check("cpu")
         report.add("X001", "error", "added by the caller")
         assert prog.check("cpu").ok
+
+
+# -- the library seeds the window (msc_seed) ---------------------------------
+
+
+@needs_cc
+class TestLibrarySeeds:
+    """``NativeExecutor.initialize`` is one ``msc_seed`` call: the
+    window it leaves is the one ``seed_window`` builds, byte for byte."""
+
+    @pytest.mark.parametrize("bench,grid", [("2d9pt_star", (12, 20)),
+                                            ("3d7pt_star", (6, 8, 10))])
+    @pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
+    def test_seeded_window_is_seed_windows(self, bench, grid, boundary,
+                                           rng):
+        from repro.backend.numpy_backend import seed_window
+
+        prog, _handle = benchmark_by_name(bench).build(
+            grid=grid, dtype=f64, boundary=boundary)
+        out = prog.ir.output
+        need = prog.ir.required_time_window - 1
+        init = [rng.random(grid) for _ in range(need)]
+        ex = NativeExecutor(prog.ir, prog.schedules(), boundary)
+        ex.initialize(init)
+        want = seed_window(out, need, init, boundary)
+        assert ex._win.data[:need].tobytes() == want.data[:need].tobytes()
+
+    def test_count_outside_the_window_writes_nothing(self):
+        prog, _handle, init = _star_program()
+        ex = NativeExecutor(prog.ir, prog.schedules(), prog.boundary)
+        ex.initialize(init)
+        before = ex._win.data.tobytes()
+        seeds = ex._seed_pointers(init)
+        for n in (-1, ex._plan.twin):
+            assert ex._plan.lib.msc_seed(ex._win_ptr, seeds, n) == 1
+        assert ex._win.data.tobytes() == before
+
+    def test_wrong_planes_are_rejected_before_the_call(self):
+        prog, _handle, init = _star_program()
+        ex = NativeExecutor(prog.ir, prog.schedules(), prog.boundary)
+        with pytest.raises(ValueError, match="needs 2 initial planes"):
+            ex.initialize(init[:1])
+        with pytest.raises(ValueError, match="has shape"):
+            ex.initialize([p[:8] for p in init])
+        with pytest.raises(RuntimeError, match="initialize"):
+            ex.advance(1)
+        assert ex.run(init, 2).tobytes() == _expected(prog, init, 2)
+
+    def test_pointer_array_follows_the_planes(self):
+        prog, _handle, init = _star_program()
+        ex = NativeExecutor(prog.ir, prog.schedules(), prog.boundary)
+        ex.initialize(init)
+        kept = ex._seeds[1]
+        ex.initialize(list(init))  # another list, the same planes
+        assert ex._seeds[1] is kept
+        # the same plane object, its data moved (numpy's unsafe resize)
+        address = init[1].ctypes.data
+        init[1].resize((512, 512), refcheck=False)
+        init[1].resize((16, 16), refcheck=False)
+        assert init[1].ctypes.data != address
+        ex.initialize(init)
+        assert ex._seeds[1] is not kept
+        ex.advance(2)
+        assert ex.result().tobytes() == _expected(prog, init, 2)
+        kept = ex._seeds[1]
+        init[0] = init[0].copy()  # one plane replaced
+        ex.initialize(init)
+        assert ex._seeds[1] is not kept
+        narrow = [p.astype(np.float32) for p in init]
+        ex.initialize(narrow)
+        copies = ex._seeds[0]
+        assert all(c.dtype == np.float64 for c in copies)
+        ex.initialize(narrow)  # a cast is made again on every call
+        assert ex._seeds[0][0] is not copies[0]
+
+
+def _invalidation_program(boundary, rng):
+    """``B[t] << 0.6*K[t-1] + 0.4*K[t-2]`` reading an aux ``C`` and a
+    scalar ``c0``: everything a warm run may have to see again."""
+    j, i = msc.indices("j i")
+    c0 = msc.DefVar("c0", msc.f64)
+    B = msc.DefTensor2D_TimeWin("B", 3, 1, msc.f64, 12, 16)
+    C = msc.DefTensor2D("C", 1, msc.f64, 12, 16)
+    K = msc.Kernel("K", (j, i), c0 * C[j, i] * B[j, i]
+                   + 0.125 * (B[j, i - 1] + B[j + 1, i])
+                   + 0.01 * C[j, i + 1])
+    t = msc.StencilProgram.t
+    prog = msc.StencilProgram(B, 0.6 * K[t - 1] + 0.4 * K[t - 2],
+                              boundary=boundary)
+    coeff = rng.random((12, 16))
+    prog.set_input("C", coeff).set_scalar("c0", 0.5)
+    prog.set_initial([rng.random((12, 16)) for _ in range(2)])
+    return prog, coeff
+
+
+def _strided(rng):
+    return [rng.random((24, 32))[::2, ::2] for _ in range(2)]
+
+
+#: one change between two warm runs, and the plan outcome it gives
+_CHANGES = {
+    "planes mutated in place":
+        (lambda prog, coeff, rng, env: [p.__imul__(1.5)
+                                        for p in prog._initial], "hit"),
+    "set_initial new arrays":
+        (lambda prog, coeff, rng, env: prog.set_initial(
+            [rng.random((12, 16)) for _ in range(2)]), "hit"),
+    "float32 planes":
+        (lambda prog, coeff, rng, env: prog.set_initial(
+            [rng.random((12, 16)).astype(np.float32)
+             for _ in range(2)]), "hit"),
+    "non-contiguous planes":
+        (lambda prog, coeff, rng, env: prog.set_initial(_strided(rng)),
+         "hit"),
+    "fortran-order planes":
+        (lambda prog, coeff, rng, env: prog.set_initial(
+            [np.asfortranarray(rng.random((12, 16))) for _ in range(2)]),
+         "hit"),
+    "set_scalar":
+        (lambda prog, coeff, rng, env: prog.set_scalar("c0", 0.75),
+         "miss"),
+    "REPRO_CACHE_DIR":
+        (lambda prog, coeff, rng, env: env(), "miss"),
+    "aux mutated in place":
+        (lambda prog, coeff, rng, env: coeff.__imul__(3.0), "hit"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("boundary", ["zero", "periodic", "reflect"])
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_warm_run_invalidation_matrix(change, boundary, rng, monkeypatch,
+                                      tmp_path):
+    """Whatever changed between two warm runs, the next run equals
+    ``reference_run`` bit for bit and the plan memo answers as before;
+    so does a run after the initial planes then change in place (the
+    kept pointer array, or a fresh cast, must read them again)."""
+    prog, coeff = _invalidation_program(boundary, rng)
+
+    def reference():
+        return reference_run(
+            prog.ir, prog._initial, 3, boundary, inputs={"C": coeff},
+            scalars=prog._scalars).tobytes()
+
+    def run_is(outcome):
+        with obs.capture() as (_tracer, reg):
+            got = prog.run(3, backend="native")
+        assert got.tobytes() == reference()
+        assert prog.last_run["plan"] == outcome
+        assert reg.counter_total("native.plan.hit") == (outcome == "hit")
+        assert reg.counter_total("native.plan.miss") == (outcome == "miss")
+
+    run_is("miss")
+    run_is("hit")
+    apply, outcome = _CHANGES[change]
+    apply(prog, coeff, rng, lambda: monkeypatch.setenv(
+        "REPRO_CACHE_DIR", str(tmp_path / "elsewhere")))
+    run_is(outcome)
+    for plane in prog._initial:
+        plane *= 0.5
+    run_is("hit")

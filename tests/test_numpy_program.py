@@ -472,6 +472,41 @@ class TestDirectWrite:
         with pytest.raises(ValueError, match="cover it exactly once"):
             engine.step(partial(engine.compute, regions=lambda _k: twice))
 
+    @pytest.mark.parametrize("regions", [
+        (((0, 8), (0, 16)), ((0, 8), (0, 16))),  # rows 8..15 never
+        (((0, 12), (0, 16)), ((4, 8), (0, 16))),  # 4..7 twice, 12.. never
+        (((0, 8), (0, 16)), ((8, 16), (0, 8)), ((4, 12), (0, 8))),
+    ])
+    def test_regions_with_the_right_cell_count_must_still_tile(
+            self, regions):
+        """The cell totals add up to the block's 256, yet part of the
+        block is never written and would keep the recycled plane."""
+        prog, init = _bench_program((16, 16))
+        engine = BlockEngine.serial(prog.ir, "periodic")
+        engine.seed({prog.ir.output.name: init})
+        with pytest.raises(ValueError, match="cover it exactly once"):
+            engine.step(partial(engine.compute, regions=lambda _k: regions))
+
+    def test_a_steady_step_checks_its_cover_by_lookup(self, monkeypatch):
+        """Each distinct region sequence is painted once; later steps
+        (and the other terms of the same kernel) only look it up."""
+        prog, handle = build_benchmark("2d9pt_star", grid=(24, 20))
+        handle.tile(5, 7, "xo", "xi", "yo", "yi")
+        init = [np.random.default_rng(4).random((24, 20))
+                for _ in range(2)]
+        checked = []
+        real_check = BlockEngine._check_cover
+
+        def counting_check(engine, name, t, index, regions):
+            checked.append((t, index))
+            real_check(engine, name, t, index, regions)
+
+        monkeypatch.setattr(BlockEngine, "_check_cover", counting_check)
+        ex = ScheduledExecutor(prog.ir, prog.schedules(), "zero")
+        got = ex.run(init, 6)
+        assert checked == [(2, 0)]
+        assert_same_bits(got, reference_run(prog.ir, init, 6, "zero"))
+
     def test_reading_the_slot_being_written_fails(self):
         """The slot is claimed before anything is computed, so a read
         of the plane being overwritten cannot be served from
