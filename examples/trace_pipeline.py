@@ -2,17 +2,14 @@
 
 Records hierarchical spans and metrics across schedule lowering, AOT
 code generation, the Sunway machine simulator and a distributed run
-(halo exchange over the simulated MPI runtime), then exports the
-recording in all three formats:
-
-- ``trace_pipeline.json``        — native, re-loadable by ``repro trace``;
-- ``trace_pipeline_chrome.json`` — open in chrome://tracing / Perfetto;
-- stdout                          — the ASCII summary tree.
+(halo exchange over the simulated MPI runtime), prints the ASCII
+summary tree and writes ``trace_pipeline.json``, a Chrome
+``trace_event`` file that opens in chrome://tracing / Perfetto and
+that ``repro trace`` reads back.
 
 Equivalent from the command line::
 
-    python -m repro simulate 3d7pt_star --machine sunway \\
-        --trace out.json --trace-format chrome
+    python -m repro simulate 3d7pt_star --machine sunway --trace out.json
     python -m repro trace out.json
 
 Run:  python examples/trace_pipeline.py
@@ -55,14 +52,11 @@ def main():
 
     print(ascii_summary(tr, reg))
 
-    outdir = tempfile.mkdtemp(prefix="msc-trace-")
-    native = os.path.join(outdir, "trace_pipeline.json")
-    chrome = os.path.join(outdir, "trace_pipeline_chrome.json")
-    write_trace(native, "json", tr, reg)
-    write_trace(chrome, "chrome", tr, reg)
-    print(f"\nwrote {native}")
-    print(f"  (summarize with: python -m repro trace {native})")
-    print(f"wrote {chrome} (open in chrome://tracing)")
+    path = os.path.join(tempfile.mkdtemp(prefix="msc-trace-"),
+                        "trace_pipeline.json")
+    write_trace(path, tr, reg)
+    print(f"\nwrote {path} (open in chrome://tracing)")
+    print(f"  (summarize with: python -m repro trace {path})")
 
     # the registry doubles as a programmatic query surface
     msgs = reg.counter_total("comm.messages")

@@ -18,14 +18,11 @@ Commands
   placement, written as a versioned ``BENCH_<name>.json``;
   ``--compare BASELINE.json`` gates on regressions (exit 1);
 - ``report EXPERIMENT`` — regenerate one table/figure of the paper;
-- ``trace FILE`` — summarize a saved execution trace (``--by-rank`` /
-  ``--distributed`` add the per-rank and flow-edge views);
-- ``monitor SOURCE`` — refreshing ASCII dashboard over a live run:
-  SOURCE is a ``--serve-metrics`` scrape URL or an ``--event-log``
-  JSONL file (``--once`` renders a single frame and exits);
-- ``critpath FILE`` — communication critical path and load-imbalance
-  report of a saved distributed trace; exits non-zero on a malformed
-  span DAG (orphan inbound flow edges, dangling parents);
+- ``trace FILE [--json]`` — summarize a saved execution trace; for a
+  trace of two or more ranks also the per-rank load-imbalance table,
+  the flow-edge counts and the communication critical path, exiting
+  non-zero on a malformed span DAG (orphan inbound flow edges,
+  dangling parents);
 - ``diff BASE CURRENT`` — align two runs (ledger ids, ``BENCH_*.json``
   documents or trace files) by the phase taxonomy, print a waterfall
   attributing the delta plus config drift; exits 1 on a gated
@@ -33,13 +30,13 @@ Commands
 - ``history WORKLOAD [--metric M] [--json]`` — per-metric trend over
   the run ledger with a deterministic change-point detector whose
   verdicts are annotated back into the ledger;
-- ``list`` — list the Table-4 benchmarks, report names, trace
-  exporters and instrumented subsystems.
+- ``list`` — list the Table-4 benchmarks, report names, the trace
+  file format and instrumented subsystems.
 
 ``run``, ``simulate``, ``tune``, ``verify``, ``check`` and ``compile``
-accept ``--trace FILE [--trace-format {json,chrome,summary}]`` to
-record an execution trace through the :mod:`repro.obs` layer;
-``chrome`` files load in ``chrome://tracing`` / Perfetto.
+accept ``--trace FILE`` to record an execution trace through the
+:mod:`repro.obs` layer as a Chrome ``trace_event`` file (it loads in
+``chrome://tracing`` / Perfetto).
 
 ``compile``, ``run`` and ``simulate`` gate on the static legality
 analyzer (:mod:`repro.analysis`) — error diagnostics abort, warnings
@@ -58,9 +55,8 @@ telemetry is set up and torn down: the span flight ring (on by default;
 narration), ``--trace``, and the run-ledger row that every
 ``run``/``simulate``/``tune``/``bench``/``verify`` appends
 (``~/.local/state/repro/ledger.db``; ``REPRO_LEDGER_DIR`` overrides the
-directory, ``REPRO_LEDGER=0`` opts out).  ``repro monitor`` tails the
-live surfaces; ``repro diff`` and ``repro history`` query the ledger;
-see ``docs/OBSERVABILITY.md``.
+directory, ``REPRO_LEDGER=0`` opts out).  ``repro diff`` and
+``repro history`` query the ledger; see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -81,14 +77,19 @@ _REPORTS = (
 
 def _add_trace_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None, metavar="FILE",
-                   help="record an execution trace to FILE")
-    p.add_argument("--trace-format", default="json",
-                   choices=["json", "chrome", "summary"],
-                   help="trace file format (default: json)")
+                   help="record an execution trace to FILE (Chrome "
+                        "trace_event JSON)")
+
+
+def _port(text: str) -> int:
+    if not text.isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a port in 0..65535")
+    return int(text)
 
 
 def _add_live_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--serve-metrics", default=None, type=int,
+    p.add_argument("--serve-metrics", default=None, type=_port,
                    metavar="PORT",
                    help="serve OpenMetrics + flight-recorder state on "
                         "127.0.0.1:PORT while the command runs "
@@ -247,28 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="regenerate a paper artefact")
     p.add_argument("experiment", choices=list(_REPORTS))
 
-    p = sub.add_parser("trace", help="summarize a saved trace file")
-    p.add_argument("file", help="trace file (repro json or chrome "
-                                "trace_event format)")
-    p.add_argument("--by-rank", action="store_true",
-                   help="print only the per-rank phase table")
-    p.add_argument("--distributed", action="store_true",
-                   help="add per-rank tables, flow-edge stats and the "
-                        "critical-path summary")
-
     p = sub.add_parser(
-        "monitor",
-        help="live ASCII dashboard over a running job's telemetry",
+        "trace",
+        help="summarize a saved trace file (with the critical path of "
+             "a distributed one)",
     )
-    p.add_argument("source",
-                   help="scrape URL (http://127.0.0.1:PORT from "
-                        "--serve-metrics) or an --event-log JSONL file")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame and exit (no screen refresh)")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="refresh period in seconds (default: 1.0)")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="scrape timeout in seconds (default: 5.0)")
+    p.add_argument("file", help="trace file (a --trace file or any "
+                                "Chrome trace_event JSON)")
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="print the critical path and imbalance report "
+                        "as JSON instead of the tables")
 
     p = sub.add_parser(
         "diff",
@@ -305,17 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not write change-point verdicts back into "
                         "the ledger")
 
-    p = sub.add_parser(
-        "critpath",
-        help="communication critical path of a saved distributed trace",
-    )
-    p.add_argument("file", help="trace file (repro json or chrome "
-                                "trace_event format)")
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="machine-readable output")
-
-    sub.add_parser("list", help="list benchmarks, reports and "
-                                "trace exporters")
+    sub.add_parser("list", help="list benchmarks, reports and the "
+                                "trace format")
     return parser
 
 
@@ -841,41 +821,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs.distributed import (
-        DistributedTrace,
-        extract_critical_path,
-        format_by_rank,
-        format_critical_path,
-    )
-    from .obs.export import _summarize, load_trace
-
-    doc = load_trace(args.file)
-    dt = DistributedTrace.from_doc(doc)
-    if args.by_rank:
-        print(format_by_rank(dt))
-        return 0
-    print(_summarize(doc.get("spans", []), doc.get("metrics", {})))
-    if args.distributed or len(dt.ranks) >= 2:
-        print()
-        print(format_by_rank(dt))
-    if args.distributed:
-        print()
-        print(f"flow edges: {len(dt.edges)} matched, "
-              f"{len(dt.dangling_out)} dangling outbound (dropped), "
-              f"{len(dt.orphan_in)} orphan inbound")
-        print()
-        print(format_critical_path(extract_critical_path(dt)))
-    return 0
-
-
-def _cmd_monitor(args) -> int:
-    from .obs.monitor import run_monitor
-
-    return run_monitor(args.source, once=args.once,
-                       interval=args.interval, timeout=args.timeout)
-
-
-def _cmd_critpath(args) -> int:
     import json
 
     from .obs.distributed import (
@@ -885,29 +830,36 @@ def _cmd_critpath(args) -> int:
         format_critical_path,
         imbalance_report,
     )
+    from .obs.export import _summarize, load_trace
 
-    dt = DistributedTrace.from_file(args.file)
-    problems = dt.validate()
+    doc = load_trace(args.file)
+    dt = DistributedTrace.from_doc(doc)
+    distributed = len(dt.ranks) >= 2
+    problems = dt.validate() if distributed else []
     if problems:
         print(f"error: malformed trace DAG in {args.file}:",
               file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
-    cp = extract_critical_path(dt)
-    rep = imbalance_report(dt)
     if args.as_json:
         print(json.dumps({
             "file": args.file,
             "ranks": dt.ranks,
-            "critical_path": cp.to_dict(),
-            "imbalance": rep.to_dict(),
+            "critical_path": extract_critical_path(dt).to_dict(),
+            "imbalance": imbalance_report(dt).to_dict(),
         }, indent=2))
         return 0
-    print(format_critical_path(cp))
-    if len(dt.ranks) >= 2:
+    print(_summarize(doc.get("spans", []), doc.get("metrics", {})))
+    if distributed:
         print()
-        print(format_by_rank(dt, rep))
+        print(format_by_rank(dt, imbalance_report(dt)))
+        print()
+        print(f"flow edges: {len(dt.edges)} matched, "
+              f"{len(dt.dangling_out)} dangling outbound (dropped), "
+              f"{len(dt.orphan_in)} orphan inbound")
+        print()
+        print(format_critical_path(extract_critical_path(dt)))
     return 0
 
 
@@ -970,14 +922,14 @@ def _cmd_history(args) -> int:
 def _cmd_list(_args) -> int:
     from .frontend.stencils import ALL_BENCHMARKS
     from .obs import INSTRUMENTED_SUBSYSTEMS
-    from .obs.export import EXPORT_FORMATS
 
     print("Table-4 benchmarks:")
     for bench in ALL_BENCHMARKS:
         print(f"  {bench.name:14s} {bench.ndim}D {bench.shape:4s} "
               f"radius {bench.radius}, {bench.points} points")
     print("reports:", ", ".join(_REPORTS))
-    print("trace exporters:", ", ".join(EXPORT_FORMATS))
+    print("trace file: Chrome trace_event (--trace FILE; "
+          "read with repro trace FILE)")
     print("bench workloads: <bench>@{sunway,matrix,cpu}, "
           "exchange:<bench>  (repro bench --list)")
     print("instrumented subsystems:",
@@ -995,8 +947,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "report": _cmd_report,
     "trace": _cmd_trace,
-    "monitor": _cmd_monitor,
-    "critpath": _cmd_critpath,
     "diff": _cmd_diff,
     "history": _cmd_history,
     "list": _cmd_list,
@@ -1011,7 +961,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         with obs.session(
             args.command,
             trace=getattr(args, "trace", None),
-            trace_format=getattr(args, "trace_format", "json"),
             serve=getattr(args, "serve_metrics", None),
             linger=getattr(args, "serve_linger", 0.0) or 0.0,
             event_log=getattr(args, "event_log", None),

@@ -8,15 +8,16 @@ package is the measurement substrate for those claims:
 - :mod:`repro.obs.trace`   — hierarchical spans with attributes, plus
   the bounded :class:`~repro.obs.trace.FlightRecorder` ring,
 - :mod:`repro.obs.metrics` — labeled counters/gauges/histograms,
-- :mod:`repro.obs.export`  — JSON, Chrome ``trace_event`` and ASCII
-  summary exporters,
+- :mod:`repro.obs.export`  — the Chrome ``trace_event`` trace file
+  (``--trace``), its loader and the ASCII summary,
 - :mod:`repro.obs.openmetrics` — OpenMetrics text exposition + strict
   parser (the ``/metrics`` scrape payload),
 - :mod:`repro.obs.events`  — structured JSONL event log
   (``--event-log`` / ``REPRO_EVENT_LOG``),
-- :mod:`repro.obs.live`    — metrics time-series sampler + localhost
-  scrape server (``--serve-metrics``),
-- :mod:`repro.obs.monitor` — the ``repro monitor`` ASCII dashboard,
+- :mod:`repro.obs.live`    — localhost scrape server
+  (``--serve-metrics``),
+- :mod:`repro.obs.distributed` — merged cross-rank timelines, flow
+  edges and the critical path (``repro trace``),
 - :mod:`repro.obs.perf`    — the performance observatory: statistical
   bench runner, span-based phase attribution and roofline reports
   (import explicitly: ``from repro.obs import perf``),
@@ -180,13 +181,13 @@ class Session:
 
 
 @contextmanager
-def session(command: str, *, trace=None, trace_format: str = "json",
-            serve=None, linger: float = 0.0, event_log=None):
+def session(command: str, *, trace=None, serve=None, linger: float = 0.0,
+            event_log=None):
     """Run one command under the CLI's telemetry; yields a :class:`Session`.
 
     It turns the flight ring on (:func:`~repro.obs.trace.flight_default`),
-    records every span under ``trace`` and writes them there in
-    ``trace_format`` on exit, installs the ``event_log`` (else
+    records every span under ``trace`` and writes them there as a Chrome
+    ``trace_event`` file on exit, installs the ``event_log`` (else
     ``$REPRO_EVENT_LOG``) sink, serves metrics on port ``serve`` until
     ``linger`` seconds after the block, and writes a ledger row for a
     :data:`~repro.obs.ledger.LEDGED_COMMANDS` command unless
@@ -233,29 +234,33 @@ def session(command: str, *, trace=None, trace_format: str = "json",
             from .export import write_trace
 
             try:
-                write_trace(trace, trace_format)
+                write_trace(trace)
             except OSError as exc:
                 print(f"error: cannot write trace: {exc}", file=sys.stderr)
                 run.rc = 1
             else:
-                print(f"trace written to {trace} ({trace_format}, "
+                print(f"trace written to {trace} (chrome trace_event, "
                       f"{len(tracer().records)} spans)")
 
 
 @contextmanager
 def _serving(port: int, linger: float):
-    """The ``--serve-metrics`` sampler + server around a command."""
+    """The ``--serve-metrics`` server around a command.
+
+    A port that cannot be bound is a :class:`ValueError` naming it,
+    raised before the command runs."""
     import time
 
-    from .live import MetricsSampler, TelemetryServer
+    from .live import TelemetryServer
 
     registry().enable()
-    sampler = MetricsSampler()
-    server = TelemetryServer(port=port, sampler=sampler)  # binds here
-    sampler.start()
+    try:
+        server = TelemetryServer(port=port)  # binds here
+    except (OSError, OverflowError) as exc:
+        raise ValueError(f"cannot serve telemetry on 127.0.0.1:{port}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
     server.start()
-    print(f"serving telemetry on {server.url}/metrics "
-          f"(also /flight, /series)")
+    print(f"serving telemetry on {server.url}/metrics (also /flight)")
     try:
         yield
     finally:
@@ -264,4 +269,3 @@ def _serving(port: int, linger: float):
                   f"at {server.url} ...")
             time.sleep(linger)
         server.stop()
-        sampler.stop(final_sample=False)

@@ -11,7 +11,7 @@ questions the paper's scaling claims hinge on:
 
 - :class:`DistributedTrace` — the merged model: per-rank span lists,
   matched flow edges, and structural validation (orphan inbound edges,
-  dangling parents — the malformed-DAG conditions ``repro critpath``
+  dangling parents — the malformed-DAG conditions ``repro trace``
   exits non-zero on);
 - :func:`extract_critical_path` — the longest dependency chain through
   the DAG with per-phase composition (which rank/phase actually gates
@@ -20,7 +20,7 @@ questions the paper's scaling claims hinge on:
 - :func:`imbalance_report` — per-rank phase self-times, max/median
   skew, the gating rank per exchange, and per-rank traffic skew;
 - :func:`format_by_rank` / :func:`format_critical_path` — the ASCII
-  tables behind ``repro trace --by-rank`` and ``repro critpath``.
+  tables ``repro trace`` prints for a trace of two or more ranks.
 
 Two kinds of path metrics coexist on purpose: the **wall-clock** walk
 reports where time actually went (informative, but timing jitters run
@@ -40,7 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .export import fmt_time, load_trace, trace_to_dict
+from .export import fmt_time, trace_to_dict
 from .metrics import MetricsRegistry, median
 from .perf.phases import PHASES, phase_of, self_times
 from .trace import Tracer
@@ -149,10 +149,6 @@ class DistributedTrace:
                   ) -> "DistributedTrace":
         doc = trace_to_dict(tr, reg)
         return cls.from_doc(doc)
-
-    @classmethod
-    def from_file(cls, path: str) -> "DistributedTrace":
-        return cls.from_doc(load_trace(path))
 
     # -- rank attribution ------------------------------------------------
     @staticmethod

@@ -4,9 +4,9 @@ Spans answer *where time went*; events answer *what happened*: one
 append-only JSON-lines file of leveled, timestamped, span-correlated
 records emitted at the pipeline's state changes — phase boundaries,
 exchange retries, injected faults, native-cache misses, autotune
-accept/reject steps.  A run's event log is the narration the
-``repro monitor`` dashboard tails, and it survives the process (unlike
-the in-memory flight ring).
+accept/reject steps.  A run's event log is its narration, readable
+with :func:`read_events`, and it survives the process (unlike the
+in-memory flight ring).
 
 Emission is **off by default** and free when off: :func:`emit` is one
 ``None`` check until a sink is installed (:func:`repro.obs.session`

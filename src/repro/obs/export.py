@@ -1,18 +1,14 @@
-"""Exporters for recorded traces and metrics.
+"""The one on-disk trace format and its readers.
 
-Three formats:
-
-- ``json``    — the native format: full span records plus a metrics
-  snapshot, re-loadable by ``repro trace``;
-- ``chrome``  — the Chrome ``trace_event`` format (complete events,
-  ``ph: "X"``), loadable in ``chrome://tracing`` or Perfetto; one track
-  (tid) per recording thread, so simulated MPI ranks show as parallel
-  timelines;
-- ``summary`` — a human-readable ASCII tree aggregating spans by call
-  path (count / total / self / avg time) followed by the metrics.
-
-``summarize_trace_file`` re-renders the summary from a saved file of
-either on-disk format.
+``--trace FILE`` writes the Chrome ``trace_event`` document
+(:func:`export_chrome`): complete events (``ph: "X"``) loadable in
+``chrome://tracing`` or Perfetto, one track (tid) per recording thread,
+so simulated MPI ranks show as parallel timelines.  :func:`load_trace`
+reads it back losslessly into the in-memory span dict of
+:func:`trace_to_dict` (also the layout of native files written by
+earlier versions, which it still reads), and :func:`ascii_summary`
+renders the span tree aggregated by call path (count / total / self /
+avg time) followed by the metrics, as ``repro trace FILE`` prints it.
 """
 
 from __future__ import annotations
@@ -24,27 +20,22 @@ from .metrics import MetricsRegistry, registry
 from .trace import Tracer, tracer
 
 __all__ = [
-    "EXPORT_FORMATS",
     "fmt_time",
     "trace_to_dict",
-    "export_json",
     "export_chrome",
     "ascii_summary",
     "write_trace",
     "load_trace",
-    "summarize_trace_file",
 ]
-
-EXPORT_FORMATS = ("json", "chrome", "summary")
 
 NATIVE_FORMAT = "repro-trace"
 NATIVE_VERSION = 1
 
 
-# -- native format -------------------------------------------------------
+# -- span dict -------------------------------------------------------------
 def trace_to_dict(tr: Optional[Tracer] = None,
                   reg: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
-    """The native serialisation: sorted span records + metrics."""
+    """Sorted span records + metrics: what :func:`load_trace` returns."""
     tr = tr or tracer()
     reg = reg or registry()
     spans = sorted(tr.records, key=lambda s: (s.start_s, s.span_id))
@@ -55,11 +46,6 @@ def trace_to_dict(tr: Optional[Tracer] = None,
         "spans": [s.to_dict() for s in spans],
         "metrics": reg.snapshot(),
     }
-
-
-def export_json(tr: Optional[Tracer] = None,
-                reg: Optional[MetricsRegistry] = None) -> str:
-    return json.dumps(trace_to_dict(tr, reg), indent=2)
 
 
 # -- Chrome trace_event format -------------------------------------------
@@ -247,20 +233,10 @@ def ascii_summary(tr: Optional[Tracer] = None,
 
 
 # -- file I/O ------------------------------------------------------------
-def write_trace(path: str, fmt: str = "json",
-                tr: Optional[Tracer] = None,
+def write_trace(path: str, tr: Optional[Tracer] = None,
                 reg: Optional[MetricsRegistry] = None) -> None:
-    """Serialise the recorded trace to ``path`` in ``fmt``."""
-    if fmt == "json":
-        text = export_json(tr, reg)
-    elif fmt == "chrome":
-        text = export_chrome(tr, reg)
-    elif fmt == "summary":
-        text = ascii_summary(tr, reg) + "\n"
-    else:
-        raise ValueError(
-            f"unknown trace format {fmt!r}; known: {EXPORT_FORMATS}"
-        )
+    """Write the recorded trace to ``path`` as a Chrome trace_event file."""
+    text = export_chrome(tr, reg)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -329,15 +305,16 @@ def _spans_from_chrome(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def load_trace(path: str) -> Dict[str, Any]:
-    """Load a saved trace file (native or chrome) into the native dict."""
+    """Load a saved trace file (chrome, or native from earlier versions)
+    into the :func:`trace_to_dict` layout."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path} is not a trace file (invalid JSON at line "
-                f"{exc.lineno}: {exc.msg}) — was it saved with "
-                f"--trace-format summary?"
+                f"{exc.lineno}: {exc.msg}) — a --trace file is Chrome "
+                f"trace_event JSON"
             ) from None
     if isinstance(doc, dict) and doc.get("format") == NATIVE_FORMAT:
         return doc
@@ -363,9 +340,3 @@ def load_trace(path: str) -> Dict[str, Any]:
     raise ValueError(
         f"{path} is neither a repro trace nor a Chrome trace_event file"
     )
-
-
-def summarize_trace_file(path: str) -> str:
-    """ASCII summary of a saved trace file (either format)."""
-    doc = load_trace(path)
-    return _summarize(doc.get("spans", []), doc.get("metrics", {}))

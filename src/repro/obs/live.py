@@ -1,191 +1,23 @@
-"""Live telemetry (``repro.obs.live``): time-series sampler + scrape server.
+"""Live telemetry (``repro.obs.live``): the localhost scrape server.
 
-The batch obs layer reports end-of-run totals; this module makes them
-*rates over time* while the run is still going:
-
-- :class:`MetricsSampler` — snapshots the :class:`MetricsRegistry` at a
-  fixed period (background daemon thread, or deterministically via
-  :meth:`~MetricsSampler.sample_once` in tests) into per-series ring
-  buffers, deriving last/rate/min/max per window.  Counters like
-  ``comm.bytes_sent`` become byte rates; histogram series contribute
-  their observation counts.
-- :class:`TelemetryServer` — a stdlib ``http.server`` scrape endpoint
-  (127.0.0.1 only) behind the CLI's ``--serve-metrics PORT``:
-  ``GET /metrics`` returns the OpenMetrics exposition, ``GET /flight``
-  the flight-recorder accounting + top-k hot spans, ``GET /series``
-  the sampler's windowed summary.  This is the surface the ROADMAP's
-  compilation-as-a-service front (and ``repro monitor``) scrapes.
-
-Everything here is bounded: series rings hold ``capacity`` points and
-evict the oldest, mirroring the flight recorder's never-grow contract.
+:class:`TelemetryServer` is a stdlib ``http.server`` endpoint
+(127.0.0.1 only) behind the CLI's ``--serve-metrics PORT``:
+``GET /metrics`` returns the OpenMetrics exposition of the registry,
+``GET /flight`` the flight-recorder accounting + top-k hot spans.
+Both are read at request time, so a scrape sees the run as it is.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from .metrics import MetricsRegistry, format_series, registry
+from .metrics import MetricsRegistry, registry
 from .trace import FlightRecorder, tracer
 
-__all__ = [
-    "MetricsSampler",
-    "TelemetryServer",
-    "DEFAULT_SAMPLE_PERIOD_S",
-    "DEFAULT_SERIES_CAPACITY",
-]
-
-#: default sampler period (seconds)
-DEFAULT_SAMPLE_PERIOD_S = 0.5
-#: default points kept per series ring
-DEFAULT_SERIES_CAPACITY = 240
-
-
-class _SeriesRing:
-    """Ring of (t, value) points for one metric series."""
-
-    __slots__ = ("kind", "points")
-
-    def __init__(self, kind: str, capacity: int):
-        self.kind = kind
-        self.points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
-
-    def stats(self) -> Dict[str, Any]:
-        pts = list(self.points)
-        values = [v for _, v in pts]
-        out: Dict[str, Any] = {
-            "kind": self.kind,
-            "points": len(pts),
-            "last": values[-1] if values else 0.0,
-            "min": min(values) if values else 0.0,
-            "max": max(values) if values else 0.0,
-        }
-        # counters are monotone: rate over the buffered window
-        if self.kind == "counter" and len(pts) >= 2:
-            (t0, v0), (t1, v1) = pts[0], pts[-1]
-            dt = t1 - t0
-            out["rate"] = (v1 - v0) / dt if dt > 0 else 0.0
-        else:
-            out["rate"] = 0.0
-        return out
-
-
-class MetricsSampler:
-    """Periodic registry snapshots into bounded per-series rings.
-
-    Deterministic core: :meth:`sample_once` takes an explicit ``now``
-    (seconds on the tracer's monotonic timebase) so tests drive the
-    sampler without threads or sleeps.  :meth:`start` runs the same
-    method on a daemon thread every ``period_s`` until :meth:`stop`.
-    """
-
-    def __init__(self, reg: Optional[MetricsRegistry] = None,
-                 period_s: float = DEFAULT_SAMPLE_PERIOD_S,
-                 capacity: int = DEFAULT_SERIES_CAPACITY):
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if capacity < 2:
-            raise ValueError("capacity must be >= 2 (rates need 2 points)")
-        self.registry = reg if reg is not None else registry()
-        self.period_s = period_s
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._series: Dict[str, _SeriesRing] = {}
-        self._samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # -- deterministic core ---------------------------------------------
-    def sample_once(self, now: Optional[float] = None) -> int:
-        """Take one snapshot; returns the number of live series.
-
-        ``now`` defaults to the tracer's current monotonic offset so
-        sampled timestamps share the span timebase.
-        """
-        t = tracer().now_s() if now is None else float(now)
-        raw = self.registry.raw_snapshot()
-        with self._lock:
-            self._samples += 1
-            for kind, series in (("counter", raw["counters"]),
-                                 ("gauge", raw["gauges"])):
-                for key, value in series.items():
-                    name = format_series(key)
-                    ring = self._series.get(name)
-                    if ring is None:
-                        ring = self._series[name] = _SeriesRing(
-                            kind, self.capacity
-                        )
-                    ring.points.append((t, float(value)))
-            # histograms contribute their observation count as a rate
-            for key, values in raw["histograms"].items():
-                name = format_series(key) + ".count"
-                ring = self._series.get(name)
-                if ring is None:
-                    ring = self._series[name] = _SeriesRing(
-                        "counter", self.capacity
-                    )
-                ring.points.append((t, float(len(values))))
-            return len(self._series)
-
-    # -- reading ---------------------------------------------------------
-    @property
-    def samples(self) -> int:
-        """Snapshots taken so far."""
-        return self._samples
-
-    def series_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._series)
-
-    def series_stats(self, name: str) -> Dict[str, Any]:
-        """Windowed stats for one formatted series name (KeyError if unknown)."""
-        with self._lock:
-            return self._series[name].stats()
-
-    def series_points(self, name: str) -> List[Tuple[float, float]]:
-        with self._lock:
-            return list(self._series[name].points)
-
-    def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Windowed last/rate/min/max for every tracked series."""
-        with self._lock:
-            return {name: ring.stats()
-                    for name, ring in sorted(self._series.items())}
-
-    def rate(self, name: str) -> float:
-        """Counter rate (units/second) over the buffered window; 0 if unknown."""
-        with self._lock:
-            ring = self._series.get(name)
-        return ring.stats()["rate"] if ring is not None else 0.0
-
-    # -- background thread ----------------------------------------------
-    def start(self) -> None:
-        """Start sampling every ``period_s`` on a daemon thread."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.period_s):
-                self.sample_once()
-
-        self._thread = threading.Thread(
-            target=loop, name="obs-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, final_sample: bool = True) -> None:
-        """Stop the thread; optionally take one last closing snapshot."""
-        self._stop.set()
-        t = self._thread
-        if t is not None:
-            t.join(timeout=5.0)
-            self._thread = None
-        if final_sample:
-            self.sample_once()
+__all__ = ["TelemetryServer"]
 
 
 class TelemetryServer:
@@ -195,7 +27,6 @@ class TelemetryServer:
 
         GET /metrics  -> OpenMetrics text (the registry, right now)
         GET /flight   -> JSON flight-recorder accounting + top-k spans
-        GET /series   -> JSON sampler summary (404 without a sampler)
 
     Binds 127.0.0.1 only — telemetry is for the operator's tunnel, not
     the open network.  ``port=0`` picks a free port (see :attr:`port`).
@@ -203,10 +34,8 @@ class TelemetryServer:
 
     def __init__(self, port: int = 0,
                  reg: Optional[MetricsRegistry] = None,
-                 sampler: Optional[MetricsSampler] = None,
                  recorder: Optional[FlightRecorder] = None):
         self.registry = reg if reg is not None else registry()
-        self.sampler = sampler
         self._recorder = recorder
         self._scrapes = 0
         server = self
@@ -225,14 +54,6 @@ class TelemetryServer:
                 elif path == "/flight":
                     body = json.dumps(
                         server.flight_payload(), indent=2, default=str
-                    ).encode("utf-8")
-                    ctype = "application/json"
-                elif path == "/series":
-                    if server.sampler is None:
-                        self.send_error(404, "no sampler attached")
-                        return
-                    body = json.dumps(
-                        server.sampler.summary(), indent=2, default=str
                     ).encode("utf-8")
                     ctype = "application/json"
                 else:

@@ -254,9 +254,9 @@ class MetricsRegistry:
         """Point-in-time copy keyed by ``(name, labels)`` tuples.
 
         Unlike :meth:`snapshot` nothing is formatted or summarised —
-        histogram series keep their raw observation lists — so exporters
-        (OpenMetrics, the live sampler) can aggregate on their own
-        terms.  Taken under the registry lock: never torn.
+        histogram series keep their raw observation lists — so the
+        OpenMetrics exporter can aggregate on its own terms.  Taken
+        under the registry lock: never torn.
         """
         with self._lock:
             return {

@@ -4,7 +4,7 @@ The scrape surface for the metrics registry: :func:`render` turns a raw
 registry snapshot into the `OpenMetrics text format
 <https://prometheus.io/docs/specs/om/open_metrics_spec/>`_ that any
 Prometheus-compatible collector understands, and :func:`parse` is the
-deliberately *strict* inverse used by tests and the CI monitor-smoke
+deliberately *strict* inverse used by tests and the CI serve-smoke
 lane to prove the payload is well-formed (not merely "looks like text").
 
 Mapping from registry series to exposition families:

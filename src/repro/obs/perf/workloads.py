@@ -330,7 +330,8 @@ def _telemetry_overhead_workload(steps: int = 16,
 
     Runs one single-node stencil execution repeatedly in two obs
     configurations — everything off, and the always-on default (flight
-    recorder + metrics registry + live sampler) — interleaved A/B.
+    recorder + metrics registry, as :func:`repro.obs.session` sets up
+    every command without ``--serve-metrics``) — interleaved A/B.
     The overhead estimate is the *median of per-pair ratios*: the two
     runs of a pair are temporally adjacent, so slow host drift cancels
     within each pair, and the median across pairs sheds the occasional
@@ -348,7 +349,6 @@ def _telemetry_overhead_workload(steps: int = 16,
         import numpy as np
 
         from ... import obs
-        from ...obs.live import DEFAULT_SAMPLE_PERIOD_S, MetricsSampler
         from ...obs.trace import preserved
 
         # enough work per run (tens of ms) that the fixed per-span cost
@@ -377,7 +377,6 @@ def _telemetry_overhead_workload(steps: int = 16,
         times_off = []
         times_on = []
         fl_kept = fl_dropped = 0
-        sampler_samples = 0
         with preserved():
             one_run()  # warm caches outside both measurement arms
             for _ in range(pairs):
@@ -386,21 +385,13 @@ def _telemetry_overhead_workload(steps: int = 16,
                 tr.disable_flight()
                 reg.disable()
                 times_off.append(one_run())
-                # arm B: the always-on default (flight ring + metrics
-                # + background sampler at its *default* period — a
-                # faster one would measure a config nobody runs), full
-                # recording still off
+                # arm B: the always-on default (flight ring + metrics),
+                # full recording still off
                 fl = tr.enable_flight()
                 reg.enable()
-                sampler = MetricsSampler(reg, period_s=DEFAULT_SAMPLE_PERIOD_S)
-                sampler.start()
-                try:
-                    times_on.append(one_run())
-                finally:
-                    sampler.stop(final_sample=True)
+                times_on.append(one_run())
                 fl_kept += fl.kept
                 fl_dropped += fl.dropped
-                sampler_samples += sampler.samples
         frac = median([
             (on - off) / off
             for off, on in zip(times_off, times_on) if off > 0
@@ -412,7 +403,6 @@ def _telemetry_overhead_workload(steps: int = 16,
             "telemetry.median_off_s": median(times_off),
             "telemetry.flight_spans": float(fl_kept),
             "telemetry.flight_dropped": float(fl_dropped),
-            "telemetry.sampler_samples": float(sampler_samples),
         })
 
     return Workload(
@@ -431,8 +421,6 @@ def _telemetry_overhead_workload(steps: int = 16,
                                                  gate=False),
             "telemetry.flight_dropped": MetricSpec("spans", "lower",
                                                    gate=False),
-            "telemetry.sampler_samples": MetricSpec("", "higher",
-                                                    gate=False),
         },
         meta={
             "kind": "telemetry-overhead",

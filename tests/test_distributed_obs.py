@@ -18,7 +18,7 @@ from repro.obs.distributed import (
     format_critical_path,
     imbalance_report,
 )
-from repro.obs.export import export_chrome, export_json, trace_to_dict
+from repro.obs.export import export_chrome, trace_to_dict
 from repro.runtime.simmpi import run_ranks
 
 
@@ -305,7 +305,7 @@ class TestImbalance:
 
     def test_report_survives_json_round_trip(self):
         tr, reg = _captured_exchange()
-        doc = json.loads(export_json(tr, reg))
+        doc = json.loads(json.dumps(trace_to_dict(tr, reg)))
         rep = imbalance_report(DistributedTrace.from_doc(doc))
         live = imbalance_report(DistributedTrace.from_live(tr, reg))
         assert rep.bytes_by_rank == live.bytes_by_rank
@@ -373,7 +373,7 @@ class TestChromeFlowEvents:
         tr, reg = _captured_exchange()
         live = DistributedTrace.from_live(tr, reg)
         path = tmp_path / "t.chrome.json"
-        write_trace(str(path), "chrome", tr, reg)
+        write_trace(str(path), tr, reg)
         loaded = DistributedTrace.from_doc(load_trace(str(path)))
         assert loaded.ranks == live.ranks
         assert len(loaded.edges) == len(live.edges)

@@ -1,5 +1,5 @@
-"""Tests for the live-telemetry layer: flight recorder, metrics
-sampler, OpenMetrics exposition, event log, and ``repro monitor``."""
+"""Tests for the live-telemetry layer: flight recorder, OpenMetrics
+exposition, event log, and the ``--serve-metrics`` scrape server."""
 
 import json
 import socket
@@ -20,18 +20,8 @@ from repro.obs import (
 from repro.obs import events as obs_events
 from repro.obs import openmetrics
 from repro.obs.events import EventLog, install, read_events, uninstall
-from repro.obs.export import summarize_trace_file, write_trace
-from repro.obs.live import (
-    DEFAULT_SAMPLE_PERIOD_S,
-    MetricsSampler,
-    TelemetryServer,
-)
-from repro.obs.monitor import (
-    collect_from_events,
-    collect_from_url,
-    render,
-    run_monitor,
-)
+from repro.obs.export import load_trace, write_trace
+from repro.obs.live import TelemetryServer
 from repro.obs.openmetrics import OpenMetricsError
 from repro.obs.trace import Span
 
@@ -173,104 +163,6 @@ class TestTracerFlightMode:
 
 
 # ---------------------------------------------------------------------------
-# metrics sampler
-# ---------------------------------------------------------------------------
-
-class TestMetricsSampler:
-    def test_counter_rate_over_window(self):
-        reg = registry()
-        reg.enable()
-        sampler = MetricsSampler(reg, capacity=16)
-        reg.counter("net.bytes", 100)
-        sampler.sample_once(now=0.0)
-        reg.counter("net.bytes", 200)
-        sampler.sample_once(now=0.5)
-        reg.counter("net.bytes", 300)
-        sampler.sample_once(now=2.0)
-        # (600 - 100) / (2.0 - 0.0)
-        assert sampler.rate("net.bytes") == pytest.approx(250.0)
-        stats = sampler.series_stats("net.bytes")
-        assert stats["kind"] == "counter"
-        assert stats["last"] == 600.0
-        assert stats["min"] == 100.0
-        assert stats["max"] == 600.0
-        assert stats["points"] == 3
-
-    def test_gauge_has_no_rate(self):
-        reg = registry()
-        reg.enable()
-        sampler = MetricsSampler(reg, capacity=4)
-        reg.gauge("depth", 3.0)
-        sampler.sample_once(now=0.0)
-        reg.gauge("depth", 9.0)
-        sampler.sample_once(now=1.0)
-        stats = sampler.series_stats("depth")
-        assert stats["kind"] == "gauge"
-        assert stats["rate"] == 0.0
-        assert stats["last"] == 9.0
-
-    def test_histogram_contributes_count_series(self):
-        reg = registry()
-        reg.enable()
-        sampler = MetricsSampler(reg, capacity=4)
-        reg.observe("lat", 1.0)
-        reg.observe("lat", 2.0)
-        sampler.sample_once(now=0.0)
-        reg.observe("lat", 3.0)
-        sampler.sample_once(now=1.0)
-        assert sampler.rate("lat.count") == pytest.approx(1.0)
-
-    def test_series_ring_is_bounded(self):
-        reg = registry()
-        reg.enable()
-        sampler = MetricsSampler(reg, capacity=3)
-        reg.counter("c")
-        for t in range(10):
-            sampler.sample_once(now=float(t))
-        assert len(sampler.series_points("c")) == 3
-        # oldest points evicted: window is the last three samples
-        assert [t for t, _ in sampler.series_points("c")] == [7.0, 8.0, 9.0]
-        assert sampler.samples == 10
-
-    def test_labelled_series_stay_separate(self):
-        reg = registry()
-        reg.enable()
-        reg.counter("c", 1, rank=0)
-        reg.counter("c", 5, rank=1)
-        sampler = MetricsSampler(reg, capacity=4)
-        sampler.sample_once(now=0.0)
-        names = sampler.series_names()
-        assert any("rank=0" in n for n in names)
-        assert any("rank=1" in n for n in names)
-        summary = sampler.summary()
-        assert len(summary) == 2
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsSampler(registry(), period_s=0.0)
-        with pytest.raises(ValueError):
-            MetricsSampler(registry(), capacity=1)
-
-    def test_unknown_series_rate_is_zero(self):
-        sampler = MetricsSampler(registry())
-        assert sampler.rate("nope") == 0.0
-        with pytest.raises(KeyError):
-            sampler.series_stats("nope")
-
-    def test_background_thread_start_stop(self):
-        reg = registry()
-        reg.enable()
-        reg.counter("c", 7)
-        sampler = MetricsSampler(reg, period_s=DEFAULT_SAMPLE_PERIOD_S)
-        sampler.start()
-        sampler.start()  # idempotent
-        sampler.stop(final_sample=True)
-        # the closing snapshot guarantees at least one sample, no sleeps
-        assert sampler.samples >= 1
-        assert sampler.series_stats("c")["last"] == 7.0
-
-
-# ---------------------------------------------------------------------------
 # thread-safety under concurrent writers (satellite: barrier-based)
 # ---------------------------------------------------------------------------
 
@@ -279,14 +171,24 @@ class TestConcurrentObs:
     PER_RANK = 200
 
     def test_no_lost_updates_no_torn_snapshots(self):
-        """Rank threads hammer counter/observe/span while the sampler
-        snapshots concurrently: exact totals, monotone counter series,
-        bounded ring.  Synchronisation is a start barrier + joins — no
-        sleeps, and every assertion is on deterministic final state."""
+        """Rank threads hammer counter/observe/span while registry
+        snapshots (what ``/metrics`` renders) are taken concurrently:
+        exact totals, monotone counter series, bounded ring.
+        Synchronisation is a start barrier + joins — no sleeps, and
+        every assertion is on deterministic final state."""
         reg = registry()
         reg.enable()
         fl = obs.enable_flight(capacity=64)
-        sampler = MetricsSampler(reg, capacity=4096)
+        snapshots = []
+
+        def snapshot():
+            # what /metrics renders: counters plus histogram counts
+            raw = reg.raw_snapshot()
+            counts = dict(raw["counters"])
+            counts.update({("count", key): len(values)
+                           for key, values in raw["histograms"].items()})
+            snapshots.append(counts)
+
         start = threading.Barrier(self.N_RANKS + 1)
         done = threading.Event()
 
@@ -306,12 +208,12 @@ class TestConcurrentObs:
         start.wait()  # release all ranks at once
         # snapshot as fast as possible while the writers run
         while not done.is_set():
-            sampler.sample_once()
+            snapshot()
             if all(not t.is_alive() for t in threads):
                 done.set()
         for t in threads:
             t.join()
-        sampler.sample_once()  # closing snapshot sees the final totals
+        snapshot()  # closing snapshot sees the final totals
 
         total = self.N_RANKS * self.PER_RANK
         # no lost counter increments, per rank or in aggregate
@@ -325,18 +227,15 @@ class TestConcurrentObs:
         assert len(fl) <= 64
         c = fl.counts()
         assert c["buffered"] == c["kept"] - c["dropped"]
-        # no torn snapshots: counters only increment, so every sampled
-        # series must be monotone non-decreasing over time
-        for name in sampler.series_names():
-            stats = sampler.series_stats(name)
-            if stats["kind"] != "counter":
-                continue
-            values = [v for _, v in sampler.series_points(name)]
-            assert values == sorted(values), f"non-monotone series {name}"
-        # the final sample observed the exact totals
-        per_rank = [sampler.series_stats(n)["last"]
-                    for n in sampler.series_names()
-                    if n.startswith("ts.ops")]
+        # no torn snapshots: counters and histogram counts only grow,
+        # so every series must be monotone non-decreasing over time
+        for key in snapshots[-1]:
+            values = [snap.get(key, 0) for snap in snapshots]
+            assert values == sorted(values), f"non-monotone series {key}"
+        # the final snapshot observed the exact totals
+        per_rank = [v for key, v in snapshots[-1].items()
+                    if key[0] == "ts.ops"]
+        assert len(per_rank) == self.N_RANKS
         assert sum(per_rank) == total
 
 
@@ -498,16 +397,8 @@ class TestEventLog:
 
 
 # ---------------------------------------------------------------------------
-# telemetry server + monitor
+# telemetry server
 # ---------------------------------------------------------------------------
-
-def _free_closed_port():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
 
 class TestTelemetryServer:
     def test_scrape_metrics_flight_series(self):
@@ -518,12 +409,8 @@ class TestTelemetryServer:
         fl = obs.enable_flight(capacity=4)
         with span("runtime.step"):
             pass
-        sampler = MetricsSampler(reg, capacity=8)
-        sampler.sample_once(now=0.0)
         reg.counter("comm.bytes_sent", 100, rank=0)
-        sampler.sample_once(now=1.0)
-        server = TelemetryServer(port=0, reg=reg, sampler=sampler,
-                                 recorder=fl)
+        server = TelemetryServer(port=0, reg=reg, recorder=fl)
         server.start()
         try:
             with urllib.request.urlopen(server.url + "/metrics") as resp:
@@ -538,12 +425,10 @@ class TestTelemetryServer:
             assert flight["attached"] is True
             assert flight["buffered"] == 1
             assert flight["top"][0]["name"] == "runtime.step"
-            series = json.loads(
-                urllib.request.urlopen(server.url + "/series").read()
-            )
-            assert any(k.startswith("comm.bytes_sent") for k in series)
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(server.url + "/nope")
+            # there is no /series route: /metrics is read at request time
+            for path in ("/series", "/nope"):
+                with pytest.raises(urllib.error.HTTPError):
+                    urllib.request.urlopen(server.url + path)
             assert server.scrapes == 4
         finally:
             server.stop()
@@ -562,101 +447,11 @@ class TestTelemetryServer:
             server.stop()
 
 
-class TestMonitor:
-    def _event_log(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        recs = [
-            {"ts": 0.0, "level": "info", "event": "phase.enter",
-             "phase": "distributed_run"},
-            {"ts": 1.0, "level": "warn", "event": "comm.retry", "rank": 1},
-            {"ts": 2.0, "level": "warn", "event": "comm.retry", "rank": 0},
-        ]
-        with open(path, "w") as fh:
-            for r in recs:
-                fh.write(json.dumps(r) + "\n")
-        return path
-
-    def test_collect_from_events(self, tmp_path):
-        state = collect_from_events(self._event_log(tmp_path))
-        assert state["mode"] == "events"
-        assert state["phase"] == "distributed_run"  # entered, never exited
-        ev = state["events"]
-        assert ev["total"] == 3
-        assert ev["by_level"] == {"info": 1, "warn": 2}
-        assert ev["per_rank"] == {"0": 1, "1": 1}
-        assert state["per_rank_bytes"] == {}  # bytes come from scrapes
-        assert state["rates"]["events"] == pytest.approx(3 / 2.0)
-
-    def test_phase_exit_clears_phase(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        path.write_text(
-            '{"ts":0,"event":"phase.enter","phase":"tune"}\n'
-            '{"ts":1,"event":"phase.exit","phase":"tune"}\n'
-        )
-        assert collect_from_events(str(path))["phase"] is None
-
-    def test_render_frame(self, tmp_path):
-        frame = render(collect_from_events(self._event_log(tmp_path)))
-        assert "phase: distributed_run" in frame
-        assert "per-rank" in frame and "skew" in frame
-        assert "comm.retry" in frame
-
-    def test_render_empty_state(self):
-        frame = render({"source": "x", "mode": "events", "counters": {},
-                        "per_rank_bytes": {}, "rates": {}, "phase": None,
-                        "flight": None, "events": None})
-        assert "(idle / not reported)" in frame
-
-    def test_collect_from_url_and_run_once(self, capsys):
-        reg = registry()
-        reg.enable()
-        reg.counter("comm.bytes_sent", 128, rank=0)
-        reg.counter("comm.messages", 4, rank=0)
-        obs.enable_flight()
-        sampler = MetricsSampler(reg, capacity=8)
-        sampler.sample_once(now=0.0)
-        reg.counter("comm.bytes_sent", 128, rank=0)
-        sampler.sample_once(now=1.0)
-        server = TelemetryServer(port=0, reg=reg, sampler=sampler)
-        server.start()
-        try:
-            state = collect_from_url(server.url)
-            assert state["mode"] == "scrape"
-            assert state["counters"]["comm_bytes_sent"] == 256.0
-            assert state["per_rank_bytes"] == {"0": 256.0}
-            assert state["rates"]["comm_bytes_sent"] == pytest.approx(128.0)
-            assert run_monitor(server.url, once=True) == 0
-            assert "repro monitor" in capsys.readouterr().out
-        finally:
-            server.stop()
-
-    def test_unreachable_source_exits_1(self, capsys):
-        url = f"http://127.0.0.1:{_free_closed_port()}"
-        assert run_monitor(url, once=True, timeout=0.5) == 1
-        assert "cannot reach" in capsys.readouterr().err
-
-    def test_bad_telemetry_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "garbage.jsonl"
-        bad.write_text("definitely not json\nmore garbage\n")
-        assert run_monitor(str(bad), once=True) == 1
-        assert "bad telemetry" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # CLI wiring
 # ---------------------------------------------------------------------------
 
 class TestCLILiveFlags:
-    def test_monitor_once_on_event_log(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
-        path.write_text('{"ts":0,"event":"phase.enter","phase":"bench"}\n')
-        assert main(["monitor", str(path), "--once"]) == 0
-        assert "phase: bench" in capsys.readouterr().out
-
-    def test_monitor_missing_source_fails(self, tmp_path, capsys):
-        assert main(["monitor", str(tmp_path / "nope.jsonl"),
-                     "--once"]) == 1
-
     def test_event_log_flag_writes_narration(self, tmp_path, capsys):
         path = str(tmp_path / "sim.jsonl")
         assert main(["simulate", "2d9pt_box", "--machine", "cpu",
@@ -692,17 +487,46 @@ class TestCLILiveFlags:
         assert obs_events.current() is None
         assert not registry().enabled
 
+    def test_serve_metrics_port_out_of_range_is_a_usage_error(self,
+                                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "2d9pt_box", "--machine", "cpu",
+                  "--serve-metrics", "70000"])
+        assert exc.value.code == 2
+        assert "'70000' is not a port in 0..65535" in capsys.readouterr().err
+
+    def test_serve_metrics_port_in_use_fails_cleanly(self, capsys):
+        prior = obs.enable_flight(capacity=7)
+        registry().disable()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["simulate", "2d9pt_box", "--machine", "cpu",
+                         "--serve-metrics", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot serve telemetry on 127.0.0.1:{port}: " in err
+        assert "Traceback" not in err
+        # the caller's tracer, flight and registry state come back
+        assert tracer().flight is prior
+        assert not registry().enabled
+        with pytest.raises(ValueError, match="cannot serve telemetry"):
+            with obs.session("list", serve=70000):
+                pass
+        assert tracer().flight is prior and not registry().enabled
+
 
 # ---------------------------------------------------------------------------
 # friendly empty-handling satellites
 # ---------------------------------------------------------------------------
 
 class TestEmptyHandling:
-    def test_trace_summary_of_empty_trace(self, tmp_path):
+    def test_trace_summary_of_empty_trace(self, tmp_path, capsys):
         obs.enable()  # enabled but nothing recorded
         path = str(tmp_path / "empty.json")
         write_trace(path)
-        text = summarize_trace_file(path)
+        assert main(["trace", path]) == 0
+        text = capsys.readouterr().out
         assert "0 spans" in text
         assert "no spans recorded" in text
 
@@ -710,9 +534,9 @@ class TestEmptyHandling:
         path = tmp_path / "report.txt"
         path.write_text("TRACE SUMMARY (this is prose, not JSON)\n")
         with pytest.raises(ValueError) as err:
-            summarize_trace_file(str(path))
+            load_trace(str(path))
         assert "not a trace file" in str(err.value)
-        assert "--trace-format summary" in str(err.value)
+        assert "Chrome trace_event" in str(err.value)
 
     def test_timing_report_zero_work_has_no_phases(self):
         rep = TimingReport(machine="m", stencil="s", precision="f64",

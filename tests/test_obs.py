@@ -27,12 +27,9 @@ from repro.obs import (
     tracer,
 )
 from repro.obs.export import (
-    EXPORT_FORMATS,
     ascii_summary,
     export_chrome,
-    export_json,
     load_trace,
-    summarize_trace_file,
     trace_to_dict,
     write_trace,
 )
@@ -277,9 +274,6 @@ def _record_sample():
 
 
 class TestExporters:
-    def test_export_formats_constant(self):
-        assert EXPORT_FORMATS == ("json", "chrome", "summary")
-
     def test_native_dict_shape(self):
         _record_sample()
         doc = trace_to_dict()
@@ -290,12 +284,13 @@ class TestExporters:
         starts = [s["start_s"] for s in doc["spans"]]
         assert starts == sorted(starts)
 
-    def test_export_json_is_valid_json(self):
+    def test_export_json_is_valid_json(self, tmp_path):
         _record_sample()
-        doc = json.loads(export_json())
-        assert {s["name"] for s in doc["spans"]} == {
-            "root", "child", "other-root"
-        }
+        path = tmp_path / "t.json"
+        write_trace(str(path))
+        doc = json.loads(path.read_text())
+        assert {e["name"] for e in doc["traceEvents"]
+                if e["ph"] == "X"} == {"root", "child", "other-root"}
 
     def test_chrome_events_valid(self):
         _record_sample()
@@ -321,22 +316,25 @@ class TestExporters:
     def test_empty_summary_hint(self):
         assert "was tracing enabled?" in ascii_summary()
 
-    def test_write_trace_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown trace format"):
-            write_trace(str(tmp_path / "t"), fmt="xml")
-
     @pytest.mark.parametrize("fmt", ["json", "chrome"])
-    def test_file_roundtrip(self, fmt, tmp_path):
+    def test_file_roundtrip(self, fmt, tmp_path, capsys):
+        """``chrome`` is what ``--trace`` writes; ``json`` is the native
+        layout earlier versions wrote, which ``load_trace`` still reads."""
+        from repro.cli import main
+
         _record_sample()
         path = str(tmp_path / f"trace.{fmt}")
-        write_trace(path, fmt=fmt)
+        if fmt == "chrome":
+            write_trace(path)
+        else:
+            with open(path, "w") as fh:
+                json.dump(trace_to_dict(), fh)
         doc = load_trace(path)
         spans = doc["spans"]
         assert {s["name"] for s in spans} == {
             "root", "child", "other-root"
         }
-        # parenthood survives both formats (chrome: reconstructed by
-        # interval containment per tid)
+        # parenthood survives both formats
         by_name = {}
         for s in spans:
             by_name.setdefault(s["name"], s)
@@ -345,13 +343,8 @@ class TestExporters:
         assert all(c["parent_id"] == root_id for c in children)
         assert by_name["other-root"]["parent_id"] is None
         assert doc["metrics"]["counters"]["msgs{rank=0}"] == 3
-        assert "TRACE SUMMARY" in summarize_trace_file(path)
-
-    def test_summary_file_writable(self, tmp_path):
-        _record_sample()
-        path = str(tmp_path / "t.txt")
-        write_trace(path, fmt="summary")
-        assert "TRACE SUMMARY" in open(path).read()
+        assert main(["trace", path]) == 0
+        assert "TRACE SUMMARY" in capsys.readouterr().out
 
     def test_bare_event_list_loads(self, tmp_path):
         path = str(tmp_path / "bare.json")
@@ -502,7 +495,7 @@ class TestNoopIsFree:
 
 
 class TestChromeRoundTripProperty:
-    """``load_trace`` of a chrome export equals the native export.
+    """``load_trace`` of a chrome export equals ``trace_to_dict``.
 
     The chrome writer stamps every X event with the native span
     identity (``sid``/``spid``/``t0``/``d``), so the round trip must be
@@ -588,7 +581,8 @@ class TestChromeRoundTripProperty:
             "w", suffix=".chrome.json", delete=False
         ) as fh:
             fh.write(export_chrome(tr, reg))
-        assert load_trace(fh.name) == json.loads(export_json(tr, reg))
+        assert load_trace(fh.name) == json.loads(
+            json.dumps(trace_to_dict(tr, reg)))
 
 
 def test_import_repro_loads_only_core_obs_modules():
