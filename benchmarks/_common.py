@@ -4,49 +4,23 @@ Every ``bench_*`` target regenerates one table or figure of the paper:
 it computes the rows/series through :mod:`repro.evalsuite`, prints them
 (visible with ``pytest benchmarks/ -s``) and appends them to
 ``benchmarks/results/<name>.txt`` so the artefacts survive the run.
-
-Next to every ``.txt`` artefact, :func:`emit` also writes a
-machine-readable ``<name>.json`` in the performance-observatory
-artefact format (see ``docs/PERF.md``), so the paper-figure benches
-feed ``repro.obs.perf`` without each ``bench_*.py`` having to know
-about the schema.  Pass structured ``data`` (rows/series) when the
-bench has it; the text rendering rides along either way.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: artefact envelope understood by repro.obs.perf.schema.load_artifact
-ARTIFACT_FORMAT = "repro-bench-artifact"
-ARTIFACT_VERSION = 1
 
-
-def emit(name: str, text: str, data=None) -> None:
-    """Print a reproduction artefact and persist it under results/.
-
-    Writes ``results/<name>.txt`` (human-readable, as before) and
-    ``results/<name>.json`` (machine-readable envelope; ``data`` is the
-    bench's structured rows/series when it has any, else ``None``).
-    """
+def emit(name: str, text: str) -> None:
+    """Print a reproduction artefact and persist it as
+    ``results/<name>.txt``."""
     banner = f"\n===== {name} =====\n"
     print(banner + text)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
-    doc = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "name": name,
-        "data": data,
-        "text": text,
-    }
-    with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
 
 
 def mean(values):

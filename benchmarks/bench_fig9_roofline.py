@@ -41,9 +41,7 @@ def _render(machine_name, machine):
 
 def test_fig9_sunway(benchmark):
     points, text = benchmark(_render, "sunway", SUNWAY_CG)
-    emit("fig9_roofline_sunway", text,
-         data=[p.__dict__ | {"utilization": p.utilization}
-               for p in points])
+    emit("fig9_roofline_sunway", text)
     bounds = {p.name: p.bound for p in points}
     assert bounds["2d169pt_box"] == "compute"
     assert sum(1 for b in bounds.values() if b == "memory") == 7
@@ -51,7 +49,5 @@ def test_fig9_sunway(benchmark):
 
 def test_fig9_matrix(benchmark):
     points, text = benchmark(_render, "matrix", MATRIX_SN)
-    emit("fig9_roofline_matrix", text,
-         data=[p.__dict__ | {"utilization": p.utilization}
-               for p in points])
+    emit("fig9_roofline_matrix", text)
     assert all(p.bound == "memory" for p in points)

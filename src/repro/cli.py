@@ -13,20 +13,15 @@ Commands
 - ``simulate BENCH --machine {sunway,matrix,cpu}`` — timing report for
   a Table-4 benchmark under its Table-5 schedule;
 - ``tune BENCH --nprocs N`` — run the auto-tuner;
-- ``bench [WORKLOAD ...]`` — statistical performance benchmark:
-  warmup + N repeats per workload, phase attribution and roofline
-  placement, written as a versioned ``BENCH_<name>.json``;
-  ``--compare BASELINE.json`` gates on regressions (exit 1);
 - ``report EXPERIMENT`` — regenerate one table/figure of the paper;
 - ``trace FILE [--json]`` — summarize a saved execution trace; for a
   trace of two or more ranks also the per-rank load-imbalance table,
   the flow-edge counts and the communication critical path, exiting
   non-zero on a malformed span DAG (orphan inbound flow edges,
   dangling parents);
-- ``diff BASE CURRENT`` — align two runs (ledger ids, ``BENCH_*.json``
-  documents or trace files) by the phase taxonomy, print a waterfall
-  attributing the delta plus config drift; exits 1 on a gated
-  regression;
+- ``diff BASE CURRENT`` — align two runs (ledger ids or trace files)
+  by the phase taxonomy, print a waterfall attributing the delta plus
+  config drift; exits 1 on a gated regression;
 - ``history WORKLOAD [--metric M] [--json]`` — per-metric trend over
   the run ledger with a deterministic change-point detector whose
   verdicts are annotated back into the ledger;
@@ -53,7 +48,7 @@ telemetry is set up and torn down: the span flight ring (on by default;
 ``127.0.0.1:PORT``; ``--serve-linger`` keeps it up after),
 ``--event-log FILE`` (or ``REPRO_EVENT_LOG``, the JSONL event
 narration), ``--trace``, and the run-ledger row that every
-``run``/``simulate``/``tune``/``bench``/``verify`` appends
+``run``/``simulate``/``tune``/``verify`` appends
 (``~/.local/state/repro/ledger.db``; ``REPRO_LEDGER_DIR`` overrides the
 directory, ``REPRO_LEDGER=0`` opts out).  ``repro diff`` and
 ``repro history`` query the ledger; see ``docs/OBSERVABILITY.md``.
@@ -197,46 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flags(p)
     _add_live_flags(p)
 
-    p = sub.add_parser("bench", help="statistical performance benchmark")
-    p.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                   help="'<bench>@<machine>', 'exchange:<bench>' or "
-                        "'exchange:<bench>@<mode>' "
-                        "(default: the perf-smoke pair; see --list)")
-    p.add_argument("--list", action="store_true", dest="list_workloads",
-                   help="list the built-in workloads and exit")
-    p.add_argument("--name", default=None,
-                   help="bench document name (BENCH_<name>.json)")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="measured repeats per workload (default: 5)")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="discarded warmup runs (default: 1)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload seed (fixed across repeats)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="where to write the bench document "
-                        "(default: ./BENCH_<name>.json, mirrored to "
-                        "benchmarks/results/ when present)")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="compare against a baseline bench document; "
-                        "exit 1 on regression")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="regression noise threshold as a fraction "
-                        f"(default: {DEFAULT_THRESHOLD:.2f})")
-    p.add_argument("--report-only", action="store_true",
-                   help="with --compare: print deltas but always "
-                        "exit 0")
-    p.add_argument("--backend", default=None,
-                   choices=("auto", "native", "numpy"),
-                   help="also execute <bench>@<machine> workloads "
-                        "through this engine (adds exec.* metrics and "
-                        "host-phase attribution)")
-    p.add_argument("--perturb", action="append", default=[],
-                   metavar="PARAM=FACTOR",
-                   help="multiply a machine-spec field (e.g. "
-                        "dma_startup_us=10) — for regression-gate "
-                        "testing (repeatable)")
-    _add_live_flags(p)
-
     p = sub.add_parser("verify", help="Sec. 5.1 correctness check")
     p.add_argument("benchmark")
     p.add_argument("--precision", default="fp64",
@@ -264,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attribute the performance delta between two runs",
     )
     p.add_argument("base", help="run to compare against: a ledger id "
-                                "(e.g. '3' or 'ledger:3'), a "
-                                "BENCH_*.json document, or a --trace "
+                                "(e.g. '3' or 'ledger:3') or a --trace "
                                 "file")
     p.add_argument("current", help="run under scrutiny (same forms)")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
@@ -460,8 +414,8 @@ def _cmd_simulate(args) -> int:
         _simulate_codegen_stage(args.benchmark, prog, target, check=check)
     report = prog.simulate(args.machine, timesteps=args.timesteps,
                            check=check)
-    # ledger: same `<bench>@<machine>` key as the bench workloads, so
-    # simulate and bench runs land in one longitudinal series
+    # ledger: `<bench>@<machine>` is the longitudinal key of
+    # `repro history`
     cfg = {"benchmark": args.benchmark, "machine": args.machine,
            "precision": args.precision, "timesteps": args.timesteps,
            "machine_spec": obs_ledger.machine_spec_hash(
@@ -621,99 +575,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from .obs import perf
-
-    if args.list_workloads:
-        print("built-in bench workloads (default: "
-              + " ".join(perf.DEFAULT_WORKLOADS) + "):")
-        for name in perf.available_workloads():
-            print(f"  {name}")
-        return 0
-
-    perturb = {}
-    for item in args.perturb:
-        key, _, factor = item.partition("=")
-        if not factor:
-            print(f"error: --perturb expects PARAM=FACTOR, got {item!r}",
-                  file=sys.stderr)
-            return 2
-        perturb[key] = float(factor)
-
-    # the baseline is read before anything is written: the default
-    # --out of `bench --compare BENCH_<name>.json` is that very file
-    baseline = perf.load_bench(args.compare) if args.compare else None
-
-    workloads, default_name = perf.resolve_workloads(
-        args.workloads, perturb=perturb or None,
-        backend=getattr(args, "backend", None),
-    )
-    name = args.name or default_name
-    print(f"benching {len(workloads)} workload(s), "
-          f"{args.repeats} repeats + {args.warmup} warmup, "
-          f"seed {args.seed} ...")
-    doc = perf.run_bench(workloads, name, repeats=args.repeats,
-                         warmup=args.warmup, seed=args.seed)
-    print(perf.format_bench(doc))
-
-    # ledger: one row per workload, so `repro history <workload>` has a
-    # natural longitudinal key
-    from .obs import ledger as obs_ledger
-
-    for wname, wl in doc["workloads"].items():
-        obs_ledger.note_workload(
-            wname,
-            config=wl.get("meta"),
-            metrics=wl.get("metrics"),
-            phases_sim=wl.get("phases_sim"),
-            phases_host=wl.get("phases_host"),
-            environment=doc.get("environment"),
-        )
-
-    out = args.out or perf.bench_filename(name)
-    targets = [out]
-    results_dir = os.path.join("benchmarks", "results")
-    if args.out is None and os.path.isdir(results_dir):
-        targets.append(os.path.join(results_dir, f"{name}.json"))
-    print()
-    kept = [path for path in targets if baseline is not None
-            and os.path.realpath(path) == os.path.realpath(args.compare)]
-    if kept:
-        # never write over the baseline (nor its mirror: the two stay a
-        # pair); pass --out to keep this document
-        print(f"bench document not written: {kept[0]} is the --compare "
-              "baseline")
-    else:
-        for path in targets:
-            perf.write_bench(path, doc)
-            print(f"bench document written to {path}")
-
-    if baseline is None:
-        return 0
-    from .obs.diff import diff_runs, views_from_bench
-
-    base_name = os.path.basename(args.compare)
-    report = diff_runs(views_from_bench(baseline, base_name),
-                       views_from_bench(doc, name), args.threshold,
-                       base_label=base_name, current_label=name)
-    print()
-    print(report.format())
-    if not report.ok:
-        worst = max(report.regressions, key=lambda d: d.worse_frac)
-        obs_ledger.note(verdict=(
-            f"regression vs {base_name}: "
-            f"{len(report.regressions)} delta(s), worst {worst.label} "
-            f"{worst.worse_frac:+.1%}"
-        ))
-    if report.ok or args.report_only:
-        if not report.ok:
-            print("(report-only mode: regressions do not fail the run)")
-        return 0
-    return 1
-
-
 def _cmd_verify(args) -> int:
     from .evalsuite.verify import verify_benchmark
     from .ir.dtypes import f32, f64
@@ -866,10 +727,14 @@ def _cmd_trace(args) -> int:
 def _cmd_diff(args) -> int:
     import json
 
-    from .obs.diff import diff_runs, load_views
+    from .obs.diff import RemovedFormatError, diff_runs, load_views
 
-    base = load_views(args.base)
-    current = load_views(args.current)
+    try:
+        base = load_views(args.base)
+        current = load_views(args.current)
+    except RemovedFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = diff_runs(base, current, threshold=args.threshold,
                        base_label=args.base, current_label=args.current)
     if args.as_json:
@@ -889,7 +754,7 @@ def _cmd_history(args) -> int:
     path = obs_ledger.ledger_path()
     if not os.path.exists(path):
         print(f"error: no run ledger at {path} (any run/simulate/tune/"
-              f"bench/verify invocation creates it)", file=sys.stderr)
+              f"verify invocation creates it)", file=sys.stderr)
         return 1
     with obs_ledger.open_ledger() as ledger:
         if not args.workload:
@@ -930,8 +795,6 @@ def _cmd_list(_args) -> int:
     print("reports:", ", ".join(_REPORTS))
     print("trace file: Chrome trace_event (--trace FILE; "
           "read with repro trace FILE)")
-    print("bench workloads: <bench>@{sunway,matrix,cpu}, "
-          "exchange:<bench>  (repro bench --list)")
     print("instrumented subsystems:",
           ", ".join(INSTRUMENTED_SUBSYSTEMS))
     return 0
@@ -943,7 +806,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "simulate": _cmd_simulate,
     "tune": _cmd_tune,
-    "bench": _cmd_bench,
     "verify": _cmd_verify,
     "report": _cmd_report,
     "trace": _cmd_trace,

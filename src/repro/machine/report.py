@@ -73,9 +73,9 @@ class TimingReport:
 
     # -- phase attribution -----------------------------------------------
     def phases(self) -> Dict[str, float]:
-        """Whole-run modelled time per perf-observatory phase.
+        """Whole-run modelled time per phase of the stable taxonomy.
 
-        Maps onto the stable taxonomy of :mod:`repro.obs.perf.phases`:
+        Maps onto the stable taxonomy of :mod:`repro.obs.phases`:
         ``compute`` is the arithmetic critical path, ``spm-dma`` the
         memory/DMA critical path (DMA on cache-less machines, cache
         traffic otherwise), ``other`` the fixed per-run overhead.

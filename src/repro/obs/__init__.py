@@ -18,16 +18,16 @@ package is the measurement substrate for those claims:
   (``--serve-metrics``),
 - :mod:`repro.obs.distributed` — merged cross-rank timelines, flow
   edges and the critical path (``repro trace``),
-- :mod:`repro.obs.perf`    — the performance observatory: statistical
-  bench runner, span-based phase attribution and roofline reports
-  (import explicitly: ``from repro.obs import perf``),
+- :mod:`repro.obs.phases`  — span-based phase attribution into the
+  stable taxonomy (frontend/lower/codegen/compute/spm-dma/halo-pack/
+  send-wait/unpack/tune/...),
 - :mod:`repro.obs.ledger`  — the append-only sqlite *run ledger*
-  every ``run``/``simulate``/``tune``/``bench``/``verify`` invocation
-  records into by default (``REPRO_LEDGER=0`` opts out),
+  every ``run``/``simulate``/``tune``/``verify`` invocation records
+  into by default (``REPRO_LEDGER=0`` opts out),
 - :mod:`repro.obs.diff`    — the one regression rule: ``repro diff``
-  and ``repro bench --compare`` (two-run comparison with waterfall
-  regression attribution) and ``repro history`` (longitudinal trends
-  + change-point detection over the ledger).
+  (two-run comparison with waterfall regression attribution) and
+  ``repro history`` (longitudinal trends + change-point detection
+  over the ledger).
 
 Full recording is **off by default** and free when off: instrumentation
 sites cost one flag check and record nothing until :func:`enable` is

@@ -2,8 +2,7 @@
 
 Two query surfaces over comparable run data:
 
-- :func:`diff_runs` — ``repro diff A B`` and ``repro bench --compare``:
-  align two runs by the stable phase taxonomy and span names, judge
+- :func:`diff_runs` — ``repro diff A B``: align two runs by the stable phase taxonomy and span names, judge
   every phase and metric delta with the one regression rule (below),
   and render an ASCII *waterfall* attributing the total delta to
   phases, followed by the metrics that moved, the span-level movers
@@ -15,13 +14,12 @@ Two query surfaces over comparable run data:
   median split — no randomness) flagging the first run where a gated
   metric shifted.
 
-A *run* here is any of three sources (:func:`load_views`):
+A *run* here is either of two sources (:func:`load_views`):
 
 - a **ledger id** (``7`` or ``ledger:7``) — a row of
   :mod:`repro.obs.ledger`,
-- a **bench document** (``BENCH_*.json``) — one view per workload,
 - a **trace file** (``--trace`` output, native or chrome) — spans are
-  folded through :func:`repro.obs.perf.phases.attribute`, counters
+  folded through :func:`repro.obs.phases.attribute`, counters
   become gated zero-CI metric points.
 
 The regression rule: only *gated* metrics and *deterministic*
@@ -30,8 +28,7 @@ information.  A gated delta regresses when its median is worse than
 the baseline by more than the noise ``threshold`` (default 10%,
 direction-aware) *and* lies outside the baseline's 95% CI (zero-width
 for deterministic values, so any above-threshold move trips it).
-``repro diff`` and ``repro bench --compare`` exit 1 iff a regression
-survives that rule.
+``repro diff`` exits 1 iff a regression survives that rule.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ __all__ = [
     "MetricHistory",
     "HistoryReport",
     "load_views",
-    "views_from_bench",
+    "RemovedFormatError",
     "diff_runs",
     "detect_change_point",
     "history_report",
@@ -178,23 +175,6 @@ def _view_from_ledger_row(row: Mapping[str, Any], label: str) -> RunView:
     )
 
 
-def views_from_bench(doc: Mapping[str, Any], label: str) -> List[RunView]:
-    """One view per workload of a bench document."""
-    views = []
-    for wname, wl in doc.get("workloads", {}).items():
-        views.append(RunView(
-            label=f"{label}:{wname}" if len(doc["workloads"]) > 1
-            else label,
-            workload=wname,
-            config=dict(wl.get("meta", {})),
-            environment=dict(doc.get("environment", {})),
-            phases_sim=dict(wl.get("phases_sim", {})),
-            phases_host=dict(wl.get("phases_host", {})),
-            metrics=dict(wl.get("metrics", {})),
-        ))
-    return views
-
-
 def _strip_labels(series: str) -> str:
     return series.split("{", 1)[0]
 
@@ -229,7 +209,7 @@ def load_views(source: str,
     """Resolve one ``repro diff`` operand into run views.
 
     Pure digits (optionally ``ledger:``-prefixed) name a ledger row;
-    otherwise the source must be a bench document or a trace file.
+    otherwise the source must be a trace file.
     """
     m = _LEDGER_REF.match(source)
     if m:
@@ -249,22 +229,32 @@ def load_views(source: str,
         raise ValueError(
             f"{source!r} is neither a ledger id nor an existing file"
         )
-    label = os.path.basename(source)
-    from .perf.schema import load_bench
-
-    doc = None
-    try:
-        doc = load_bench(source)
-    except ValueError:
-        pass  # not a bench document — try the trace loader
-    if doc is not None:
-        views = views_from_bench(doc, label)
-        if not views:
-            raise ValueError(f"{source}: bench document has no workloads")
-        return views
     from .export import load_trace
 
-    return [_view_from_trace(load_trace(source), label)]
+    try:
+        doc = load_trace(source)
+    except ValueError:
+        if _json_format(source) == "repro-bench":
+            raise RemovedFormatError(
+                f"{source} is a repro-bench document: `repro bench` was "
+                "removed; diff ledger ids or --trace files instead"
+            ) from None
+        raise
+    return [_view_from_trace(doc, os.path.basename(source))]
+
+
+class RemovedFormatError(ValueError):
+    """A ``repro diff`` operand in a format no command writes any more."""
+
+
+def _json_format(path: str) -> Optional[str]:
+    """The ``format`` field of a JSON object file, if it has one."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return doc.get("format") if isinstance(doc, dict) else None
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +513,7 @@ def _diff_pair(base: RunView, cur: RunView, threshold: float) -> RunDiff:
         deterministic=deterministic,
     )
     # phase alignment through the shared taxonomy (absent phase = 0)
-    from .perf.phases import PHASES
+    from .phases import PHASES
 
     names = [p for p in PHASES
              if p in base_ph or p in cur_ph]

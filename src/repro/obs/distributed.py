@@ -26,7 +26,7 @@ Two kinds of path metrics coexist on purpose: the **wall-clock** walk
 reports where time actually went (informative, but timing jitters run
 to run), while the **structural chain** counts spans and rank
 crossings on the longest logical chain — program-deterministic under
-fixed seeds, so ``repro bench`` can gate on it with zero MAD.
+fixed seeds, so a test can pin it exactly.
 
 Dropped messages (fault injection) legally leave *dangling outbound*
 flows — a send whose strip nobody consumed.  An *orphan inbound* flow
@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .export import fmt_time, trace_to_dict
 from .metrics import MetricsRegistry, median
-from .perf.phases import PHASES, phase_of, self_times
+from .phases import PHASES, phase_of, self_times
 from .trace import Tracer
 
 __all__ = [
@@ -428,7 +428,7 @@ def _chain_stats(dt: DistributedTrace) -> Tuple[int, int]:
     maximising ``(length, crossings)`` lexicographically.  Span open
     order per thread and flow matching are both program-deterministic
     under fixed seeds, so these numbers carry no timing noise (the
-    zero-MAD property ``repro bench`` gates on).  A back edge from a
+    exactness ``tests/test_perf.py`` pins).  A back edge from a
     malformed input is skipped rather than recursed into.
     """
     spans = dt.spans

@@ -142,7 +142,7 @@ def fmt_time(seconds: float) -> str:
 
 def _aggregate(spans: List[Dict[str, Any]]) -> Dict[tuple, Dict[str, Any]]:
     """Group span dicts by their root→leaf name path."""
-    from .perf.phases import self_times
+    from .phases import self_times
 
     by_id = {s["span_id"]: s for s in spans}
     paths: Dict[int, tuple] = {}

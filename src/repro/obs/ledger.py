@@ -1,22 +1,21 @@
 """Append-only on-disk run ledger (``repro.obs.ledger``).
 
-Spans describe one run; BENCH documents describe one bench invocation.
-The ledger is the *longitudinal* layer: a small sqlite store (stdlib
-:mod:`sqlite3`, no new dependencies) that every recording CLI command
-(``run``, ``simulate``, ``tune``, ``bench``, ``verify``) appends one
-row per workload to by default.  Each row carries:
+Spans describe one run; the ledger is the *longitudinal* layer: a
+small sqlite store (stdlib :mod:`sqlite3`, no new dependencies) that
+every recording CLI command (``run``, ``simulate``, ``tune``,
+``verify``) appends one row to by default.  Each row carries:
 
 - a **config fingerprint** — benchmark, backend, exchange mode, grid,
   IR/schedule fingerprints, the :func:`machine_spec_hash` of the
-  (possibly perturbed) machine spec — the "what ran",
+  machine spec — the "what ran",
 - an **environment fingerprint** — python/numpy/platform/git (from
-  :func:`repro.obs.perf.runner.environment_fingerprint`) — the "where",
+  :func:`environment_fingerprint`) — the "where",
 - **phase self-times** — deterministic modelled phases
-  (``phases_sim``, from the simulators / bench documents) and host
-  phases folded from the tracer/flight ring through the stable
-  taxonomy of :mod:`repro.obs.perf.phases`,
-- **metric points** — every gated bench metric as its full
-  median/MAD/CI aggregate, so later comparisons stay CI-aware,
+  (``phases_sim``, from the simulators) and host phases folded from
+  the tracer/flight ring through the stable taxonomy of
+  :mod:`repro.obs.phases`,
+- **metric points** — each metric in the :func:`metric_point`
+  median/MAD/CI shape, so comparisons stay CI-aware,
 - an **outcome** (``ok`` / ``error`` / ``regression``) plus a
   ``verdict`` column that ``repro history``'s change-point detector
   annotates back in.
@@ -26,15 +25,15 @@ Storage location: ``$REPRO_LEDGER_DIR/ledger.db`` when set, else
 ``~/.local/state/repro/ledger.db``.  ``REPRO_LEDGER=0`` opts the CLI
 hooks out entirely (nothing is opened or written).
 
-The collector half (:func:`recording` / :func:`note` /
-:func:`note_workload`) is how a command's record is built while it
-runs: :func:`repro.obs.session` opens the :func:`recording` block,
-commands contribute what they know (fingerprints, metrics, modelled
-phases) and the block's exit finalises the record — folding the run's
-spans, stamping the outcome.  Every ledger write emits a
-``ledger.record`` event so event-log narrations show the run id.  All
-collector failures are swallowed (one stderr warning): observability
-must never break the run it observes.
+The collector half (:func:`recording` / :func:`note`) is how a
+command's row is built while it runs: :func:`repro.obs.session` opens
+the :func:`recording` block, commands contribute what they know
+(fingerprints, metrics, modelled phases) and the block's exit
+finalises the row — folding the run's spans, stamping the outcome.
+Every ledger write emits a ``ledger.record`` event so event-log
+narrations show the run id.  All collector failures are swallowed
+(one stderr warning): observability must never break the run it
+observes.
 
 ``repro diff`` and ``repro history`` (see :mod:`repro.obs.diff`) are
 the query surfaces over this store.
@@ -73,7 +72,7 @@ __all__ = [
     "Recording",
     "recording",
     "note",
-    "note_workload",
+    "environment_fingerprint",
 ]
 
 #: opt-out switch: ``REPRO_LEDGER=0`` disables all CLI ledger writes
@@ -85,7 +84,7 @@ LEDGER_SCHEMA_VERSION = 1
 LEDGER_FILENAME = "ledger.db"
 
 #: CLI commands that append a run record by default
-LEDGED_COMMANDS = ("run", "simulate", "tune", "bench", "verify")
+LEDGED_COMMANDS = ("run", "simulate", "tune", "verify")
 
 _OFF_VALUES = ("0", "off", "false", "no")
 
@@ -138,13 +137,53 @@ def program_fingerprints(program: Any) -> Dict[str, str]:
     return out
 
 
+def environment_fingerprint() -> Dict[str, Any]:
+    """Where/how this run happened (informational; never gated)."""
+    import platform
+
+    import numpy
+
+    fp: Dict[str, Any] = {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+        "executable": sys.executable,
+    }
+    # always present (so rows line up column-wise), "unknown" when
+    # rev-parse fails, and a dirty-tree bool so rows from uncommitted
+    # trees are distinguishable from clean ones
+    fp["git"] = "unknown"
+    try:
+        import subprocess
+
+        cwd = os.path.dirname(os.path.abspath(__file__))
+        sha = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=5, cwd=cwd,
+        )
+        if sha.returncode == 0 and sha.stdout.strip():
+            fp["git"] = sha.stdout.strip()
+            status = subprocess.run(
+                ["git", "status", "--porcelain"],
+                capture_output=True, text=True, timeout=5, cwd=cwd,
+            )
+            if status.returncode == 0:
+                fp["git_dirty"] = bool(status.stdout.strip())
+    except Exception:  # noqa: BLE001 - fingerprint stays best-effort
+        pass
+    return fp
+
+
 def metric_point(value: float, unit: str = "", direction: str = "lower",
                  gate: bool = False) -> Dict[str, Any]:
-    """One metric value in the bench runner's aggregate shape.
+    """One metric value in the :func:`~repro.obs.metrics.aggregate`
+    shape.
 
-    A single observation gets a zero-width CI, so the diff layer can
-    treat ledger points and bench aggregates identically (any
-    >threshold shift on a gated point is outside its CI).
+    A single observation gets a zero-width CI, so any >threshold shift
+    on a gated point is outside it (see :mod:`repro.obs.diff`).
     """
     return aggregate([float(value)]) | {
         "unit": unit,
@@ -157,11 +196,11 @@ def fold_spans(spans: Iterable[Any]) -> Tuple[
         Dict[str, Dict[str, float]], Dict[str, float]]:
     """Fold spans into (host phase stats, per-span-name self-times).
 
-    Phases use the stable taxonomy of :mod:`repro.obs.perf.phases`;
+    Phases use the stable taxonomy of :mod:`repro.obs.phases`;
     the per-name self-time map (top 40 names by time) is what lets
     ``repro diff`` align two runs at span granularity, below phases.
     """
-    from .perf.phases import attribute
+    from .phases import attribute
 
     attr = attribute(spans)
     phases = {
@@ -188,7 +227,7 @@ class RunRecord:
     verdict: Optional[str] = None
     config: Dict[str, Any] = field(default_factory=dict)
     environment: Dict[str, Any] = field(default_factory=dict)
-    #: deterministic modelled phases (simulator / bench ``phases_sim``)
+    #: deterministic modelled phases (the simulator's ``phases()``)
     phases_sim: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: host phases folded from the tracer (noisy, informational)
     phases_host: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -373,16 +412,14 @@ class Recording:
     Before the :func:`recording` block ends, set ``rc`` (the exit code;
     an exception out of the block records 1) and ``spans`` (tracer
     records or a flight-ring snapshot, folded into host phases).  After
-    it, ``ids`` holds the ledger ids written.
+    it, ``id`` holds the ledger id written (``None`` if the write
+    failed).
     """
 
-    command: str
-    ts: float
-    shared: RunRecord
-    workloads: List[RunRecord] = field(default_factory=list)
+    record: RunRecord
     rc: int = 0
     spans: Optional[Iterable[Any]] = None
-    ids: List[int] = field(default_factory=list)
+    id: Optional[int] = None
 
 
 _PENDING: Optional[Recording] = None
@@ -393,8 +430,6 @@ def _environment() -> Dict[str, Any]:
     """Per-process cached environment fingerprint (it cannot change)."""
     global _ENV_CACHE
     if _ENV_CACHE is None:
-        from .perf.runner import environment_fingerprint
-
         _ENV_CACHE = environment_fingerprint()
     return _ENV_CACHE
 
@@ -404,14 +439,11 @@ def recording(command: str, directory: Optional[str] = None):
     """Collect one command's run record inside the block and write it
     on exit; yields the :class:`Recording`.
 
-    :func:`note` / :func:`note_workload` calls inside the block add to
-    it.  The write never raises: a broken store degrades to one stderr
-    warning.
+    :func:`note` calls inside the block add to it.  The write never
+    raises: a broken store degrades to one stderr warning.
     """
     global _PENDING
-    ts = time.time()
-    rec = _PENDING = Recording(command, ts, RunRecord(command=command,
-                                                      ts=ts))
+    rec = _PENDING = Recording(RunRecord(command=command, ts=time.time()))
     try:
         yield rec
     except BaseException:
@@ -419,7 +451,7 @@ def recording(command: str, directory: Optional[str] = None):
         raise
     finally:
         _PENDING = None
-        rec.ids = _write(rec, directory)
+        rec.id = _write(rec, directory)
 
 
 def note(workload: Optional[str] = None,
@@ -427,12 +459,11 @@ def note(workload: Optional[str] = None,
          metrics: Optional[Mapping[str, Any]] = None,
          phases_sim: Optional[Mapping[str, Dict[str, float]]] = None,
          verdict: Optional[str] = None) -> None:
-    """Merge details into the command-level record being collected
-    (no-op outside :func:`recording`, so library callers can note
-    freely)."""
+    """Merge details into the record being collected (no-op outside
+    :func:`recording`, so library callers can note freely)."""
     if _PENDING is None:
         return
-    rec = _PENDING.shared
+    rec = _PENDING.record
     if workload is not None:
         rec.workload = workload
     if config:
@@ -447,65 +478,26 @@ def note(workload: Optional[str] = None,
         rec.verdict = verdict
 
 
-def note_workload(name: str,
-                  config: Optional[Mapping[str, Any]] = None,
-                  metrics: Optional[Mapping[str, Any]] = None,
-                  phases_sim: Optional[Mapping[str, Any]] = None,
-                  phases_host: Optional[Mapping[str, Any]] = None,
-                  environment: Optional[Mapping[str, Any]] = None) -> None:
-    """Add one per-workload record (``bench`` writes one row per
-    workload so ``repro history <workload>`` has a natural key)."""
-    if _PENDING is None:
-        return
-    _PENDING.workloads.append(RunRecord(
-        command=_PENDING.command,
-        workload=name,
-        config=dict(config or {}),
-        metrics=dict(metrics or {}),
-        phases_sim={k: dict(v) for k, v in (phases_sim or {}).items()},
-        phases_host={k: dict(v) for k, v in (phases_host or {}).items()},
-        environment=dict(environment or {}),
-        ts=_PENDING.ts,
-    ))
-
-
-def _write(pend: Recording, directory: Optional[str]) -> List[int]:
-    """Finalise and write the collected record(s); returns ledger ids."""
+def _write(pend: Recording, directory: Optional[str]) -> Optional[int]:
+    """Finalise and write the collected record; returns its ledger id."""
     try:
-        rc = pend.rc
-        shared = pend.shared
-        outcome = "error" if rc else "ok"
-        if shared.verdict and shared.verdict.startswith("regression"):
-            outcome = "regression"
-        phases_host: Dict[str, Dict[str, float]] = {}
-        span_times: Dict[str, float] = {}
+        rec = pend.record
+        rec.rc = int(pend.rc)
+        rec.outcome = "error" if rec.rc else "ok"
+        if rec.verdict and rec.verdict.startswith("regression"):
+            rec.outcome = "regression"
         if pend.spans is not None:
-            phases_host, span_times = fold_spans(pend.spans)
-        environment = _environment()
-
-        records = pend.workloads or [shared]
-        for rec in records:
-            rec.rc = int(rc)
-            rec.outcome = outcome
-            rec.verdict = rec.verdict or shared.verdict
-            if not rec.environment:
-                rec.environment = environment
-            if rec is shared or len(records) == 1:
-                rec.phases_host = rec.phases_host or phases_host
-                rec.spans = rec.spans or span_times
-            rec.ts = rec.ts or pend.ts
+            rec.phases_host, rec.spans = fold_spans(pend.spans)
+        rec.environment = _environment()
 
         from .events import emit
 
         with open_ledger(directory) as ledger:
-            ids = []
-            for rec in records:
-                rid = ledger.record(rec)
-                ids.append(rid)
-                emit("ledger.record", run_id=rid, command=rec.command,
-                     workload=rec.workload, outcome=rec.outcome)
-        return ids
+            rid = ledger.record(rec)
+        emit("ledger.record", run_id=rid, command=rec.command,
+             workload=rec.workload, outcome=rec.outcome)
+        return rid
     except Exception as exc:  # noqa: BLE001 - never break the run
         print(f"warning: run ledger write failed: {exc}",
               file=sys.stderr)
-        return []
+        return None

@@ -23,7 +23,7 @@ send-wait   message send/wait/retry/relay (``comm.send`` etc.)
 unpack      halo strip unpacking (``comm.unpack``)
 tune        auto-tuner sampling/annealing (``autotune.*``)
 runtime     distributed-run orchestration (``runtime.*``)
-other       everything unmapped (CLI shell, bench harness, ...)
+other       everything unmapped (CLI shell, simulator shells, ...)
 ========== ====================================================
 
 Attribution is by **self time**: each span's duration minus its direct
@@ -101,16 +101,6 @@ class PhaseStats:
     time_s: float = 0.0
     count: int = 0
     bytes: float = 0.0
-    #: achieved arithmetic rate, when the caller can supply flops
-    gflops: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time_s": self.time_s,
-            "count": self.count,
-            "bytes": self.bytes,
-            "gflops": self.gflops,
-        }
 
 
 @dataclass
@@ -122,35 +112,6 @@ class PhaseAttribution:
     total_s: float = 0.0
     #: span name -> summed self time, below the taxonomy
     by_name: Dict[str, float] = field(default_factory=dict, init=False)
-
-    def share(self, phase: str) -> float:
-        """Fraction of total span time credited to ``phase``."""
-        if self.total_s <= 0:
-            return 0.0
-        stats = self.phases.get(phase)
-        return stats.time_s / self.total_s if stats else 0.0
-
-    @property
-    def attributed_s(self) -> float:
-        """Sum of per-phase times (should ≈ ``total_s``)."""
-        return sum(p.time_s for p in self.phases.values())
-
-    @property
-    def coverage(self) -> float:
-        """attributed / total — the acceptance bar is ≥ 0.95."""
-        if self.total_s <= 0:
-            return 1.0
-        return min(1.0, self.attributed_s / self.total_s)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "total_s": self.total_s,
-            "coverage": self.coverage,
-            "phases": {
-                name: self.phases[name].to_dict()
-                for name in PHASES if name in self.phases
-            },
-        }
 
 
 def self_times(spans: Iterable[Any]) -> List[Tuple[Mapping[str, Any], float]]:

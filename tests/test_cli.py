@@ -48,6 +48,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "fig99"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # perf claims go through benchmarks/host; gates are tier-1 tests
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_distributed(self, msc_file, capsys):
@@ -743,16 +749,3 @@ class TestRunBackend:
         assert main(["run", single_node_file, "--scalar", "foo=3"]) == 1
         err = capsys.readouterr().err
         assert "'foo'" in err and "free scalars are []" in err
-
-    def test_bench_backend_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["bench", "2d9pt_star@cpu", "--backend", "native"]
-        )
-        assert args.backend == "native"
-
-    def test_bench_backend_rejected_for_exchange(self):
-        from repro.obs import perf
-
-        with pytest.raises(ValueError, match="exchange workloads"):
-            perf.resolve_workloads(["exchange:3d7pt_star"],
-                                   backend="numpy")

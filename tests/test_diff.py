@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -29,14 +31,34 @@ def own_ledger_dir(tmp_path, monkeypatch):
     return d
 
 
-# sunway: its SPM DMA model actually consumes dma_startup_us, so the
-# --perturb runs move the spm-dma phase
-WORKLOAD = "3d7pt_star@sunway"
+def _perturbed(spec, **factors):
+    """``spec`` with each named numeric field multiplied by its factor."""
+    return dataclasses.replace(spec, **{
+        key: getattr(spec, key) * factor for key, factor in factors.items()
+    })
 
 
-def _bench(out, *extra):
-    return main(["bench", WORKLOAD, "--repeats", "1",
-                 "--warmup", "0", "--out", str(out), *extra])
+def _simulate(monkeypatch, **perturb):
+    """``repro simulate 3d7pt_star --machine sunway`` at 24^3 (one ledger
+    row), on a Sunway spec with ``perturb``'s fields scaled.  At this
+    grid DMA start-up weighs enough that ``dma_startup_us`` x10 moves
+    the spm-dma phase by +10.8 %, past the 10 % threshold; at the
+    Table-5 grid it moves it by less than 4 %.
+    """
+    import repro.machine
+    from repro.evalsuite import harness
+    from repro.machine import spec as machine_spec
+
+    monkeypatch.setattr(harness, "build_with_schedule", functools.partial(
+        harness.build_with_schedule, grid=(24, 24, 24)))
+    if perturb:
+        slow = _perturbed(machine_spec.machine_by_name("sunway"), **perturb)
+        monkeypatch.setitem(machine_spec._ALIASES, "sunway", slow)
+        monkeypatch.setattr(repro.machine, "simulate_sunway",
+                            functools.partial(repro.machine.simulate_sunway,
+                                              machine=slow))
+    return main(["simulate", "3d7pt_star", "--machine", "sunway",
+                 "--skip-pipeline"])
 
 
 class TestLoadViews:
@@ -61,14 +83,6 @@ class TestLoadViews:
             assert view.workload == "w"
             assert view.metrics["m"]["median"] == 1.0
 
-    def test_bench_doc_views(self, own_ledger_dir, tmp_path):
-        doc = tmp_path / "b.json"
-        assert _bench(doc) == 0
-        (view,) = load_views(str(doc))
-        assert view.workload == WORKLOAD
-        assert view.phases_sim
-        assert view.metrics["sim.step_s"]["gate"] is True
-
     def test_trace_views(self, own_ledger_dir, tmp_path):
         tr = tmp_path / "t.json"
         assert main(["simulate", "2d9pt_box", "--machine", "cpu",
@@ -79,47 +93,51 @@ class TestLoadViews:
 
 
 class TestDiff:
-    def test_same_config_diffs_clean(self, own_ledger_dir, tmp_path,
+    def test_same_config_diffs_clean(self, own_ledger_dir, monkeypatch,
                                      capsys):
-        assert _bench(tmp_path / "a.json") == 0
-        assert _bench(tmp_path / "b.json") == 0
+        assert _simulate(monkeypatch) == 0
+        assert _simulate(monkeypatch) == 0
         assert main(["diff", "1", "2"]) == 0
         out = capsys.readouterr().out
         assert "no regressions" in out
         assert "config drift: none" in out
 
     def test_perturbed_dma_attributed_to_spm_dma(self, own_ledger_dir,
-                                                 tmp_path, capsys):
-        assert _bench(tmp_path / "a.json") == 0
-        assert _bench(tmp_path / "b.json",
-                      "--perturb", "dma_startup_us=10") == 0
+                                                 monkeypatch, capsys):
+        assert _simulate(monkeypatch) == 0
+        assert _simulate(monkeypatch, dma_startup_us=10.0) == 0
+        capsys.readouterr()  # drop the simulate runs' own stdout
         assert main(["diff", "1", "2"]) == 1
         out = capsys.readouterr().out
         assert "regression attributed to phase 'spm-dma'" in out
         assert "REGRESSION" in out
-        assert "dma_startup_us" in out  # config drift names the cause
-
-    def test_diff_bench_documents_directly(self, own_ledger_dir,
-                                           tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert _bench(a) == 0
-        assert _bench(b, "--perturb", "dma_startup_us=10") == 0
-        assert main(["diff", str(a), str(b)]) == 1
-        assert "spm-dma" in capsys.readouterr().out
+        assert "machine_spec" in out  # config drift names the cause
         # the reverse direction is an improvement, not a regression
-        assert main(["diff", str(b), str(a)]) == 0
+        assert main(["diff", "2", "1"]) == 0
 
-    def test_diff_json_output(self, own_ledger_dir, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert _bench(a) == 0
-        assert _bench(b, "--perturb", "dma_startup_us=10") == 0
-        capsys.readouterr()  # drop the bench runs' own stdout
-        assert main(["diff", str(a), str(b), "--json"]) == 1
+    def test_diff_bench_document_is_refused(self, own_ledger_dir,
+                                            tmp_path, capsys):
+        doc = tmp_path / "BENCH_perf_smoke.json"
+        doc.write_text(json.dumps({"format": "repro-bench", "version": 1,
+                                   "workloads": {}}))
+        assert main(["diff", str(doc), str(doc)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "repro bench` was removed" in line
+        assert "ledger ids or --trace files" in line
+
+    def test_diff_json_output(self, own_ledger_dir, monkeypatch, capsys):
+        assert _simulate(monkeypatch) == 0
+        assert _simulate(monkeypatch, dma_startup_us=10.0) == 0
+        capsys.readouterr()  # drop the simulate runs' own stdout
+        assert main(["diff", "1", "2", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
         (run,) = doc["runs"]
         assert run["attributed_phase"] == "spm-dma"
-        assert any(d["field"] == "perturb" for d in run["drift"])
+        regressed = {d["name"] for d in run["regressions"]}
+        # a DMA slowdown leaves the compute phase alone
+        assert "spm-dma" in regressed and "compute" not in regressed
+        assert any(d["field"] == "machine_spec" for d in run["drift"])
 
     def test_diff_traces(self, own_ledger_dir, tmp_path, capsys):
         t1, t2 = tmp_path / "1.json", tmp_path / "2.json"

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import json
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -33,6 +37,17 @@ def own_ledger_dir(tmp_path, monkeypatch):
     d = str(tmp_path / "ledger")
     monkeypatch.setenv("REPRO_LEDGER_DIR", d)
     return d
+
+
+WRITERS = 6
+ROWS_EACH = 25
+
+
+def _append_rows(directory: str, writer: str) -> None:
+    """One concurrent writer: ``ROWS_EACH`` appends on its own store."""
+    with open_ledger(directory) as led:
+        for _ in range(ROWS_EACH):
+            led.record(RunRecord(command="run", workload=writer))
 
 
 class TestStore:
@@ -106,6 +121,32 @@ class TestStore:
         )
         assert not store.annotate(999, "nope")
 
+    def test_concurrent_writers_lose_no_rows(self, tmp_path):
+        # processes, then threads, each with its own connection: every
+        # append lands and ids stay unique
+        d = str(tmp_path)
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_append_rows, args=(d, f"p{i}"))
+                 for i in range(WRITERS)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(60)
+        assert [p.exitcode for p in procs] == [0] * WRITERS
+        threads = [threading.Thread(target=_append_rows, args=(d, f"t{i}"))
+                   for i in range(WRITERS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        with open_ledger(d) as led:
+            rows = led.query()
+        assert len(rows) == 2 * WRITERS * ROWS_EACH
+        assert len({r["id"] for r in rows}) == len(rows)
+        per_writer = collections.Counter(r["workload"] for r in rows)
+        assert per_writer == {f"{kind}{i}": ROWS_EACH for kind in "pt"
+                              for i in range(WRITERS)}
+
     def test_persists_across_open(self, tmp_path):
         with open_ledger(str(tmp_path)) as led:
             led.record(RunRecord(command="tune", workload="t"))
@@ -123,15 +164,13 @@ class TestHelpers:
 
     def test_machine_spec_hash_tracks_perturbation(self):
         from repro.machine.spec import machine_by_name
-        from repro.obs.perf.workloads import _perturbed
 
         spec = machine_by_name("sunway")
         h = machine_spec_hash(spec)
         assert h == machine_spec_hash(machine_by_name("sunway"))
         assert len(h) == 12
-        assert h != machine_spec_hash(
-            _perturbed(spec, {"dma_startup_us": 10.0})
-        )
+        assert h != machine_spec_hash(dataclasses.replace(
+            spec, dma_startup_us=spec.dma_startup_us * 10))
 
     def test_fold_spans_self_times(self):
         spans = [
@@ -168,9 +207,8 @@ class TestHelpers:
         )
 
     def test_environment_fingerprint_always_has_git(self):
-        from repro.obs.perf.runner import environment_fingerprint
-
-        fp = environment_fingerprint()
+        fp = ledger.environment_fingerprint()
+        assert "python" in fp and "numpy" in fp and "platform" in fp
         assert "git" in fp  # "unknown" when rev-parse fails, never absent
         if fp["git"] != "unknown":
             assert isinstance(fp.get("git_dirty"), bool)
@@ -179,7 +217,6 @@ class TestHelpers:
 class TestCollector:
     def test_note_without_begin_is_noop(self, own_ledger_dir):
         ledger.note(workload="w", config={"a": 1})
-        ledger.note_workload("w2")
         assert not os.path.exists(
             ledger.ledger_path(own_ledger_dir)
         )
@@ -193,9 +230,9 @@ class TestCollector:
                 {"span_id": 1, "parent_id": None, "name": "cli.simulate",
                  "start_s": 0.0, "duration_s": 0.2, "attrs": {}},
             ]
-        assert len(rec.ids) == 1
+        assert rec.id == 1
         with open_ledger(own_ledger_dir) as led:
-            row = led.get(rec.ids[0])
+            row = led.get(rec.id)
         assert row["workload"] == "b@m"
         assert row["outcome"] == "ok" and row["rc"] == 0
         assert row["phases_sim"]["compute"]["time_s"] == 0.5
@@ -209,7 +246,7 @@ class TestCollector:
         with ledger.recording("run") as err:
             ledger.note(workload="w")
             err.rc = 3
-        with ledger.recording("bench") as reg:
+        with ledger.recording("simulate") as reg:
             ledger.note(workload="w",
                         verdict="regression vs base: 1 delta(s)")
             reg.rc = 1
@@ -217,21 +254,12 @@ class TestCollector:
             with ledger.recording("run") as raised:
                 raise RuntimeError("boom")
         with open_ledger(own_ledger_dir) as led:
-            assert led.get(err.ids[0])["outcome"] == "error"
-            assert led.get(err.ids[0])["rc"] == 3
-            assert led.get(raised.ids[0])["rc"] == 1
-            row = led.get(reg.ids[0])
+            assert led.get(err.id)["outcome"] == "error"
+            assert led.get(err.id)["rc"] == 3
+            assert led.get(raised.id)["rc"] == 1
+            row = led.get(reg.id)
         assert row["outcome"] == "regression"
         assert row["verdict"].startswith("regression vs base")
-
-    def test_note_workload_one_row_each(self, own_ledger_dir):
-        with ledger.recording("bench") as rec:
-            ledger.note_workload("a@x", metrics={"m": metric_point(1.0)})
-            ledger.note_workload("b@x", metrics={"m": metric_point(2.0)})
-        assert len(rec.ids) == 2
-        with open_ledger(own_ledger_dir) as led:
-            assert led.get(rec.ids[0])["workload"] == "a@x"
-            assert led.get(rec.ids[1])["workload"] == "b@x"
 
     def test_finish_swallows_broken_store(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -239,7 +267,7 @@ class TestCollector:
         with ledger.recording("run",
                               directory=str(blocker / "sub")) as rec:
             ledger.note(workload="w")
-        assert rec.ids == []
+        assert rec.id is None
         assert "run ledger write failed" in capsys.readouterr().err
 
 
@@ -271,19 +299,6 @@ class TestCLIRecording:
         # host phases come from the flight ring fold
         assert row["phases_host"]
         assert row["environment"]["git"]
-
-    def test_bench_records_one_row_per_workload(self, own_ledger_dir,
-                                                tmp_path):
-        assert main(["bench", "2d9pt_box@cpu", "--repeats", "1",
-                     "--warmup", "0", "--out",
-                     str(tmp_path / "b.json")]) == 0
-        with open_ledger(own_ledger_dir) as led:
-            rows = led.query(command="bench")
-        assert [r["workload"] for r in rows] == ["2d9pt_box@cpu"]
-        row = rows[0]
-        assert row["config"]["benchmark"] == "2d9pt_box"
-        assert row["metrics"]["sim.step_s"]["gate"] is True
-        assert row["phases_sim"]
 
     def test_run_records_row(self, own_ledger_dir, tmp_path):
         src = tmp_path / "prog.msc"

@@ -1,7 +1,9 @@
 """Tests for the live-telemetry layer: flight recorder, OpenMetrics
 exposition, event log, and the ``--serve-metrics`` scrape server."""
 
+import importlib.util
 import json
+import os
 import socket
 import threading
 import urllib.request
@@ -160,6 +162,23 @@ class TestTracerFlightMode:
             pass
         obs.reset()
         assert len(fl) == 0
+
+    def test_telemetry_overhead_measures(self):
+        # the A/B arms of tools/telemetry_overhead.py run and record; the
+        # budget verdict is host timing, so it is the script's (CI), not
+        # tier-1's
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "tools", "telemetry_overhead.py")
+        spec = importlib.util.spec_from_file_location("telemetry_overhead",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        m = tool.measure()
+        assert set(m) == {"overhead_frac", "median_on_s", "median_off_s",
+                          "flight_spans", "flight_dropped"}
+        assert m["flight_spans"] > 0
+        # the caller's telemetry state comes back
+        assert obs.flight() is None and not registry().enabled
 
 
 # ---------------------------------------------------------------------------

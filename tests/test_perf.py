@@ -1,23 +1,19 @@
-"""Tests for the performance observatory (``repro.obs.perf``)."""
+"""Phase attribution, the regression rule over run views, and the
+deterministic performance-model figures pinned exactly."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.cli import main
-from repro.obs import perf
-from repro.obs.diff import (
-    DEFAULT_THRESHOLD,
-    diff_runs,
-    views_from_bench,
-    worse_frac,
-)
-from repro.obs.perf.runner import MetricSpec, Workload, WorkloadOutput
+from repro.obs import phases
+from repro.obs.diff import RunView, diff_runs, worse_frac
+from repro.obs.ledger import metric_point
+from repro.obs.metrics import aggregate
 
 
 @pytest.fixture(autouse=True)
@@ -32,30 +28,29 @@ def _clean_obs():
 # -- phase attribution ---------------------------------------------------
 class TestPhases:
     def test_taxonomy_mapping(self):
-        assert perf.phase_of("frontend.parse") == "frontend"
-        assert perf.phase_of("schedule.lower") == "lower"
-        assert perf.phase_of("machine.lower_schedule") == "lower"
-        assert perf.phase_of("codegen.sunway.slave") == "codegen"
-        assert perf.phase_of("machine.compute_model") == "compute"
-        assert perf.phase_of("runtime.kernel_eval") == "compute"
-        assert perf.phase_of("machine.dma_model") == "spm-dma"
-        assert perf.phase_of("machine.cache_model") == "spm-dma"
-        assert perf.phase_of("machine.spm_alloc") == "spm-dma"
-        assert perf.phase_of("comm.pack") == "halo-pack"
-        assert perf.phase_of("comm.send") == "send-wait"
-        assert perf.phase_of("comm.wait") == "send-wait"
-        assert perf.phase_of("comm.retry") == "send-wait"
-        assert perf.phase_of("comm.unpack") == "unpack"
-        assert perf.phase_of("autotune.trial") == "tune"
-        assert perf.phase_of("runtime.step") == "runtime"
-        assert perf.phase_of("cli.simulate") == "other"
-        assert perf.phase_of("machine.sunway_sim") == "other"
+        assert phases.phase_of("frontend.parse") == "frontend"
+        assert phases.phase_of("schedule.lower") == "lower"
+        assert phases.phase_of("machine.lower_schedule") == "lower"
+        assert phases.phase_of("codegen.sunway.slave") == "codegen"
+        assert phases.phase_of("machine.compute_model") == "compute"
+        assert phases.phase_of("runtime.kernel_eval") == "compute"
+        assert phases.phase_of("machine.dma_model") == "spm-dma"
+        assert phases.phase_of("machine.cache_model") == "spm-dma"
+        assert phases.phase_of("machine.spm_alloc") == "spm-dma"
+        assert phases.phase_of("comm.pack") == "halo-pack"
+        assert phases.phase_of("comm.send") == "send-wait"
+        assert phases.phase_of("comm.wait") == "send-wait"
+        assert phases.phase_of("comm.retry") == "send-wait"
+        assert phases.phase_of("comm.unpack") == "unpack"
+        assert phases.phase_of("autotune.trial") == "tune"
+        assert phases.phase_of("runtime.step") == "runtime"
+        assert phases.phase_of("cli.simulate") == "other"
+        assert phases.phase_of("machine.sunway_sim") == "other"
 
     def test_every_mapping_lands_in_taxonomy(self):
-        from repro.obs.perf.phases import _EXACT, _PREFIXES
-
-        for phase in list(_EXACT.values()) + [p for _, p in _PREFIXES]:
-            assert phase in perf.PHASES
+        for phase in (list(phases._EXACT.values())
+                      + [p for _, p in phases._PREFIXES]):
+            assert phase in phases.PHASES
 
     def test_self_time_attribution(self):
         spans = [
@@ -66,14 +61,14 @@ class TestPhases:
             {"span_id": 3, "parent_id": 1, "name": "machine.compute_model",
              "duration_s": 0.3, "attrs": {}},
         ]
-        attr = perf.attribute(spans)
+        attr = phases.attribute(spans)
         assert attr.total_s == pytest.approx(1.0)
         assert attr.phases["spm-dma"].time_s == pytest.approx(0.6)
         assert attr.phases["compute"].time_s == pytest.approx(0.3)
         # the parent keeps only its self time
         assert attr.phases["other"].time_s == pytest.approx(0.1)
-        assert attr.attributed_s == pytest.approx(1.0)
-        assert attr.coverage == pytest.approx(1.0)
+        assert sum(p.time_s for p in attr.phases.values()) == \
+            pytest.approx(attr.total_s)
 
     def test_bytes_accumulate_per_phase(self):
         spans = [
@@ -82,7 +77,7 @@ class TestPhases:
             {"span_id": 2, "parent_id": None, "name": "comm.send",
              "duration_s": 0.1, "attrs": {"bytes": 50}},
         ]
-        attr = perf.attribute(spans)
+        attr = phases.attribute(spans)
         assert attr.phases["send-wait"].bytes == 150
         assert attr.phases["send-wait"].count == 2
 
@@ -93,32 +88,16 @@ class TestPhases:
                     pass
                 with obs.span("runtime.kernel_eval"):
                     pass
-        attr = perf.attribute(tr.records)
+        attr = phases.attribute(tr.records)
         assert set(attr.phases) >= {"runtime", "halo-pack", "compute"}
-        assert attr.coverage >= 0.95
-
-    def test_share_and_empty(self):
-        attr = perf.attribute([])
-        assert attr.total_s == 0.0
-        assert attr.coverage == 1.0
-        assert attr.share("compute") == 0.0
-
-    def test_to_dict_orders_phases(self):
-        spans = [
-            {"span_id": 1, "parent_id": None, "name": "comm.unpack",
-             "duration_s": 0.1, "attrs": {}},
-            {"span_id": 2, "parent_id": None, "name": "frontend.parse",
-             "duration_s": 0.2, "attrs": {}},
-        ]
-        doc = perf.attribute(spans).to_dict()
-        assert list(doc["phases"]) == ["frontend", "unpack"]
-        assert doc["coverage"] == pytest.approx(1.0)
+        attributed = sum(p.time_s for p in attr.phases.values())
+        assert attributed >= 0.95 * attr.total_s
 
 
 # -- statistical aggregation ---------------------------------------------
 class TestAggregate:
     def test_median_mad_ci(self):
-        agg = perf.aggregate([1.0, 2.0, 3.0, 4.0, 100.0])
+        agg = aggregate([1.0, 2.0, 3.0, 4.0, 100.0])
         assert agg["median"] == 3.0
         assert agg["mad"] == 1.0  # robust to the outlier
         assert agg["n"] == 5
@@ -127,137 +106,35 @@ class TestAggregate:
         assert lo < 3.0 < hi
 
     def test_deterministic_values_zero_width(self):
-        agg = perf.aggregate([5.0, 5.0, 5.0])
+        agg = aggregate([5.0, 5.0, 5.0])
         assert agg["mad"] == 0.0
         assert agg["ci95"] == [5.0, 5.0]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            perf.aggregate([])
+            aggregate([])
 
 
-# -- runner ---------------------------------------------------------------
-def _toy_workload(value: float = 1.0, gate: bool = True) -> Workload:
-    def fn(seed):
-        with obs.span("machine.dma_model"):
-            pass
-        return WorkloadOutput(
-            metrics={"m": value},
-            phases_sim={"spm-dma": {"time_s": value}},
-        )
-
-    return Workload(
-        name="toy",
-        fn=fn,
-        metric_specs={"m": MetricSpec("s", "lower", gate=gate)},
-        meta={"kind": "toy"},
+# -- the regression rule ----------------------------------------------------
+def _view(value: float, workload: str = "toy",
+          gate: bool = True) -> RunView:
+    """A run with one metric ``m`` and one modelled phase, both ``value``."""
+    return RunView(
+        label=workload, workload=workload,
+        phases_sim={"spm-dma": {"time_s": value}},
+        metrics={"m": metric_point(value, unit="s", gate=gate)},
     )
-
-
-class TestRunner:
-    def test_run_workload_shape(self):
-        wl = _toy_workload()
-        res = perf.run_workload(wl, repeats=3, warmup=1, seed=7)
-        assert res["samples"] == 3
-        assert res["seed"] == 7
-        assert res["metrics"]["m"]["median"] == 1.0
-        assert res["metrics"]["m"]["gate"] is True
-        assert res["metrics"]["host.wall_s"]["gate"] is False
-        assert res["phases_sim"]["spm-dma"]["time_s"] == 1.0
-        assert "spm-dma" in res["phases_host"]
-        assert res["phase_coverage"] >= 0.95
-
-    def test_run_workload_validates(self):
-        wl = _toy_workload()
-        with pytest.raises(ValueError):
-            perf.run_workload(wl, repeats=0)
-        with pytest.raises(ValueError):
-            perf.run_workload(wl, warmup=-1)
-
-    def test_run_bench_document(self):
-        doc = perf.run_bench([_toy_workload()], "t", repeats=2)
-        assert doc["format"] == perf.BENCH_FORMAT
-        assert doc["version"] == perf.BENCH_VERSION
-        assert "toy" in doc["workloads"]
-        assert doc["environment"]["python"]
-
-    def test_run_bench_empty_raises(self):
-        with pytest.raises(ValueError):
-            perf.run_bench([], "t")
-
-    def test_environment_fingerprint(self):
-        fp = perf.environment_fingerprint()
-        assert "python" in fp and "numpy" in fp and "platform" in fp
-
-
-# -- schema ---------------------------------------------------------------
-class TestSchema:
-    def test_roundtrip(self, tmp_path):
-        doc = perf.run_bench([_toy_workload()], "rt", repeats=2)
-        path = str(tmp_path / perf.bench_filename("rt"))
-        perf.write_bench(path, doc)
-        loaded = perf.load_bench(path)
-        assert loaded["workloads"]["toy"]["metrics"]["m"]["median"] == 1.0
-
-    def test_bench_filename_sanitised(self):
-        assert perf.bench_filename("a b/c") == "BENCH_a_b_c.json"
-
-    def test_load_rejects_wrong_format(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text(json.dumps({"format": "nope"}))
-        with pytest.raises(ValueError, match="not a repro-bench"):
-            perf.load_bench(str(p))
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text(json.dumps(
-            {"format": "repro-bench", "version": 999, "workloads": {}}
-        ))
-        with pytest.raises(ValueError, match="version"):
-            perf.load_bench(str(p))
-
-    def test_write_rejects_non_bench(self, tmp_path):
-        with pytest.raises(ValueError):
-            perf.write_bench(str(tmp_path / "x.json"), {"format": "no"})
-
-    def test_load_artifact(self, tmp_path):
-        p = tmp_path / "fig.json"
-        p.write_text(json.dumps({
-            "format": "repro-bench-artifact", "version": 1,
-            "name": "fig", "data": [{"r": 1}], "text": "t",
-        }))
-        doc = perf.load_artifact(str(p))
-        assert doc["data"] == [{"r": 1}]
-        p.write_text(json.dumps({"format": "other"}))
-        with pytest.raises(ValueError):
-            perf.load_artifact(str(p))
-
-
-# -- comparison / regression gate -----------------------------------------
-def _bench_doc(value: float, name: str = "doc") -> dict:
-    return perf.run_bench([_toy_workload(value)], name, repeats=3)
-
-
-def _compare(current: dict, baseline: dict,
-             threshold: float = DEFAULT_THRESHOLD):
-    """What ``repro bench --compare`` runs on two bench documents."""
-    return diff_runs(views_from_bench(baseline, "base"),
-                     views_from_bench(current, "cur"), threshold)
 
 
 class TestCompare:
     def test_identical_no_regression(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(1.0, "cur")
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0)], [_view(1.0)])
         assert cmp.ok
         assert cmp.regressions == []
         assert "no regressions" in cmp.format()
 
     def test_slowdown_regresses_and_names_phase(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(1.5, "cur")
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0)], [_view(1.5)])
         assert not cmp.ok
         names = {(d.kind, d.name) for d in cmp.regressions}
         assert ("metric", "m") in names
@@ -265,25 +142,15 @@ class TestCompare:
         assert "phase 'spm-dma'" in cmp.format()
 
     def test_small_change_within_threshold_ok(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(1.05, "cur")
-        assert _compare(cur, base, threshold=0.10).ok
+        assert diff_runs([_view(1.0)], [_view(1.05)], threshold=0.10).ok
 
     def test_improvement_flagged_not_failed(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(0.5, "cur")
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0)], [_view(0.5)])
         assert cmp.ok
         assert any(d.improved for d in cmp.deltas)
 
     def test_ungated_metric_never_regresses(self):
-        base = perf.run_bench(
-            [_toy_workload(1.0, gate=False)], "base", repeats=2
-        )
-        cur = perf.run_bench(
-            [_toy_workload(10.0, gate=False)], "cur", repeats=2
-        )
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0, gate=False)], [_view(10.0, gate=False)])
         # the modelled phase still gates; drop it to isolate the metric
         metric_deltas = [d for d in cmp.regressions if d.kind == "metric"]
         assert metric_deltas == []
@@ -295,19 +162,13 @@ class TestCompare:
         assert worse_frac(0.0, 1.0, "lower") == float("inf")
 
     def test_missing_workloads_noted(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(1.0, "cur")
-        cur["workloads"]["new"] = cur["workloads"]["toy"]
-        base["workloads"]["gone"] = base["workloads"]["toy"]
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0), _view(1.0, "gone")],
+                        [_view(1.0), _view(1.0, "new")])
         text = "\n".join(cmp.notes)
         assert "new" in text and "gone" in text
 
     def test_single_workloads_with_different_names_noted(self):
-        base = _bench_doc(1.0, "base")
-        cur = _bench_doc(1.5, "cur")
-        cur["workloads"] = {"renamed": cur["workloads"]["toy"]}
-        cmp = _compare(cur, base)
+        cmp = diff_runs([_view(1.0)], [_view(1.5, "renamed")])
         # the single-run fallback still compares the pair ...
         assert ("phase", "spm-dma") in {
             (d.kind, d.name) for d in cmp.regressions
@@ -318,225 +179,153 @@ class TestCompare:
         assert "'renamed'" in note and "'toy'" in note
 
 
-# -- built-in workloads ----------------------------------------------------
+# -- pinned model outputs ----------------------------------------------------
+#: ``<bench>@<machine>`` at its small grid, one timestep: every figure
+#: the simulator reports, exact.  A change here is a change to the
+#: performance model, not noise.
+SIMULATED = {
+    "3d7pt_star@sunway": {
+        "grid": (24, 24, 24),
+        "sim.step_s": 6.823213719343536e-05,
+        "sim.total_s": 6.823213719343536e-05,
+        "sim.compute_s": 1.625078369905956e-06,
+        "sim.memory_s": 6.66070588235294e-05,
+        "sim.gflops": 5.47026687646991,
+        "phases_sim": {
+            "compute": {"time_s": 1.625078369905956e-06, "gflops": 229.68},
+            "spm-dma": {"time_s": 6.66070588235294e-05, "bytes": 820224.0},
+        },
+    },
+    "2d9pt_box@matrix": {
+        "grid": (64, 64),
+        "sim.step_s": 1.344837606837607e-05,
+        "sim.total_s": 1.344837606837607e-05,
+        "sim.compute_s": 4.666666666666667e-08,
+        "sim.memory_s": 1.3401709401709402e-05,
+        "sim.gflops": 10.660023133730759,
+        "phases_sim": {
+            "compute": {"time_s": 4.666666666666667e-08, "gflops": 3072.0},
+            "spm-dma": {"time_s": 1.3401709401709402e-05},
+        },
+    },
+}
+
+#: per-mode halo traffic of ``exchange:2d9pt_box`` (2x2 periodic ranks,
+#: 24x20, two steps): messages and bytes are exact protocol counts
+EXCHANGE = {
+    "basic": {"comm.messages": 64.0, "comm.bytes_sent": 6656.0},
+    "diag": {"comm.messages": 48.0, "comm.bytes_sent": 6144.0},
+    "overlap": {"comm.messages": 48.0, "comm.bytes_sent": 6144.0},
+}
+
+_COUNTERS = ("comm.bytes_sent", "comm.messages", "comm.pool_bytes")
+
+
+def _simulate(workload: str):
+    """The ``<bench>@<machine>`` simulator report at its pinned grid."""
+    from repro.evalsuite.harness import build_with_schedule
+    from repro.ir.dtypes import f64
+    from repro.machine.matrix_sim import CacheMachineSimulator
+    from repro.machine.spec import machine_by_name
+    from repro.machine.sunway_sim import SunwaySimulator
+
+    bench, machine = workload.split("@")
+    prog, handle = build_with_schedule(
+        bench, machine, f64, grid=SIMULATED[workload]["grid"])
+    spec = machine_by_name(machine)
+    sim = (SunwaySimulator(spec) if spec.cacheless
+           else CacheMachineSimulator(spec))
+    return sim.run(prog.ir, handle.schedule, timesteps=1)
+
+
+def _exchange(modes):
+    """Run ``2d9pt_box`` over 2x2 periodic ranks once per mode; returns
+    the results and the per-mode counter deltas."""
+    from repro.frontend.stencils import benchmark_by_name
+    from repro.runtime.executor import distributed_run
+
+    demo, _ = benchmark_by_name("2d9pt_box").build(
+        grid=(24, 20), boundary="periodic")
+    rng = np.random.default_rng(0)
+    init = [rng.random((24, 20))
+            for _ in range(demo.ir.required_time_window - 1)]
+    reg = obs.registry()
+    results, deltas = {}, {}
+    for mode in modes:
+        before = {k: reg.counter_total(k) for k in _COUNTERS}
+        results[mode] = distributed_run(demo.ir, init, 2, (2, 2),
+                                        boundary="periodic",
+                                        exchange_mode=mode)
+        deltas[mode] = {k: reg.counter_total(k) - before[k]
+                        for k in _COUNTERS}
+    return results, deltas
+
+
 class TestWorkloads:
-    def test_resolve_defaults(self):
-        wls, name = perf.resolve_workloads([])
-        assert name == "perf_smoke"
-        assert [w.name for w in wls] == list(perf.DEFAULT_WORKLOADS)
-
-    def test_resolve_explicit_name(self):
-        wls, name = perf.resolve_workloads(["3d7pt_star@sunway"])
-        assert name == "3d7pt_star_sunway"
-        assert wls[0].meta["kind"] == "simulate"
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match="unknown machine"):
-            perf.workload_by_name("3d7pt_star@gpu")
-        with pytest.raises(ValueError, match="cannot parse"):
-            perf.workload_by_name("nonsense")
-        with pytest.raises(ValueError, match="exchange"):
-            perf.workload_by_name("exchange:3d7pt_star",
-                                  perturb={"dma_startup_us": 2.0})
-
-    def test_perturb_validation(self):
-        wl = perf.workload_by_name(
-            "3d7pt_star@sunway", perturb={"no_such_field": 2.0}
-        )
-        with pytest.raises(ValueError, match="no field"):
-            wl.fn(0)
-        wl = perf.workload_by_name(
-            "3d7pt_star@sunway", perturb={"name": 2.0}
-        )
-        with pytest.raises(ValueError, match="not numeric"):
-            wl.fn(0)
-
-    def test_available_workloads_resolve(self):
-        names = perf.available_workloads()
-        assert "3d7pt_star@sunway" in names
-        assert "exchange:2d9pt_box" in names
-
-    def test_simulate_workload_end_to_end(self):
-        wl = perf.workload_by_name("3d7pt_star@sunway")
-        res = perf.run_workload(wl, repeats=2, warmup=0)
-        m = res["metrics"]
-        assert m["sim.step_s"]["gate"] and m["sim.step_s"]["median"] > 0
-        assert m["sim.step_s"]["mad"] == 0.0  # deterministic model
-        assert res["phases_sim"]["spm-dma"]["time_s"] > 0
-        assert res["phases_sim"]["spm-dma"]["bytes"] > 0
-        assert res["phase_coverage"] >= 0.95
-        pt = res["roofline"]["3d7pt_star"]
-        assert 0.0 < pt["utilization"] <= 1.0
-        assert pt["bound"] in ("memory", "compute")
-
-    def test_perturbed_dma_regresses_named_phase(self):
-        base_wl = perf.workload_by_name("3d7pt_star@sunway")
-        slow_wl = perf.workload_by_name(
-            "3d7pt_star@sunway", perturb={"dma_startup_us": 10.0}
-        )
-        base = perf.run_bench([base_wl], "base", repeats=2)
-        cur = perf.run_bench([slow_wl], "cur", repeats=2)
-        cmp = _compare(cur, base)
-        assert not cmp.ok
-        assert any(d.kind == "phase" and d.name == "spm-dma"
-                   for d in cmp.regressions)
-        # compute phase is untouched by a DMA slowdown
-        assert all(d.name != "compute" for d in cmp.regressions)
-
-    def test_exchange_workload_deterministic(self):
-        wl = perf.workload_by_name("exchange:2d9pt_box")
-        res = perf.run_workload(wl, repeats=2, warmup=0)
-        m = res["metrics"]
-        assert m["comm.bytes_sent"]["median"] > 0
-        assert m["comm.bytes_sent"]["mad"] == 0.0
-        assert m["comm.messages"]["gate"]
-        assert {"halo-pack", "send-wait", "unpack"} <= set(
-            res["phases_host"]
-        )
-
-    def test_exchange_mode_specs_resolve(self):
-        names = perf.available_workloads()
-        for mode in ("basic", "diag", "overlap"):
-            spec = f"exchange:2d9pt_box@{mode}"
-            assert spec in names
-            wl = perf.workload_by_name(spec)
-            assert wl.name == f"exchange:2d9pt_box@{mode}"
-            assert wl.meta["exchange_mode"] == mode
-        assert perf.workload_by_name(
-            "exchange:2d9pt_box"
-        ).meta["exchange_mode"] == "compare"
-        with pytest.raises(ValueError, match="unknown exchange mode"):
-            perf.workload_by_name("exchange:2d9pt_box@warp")
+    @pytest.mark.parametrize("workload", sorted(SIMULATED))
+    def test_simulated_figures_pinned(self, workload):
+        want = SIMULATED[workload]
+        report = _simulate(workload)
+        assert report.step_s == want["sim.step_s"]
+        assert report.total_s == want["sim.total_s"]
+        assert report.compute_s == want["sim.compute_s"]
+        assert report.memory_s == want["sim.memory_s"]
+        assert report.gflops == want["sim.gflops"]
+        modelled = {p: {"time_s": t} for p, t in report.phases().items()
+                    if t > 0}
+        compute_s = modelled["compute"]["time_s"]
+        modelled["compute"]["gflops"] = (
+            report.flops_per_step * report.timesteps / compute_s / 1e9)
+        if report.dma is not None:
+            modelled["spm-dma"]["bytes"] = float(report.dma.total_bytes)
+        assert modelled == want["phases_sim"]
 
     def test_exchange_comparative_metrics(self):
-        wl = perf.workload_by_name("exchange:2d9pt_box")
-        res = perf.run_workload(wl, repeats=2, warmup=0)
-        m = res["metrics"]
+        from repro.obs.distributed import (
+            DistributedTrace,
+            extract_critical_path,
+            imbalance_report,
+        )
+
+        with obs.capture() as (tr, reg):
+            results, deltas = _exchange(list(EXCHANGE))
+        for mode, want in EXCHANGE.items():
+            got = deltas[mode]
+            assert {k: got[k] for k in want} == want, mode
+            # the zero-copy clean path: no pool staging in any mode
+            assert got["comm.pool_bytes"] == 0.0, mode
         # diag coalesces corners into direct messages: strictly fewer
-        assert m["comm.messages.diag"]["gate"]
-        assert m["comm.messages.diag"]["median"] < m["comm.messages"]["median"]
-        assert m["diag.msg_saving"]["median"] > 0
+        assert (deltas["diag"]["comm.messages"]
+                < deltas["basic"]["comm.messages"])
         # every mode is bitwise-transparent
-        assert m["exchange.modes_bitwise_equal"]["median"] == 1.0
-        # all three modes take the zero-copy clean path: no pool staging
-        assert m["comm.pool_bytes"]["median"] == 0.0
-        assert m["comm.pool_bytes"]["gate"]
+        for mode in EXCHANGE:
+            assert results[mode].tobytes() == results["basic"].tobytes()
+        # the structural critical path over all three runs is
+        # program-deterministic
+        dt = DistributedTrace.from_live(tr, reg)
+        cp = extract_critical_path(dt)
+        assert (cp.chain_spans, cp.chain_crossings, cp.flow_edges) == \
+            (204, 10, 169)
+        assert imbalance_report(dt).bytes_skew == 1.0
+
+    def test_exchange_workload_deterministic(self):
+        with obs.capture() as (tr, _):
+            first, a = _exchange(["basic"])
+            second, b = _exchange(["basic"])
+        assert a == b
+        assert first["basic"].tobytes() == second["basic"].tobytes()
+        assert {"halo-pack", "send-wait", "unpack"} <= set(
+            phases.attribute(tr.records).phases)
 
     def test_exchange_single_mode_workload(self):
-        wl = perf.workload_by_name("exchange:2d9pt_box@diag")
-        res = perf.run_workload(wl, repeats=2, warmup=0)
-        m = res["metrics"]
-        assert m["comm.bytes_sent"]["median"] > 0
-        assert m["comm.pool_bytes"]["median"] == 0.0
-        # per-mode workloads skip the cross-mode comparison metrics
-        assert "diag.msg_saving" not in m
+        # one mode run on its own counts what it counts beside the others
+        with obs.capture():
+            _, deltas = _exchange(["diag"])
+        assert deltas["diag"] == dict(EXCHANGE["diag"],
+                                      **{"comm.pool_bytes": 0.0})
 
 
-# -- CLI -------------------------------------------------------------------
-class TestBenchCLI:
-    def test_list_workloads(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "3d7pt_star@sunway" in out
-
-    def test_bench_writes_document(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        rc = main(["bench", "3d7pt_star@sunway",
-                   "--repeats", "2", "--warmup", "0"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "roofline 3d7pt_star" in out
-        path = tmp_path / "BENCH_3d7pt_star_sunway.json"
-        assert path.exists()
-        doc = perf.load_bench(str(path))
-        wl = doc["workloads"]["3d7pt_star@sunway"]
-        assert wl["samples"] == 2
-        assert wl["phase_coverage"] >= 0.95
-
-    def test_bench_compare_self_is_clean(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "3d7pt_star@sunway",
-                     "--repeats", "2", "--warmup", "0"]) == 0
-        assert main([
-            "bench", "3d7pt_star@sunway", "--repeats", "2",
-            "--warmup", "0",
-            "--compare", "BENCH_3d7pt_star_sunway.json",
-        ]) == 0
-
-    def test_bench_compare_regression_exits_nonzero(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "3d7pt_star@sunway",
-                     "--repeats", "2", "--warmup", "0"]) == 0
-        rc = main([
-            "bench", "3d7pt_star@sunway", "--repeats", "2",
-            "--warmup", "0", "--perturb", "dma_startup_us=10",
-            "--name", "slow",
-            "--compare", "BENCH_3d7pt_star_sunway.json",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "spm-dma" in out
-
-    def test_bench_compare_never_rewrites_its_baseline(
-            self, tmp_path, monkeypatch, capsys):
-        """``--compare FILE`` with the default ``--out`` (= FILE) used
-        to overwrite FILE first and then compare it with itself."""
-        monkeypatch.chdir(tmp_path)
-        os.makedirs("benchmarks/results")
-        assert main(["bench", "3d7pt_star@sunway",
-                     "--repeats", "2", "--warmup", "0"]) == 0
-        base = tmp_path / "BENCH_3d7pt_star_sunway.json"
-        mirror = tmp_path / "benchmarks/results/3d7pt_star_sunway.json"
-        before = base.read_bytes(), mirror.read_bytes()
-        capsys.readouterr()
-        # same name, so the default --out is the baseline itself
-        rc = main([
-            "bench", "3d7pt_star@sunway", "--repeats", "2",
-            "--warmup", "0", "--perturb", "dma_startup_us=10",
-            "--compare", "BENCH_3d7pt_star_sunway.json",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 1 and "REGRESSION" in out
-        assert "not written" in out and "--compare baseline" in out
-        assert (base.read_bytes(), mirror.read_bytes()) == before
-        # report-only keeps its exit code semantics, and the file
-        assert main([
-            "bench", "3d7pt_star@sunway", "--repeats", "2",
-            "--warmup", "0", "--perturb", "dma_startup_us=10",
-            "--report-only", "--compare",
-            str(tmp_path / "benchmarks/results/3d7pt_star_sunway.json"),
-        ]) == 0
-        assert (base.read_bytes(), mirror.read_bytes()) == before
-
-    def test_bench_report_only_exits_zero(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "3d7pt_star@sunway",
-                     "--repeats", "2", "--warmup", "0"]) == 0
-        rc = main([
-            "bench", "3d7pt_star@sunway", "--repeats", "2",
-            "--warmup", "0", "--perturb", "dma_startup_us=10",
-            "--name", "slow", "--report-only",
-            "--compare", "BENCH_3d7pt_star_sunway.json",
-        ])
-        assert rc == 0
-
-    def test_bench_mirrors_into_results_dir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        os.makedirs("benchmarks/results")
-        assert main(["bench", "3d7pt_star@sunway",
-                     "--repeats", "2", "--warmup", "0"]) == 0
-        assert (tmp_path / "benchmarks" / "results"
-                / "3d7pt_star_sunway.json").exists()
-
-    def test_bench_bad_perturb(self, capsys):
-        assert main(["bench", "--perturb", "oops"]) == 2
-
-    def test_bench_bad_workload(self, capsys):
-        assert main(["bench", "bogus@sunway"]) == 1
-
-
-# -- figure-artefact JSON (benchmarks/_common.py) --------------------------
+# -- figure artefacts (benchmarks/_common.py) --------------------------------
 class TestEmitArtifact:
     def _load_common(self, tmp_path, monkeypatch):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -548,18 +337,8 @@ class TestEmitArtifact:
         monkeypatch.setattr(mod, "RESULTS_DIR", str(tmp_path))
         return mod
 
-    def test_emit_writes_txt_and_json(self, tmp_path, monkeypatch):
-        common = self._load_common(tmp_path, monkeypatch)
-        common.emit("figX", "some table",
-                    data=[{"benchmark": "3d7pt_star", "speedup": 2.0}])
-        assert (tmp_path / "figX.txt").read_text() == "some table\n"
-        doc = perf.load_artifact(str(tmp_path / "figX.json"))
-        assert doc["name"] == "figX"
-        assert doc["data"][0]["speedup"] == 2.0
-        assert doc["text"] == "some table"
-
     def test_emit_without_data(self, tmp_path, monkeypatch):
         common = self._load_common(tmp_path, monkeypatch)
-        common.emit("figY", "text only")
-        doc = perf.load_artifact(str(tmp_path / "figY.json"))
-        assert doc["data"] is None
+        common.emit("figY", "some table")
+        assert (tmp_path / "figY.txt").read_text() == "some table\n"
+        assert os.listdir(tmp_path) == ["figY.txt"]
