@@ -208,7 +208,6 @@ class TestHelpers:
 
     def test_environment_fingerprint_always_has_git(self):
         fp = ledger.environment_fingerprint()
-        assert "python" in fp and "numpy" in fp and "platform" in fp
         assert "git" in fp  # "unknown" when rev-parse fails, never absent
         if fp["git"] != "unknown":
             assert isinstance(fp.get("git_dirty"), bool)

@@ -3,7 +3,9 @@ deterministic performance-model figures pinned exactly."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from repro import obs
 from repro.obs import phases
 from repro.obs.diff import RunView, diff_runs, worse_frac
+from repro.obs import ledger
 from repro.obs.ledger import metric_point
 from repro.obs.metrics import aggregate
 
@@ -221,8 +224,10 @@ EXCHANGE = {
 _COUNTERS = ("comm.bytes_sent", "comm.messages", "comm.pool_bytes")
 
 
-def _simulate(workload: str):
-    """The ``<bench>@<machine>`` simulator report at its pinned grid."""
+def _simulate(workload: str, **perturb):
+    """The ``<bench>@<machine>`` simulator report at its pinned grid, on
+    the machine spec with each of ``perturb``'s fields scaled by its
+    factor."""
     from repro.evalsuite.harness import build_with_schedule
     from repro.ir.dtypes import f64
     from repro.machine.matrix_sim import CacheMachineSimulator
@@ -233,6 +238,9 @@ def _simulate(workload: str):
     prog, handle = build_with_schedule(
         bench, machine, f64, grid=SIMULATED[workload]["grid"])
     spec = machine_by_name(machine)
+    spec = dataclasses.replace(spec, **{
+        key: getattr(spec, key) * factor for key, factor in perturb.items()
+    })
     sim = (SunwaySimulator(spec) if spec.cacheless
            else CacheMachineSimulator(spec))
     return sim.run(prog.ir, handle.schedule, timesteps=1)
@@ -279,6 +287,24 @@ class TestWorkloads:
         if report.dma is not None:
             modelled["spm-dma"]["bytes"] = float(report.dma.total_bytes)
         assert modelled == want["phases_sim"]
+
+    def test_perturbed_dma_regresses_named_phase(self):
+        def view(label, **perturb):
+            report = _simulate("3d7pt_star@sunway", **perturb)
+            return RunView(
+                label=label, workload="3d7pt_star@sunway",
+                phases_sim={p: {"time_s": t}
+                            for p, t in report.phases().items()},
+                metrics={"sim.step_s": metric_point(report.step_s,
+                                                    unit="s", gate=True)},
+            )
+
+        cmp = diff_runs([view("base")], [view("slow", dma_startup_us=10.0)])
+        assert not cmp.ok
+        assert any(d.kind == "phase" and d.name == "spm-dma"
+                   for d in cmp.regressions)
+        # compute phase is untouched by a DMA slowdown
+        assert all(d.name != "compute" for d in cmp.regressions)
 
     def test_exchange_comparative_metrics(self):
         from repro.obs.distributed import (
@@ -337,8 +363,76 @@ class TestEmitArtifact:
         monkeypatch.setattr(mod, "RESULTS_DIR", str(tmp_path))
         return mod
 
+    def test_emit_writes_txt_and_json(self, tmp_path, monkeypatch, capsys):
+        # the .txt half of the old .txt + .json pair: the artefact is
+        # printed under its banner and persisted; the JSON twin is gone
+        # (test_emit_without_data checks that none is written)
+        common = self._load_common(tmp_path, monkeypatch)
+        common.emit("figX", "some table")
+        assert capsys.readouterr().out == "\n===== figX =====\nsome table\n"
+        assert (tmp_path / "figX.txt").read_text() == "some table\n"
+        common.emit("figX", "new table")
+        assert (tmp_path / "figX.txt").read_text() == "new table\n"
+
     def test_emit_without_data(self, tmp_path, monkeypatch):
         common = self._load_common(tmp_path, monkeypatch)
         common.emit("figY", "some table")
         assert (tmp_path / "figY.txt").read_text() == "some table\n"
         assert os.listdir(tmp_path) == ["figY.txt"]
+
+
+# -- what a recorded run carries about its host ------------------------------
+class TestRunner:
+    def test_environment_fingerprint(self):
+        fp = ledger.environment_fingerprint()
+        assert "python" in fp and "numpy" in fp and "platform" in fp
+        # a ledger row stores it as JSON text
+        assert json.loads(json.dumps(fp)) == fp
+
+
+# -- the benchmark's compare gate (benchmarks/host/run.py --compare) ---------
+def _hostbench_doc(op_s: float) -> dict:
+    """A one-workload hostbench result document with ``op_s`` as its
+    operation time and every other end-to-end metric at 1."""
+    metrics = {m: {"value": 1.0, "unit": "x"} for m in
+               ("setup_s", "op_tail_s", "mpts_per_s", "peak_rss_mb")}
+    metrics["op_s"] = {"value": op_s, "unit": "s"}
+    return {"format": "hostbench/1", "quick": False, "seconds": 12,
+            "workloads": {"star3d": {"end_to_end": {
+                "attempted": 10, "failed": 0, "metrics": metrics}}}}
+
+
+class TestBenchCLI:
+    @pytest.fixture
+    def hostbench(self, tmp_path):
+        """``benchmarks/host/run.py`` as a module, and a writer of result
+        documents under ``tmp_path``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "hostbench_run", os.path.join(root, "benchmarks", "host", "run.py")
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+
+        def write(name: str, op_s: float) -> str:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(_hostbench_doc(op_s)))
+            return str(path)
+
+        return mod, write
+
+    def test_bench_compare_self_is_clean(self, hostbench, capsys):
+        run, write = hostbench
+        base = write("base", 1.0)
+        assert run.main(["--compare", base, base]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5  # one per end-to-end metric of BENCHMARK.json
+        assert all(row.endswith("  ok") for row in rows)
+
+    def test_bench_compare_regression_exits_nonzero(self, hostbench, capsys):
+        run, write = hostbench
+        assert run.main(["--compare", write("base", 1.0),
+                         write("slow", 2.0)]) == 1
+        (row,) = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(" worse")]
+        assert row.split()[:2] == ["star3d", "op_s"]
