@@ -341,7 +341,8 @@ def reference_run(stencil: Stencil,
 # done as rarely as its inputs change:
 #
 #   lower  Kernel -> KernelProgram (repro.ir.program)   once per kernel node
-#   type   + scalars, scale, dtype -> TermProgram       once per engine term
+#   type   + scalars, scale, dtype -> TermProgram       once per kernel node
+#                                                       and configuration
 #   bind   + region, planes -> [(ufunc, args, out)]     once per region
 #                                                       and window rotation
 #
@@ -360,6 +361,16 @@ _UFUNCS = {
 }
 
 _LOWER_LOCK = threading.Lock()  # rank threads share kernel nodes
+
+#: typed terms one kernel program keeps (:func:`typed_term`); a run
+#: needs one per term, so this only bounds a process that sweeps scalars
+_MAX_TYPED_TERMS = 16
+
+#: what a typed program may call and still be bound over a flat hull:
+#: the hull's extra cells compute on ghost data, and these cannot trap
+#: on it (a division, a function or a cast could warn where the oracle
+#: does not)
+_HULL_SAFE = frozenset((np.negative, np.add, np.subtract, np.multiply))
 
 
 def _cast(src: np.ndarray, out: np.ndarray) -> None:
@@ -383,8 +394,8 @@ class TermProgram:
     scalars are reported here.
     """
 
-    __slots__ = ("accesses", "code", "reg_dtypes", "_calls", "_scalars",
-                 "_splats")
+    __slots__ = ("accesses", "code", "reg_dtypes", "hull_safe", "_calls",
+                 "_scalars", "_splats")
 
     def __init__(self, program: KernelProgram,
                  scalars: Mapping[str, float], scale: float,
@@ -410,6 +421,7 @@ class TermProgram:
         value = self._emit(free, np.multiply, ((VALUE, scale), value))
         if self.reg_dtypes[value[1]] != out_dtype:
             self._emit(free, _cast, (value,), out_dtype)
+        self.hull_safe = all(fn in _HULL_SAFE for fn, _, _ in self.code)
 
         # :meth:`bind` lays views, registers and the scalar operands (in
         # order of use) out in one list and picks each call's arguments
@@ -475,6 +487,29 @@ class TermProgram:
             env[position] = np.broadcast_to(env[position], shape)
         return [(fn, (picked := pick(env))[:-1], picked[-1])
                 for fn, pick in self._calls]
+
+
+def _key(value) -> tuple:
+    """``value`` as a memo key: type and bits, so ``-0.0`` is not
+    ``0.0`` and ``1`` is not ``1.0``."""
+    return type(value), np.asarray(value).tobytes()
+
+
+def typed_term(program: KernelProgram, scalars: Mapping[str, float],
+               scale: float, out_dtype: np.dtype) -> TermProgram:
+    """The :class:`TermProgram` of ``scale * program`` for these bound
+    scalars and output dtype, typed once and kept on the program
+    (:attr:`KernelProgram.typed`) for every later engine and rank."""
+    key = (tuple(sorted((name, _key(v)) for name, v in scalars.items())),
+           _key(scale), out_dtype)
+    with _LOWER_LOCK:
+        typed = program.typed.get(key)
+    if typed is None:
+        typed = TermProgram(program, scalars, scale, out_dtype)
+        with _LOWER_LOCK:
+            if len(program.typed) < _MAX_TYPED_TERMS:
+                typed = program.typed.setdefault(key, typed)
+    return typed
 
 
 #: bound plans one engine keeps.  A rank needs regions x terms x window
@@ -627,8 +662,8 @@ class BlockEngine:
         """
         out = stage.output
         if term.typed is None:
-            term.typed = TermProgram(term.lowered, self.scalars, term.scale,
-                                     out.dtype.np_dtype)
+            term.typed = typed_term(term.lowered, self.scalars, term.scale,
+                                    out.dtype.np_dtype)
         found: Dict[Tuple[str, int], np.ndarray] = {}
         for access in term.typed.accesses:
             read = name, off = access.tensor.name, access.time_offset
@@ -651,17 +686,64 @@ class BlockEngine:
             self.windows[out.name].plane(t),
         )
 
+    def _flat_hull(self, typed: TermProgram, planes: Sequence[np.ndarray],
+                   target: np.ndarray, halo: Sequence[int],
+                   region: Tuple[Tuple[int, int], ...]
+                   ) -> Optional[Tuple[List[np.ndarray], np.ndarray]]:
+        """The term's views over the *flat hull* of ``region`` — one
+        contiguous run of each plane it reads, and of ``target`` — or
+        None when the region may not be bound so.  The hull runs from
+        the region's first interior cell to its last.  For a region
+        that spans the block in every trailing dimension its other
+        cells are ghost cells of ``target`` between rows, which the
+        refresh rewrites after every step.  An access at offset ``o``
+        reads the same run shifted by ``o``'s flat stride, so every
+        plane read must share ``target``'s padded layout, and the
+        program must not trap on ghost data (``TermProgram.hull_safe``).
+        """
+        (lo, hi), rows = region[0], region[1:]
+        if (not typed.hull_safe or lo >= hi or 0 in self.shape
+                or any(r != (0, n) for r, n in zip(rows, self.shape[1:]))
+                or not all(p.shape == target.shape and p.flags.c_contiguous
+                           for p in (target, *planes))):
+            return None
+        strides = [math.prod(target.shape[d + 1:])
+                   for d in range(target.ndim)]
+        start = (halo[0] + lo) * strides[0] + sum(
+            h * st for h, st in zip(halo[1:], strides[1:]))
+        length = (hi - lo - 1) * strides[0] + sum(
+            (n - 1) * st for n, st in zip(self.shape[1:], strides[1:])) + 1
+
+        def run(plane: np.ndarray, shift: int = 0) -> np.ndarray:
+            return plane.reshape(-1)[start + shift:start + shift + length]
+
+        return [
+            run(plane, sum(map(operator.mul, access.offsets, strides)))
+            for access, plane in zip(typed.accesses, planes)
+        ], run(target)
+
     def _bind(self, stage: Stencil, first: bool, typed: TermProgram,
               planes: Sequence[np.ndarray], target: np.ndarray,
               region: Tuple[Tuple[int, int], ...]) -> list:
         """Bound plan of one term over ``region``: its calls.  An
-        access that leaves the padded buffer is reported here."""
+        access that leaves the padded buffer is reported here.  A
+        whole-row region is bound over its flat hull when it may be
+        (:meth:`_flat_hull`), any other as boxed views."""
+        halo = stage.output.halo
+        # boxed views even for a hull: they report an access that
+        # leaves the padded buffer, as the oracle does
         views = [
             _access_view(access, plane, self.halos[access.tensor.name],
                          region)
             for access, plane in zip(typed.accesses, planes)
         ]
-        shape = tuple(hi - lo for lo, hi in region)
+        dst = target[tuple(
+            slice(h + lo, h + hi) for h, (lo, hi) in zip(halo, region)
+        )]
+        hull = self._flat_hull(typed, planes, target, halo, region)
+        if hull is not None:
+            views, dst = hull
+        shape = dst.shape
         registers = []
         for number, dtype in enumerate(typed.reg_dtypes):
             key = (shape, dtype, number)
@@ -670,10 +752,6 @@ class BlockEngine:
                 register = self._scratch[key] = np.empty(shape, dtype)
             registers.append(register)
         calls = typed.bind(views, registers, shape)
-        dst = target[tuple(
-            slice(h + lo, h + hi)
-            for h, (lo, hi) in zip(stage.output.halo, region)
-        )]
         contribution = calls[-1][2]
         if first:
             # ``0 + x`` as the accumulator-into-zeros oracle computes

@@ -31,6 +31,11 @@ for coalesced multi-strip messages (transient buffers) and on the
 resilient path, which must hold every in-flight message stable until
 it is acknowledged.
 
+A process that is its own neighbour — a periodic dimension of extent
+1 — copies those strips into its own ghosts as the exchange begins, in
+every mode: a local copy is not a message, so the traffic counters,
+the flow edges and the fault injector see wire traffic only.
+
 At non-periodic global boundaries a process has no neighbour on a
 side; those ghost strips are filled by the boundary condition instead
 (zero/reflect), handled by the caller's plane fill.
@@ -86,6 +91,8 @@ _ACK_BASE = _TAG_BASE + _TAG_STRIDE * _SEQ_WINDOW
 #: sub-tag for diag/overlap per-neighbour coalesced messages (at most
 #: one such message per ordered rank pair per exchange)
 _DIAG_SUB = 6
+#: key of the one diag/overlap phase beside the basic dimension phases
+_DIAG_PHASE = -1
 
 
 @dataclass
@@ -219,6 +226,10 @@ class AsyncHaloExchanger(HaloExchanger):
         # the transfers depend on geometry and topology only
         self._phase_transfer_cache: Dict[int, List[_Transfer]] = {}
         self._diag_transfer_cache: Optional[List[_Transfer]] = None
+        #: per phase (a basic-mode dimension, or ``_DIAG_PHASE``): the
+        #: ``(inner strip, ghost strip)`` pairs of the transfers whose
+        #: peer is this rank, copied locally instead of sent
+        self._self_copies: Dict[int, Tuple[Tuple[Slices, Slices], ...]] = {}
 
     def reset_counters(self) -> None:
         """Zero traffic *and* retransmission counters (between runs)."""
@@ -273,8 +284,30 @@ class AsyncHaloExchanger(HaloExchanger):
         return total
 
     # -- transfer construction --------------------------------------------
+    def _without_self(self, phase: int,
+                      transfers: List[_Transfer]) -> List[_Transfer]:
+        """``transfers`` to other ranks; the ones whose peer is this
+        rank (a periodic dimension of extent 1) become the phase's
+        :attr:`_self_copies`.  Such a strip never touches the wire: it
+        is not counted, not flow-tracked and cannot be faulted.  The
+        strip sent under sub-tag ``s`` is the one received under ``s``,
+        so each inner strip is paired with that transfer's ghost
+        strip."""
+        me = self.comm.rank
+        own = {tr.recv_sub: tr for tr in transfers if tr.peer == me}
+        self._self_copies[phase] = tuple(
+            pair for tr in transfers if tr.peer == me
+            for pair in zip(tr.send_strips, own[tr.send_sub].recv_strips)
+        )
+        return [tr for tr in transfers if tr.peer != me]
+
+    def _copy_self(self, plane: np.ndarray, phase: int) -> None:
+        for src, dst in self._self_copies[phase]:
+            plane[dst] = plane[src]
+
     def _phase_transfers(self, d: int) -> List[_Transfer]:
-        """The two face transfers of one basic-mode dimension phase."""
+        """The face transfers to other ranks of one basic-mode
+        dimension phase."""
         cached = self._phase_transfer_cache.get(d)
         if cached is not None:
             return cached
@@ -295,7 +328,7 @@ class AsyncHaloExchanger(HaloExchanger):
                 send_count=self._strips_count((region.send,)),
                 recv_count=self._strips_count((region.recv,)),
             ))
-        self._phase_transfer_cache[d] = out
+        out = self._phase_transfer_cache[d] = self._without_self(d, out)
         return out
 
     def _offset_neighbour(self, offset: Sequence[int]) -> int:
@@ -350,6 +383,7 @@ class AsyncHaloExchanger(HaloExchanger):
                 send_count=self._strips_count(send_strips),
                 recv_count=self._strips_count(recv_strips),
             ))
+        transfers = self._without_self(_DIAG_PHASE, transfers)
         self._diag_transfer_cache = transfers
         return transfers
 
@@ -371,6 +405,7 @@ class AsyncHaloExchanger(HaloExchanger):
             if self.mode == "basic":
                 for d in range(ndim):
                     transfers = self._phase_transfers(d)
+                    self._copy_self(plane, d)
                     if not transfers:
                         continue
                     if resilient:
@@ -381,6 +416,7 @@ class AsyncHaloExchanger(HaloExchanger):
                         self._run_transfers_fast(plane, transfers, seq)
             else:  # diag: one phase of coalesced direct messages
                 transfers = self._diag_transfers()
+                self._copy_self(plane, _DIAG_PHASE)
                 if transfers:
                     if resilient:
                         self._run_transfers_resilient(
@@ -414,6 +450,8 @@ class AsyncHaloExchanger(HaloExchanger):
         with span("comm.exchange", rank=self.comm.rank, strategy="async",
                   mode="overlap", stage="begin", seq=seq,
                   resilient=resilient):
+            # self-copies land now: the split computes CORE over them
+            self._copy_self(plane, _DIAG_PHASE)
             if resilient:
                 state = self._post_transfers_resilient(
                     plane, transfers, seq

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "HaloSpec",
@@ -184,25 +184,31 @@ def diag_regions(spec: HaloSpec) -> List[DiagRegion]:
 
 
 def core_owned_regions(
-    sub_shape: Sequence[int], width: Sequence[int]
+    sub_shape: Sequence[int],
+    width: Sequence[Union[int, Tuple[int, int]]],
 ) -> Tuple[Optional[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]:
     """Split the iteration space for compute/communication overlap.
 
     Returns ``(core, owned)`` in *interior* coordinates (the executor's
-    ``(lo, hi)`` region format).  ``core`` is the block of cells at
-    least ``width[d]`` away from every sub-domain edge — its stencil
-    footprint stays inside the interior, so it can be computed while
-    ghost exchanges are in flight.  ``owned`` is a list of disjoint
-    shell slabs covering the rest; they read ghost cells and must wait
-    for the exchange to finish.  ``core`` is ``None`` when the
-    sub-domain is too thin to have one (then the shell covers
-    everything).
+    ``(lo, hi)`` region format).  ``width[d]`` is the shell depth on the
+    low and high side of dimension ``d``: a ``(lo, hi)`` pair, or one
+    int for both.  ``core`` is the block of cells at least that far
+    away from each side — its stencil footprint never reaches the
+    ghosts behind a side of nonzero width, so it can be computed while
+    those are in flight.  ``owned`` is a list of disjoint shell slabs
+    covering the rest; they read those ghost cells and must wait for
+    the exchange to finish.  A side of width 0 gets no slab.  ``core``
+    is ``None`` when the sub-domain is too thin to have one (then the
+    shell covers everything).
     """
     ndim = len(sub_shape)
     if len(width) != ndim:
         raise ValueError("width rank mismatch")
-    lo = [min(max(int(w), 0), s) for w, s in zip(width, sub_shape)]
-    hi = [max(s - w, l) for w, s, l in zip(width, sub_shape, lo)]
+    sides = [tuple(w) if isinstance(w, (tuple, list)) else (w, w)
+             for w in width]
+    lo = [min(max(int(w), 0), s) for (w, _), s in zip(sides, sub_shape)]
+    hi = [max(s - max(int(w), 0), l)
+          for (_, w), s, l in zip(sides, sub_shape, lo)]
     have_core = all(l < h for l, h in zip(lo, hi))
     core = [(l, h) for l, h in zip(lo, hi)] if have_core else None
     owned: List[List[Tuple[int, int]]] = []

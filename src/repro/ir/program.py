@@ -85,11 +85,16 @@ class KernelProgram:
     reports those); a raising one stays an instruction, so
     :meth:`fold` raises what the oracle does.  Holds no data and no
     scalar values: one program serves every backend and every run.
+    ``typed`` is where a backend keeps what it derives from the program
+    per run configuration — the numpy engine's typed terms, by bound
+    scalars, scale and output dtype — so runs and rank threads share
+    it; those hold no data either.
     """
 
-    __slots__ = ("accesses", "code", "result", "unfoldable")
+    __slots__ = ("accesses", "code", "result", "unfoldable", "typed")
 
     def __init__(self, kernel):
+        self.typed: Dict[Any, Any] = {}
         with np.errstate(all="ignore"):  # a bad constant is reported
             self._lower(kernel.expr)
 

@@ -26,13 +26,16 @@ Typical use::
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+
+from .metrics import counter as _counter
 
 __all__ = [
     "Span",
@@ -116,7 +119,10 @@ class FlightRecorder:
     from ring evictions.
 
     All methods are thread-safe; the recorder is attached to a
-    :class:`Tracer` via :meth:`Tracer.enable_flight`.
+    :class:`Tracer` via :meth:`Tracer.enable_flight`.  The ring holds
+    each span as the tuple of its :class:`Span` fields; the ``Span``
+    objects are built when the ring is read, so recording one is a
+    tuple and a lock.
     """
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY,
@@ -136,7 +142,7 @@ class FlightRecorder:
         self._lock = threading.Lock()
         # maxlen is a hard backstop: even a bookkeeping bug can never
         # grow the ring past capacity
-        self._ring: Deque[Span] = deque(maxlen=capacity)
+        self._ring: Deque[Tuple] = deque(maxlen=capacity)
         self._seen = 0
         self._kept = 0
         self._dropped = 0
@@ -146,28 +152,31 @@ class FlightRecorder:
     # -- recording -------------------------------------------------------
     def record(self, record: Span) -> None:
         """Offer one completed span to the ring."""
+        self.offer((record.span_id, record.parent_id, record.name,
+                    record.start_s, record.duration_s, record.thread,
+                    record.attrs))
+
+    def offer(self, fields: Tuple) -> None:
+        """Offer one completed span, given as its :class:`Span` fields
+        in order (the tracer's path: no ``Span`` is built)."""
+        name = fields[2]
         with self._lock:
             self._seen += 1
-            rate = self.sample.get(record.name, 1)
+            rate = self.sample.get(name, 1)
             if rate > 1:
-                seq = self._name_counts.get(record.name, 0)
-                self._name_counts[record.name] = seq + 1
+                seq = self._name_counts.get(name, 0)
+                self._name_counts[name] = seq + 1
                 if seq % rate:
                     self._sampled_out += 1
                     return
-            if len(self._ring) == self.capacity:
-                self._dropped += 1
-                dropped = True
-            else:
-                dropped = False
-            self._ring.append(record)
+            dropped = len(self._ring) == self.capacity
+            self._dropped += dropped
+            self._ring.append(fields)
             self._kept += 1
         if dropped:
             # mirror the eviction into the metrics registry so scrapes
             # see drop pressure; the local counter above is the source
             # of truth and never depends on the registry being enabled
-            from .metrics import counter as _counter
-
             _counter("obs.dropped_spans")
 
     def clear(self) -> None:
@@ -217,7 +226,8 @@ class FlightRecorder:
     def snapshot(self) -> List[Span]:
         """Buffered spans, oldest first (a consistent copy)."""
         with self._lock:
-            return list(self._ring)
+            ring = list(self._ring)
+        return [Span(*fields) for fields in ring]
 
     def top(self, k: int = 5, by: str = "total") -> List[Dict[str, Any]]:
         """Hottest span names over the buffered window.
@@ -317,10 +327,7 @@ class _SpanContext:
             self._attrs = merged
         stack = tr._stack()
         parent = stack[-1].span_id if stack else None
-        with tr._lock:
-            sid = tr._next_id
-            tr._next_id += 1
-        active = _ActiveSpan(sid, parent, self._name, self._attrs)
+        active = _ActiveSpan(next(tr._ids), parent, self._name, self._attrs)
         stack.append(active)
         self._active = active
         active.t0 = time.perf_counter()
@@ -336,21 +343,15 @@ class _SpanContext:
             stack.pop()
         if exc_type is not None:
             active.attrs["error"] = exc_type.__name__
-        record = Span(
-            span_id=active.span_id,
-            parent_id=active.parent_id,
-            name=active.name,
-            start_s=active.t0 - tr._epoch,
-            duration_s=t1 - active.t0,
-            thread=threading.current_thread().name,
-            attrs=active.attrs,
-        )
+        fields = (active.span_id, active.parent_id, active.name,
+                  active.t0 - tr._epoch, t1 - active.t0,
+                  threading.current_thread().name, active.attrs)
         if tr._keep_all:
             with tr._lock:
-                tr.records.append(record)
+                tr.records.append(Span(*fields))
         fl = tr._flight
         if fl is not None:
-            fl.record(record)
+            fl.offer(fields)
         return False
 
 
@@ -368,7 +369,8 @@ class Tracer:
         self._flight: Optional[FlightRecorder] = None
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self._next_id = 1
+        #: span ids (``next`` on a count is atomic under the GIL)
+        self._ids = itertools.count(1)
         self._anchor()
         #: finished spans, appended at span exit
         self.records: List[Span] = []
@@ -444,7 +446,7 @@ class Tracer:
         """Drop all records and restart the clock epoch."""
         with self._lock:
             self.records = []
-            self._next_id = 1
+            self._ids = itertools.count(1)
             self._anchor()
         self._tls = threading.local()
         fl = self._flight

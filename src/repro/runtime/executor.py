@@ -94,6 +94,21 @@ def _refresh_ghosts(comm: CartComm, sub_shape: Sequence[int], exchangers,
         ex.finish_exchange()
 
 
+def _overlap_split(comm: CartComm, shape: Sequence[int],
+                   radius: Sequence[int]):
+    """``core_owned_regions`` of this rank's block for a stage of
+    ``radius``.  A side gets a shell only when its ghosts come from
+    another rank: a global edge is filled, and a rank that is its own
+    neighbour copies its ghosts, before the exchange begins.  A ghost
+    block from another rank lies, in some dimension, behind a side
+    whose ghosts do too, so CORE never reads a ghost in flight."""
+    width = []
+    for d, r in enumerate(radius):
+        low, high = (0 <= peer != comm.rank for peer in comm.Shift(d, 1))
+        width.append((r * low, r * high))
+    return core_owned_regions(shape, width)
+
+
 class DistributedStencil:
     """One rank's block of a distributed stencil (or pipeline).
 
@@ -132,7 +147,7 @@ class DistributedStencil:
         #: (CORE box or None, OWNED slabs), as ``compute`` regions
         self._split = {}
         for stage in self.engine.pipeline.stages:
-            core, owned = core_owned_regions(self.sub.shape, stage.radius)
+            core, owned = _overlap_split(comm, self.sub.shape, stage.radius)
             self._split[stage.output.name] = (
                 None if core is None else (tuple(core),),
                 tuple(tuple(slab) for slab in owned),

@@ -53,6 +53,8 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 _DEFAULT_TIMEOUT = 60.0
+#: how long a timed-out ``run_ranks`` waits for its aborted ranks to end
+_RELEASE_S = 1.0
 
 
 class SimMPIError(RuntimeError):
@@ -85,6 +87,8 @@ class _World:
         self.bcast_slots: Dict[int, Any] = {}
         self.reduce_slots: Dict[str, list] = {}
         self.failed = threading.Event()
+        #: per rank blocked in a receive: the (source, tag) it waits for
+        self.waiting: Dict[int, Tuple[int, int]] = {}
         self.injector = injector
         self.crashed: set = set()
         #: delivery generation — bumped on every mailbox change so
@@ -127,10 +131,35 @@ class _World:
         """Record an injected rank death and wake every waiter."""
         with self.lock:
             self.crashed.add(rank)
+        self.abort()
+
+    def abort(self) -> None:
+        """Fail the world and wake every waiter: a blocked receive
+        raises at once instead of sitting out its timeout."""
+        with self.lock:
             self.failed.set()
             self.events += 1
             self.lock.notify_all()
         self.barrier.abort()
+
+    def stuck(self) -> str:
+        """Each blocked receive and each message no receive took, for a
+        deadlock report."""
+        def shown(value: int) -> str:  # ANY_SOURCE and ANY_TAG are -1
+            return "any" if value == ANY_SOURCE else str(value)
+
+        with self.lock:
+            pending = [
+                f"rank {rank} from {shown(src)} tag {shown(tag)}"
+                for rank, (src, tag) in sorted(self.waiting.items())
+            ]
+            unmatched = [
+                f"to rank {dest} from {src} tag {tag}"
+                for dest, box in enumerate(self.mail)
+                for src, tag, _data, _flow in box
+            ]
+        return (f"pending receives: {'; '.join(pending) or 'none'}; "
+                f"unmatched messages: {'; '.join(unmatched) or 'none'}")
 
     def post(self, source: int, dest: int, tag: int,
              data: np.ndarray, reliable: bool = False,
@@ -183,34 +212,42 @@ class _World:
             None if timeout is None else time.monotonic() + timeout
         )
         with self.lock:
-            while True:
-                box = self.mail[dest]
-                for idx, (src, tg, data, flow) in enumerate(box):
-                    if (source in (ANY_SOURCE, src)
-                            and tag in (ANY_TAG, tg)):
-                        del box[idx]
-                        return src, tg, data, flow
-                if self.crashed:
-                    names = ",".join(str(r) for r in sorted(self.crashed))
-                    raise SimMPIError(
-                        f"rank {dest}: peer rank {names} crashed while "
-                        f"waiting for a message from {source} tag {tag}"
-                    )
-                if self.failed.is_set():
-                    raise SimMPIError(
-                        f"rank {dest}: peer failed while waiting for a "
-                        f"message from {source} tag {tag}"
-                    )
-                if deadline is None:
-                    self.lock.wait()
-                    continue
+            try:
+                return self._take(dest, source, tag, deadline)
+            finally:
+                self.waiting.pop(dest, None)
+
+    def _take(self, dest: int, source: int, tag: int,
+              deadline: Optional[float]
+              ) -> Tuple[int, int, np.ndarray, Optional[str]]:
+        """:meth:`take` with the lock held."""
+        while True:
+            box = self.mail[dest]
+            for idx, (src, tg, data, flow) in enumerate(box):
+                if source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg):
+                    del box[idx]
+                    return src, tg, data, flow
+            if self.crashed:
+                names = ",".join(str(r) for r in sorted(self.crashed))
+                raise SimMPIError(
+                    f"rank {dest}: peer rank {names} crashed while "
+                    f"waiting for a message from {source} tag {tag}"
+                )
+            if self.failed.is_set():
+                raise SimMPIError(
+                    f"rank {dest}: peer failed while waiting for a "
+                    f"message from {source} tag {tag}"
+                )
+            remaining = None
+            if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise SimMPITimeout(
                         f"rank {dest}: timeout waiting for message from "
                         f"{source} tag {tag} (likely deadlock)"
                     )
-                self.lock.wait(remaining)
+            self.waiting[dest] = (source, tag)
+            self.lock.wait(remaining)
 
 
 class Request:
@@ -419,6 +456,9 @@ class Communicator:
             else:
                 deadline = time.monotonic() + _DEFAULT_TIMEOUT
                 while root not in world.bcast_slots:
+                    if world.failed.is_set():
+                        raise SimMPIError(
+                            f"rank {self.rank}: peer failed during bcast")
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise SimMPITimeout("bcast timeout")
@@ -634,8 +674,7 @@ def run_ranks(nprocs: int, main: Callable[[Communicator], Any],
                 results[rank] = main(comm)
         except BaseException as exc:  # noqa: BLE001 - report to caller
             errors.append((rank, exc))
-            world.failed.set()
-            world.barrier.abort()
+            world.abort()
 
     threads = [
         threading.Thread(target=entry, args=(r,), name=f"simmpi-rank-{r}")
@@ -643,13 +682,19 @@ def run_ranks(nprocs: int, main: Callable[[Communicator], Any],
     ]
     for th in threads:
         th.start()
+    deadline = time.monotonic() + timeout
     for th in threads:
-        th.join(timeout)
+        th.join(max(0.0, deadline - time.monotonic()))
         if th.is_alive():
-            world.failed.set()
-            world.barrier.abort()
+            # name what each rank still waits for before the abort
+            # wakes the blocked receives, so the threads end now
+            stuck = world.stuck()
+            world.abort()
+            for other in threads:
+                other.join(_RELEASE_S)
             raise SimMPIError(
-                f"{th.name} did not finish within {timeout}s (deadlock?)"
+                f"{th.name} did not finish within {timeout}s (deadlock?); "
+                f"{stuck}"
             )
     if errors:
         # prefer the root cause: secondary SimMPIErrors (broken barriers,

@@ -1,8 +1,12 @@
 """Tests for the communication library: decomposition, halo geometry,
 packing, exchangers and the plugin registry (Sec. 4.4, Fig. 6)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import (
     EXCHANGE_MODES,
@@ -29,7 +33,8 @@ from repro.comm import (
     unpack,
     unpack_many,
 )
-from repro.runtime.simmpi import run_ranks
+from repro.runtime.executor import _overlap_split
+from repro.runtime.simmpi import CartComm, _World, run_ranks
 
 
 class TestDecompose:
@@ -447,6 +452,70 @@ class TestCoreOwnedRegions:
         assert seen.max() == 1
 
 
+    def test_width_per_side(self):
+        core, owned, mask = self._cover((6, 8), ((0, 2), (1, 0)))
+        assert core == [(0, 4), (1, 8)]
+        assert owned == [[(4, 6), (0, 8)], [(0, 4), (0, 1)]]
+        assert (mask == 1).all()
+
+
+@st.composite
+def rank_blocks(draw):
+    """A rank of a cart grid (extent-1 periodic dimensions and global
+    edges included), its block shape and a stage radius."""
+    ndim = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=ndim,
+                               max_size=ndim)))
+    periods = tuple(draw(st.lists(st.booleans(), min_size=ndim,
+                                  max_size=ndim)))
+    radius = tuple(draw(st.lists(st.integers(0, 3), min_size=ndim,
+                                 max_size=ndim)))
+    shape = tuple(draw(st.integers(max(r, 1), r + 6)) for r in radius)
+    rank = draw(st.integers(0, int(np.prod(dims)) - 1))
+    return CartComm(_World(int(np.prod(dims))), rank, dims, periods), \
+        shape, radius
+
+
+class TestOverlapSplit:
+    """The rank's CORE/OWNED split: shells only where ghosts come from
+    another rank, and CORE never reads one of those."""
+
+    @settings(max_examples=300)
+    @given(case=rank_blocks())
+    def test_core_reads_no_ghost_in_flight_and_the_split_tiles(self, case):
+        comm, shape, radius = case
+        core, owned = _overlap_split(comm, shape, radius)
+        mask = np.zeros(shape, dtype=int)
+        for box in ([core] if core else []) + owned:
+            mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
+        assert (mask == 1).all()
+        if core is None:
+            return
+        # the ghost sides CORE's footprint reaches, per dimension
+        reach = [
+            [0] + ([-1] if lo - r < 0 else []) + ([+1] if hi - 1 + r >= n
+                                                   else [])
+            for (lo, hi), r, n in zip(core, radius, shape)
+        ]
+        coords = comm.Get_coords(comm.rank)
+        for offset in itertools.product(*reach):
+            if not any(offset):
+                continue
+            owner = [c + o for c, o in zip(coords, offset)]
+            if any(not p and not 0 <= c < n
+                   for c, p, n in zip(owner, comm.periods, comm.dims)):
+                continue  # a global edge: filled, not exchanged
+            assert comm.Get_cart_rank(owner) == comm.rank, (
+                f"CORE {core} reads the ghost block at {offset}, which "
+                "comes from another rank")
+
+    def test_periodic_1x2_splits_only_the_remote_dimension(self):
+        comm = CartComm(_World(2), 0, (1, 2), (True, True))
+        core, owned = _overlap_split(comm, (256, 128), (2, 2))
+        assert core == [(0, 256), (2, 126)]
+        assert owned == [[(0, 256), (0, 2)], [(0, 256), (126, 128)]]
+
+
 class TestManyStripPacking:
     def test_roundtrip(self, rng):
         plane = rng.random((6, 6))
@@ -559,6 +628,43 @@ class TestExchangeModeContracts:
             ex.reset_counters()
             assert ex.messages == 0 and ex.bytes_sent == 0
             assert ex.retries == 0
+
+
+class TestSelfCopies:
+    """A rank that is its own neighbour (a periodic dimension of extent
+    1) copies those ghost strips locally: they are not wire messages,
+    so they are neither counted nor exposed to injected faults."""
+
+    @pytest.mark.parametrize("faults", [None, "drop:p=0.3"],
+                             ids=["clean", "drop"])
+    @pytest.mark.parametrize("mode", EXCHANGE_MODES)
+    def test_periodic_1x2_counts_wire_traffic_only(self, mode, faults):
+        sub, halo = (4, 6), (2, 2)
+        whole = np.arange(4 * 12, dtype=float).reshape(4, 12)
+        wrapped = np.pad(whole, [(h, h) for h in halo], mode="wrap")
+
+        def main(comm):
+            spec = HaloSpec(sub, halo)
+            ex = AsyncHaloExchanger(comm, spec, mode=mode)
+            plane = np.full(spec.padded_shape, -1.0)
+            first = comm.rank * sub[1]
+            plane[spec.interior()] = whole[:, first:first + sub[1]]
+            for _ in range(3):
+                ex.exchange(plane)
+            want = wrapped[:, first:first + sub[1] + 2 * halo[1]]
+            return (plane.tobytes() == want.tobytes(), ex.messages,
+                    ex.bytes_sent, sorted(comm._world.traffic))
+
+        for ghosts_right, messages, sent, pairs in run_ranks(
+                2, main, cart_dims=(1, 2), periods=(True, True),
+                faults=faults):
+            assert ghosts_right
+            # per exchange: basic sends both dim-1 faces (8 x 2 cells
+            # each), diag one coalesced message of the same 32 cells;
+            # dimension 0 is a local copy in every mode
+            assert messages == 3 * (2 if mode == "basic" else 1)
+            assert sent == 3 * 32 * 8
+            assert pairs == [(0, 1), (1, 0)]
 
 
 class TestPerExchangeInvariants:

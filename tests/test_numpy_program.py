@@ -25,6 +25,7 @@ from repro.backend.numpy_backend import (
     _access_view,
     evaluate_kernel,
     reference_run,
+    typed_term,
 )
 from repro.comm.decomposition import decompose
 from repro.comm.halo import core_owned_regions
@@ -311,20 +312,29 @@ def _rank_steps(prog, init, mode, steps, probe, grid=(2, 1)):
                      periods=(True,) * len(grid))
 
 
+def _split_sizes(dist):
+    """``(CORE, OWNED)`` region counts of the rank's overlap split."""
+    ((core, owned),) = dist._split.values()
+    return (0 if core is None else len(core)), len(owned)
+
+
 class TestBoundPlans:
     @pytest.mark.parametrize("mode,regions", [
-        ("basic", 1), ("diag", 1), ("overlap", 5)])
+        ("basic", 1), ("diag", 1), ("overlap", None)])
     def test_rank_binds_regions_x_terms_x_window_then_reuses(
             self, mode, regions):
+        """``regions`` per term and step: the whole block, or (None)
+        the rank's CORE/OWNED split, as its neighbours shape it."""
         prog, init = _bench_program()
         terms, window = 2, prog.ir.output.time_window
         per_rank = _rank_steps(
             prog, init, mode, 2 * window + 1,
-            lambda dist, _step: dict(dist.engine.plan_stats))
+            lambda dist, _step: (dict(dist.engine.plan_stats),
+                                 sum(_split_sizes(dist))))
         for seen in per_rank:
-            binds = [s["bind"] for s in seen]
-            reuses = [s["reuse"] for s in seen]
-            per_step = regions * terms
+            binds = [s["bind"] for s, _ in seen]
+            reuses = [s["reuse"] for s, _ in seen]
+            per_step = (regions or seen[0][1]) * terms
             assert binds[:window] == [per_step * k
                                       for k in range(1, window + 1)]
             # from step W on the window is in a rotation already bound
@@ -409,19 +419,109 @@ class TestBoundPlans:
 
     def test_kernel_eval_span_reports_ops_and_regions(self):
         prog, init = _bench_program()
+        ((core, owned),) = {
+            split for (split,) in _rank_steps(
+                prog, init, "overlap", 1,
+                lambda dist, _step: _split_sizes(dist))}
         with obs.capture() as (tracer, reg):
             distributed_run(prog.ir, init, 4, (2, 1), boundary="periodic",
                             exchange_mode="overlap")
         evals = [s for s in tracer.records
                  if s.name == "runtime.kernel_eval"]
-        # per rank and step: CORE (1 region) then OWNED (4 slabs), each
+        # per rank and step: the CORE region, then the OWNED slabs, each
         # over both terms of 19 calls (17 + ``scale *`` + the write)
         assert sorted({(s.attrs["regions"], s.attrs["ops"])
-                       for s in evals}) == [(2, 2 * 19), (8, 8 * 19)]
+                       for s in evals}) == sorted(
+            {(2 * n, 2 * n * 19) for n in (core, owned)})
+        # 4 steps through a window of 3: 3 bound, 1 re-used
+        per_step = 2 * (core + owned)
         by_rank = reg.counter_by_label("numpy.plan.bind", "rank")
-        assert by_rank == {0: 30, 1: 30}
+        assert by_rank == {0: 3 * per_step, 1: 3 * per_step}
         assert reg.counter_by_label("numpy.plan.reuse", "rank") == {
-            0: 10, 1: 10}
+            0: per_step, 1: per_step}
+
+
+class TestTypedOnce:
+    def test_engines_share_the_typed_term(self):
+        prog, init = _bench_program()
+        engines = [BlockEngine.serial(prog.ir, "periodic") for _ in range(2)]
+        for engine in engines:
+            engine.seed({prog.ir.output.name: init})
+            engine.step()
+        first, second = (engine._terms[prog.ir.output.name]
+                         for engine in engines)
+        assert all(a.typed is b.typed for a, b in zip(first, second))
+        assert all(term.typed in term.lowered.typed.values()
+                   for term in first)
+
+    def test_memo_keys_tell_signed_zeros_and_int_from_float(self):
+        tensor, kernel = make_2d5pt()
+        program = Kernel("k", (J, I), VarExpr("w", "f64") * tensor[J, I]
+                         ).program
+        f8 = np.dtype("f8")
+        typed = typed_term(program, {"w": 0.0}, 1.0, f8)
+        assert typed_term(program, {"w": 0.0}, 1.0, f8) is typed
+        assert typed_term(program, {"w": -0.0}, 1.0, f8) is not typed
+        assert typed_term(program, {"w": 0}, 1.0, f8) is not typed
+        assert typed_term(program, {"w": 0.0}, -1.0, f8) is not typed
+        assert typed_term(program, {"w": 0.0}, 1.0, np.dtype("f4")) \
+            is not typed
+
+
+class TestFlatHull:
+    """A region that spans the block in every trailing dimension is
+    bound over its flat hull: one contiguous run per access, whose
+    cells between rows are ghosts of the plane being written."""
+
+    @pytest.mark.parametrize("bench,grid,rows", [
+        ("2d9pt_star", (16, 12), (3, 9)),
+        ("2d9pt_box", (16, 12), (0, 16)),
+        ("3d7pt_star", (8, 6, 5), (2, 5)),
+    ])
+    def test_whole_row_region_writes_no_interior_cell_outside_itself(
+            self, bench, grid, rows):
+        prog, _ = build_benchmark(bench, grid=grid, boundary="periodic")
+        rng = np.random.default_rng(5)
+        init = [rng.random(grid)
+                for _ in range(prog.ir.required_time_window - 1)]
+        name = prog.ir.output.name
+        whole = BlockEngine.serial(prog.ir, "periodic")
+        whole.seed({name: init})
+        whole.step()
+        engine = BlockEngine.serial(prog.ir, "periodic")
+        engine.seed({name: init})
+        t = engine.t + 1
+        window = engine.windows[name]
+        window.advance(t)[...] = 7.0  # a sentinel in every cell
+        region = (rows,) + tuple((0, n) for n in grid[1:])
+        engine.compute(engine.pipeline.stages[0], t, lambda _k: (region,))
+        assert all(plan[-1][2].ndim == 1
+                   for plan in engine._plans.values())
+        inside = tuple(slice(lo, hi) for lo, hi in region)
+        got = window.valid(t)
+        assert_same_bits(got[inside], whole.windows[name].valid(t)[inside])
+        outside = np.ones(grid, dtype=bool)
+        outside[inside] = False
+        assert (got[outside] == 7.0).all()
+
+    def test_trapping_programs_and_partial_rows_stay_boxed(self):
+        tensor, kernel = make_2d5pt(shape=(8, 8))
+        divided = Kernel("k", (J, I), tensor[J, I - 1] / tensor[J, I + 1])
+        rng = np.random.default_rng(6)
+        init = [rng.random((8, 8)) + 1.0]
+        for kern, region in ((divided, ((0, 8), (0, 8))),
+                             (kernel, ((0, 8), (0, 4)))):
+            stencil = Stencil(tensor, kern[Stencil.t - 1])
+            engine = BlockEngine.serial(stencil, "periodic")
+            engine.seed({"A": init})
+            rest = ((0, 8), (region[1][1], 8))
+            regions = (region,) + ((rest,) if rest[1][0] < 8 else ())
+            engine.step(partial(engine.compute,
+                                regions=lambda _k: regions))
+            assert {plan[-1][2].ndim
+                    for plan in engine._plans.values()} == {2}
+            assert_same_bits(engine.results()["A"],
+                             reference_run(stencil, init, 1, "periodic"))
 
 
 # -- direct write ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the simulated MPI runtime."""
 
+import threading
 import time
 
 import numpy as np
@@ -252,6 +253,39 @@ class TestFailurePropagation:
 
         with pytest.raises(SimMPIError, match="rank 1 failed"):
             run_ranks(2, main)
+
+    def test_deadlock_names_receives_and_releases_ranks(self):
+        """A run that times out says what each stuck rank waits for and
+        what no receive took, and its rank threads end at once instead
+        of sitting out their own receive timeout."""
+        def main(comm):
+            if comm.rank == 0:
+                comm.Send(np.zeros(1), dest=1, tag=1)
+            else:
+                comm.Recv(np.zeros(1), source=0, tag=2)
+
+        before = set(threading.enumerate())
+        with pytest.raises(SimMPIError) as err:
+            run_ranks(2, main, timeout=1.0)
+        message = str(err.value)
+        assert "simmpi-rank-1 did not finish within 1.0s (deadlock?)" \
+            in message
+        assert "pending receives: rank 1 from 0 tag 2" in message
+        assert "unmatched messages: to rank 1 from 0 tag 1" in message
+        assert not [th for th in threading.enumerate()
+                    if th not in before and th.is_alive()
+                    and th.name.startswith("simmpi-rank-")]
+
+    def test_failing_rank_wakes_a_blocked_receive(self):
+        def main(comm):
+            if comm.rank == 1:
+                raise RuntimeError("boom")
+            comm.Recv(np.zeros(1), source=1, timeout=30.0)
+
+        start = time.monotonic()
+        with pytest.raises(SimMPIError, match="rank 1 failed"):
+            run_ranks(2, main)
+        assert time.monotonic() - start < 10.0
 
     def test_traffic_accounting(self):
         def main(comm):

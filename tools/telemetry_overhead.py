@@ -3,13 +3,17 @@
     python tools/telemetry_overhead.py
 
 Runs one single-node numpy execution (``2d9pt_box``, 160², 16 steps)
-in two telemetry configurations, interleaved A/B over ``PAIRS`` pairs:
+in two telemetry configurations, interleaved over ``PAIRS`` pairs:
 everything off, and the always-on default (flight recorder + metrics
 registry, as :func:`repro.obs.session` sets up every command without
-``--serve-metrics``).  The overhead is the *median of per-pair
-ratios*: the two runs of a pair are adjacent in time, so slow host
-drift cancels within each pair, and the median across pairs sheds the
-occasional preempted outlier.  The verdict is the median of
+``--serve-metrics``).  The arm that runs first alternates from pair to
+pair, so whatever the second run of a pair gains or loses from the
+first (warm caches, a clock ramping up) lands on both arms alike.  The
+overhead is the *median of per-pair ratios*: the two runs of a pair
+are adjacent in time, so slow host drift cancels within each pair, and
+the median across pairs sheds the occasional preempted outlier.  A run
+takes milliseconds, so enough pairs for a stable median cost seconds.
+The verdict is the median of
 ``REPEATS`` such measurements: it prints each fraction and exits 1 when
 their median reaches ``BUDGET``.
 """
@@ -29,7 +33,7 @@ from repro.obs.metrics import median  # noqa: E402
 from repro.obs.trace import preserved  # noqa: E402
 
 #: interleaved off/on pairs
-PAIRS = 7
+PAIRS = 101
 #: timesteps per run: tens of ms, so the fixed per-span cost amortizes
 STEPS = 16
 SHAPE = (160, 160)
@@ -59,18 +63,27 @@ def measure() -> Dict[str, float]:
     tr, reg = obs.tracer(), obs.registry()
     times_off, times_on = [], []
     kept = dropped = 0
+
+    def run_off() -> None:
+        tr.disable()
+        tr.disable_flight()
+        reg.disable()
+        times_off.append(one_run())
+
+    def run_on() -> None:
+        nonlocal kept, dropped
+        fl = tr.enable_flight()
+        reg.enable()
+        times_on.append(one_run())
+        kept += fl.kept
+        dropped += fl.dropped
+
     with preserved():
         one_run()  # warm caches outside both measurement arms
-        for _ in range(PAIRS):
-            tr.disable()
-            tr.disable_flight()
-            reg.disable()
-            times_off.append(one_run())
-            fl = tr.enable_flight()
-            reg.enable()
-            times_on.append(one_run())
-            kept += fl.kept
-            dropped += fl.dropped
+        for pair in range(PAIRS):
+            for arm in ((run_off, run_on) if pair % 2 == 0
+                        else (run_on, run_off)):
+                arm()
     return {
         "overhead_frac": median([(on - off) / off for off, on
                                  in zip(times_off, times_on) if off > 0]),
